@@ -33,6 +33,7 @@ from .errors import (
     ZeroEndpoint,
 )
 from .padics import (
+    BaseField,
     PadicContext,
     PadicScalar,
     hilbert_symbol_qp,
@@ -41,7 +42,7 @@ from .padics import (
     square_class_representatives,
     valuation,
 )
-from .polynomials import BaseField, PadicPolynomial, RationalFunction
+from .polynomials import PadicPolynomial, RationalFunction
 from .newton import (
     FiniteFieldPoly,
     NewtonPolygon,

@@ -250,19 +250,12 @@ def _v_gamma_valid(a, ctx):
 
 
 def _v_predicate_witness(a, ctx):
+    from .h10 import build_f, strip_t, witness_g
     from .newton import newton_polygon
 
-    x = parse_rational_function(a["x"], ctx)
     c = parse_rat(a["c"])
-    base = x.field
-    one = PadicPolynomial.one(base)
-    tpoly = PadicPolynomial.x(base)
-    h_num = x.den ** 3 * (one + tpoly) + x.num ** 3 * tpoly ** 2
-    h_den = x.den ** 3 + x.num ** 3 * tpoly
-    strip = min(h_num.ord_t(), h_den.ord_t())
-    if strip:
-        h_num, h_den = h_num.shift(-strip), h_den.shift(-strip)
-    g = h_num * h_den + PadicPolynomial.monomial(c, 2, base) * h_den * h_den
+    report = build_f(parse_rational_function(a["x"], ctx), c, ctx)
+    g = witness_g(*strip_t(report.h_num, report.h_den), c)
     problems = []
     if g.to_text() != a["g"]:
         problems.append("g recomputes differently from the recorded polynomial")
@@ -450,13 +443,18 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     consistency checks tying the assertions to the result pass.
     """
     problems: list[str] = []
+    if not isinstance(doc, dict):
+        return False, ["the document is not a JSON object"]
     if doc.get("schema") != SCHEMA:
         return False, [f"unknown schema {doc.get('schema')!r}"]
     try:
         ctx = context_from_block(doc["context"])
     except Exception as exc:
         return False, [f"invalid context: {exc}"]
-    for k, a in enumerate(doc.get("assertions", [])):
+    assertions = doc.get("assertions", [])
+    if not isinstance(assertions, list) or not all(isinstance(a, dict) for a in assertions):
+        return False, ["assertions must be a list of JSON objects"]
+    for k, a in enumerate(assertions):
         kind = a.get("kind")
         fn = _VERIFIERS.get(kind)
         if fn is None:

@@ -146,7 +146,7 @@ def _cmd_symbol(args):
     value = legendre_symbol(p, q, ctx)
     field, evidence = certify_modulus(q, ctx)
     result = {"p": p.to_text(), "q": q.to_text(), "value": value, "modulus_evidence": evidence}
-    if not isinstance(field, PadicContext):
+    if field.is_extension:
         result["field"] = {
             "ramification_index": field.ramification_index,
             "residue_degree": field.residue_degree,

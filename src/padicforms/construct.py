@@ -41,13 +41,14 @@ from .errors import (
 from .newton import (
     FiniteFieldPoly,
     finite_field_irreducible,
+    graded_reduction,
     newton_polygon,
     random_irreducible_search,
     reduce_one_edge,
     reduction_irreducibility,
     slope_denominator,
 )
-from .padics import PadicContext, rational_mod_pk
+from .padics import PadicContext
 from .polynomials import BaseField, PadicPolynomial
 from .quadform import PfisterSlot, milnor_isotropy
 from .reciprocity import legendre_symbol
@@ -87,17 +88,7 @@ class SlopeRing:
         """Image in R/P = k[ubar]; terms strictly above the grading vanish."""
         if not self.in_R(f):
             raise PreconditionFailed("element is not in R")
-        d = self.d
-        digits = [0] * (f.degree // d + 1 if not f.is_zero() else 1)
-        pi = self.context.uniformizer
-        for b, c in enumerate(f.coeffs):
-            if f.field.is_zero(c):
-                continue
-            if f.field.valuation(c) == self.slope * b:
-                # on the grading line v = m b integrality forces d | b
-                unit = Fraction(c) * pi ** int(-self.slope * b)
-                digits[b // d] = rational_mod_pk(unit, self.context.p, 1)
-        return FiniteFieldPoly(digits, self.context.p)
+        return graded_reduction(f, self.slope)
 
     def lift(self, fbar: FiniteFieldPoly, base: BaseField) -> PadicPolynomial:
         """Monomial-wise lift: digit at ubar^j becomes digit pi^(m d j) t^(d j)."""
@@ -379,12 +370,10 @@ def _case_one(params: ConstructionParams, i: int, rng) -> tuple[SFactor, CaseOne
     )
     b_el = h_i * ring.u_pow(n_prime + cap_g, base)
     hbar = ring.reduction(h_i)
-    assert ring.reduction(a_el) == hbar + FiniteFieldPoly(
-        (0,) * (n_prime + cap_g) + (rho,), ctx.p
-    )
-    assert ring.reduction(b_el) == hbar * FiniteFieldPoly(
-        (0,) * (n_prime + cap_g) + (1,), ctx.p
-    )
+    if ring.reduction(a_el) != hbar + FiniteFieldPoly((0,) * (n_prime + cap_g) + (rho,), ctx.p):
+        raise ConditionFailed("reduction of a is not hbar + rho ubar^(N'+G)")
+    if ring.reduction(b_el) != hbar * FiniteFieldPoly((0,) * (n_prime + cap_g) + (1,), ctx.p):
+        raise ConditionFailed("reduction of b is not hbar ubar^(N'+G)")
 
     found = random_irreducible_search(hbar, rho, n_prime, cap_g, rng)
     cbar, e_prime = found.cbar, found.e_prime
@@ -408,7 +397,8 @@ def _case_one(params: ConstructionParams, i: int, rng) -> tuple[SFactor, CaseOne
     assert c == r + h_i * PadicPolynomial.monomial(pi ** int(m * e), e, base)
     assert r.is_zero() or r.degree <= n_i + e - params.big_n
     assert newton_polygon(c).single_edge().slope == m
-    assert ring.reduction(c) == cbar and d * cbar.degree == c.degree
+    if ring.reduction(c) != cbar or d * cbar.degree != c.degree:
+        raise ConditionFailed("reduction of c is not the irreducible cbar of matching degree")
     assert finite_field_irreducible(cbar)
 
     s_i = c * pi ** int(-m * c.degree)

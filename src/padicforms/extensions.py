@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    ConditionFailed,
     NotIrreducible,
     PrecisionExhausted,
     PreconditionFailed,
@@ -43,12 +44,13 @@ from .padics import (
     INFINITY,
     PadicContext,
     PadicScalar,
+    field_handle,
     hilbert_symbol_qp,
     is_square_rational,
     rational_mod_pk,
     square_class_rational,
 )
-from .polynomials import BaseField, PadicPolynomial
+from .polynomials import PadicPolynomial
 
 _SEARCH_CELL_CAP = 1 << 21
 
@@ -172,6 +174,8 @@ class LocalField:
             x = x.value
         if isinstance(x, (int, Fraction)):
             return self.embed(Fraction(x))
+        if isinstance(x, tuple):
+            return self.element(x)
         raise TypeError(f"cannot coerce {type(x).__name__} into {self!r}")
 
     def inv(self, x):
@@ -182,6 +186,16 @@ class LocalField:
 
     def valuation(self, x):
         return self.coerce(x).valuation
+
+    def norm(self, x):
+        return self.coerce(x).norm()
+
+    def truncate(self, x, k: int) -> tuple:
+        """Coefficients of x in powers of alpha, each reduced modulo p^k.
+
+        ``coerce`` maps the tuple back to an element.
+        """
+        return tuple(rational_mod_pk(c, self.base_context.p, k) for c in self.coerce(x).coeffs)
 
     def __eq__(self, other):
         return (
@@ -380,18 +394,9 @@ class LocalFieldElement:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        base = BaseField(self.field.base_context)
-        a = PadicPolynomial(self.coeffs, base)
-        q = PadicPolynomial(self.field.minimal_poly.coeffs, base)
-        # extended Euclid: u*a + v*q = 1
-        r0, r1 = a, q
-        u0, u1 = PadicPolynomial.one(base), PadicPolynomial.zero(base)
-        while not r1.is_zero():
-            qq, rr = divmod(r0, r1)
-            r0, r1 = r1, rr
-            u0, u1 = u1, u0 - qq * u1
-        inv_c = base.inv(r0.constant_coefficient())
-        u = u0 * inv_c
+        q = self.field.minimal_poly
+        # u * a = 1 modulo the irreducible q
+        _, u = PadicPolynomial(self.coeffs, q.field).half_egcd(q)
         return self.field.element(list(u.coeffs))
 
     def multiplication_matrix(self):
@@ -425,7 +430,8 @@ class LocalFieldElement:
         if v is INFINITY:
             raise PreconditionFailed("w(0) is infinite")
         w = v * self.field.ramification_index
-        assert w.denominator == 1
+        if w.denominator != 1:
+            raise ConditionFailed(f"valuation {v} is not in (1/e)Z")
         return int(w)
 
     def __repr__(self):
@@ -456,37 +462,46 @@ class SquareClassTag:
 
 
 def as_base_rational(x):
-    """Return x as a Fraction if it lies in the base field, else None."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, PadicScalar):
-        return x.value
+    """Return a field element x as a Fraction if it lies in Q_p, else None."""
     if isinstance(x, LocalFieldElement):
-        if all(c == 0 for c in x.coeffs[1:]):
-            return x.coeffs[0]
-    return None
+        return x.coeffs[0] if not any(x.coeffs[1:]) else None
+    return Fraction(x)
 
 
-def is_square(x, context: PadicContext | None = None) -> bool:
-    """Exact squareness test in Q_p or a certified extension."""
-    if isinstance(x, LocalFieldElement):
+def _field_for(field, *xs):
+    """The field handle to work in: the one given, else the largest of the xs' own.
+
+    A PadicContext stands for Q_p.  Bare rationals carry no field, so with
+    no other argument they need one given.
+    """
+    if field is None:
+        owned = [x.field for x in xs if hasattr(x, "field")]
+        if not owned:
+            raise PreconditionFailed("a context or field is required for bare rationals")
+        field = max(owned, key=lambda f: f.is_extension)
+    return field_handle(field)
+
+
+def is_square(x, context=None) -> bool:
+    """Exact squareness test in Q_p or a certified extension.
+
+    ``context`` is a PadicContext or a field handle; it may be omitted when
+    x carries its own field.
+    """
+    field = _field_for(context, x)
+    x = field.coerce(x)
+    if field.is_extension:
         return _is_square_ext(x)
-    if isinstance(x, PadicScalar):
-        return is_square_rational(x.value, x.context)
-    if context is None:
-        raise PreconditionFailed("context required for bare rationals")
-    return is_square_rational(Fraction(x), context)
+    return is_square_rational(x, field.context)
 
 
-def square_class(x, context: PadicContext | None = None):
+def square_class(x, context=None):
     """Canonical square-class representative (rational) or extension tag."""
-    if isinstance(x, LocalFieldElement):
+    field = _field_for(context, x)
+    x = field.coerce(x)
+    if field.is_extension:
         return square_class_of(x)
-    if isinstance(x, PadicScalar):
-        return square_class_rational(x.value, x.context)
-    if context is None:
-        raise PreconditionFailed("context required for bare rationals")
-    return square_class_rational(Fraction(x), context)
+    return square_class_rational(x, field.context)
 
 
 def _unit_modulus(field: LocalField) -> int:
@@ -545,40 +560,31 @@ def square_class_of(x: LocalFieldElement) -> SquareClassTag:
         )
         if best is None or res < best:
             best = res
-    assert best is not None
+    if best is None:
+        raise ConditionFailed("no unit s found in the square-class search")
     return SquareClassTag(parity, best, repr(field))
 
 
 def hilbert_symbol(a, b, field=None) -> int:
     """Hilbert symbol over Q_p or a certified extension, in {-1, +1}.
 
-    Over Q_p: classical case formulas.  Over an extension with one
-    argument from the base field: norm projection to the base symbol.
-    With two irrational arguments: Hensel-certified bounded search.
+    With one argument from Q_p: the norm projection
+    (a, b)_K = (N(a), b)_{Q_p}, which over Q_p itself (N = id) is the
+    classical case formula.  With two irrational arguments:
+    Hensel-certified bounded search.  ``field`` is a PadicContext or a
+    field handle; it may be omitted when an argument carries its field.
     """
-    if isinstance(field, LocalField) or isinstance(a, LocalFieldElement) or isinstance(b, LocalFieldElement):
-        if not isinstance(field, LocalField):
-            field = a.field if isinstance(a, LocalFieldElement) else b.field
-        ea, eb = field.coerce(a), field.coerce(b)
-        if ea.is_zero() or eb.is_zero():
-            raise PreconditionFailed("hilbert symbol needs nonzero arguments")
-        ctx = field.base_context
-        rb = as_base_rational(eb)
-        if rb is not None:
-            return hilbert_symbol_qp(ea.norm(), rb, ctx)
-        ra = as_base_rational(ea)
-        if ra is not None:
-            return hilbert_symbol_qp(eb.norm(), ra, ctx)
-        return _certified_hilbert_search(ea, eb)
-    if isinstance(a, PadicScalar):
-        ctx = a.context
-        a, b = a.value, b.value if isinstance(b, PadicScalar) else Fraction(b)
-        return hilbert_symbol_qp(a, b, ctx)
-    if isinstance(field, PadicContext):
-        return hilbert_symbol_qp(Fraction(a), Fraction(b), field)
-    if isinstance(field, BaseField):
-        return hilbert_symbol_qp(Fraction(a), Fraction(b), field.context)
-    raise PreconditionFailed("a context or field is required")
+    field = _field_for(field, a, b)
+    a, b = field.coerce(a), field.coerce(b)
+    if field.is_zero(a) or field.is_zero(b):
+        raise PreconditionFailed("hilbert symbol needs nonzero arguments")
+    rb = as_base_rational(b)
+    if rb is not None:
+        return hilbert_symbol_qp(field.norm(a), rb, field.context)
+    ra = as_base_rational(a)
+    if ra is not None:
+        return hilbert_symbol_qp(field.norm(b), ra, field.context)
+    return _certified_hilbert_search(a, b)
 
 
 def _certified_hilbert_search(a: LocalFieldElement, b: LocalFieldElement) -> int:
@@ -807,25 +813,25 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
     both checked exactly.  Only the reported root is truncated.
     """
     field = f.field
-    ctx = field.context if not field.is_extension else field.base_context
+    ctx = field.context
     if digits is None:
         digits = ctx.precision_digits
     if digits > ctx.precision_digits:
         raise PrecisionExhausted(
             f"digit target {digits} exceeds context precision {ctx.precision_digits}"
         )
-    a = field.coerce(a) if field.is_extension else Fraction(a)
+    a = field.coerce(a)
     for c in f.coeffs:
         if field.valuation(c) < 0:
             raise PreconditionFailed("coefficients must lie in the valuation ring")
-    if _val(field, a) < 0:
+    if field.valuation(a) < 0:
         raise PreconditionFailed("starting point must lie in the valuation ring")
 
     deriv = f.derivative()
     fa = f.evaluate(a)
     fpa = deriv.evaluate(a)
-    v_fa = _val(field, fa)
-    v_fpa = _val(field, fpa)
+    v_fa = field.valuation(fa)
+    v_fpa = field.valuation(fpa)
     if v_fa is INFINITY:
         slack = INFINITY
     else:
@@ -838,42 +844,20 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
     b = a
     for _ in range(4 * digits + 16):
         fb = f.evaluate(b)
-        if _val(field, fb) > digits:
+        if field.valuation(fb) > digits:
             break
-        b = b - fb * _inv(field, deriv.evaluate(b))
+        b = b - fb * field.inv(deriv.evaluate(b))
     else:
         raise PrecisionExhausted("Newton iteration did not reach the digit target")
 
-    truncated = _truncate(field, b, ctx, digits + 1)
-    residual = _val(field, f.evaluate(_as_element(field, truncated, ctx)))
+    truncated = field.truncate(b, digits + 1)
+    root = field.coerce(truncated)
+    residual = field.valuation(f.evaluate(root))
     if not residual > digits:
         raise PrecisionExhausted("truncated root lost the residual margin")
     if v_fa is not INFINITY:
-        vdiff = _val(field, _as_element(field, truncated, ctx) - a)
+        vdiff = field.valuation(root - a)
         if not vdiff > v_fpa:
             raise PrecisionExhausted("root moved outside the Hensel ball")
     return HenselWitness(truncated, slack, residual, digits, a, b)
 
-
-def _val(field, x):
-    if field.is_extension:
-        return field.valuation(x)
-    return field.context.vp(x)
-
-
-def _inv(field, x):
-    if field.is_extension:
-        return x.inverse()
-    return 1 / x
-
-
-def _truncate(field, b, ctx, k):
-    if field.is_extension:
-        return tuple(rational_mod_pk(c, ctx.p, k) for c in b.coeffs)
-    return rational_mod_pk(b, ctx.p, k)
-
-
-def _as_element(field, truncated, ctx):
-    if field.is_extension:
-        return field.element([Fraction(c) for c in truncated])
-    return Fraction(truncated)

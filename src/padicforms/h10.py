@@ -98,14 +98,11 @@ def choose_c(h_num: PadicPolynomial, h_den: PadicPolynomial, ctx: PadicContext, 
     (even-vertex) polygon of c t^2 h_D^2; the all-even property of the
     result is checked exactly and returned as the certificate.
     """
-    strip = min(h_num.ord_t(), h_den.ord_t())
     if h_num.ord_t() - h_den.ord_t() != 0:
         raise PreconditionFailed("v_t(h) must be 0")
-    h_num = h_num.shift(-strip) if strip else h_num
-    h_den = h_den.shift(-strip) if strip else h_den
+    h_num, h_den = strip_t(h_num, h_den)
     if h_den.degree - h_num.degree < -2:
         raise PreconditionFailed("v_infinity(h) must be >= -2")
-    tsq = PadicPolynomial.monomial(Fraction(1), 2, h_num.field)
     if not max_j:
         spread = max(
             abs(ctx.vp(c)) for c in (h_num * h_den).coeffs + (h_den * h_den).coeffs if c != 0
@@ -113,11 +110,22 @@ def choose_c(h_num: PadicPolynomial, h_den: PadicPolynomial, ctx: PadicContext, 
         max_j = 2 * int(spread) + 2 * (h_den.degree + 2) + ctx.v4 + 8
     for j in range(1, max_j + 1):
         c = ctx.uniformizer ** (-j)
-        g = h_num * h_den + tsq * h_den * h_den * c
+        g = witness_g(h_num, h_den, c)
         polygon = newton_polygon(g)
         if polygon.all_vertices_even():
             return WitnessC(c, j, polygon, g)
     raise PreconditionFailed("no admissible c found; valuation spread exceeded the cap")
+
+
+def strip_t(h_num: PadicPolynomial, h_den: PadicPolynomial):
+    """h_N and h_D divided by their common power of t; h is unchanged."""
+    strip = min(h_num.ord_t(), h_den.ord_t())
+    return h_num.shift(-strip), h_den.shift(-strip)
+
+
+def witness_g(h_num: PadicPolynomial, h_den: PadicPolynomial, c) -> PadicPolynomial:
+    """g = h_N h_D + c t^2 h_D^2 for t-stripped h_N, h_D."""
+    return h_num * h_den + PadicPolynomial.monomial(c, 2, h_num.field) * h_den * h_den
 
 
 @dataclass(frozen=True)

@@ -153,23 +153,6 @@ def min_coefficient_valuation(f: PadicPolynomial):
     return min(f.field.valuation(c) for c in f.coeffs)
 
 
-def _poly_egcd(a: PadicPolynomial, b: PadicPolynomial):
-    """Extended Euclid: returns (g, u, v) with u a + v b = g, g monic."""
-    field = a.field
-    r0, r1 = a, b
-    u0, u1 = PadicPolynomial.one(field), PadicPolynomial.zero(field)
-    v0, v1 = PadicPolynomial.zero(field), PadicPolynomial.one(field)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        raise PreconditionFailed("egcd of zero polynomials")
-    lc_inv = field.inv(r0.leading_coefficient())
-    return r0 * lc_inv, u0 * lc_inv, v0 * lc_inv
-
-
 def _truncate_coeff(c, k: int, ctx):
     """A rational congruent to c modulo p^k with height bounded by ~p^k."""
     if c == 0:
@@ -177,9 +160,8 @@ def _truncate_coeff(c, k: int, ctx):
     v = ctx.vp(c)
     if v >= k:
         return Fraction(0)
-    u = Fraction(c) * Fraction(ctx.p) ** (-v)
-    rep = u.numerator * pow(u.denominator, -1, ctx.p ** (k - v)) % ctx.p ** (k - v)
-    return Fraction(rep) * Fraction(ctx.p) ** v
+    shift = Fraction(ctx.p) ** v
+    return rational_mod_pk(c / shift, ctx.p, k - v) * shift
 
 
 def _truncate_poly(f: PadicPolynomial, k: int) -> PadicPolynomial:
@@ -218,9 +200,10 @@ def _two_block_lift(f: PadicPolynomial, r: int, target, max_iter: int = 200):
         else:
             stall = 0
             best = cur
-        one, u, v = _poly_egcd(g, h)
+        one, u = g.half_egcd(h)
         if one.degree != 0:
             raise PrecisionExhausted("block approximations are not coprime")
+        v = (one - u * g) // h  # exact: u g + v h = 1
         dg = (e * v) % g
         q = (e * v) // g
         dh = e * u + q * h
@@ -431,26 +414,31 @@ def reduce_one_edge(f: PadicPolynomial) -> FiniteFieldPoly:
     off-edge points reduce to zero.  Leading and constant digits always
     survive for a monic one-edge input.
     """
-    field = f.field
-    if field.is_extension:
+    if f.field.is_extension:
         raise PreconditionFailed("reduction implemented over Q_p coefficients")
     if not f.is_monic():
         raise PreconditionFailed("reduce_one_edge expects a monic polynomial")
     edge = newton_polygon(f).single_edge()
-    m = edge.slope
-    d = slope_denominator(m)
+    # pi^(-v(f(0))) f lies in the graded ring of the slope, with its edge on the grading line
+    return graded_reduction(f * f.field.context.uniformizer ** int(-edge.v0), edge.slope)
+
+
+def graded_reduction(f: PadicPolynomial, slope) -> FiniteFieldPoly:
+    """Image of f in R/P = F_p[ubar] for the grading v(c_b) >= m b of slope m.
+
+    R holds the polynomials with every coefficient on or above the line
+    v = m b, and P those strictly above it.  A term c t^b on the line maps
+    to res(c pi^(-m b)) ubar^(b/d); terms above it vanish.  f must lie in
+    R; the caller checks that.
+    """
+    field = f.field
     ctx = field.context
-    n = f.degree
-    digits = [0] * (n // d + 1)
-    for beta, c in enumerate(f.coeffs):
-        if field.is_zero(c):
-            continue
-        line = m * (beta - n)
-        if field.valuation(c) != line:
-            continue
-        # on-edge points automatically satisfy d | beta
-        unit = Fraction(c) * ctx.uniformizer ** int(m * (n - beta))
-        digits[beta // d] = rational_mod_pk(unit, ctx.p, 1)
+    d = slope_denominator(slope)
+    digits = [0] * (f.degree // d + 1 if not f.is_zero() else 1)
+    for b, c in enumerate(f.coeffs):
+        if not field.is_zero(c) and field.valuation(c) == slope * b:
+            # on the grading line v = m b integrality forces d | b
+            digits[b // d] = rational_mod_pk(c * ctx.uniformizer ** int(-slope * b), ctx.p, 1)
     return FiniteFieldPoly(digits, ctx.p)
 
 
@@ -489,11 +477,9 @@ def square_class_at_root_one_edge(f, a, g, z, big_n, alpha):
     base field, or an extension square-class tag).  The zero polynomial is
     allowed for g; its degree is treated as 0 in the shape arithmetic.
     """
-    from .extensions import square_class_of  # late import to avoid a cycle
-    from .padics import square_class_rational
+    from .extensions import square_class  # late import to avoid a cycle
 
     field = f.field
-    ctx = field.context if not field.is_extension else field.base_context
     if f.degree % 2:
         raise BadDecomposition("f must have even degree")
     if field.is_zero(f.constant_coefficient()):
@@ -510,24 +496,18 @@ def square_class_at_root_one_edge(f, a, g, z, big_n, alpha):
     if rebuilt != f:
         raise BadDecomposition("f does not match a + g t^N + z t^(2N+deg g-deg z)")
     m = newton_polygon(f).single_edge().slope
-    v_alpha = _valuation_of_point(alpha, f)
+    point_field = getattr(alpha, "field", field)  # alpha may lie in an extension
+    alpha = point_field.coerce(alpha)
+    v_alpha = point_field.valuation(alpha)
     if m == -v_alpha:
         raise SlopeCollision(f"slope {m} equals -v(alpha)")
-    if big_n <= Fraction(ctx.v4) / abs(m + v_alpha):
+    if big_n <= Fraction(field.context.v4) / abs(m + v_alpha):
         raise BadDecomposition("N does not satisfy N > v(4)/|m + v(alpha)|")
     side = z if m < -v_alpha else a
     value = side.evaluate(alpha)
-    if value == 0 or getattr(value, "is_zero", lambda: False)():
+    if point_field.is_zero(value):
         raise BadDecomposition("degenerate evaluation; preconditions violated")
-    if isinstance(value, Fraction):
-        return square_class_rational(value, ctx)
-    return square_class_of(value)
-
-
-def _valuation_of_point(alpha, f):
-    if isinstance(alpha, (int, Fraction)):
-        return f.field.context.vp(alpha) if not f.field.is_extension else f.field.base_context.vp(alpha)
-    return alpha.valuation
+    return square_class(value, point_field)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,62 @@ class PadicContext:
         return PadicScalar(Fraction(x), self)
 
 
+class BaseField:
+    """Q_p as a field handle; its elements are Fractions.
+
+    Implements the same protocol as
+    :class:`padicforms.extensions.LocalField`, so code written against a
+    field handle runs unchanged over Q_p and over its extensions.
+    """
+
+    is_extension = False
+    ramification_index = 1
+
+    def __init__(self, context: PadicContext):
+        self.context = context
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
+
+    def coerce(self, x):
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, int):
+            return Fraction(x)
+        if isinstance(x, PadicScalar):
+            return x.value
+        raise TypeError(f"cannot coerce {type(x).__name__} into Q_{self.context.p}")
+
+    def inv(self, c):
+        return 1 / c
+
+    def is_zero(self, c):
+        return c == 0
+
+    def valuation(self, c):
+        return self.context.vp(c)
+
+    def norm(self, c):
+        return c
+
+    def truncate(self, c, k: int) -> int:
+        """The representative of c modulo p^k in [0, p^k); ``coerce`` maps it back."""
+        return rational_mod_pk(c, self.context.p, k)
+
+    def __eq__(self, other):
+        return isinstance(other, BaseField) and other.context == self.context
+
+    def __hash__(self):
+        return hash(("QP", self.context))
+
+    def __repr__(self):
+        return f"Q_{self.context.p}"
+
+
+def field_handle(field):
+    """The field handle for ``field``: BaseField for a PadicContext, else itself."""
+    return BaseField(field) if isinstance(field, PadicContext) else field
+
+
 def valuation(x):
     """Normalized valuation of a scalar (v(pi) = 1); +infinity at 0.
 
@@ -228,6 +284,10 @@ class PadicScalar:
 
     def __repr__(self):
         return f"PadicScalar({self.value} in Q_{self.context.p})"
+
+    @property
+    def field(self) -> BaseField:
+        return BaseField(self.context)
 
     @property
     def valuation(self):

@@ -1,9 +1,12 @@
 """Exact polynomial and rational-function arithmetic in one variable t.
 
-Coefficients are either rationals (elements of the base field Q_p,
-carried as `Fraction`) or elements of a finite extension; the coefficient
-domain is described by a field handle exposing ``zero``, ``one``,
-``coerce``, ``inv``, ``valuation`` and ``is_zero``.  All arithmetic
+Coefficients live in a field given by a field handle.  There are two
+kinds, with one protocol: :class:`padicforms.padics.BaseField` is Q_p,
+with elements carried as `Fraction`, and
+:class:`padicforms.extensions.LocalField` is a certified finite
+extension.  Both expose ``context``, ``is_extension``,
+``ramification_index``, ``zero``, ``one``, ``coerce``, ``inv``,
+``is_zero``, ``valuation``, ``norm`` and ``truncate``.  All arithmetic
 (addition, multiplication, Euclidean division, gcd, evaluation,
 composition) is exact.
 """
@@ -13,43 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionFailed
-from .padics import INFINITY, PadicContext
-
-
-class BaseField:
-    """Coefficient handle for Q_p itself: coefficients are Fractions."""
-
-    is_extension = False
-
-    def __init__(self, context: PadicContext):
-        self.context = context
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} into Q_{self.context.p}")
-
-    def inv(self, c):
-        return 1 / c
-
-    def is_zero(self, c):
-        return c == 0
-
-    def valuation(self, c):
-        return self.context.vp(c)
-
-    def __eq__(self, other):
-        return isinstance(other, BaseField) and other.context == self.context
-
-    def __hash__(self):
-        return hash(("QP", self.context))
-
-    def __repr__(self):
-        return f"Q_{self.context.p}"
+from .padics import INFINITY, BaseField, PadicContext
 
 
 class PadicPolynomial:
@@ -269,6 +236,23 @@ class PadicPolynomial:
         if a.is_zero():
             return a
         return a.monic()
+
+    def half_egcd(self, other: "PadicPolynomial"):
+        """Monic gcd g and the cofactor u with u * self = g modulo other.
+
+        The half-extended Euclidean algorithm.  The cofactor of ``other``
+        is (g - u * self) / other, an exact division.
+        """
+        r0, r1 = self, self._check(other)
+        u0, u1 = PadicPolynomial.one(self.field), PadicPolynomial.zero(self.field)
+        while not r1.is_zero():
+            q, r = divmod(r0, r1)
+            r0, r1 = r1, r
+            u0, u1 = u1, u0 - q * u1
+        if r0.is_zero():
+            raise PreconditionFailed("egcd of zero polynomials")
+        lc_inv = self.field.inv(r0.leading_coefficient())
+        return r0 * lc_inv, u0 * lc_inv
 
     def squarefree_decomposition(self):
         """Yun's algorithm: returns [(g_k, k)] with self = lc * prod g_k^k.

@@ -20,14 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionFailed, UnknownFactorization
-from .extensions import (
-    LocalField,
-    LocalFieldElement,
-    as_base_rational,
-    hilbert_symbol,
-    is_square,
-)
-from .padics import PadicContext, PadicScalar
+from .extensions import LocalField, hilbert_symbol, is_square
+from .padics import BaseField, PadicContext, field_handle
 from .polynomials import PadicPolynomial
 
 
@@ -41,23 +35,26 @@ class DiagonalForm:
     """<a_1, ..., a_n> with nonzero entries in Q_p or one extension."""
 
     entries: tuple
-    field: object  # PadicContext or LocalField
+    field: object  # field handle: BaseField or LocalField (a PadicContext means Q_p)
 
     def __post_init__(self):
+        object.__setattr__(self, "field", field_handle(self.field))
         for a in self.entries:
-            if _entry_is_zero(a, self.field):
+            if self.field.is_zero(a):
                 raise PreconditionFailed("form entries must be nonzero")
 
     @classmethod
     def make(cls, entries, field):
-        return cls(tuple(_coerce_entry(a, field) for a in entries), field)
+        field = field_handle(field)
+        return cls(tuple(field.coerce(a) for a in entries), field)
 
     @classmethod
     def pfister(cls, slots, field):
         """<<s_1, ..., s_n>> = tensor of <1, s_i>, expanded to 2^n entries."""
-        entries = [_coerce_entry(1, field)]
+        field = field_handle(field)
+        entries = [field.one]
         for s in slots:
-            s = _coerce_entry(s, field)
+            s = field.coerce(s)
             entries = entries + [e * s for e in entries]
         return cls(tuple(entries), field)
 
@@ -66,7 +63,7 @@ class DiagonalForm:
         return len(self.entries)
 
     def scaled(self, c):
-        c = _coerce_entry(c, self.field)
+        c = self.field.coerce(c)
         return DiagonalForm(tuple(e * c for e in self.entries), self.field)
 
     def perp(self, other: "DiagonalForm") -> "DiagonalForm":
@@ -75,36 +72,10 @@ class DiagonalForm:
         return DiagonalForm(self.entries + other.entries, self.field)
 
     def discriminant(self):
-        d = _coerce_entry(1, self.field)
+        d = self.field.one
         for e in self.entries:
             d = d * e
         return d
-
-
-def _coerce_entry(a, field):
-    if isinstance(field, PadicContext):
-        if isinstance(a, PadicScalar):
-            return a.value
-        return Fraction(a)
-    return field.coerce(a)
-
-
-def _entry_is_zero(a, field):
-    if isinstance(field, PadicContext):
-        return a == 0
-    return field.is_zero(a)
-
-
-def _is_square_in(a, field):
-    if isinstance(field, PadicContext):
-        return is_square(Fraction(a), field)
-    return is_square(field.coerce(a))
-
-
-def _hilbert_in(a, b, field):
-    if isinstance(field, PadicContext):
-        return hilbert_symbol(Fraction(a), Fraction(b), field)
-    return hilbert_symbol(field.coerce(a), field.coerce(b), field)
 
 
 def isotropic_over_local(form: DiagonalForm) -> bool:
@@ -122,15 +93,15 @@ def isotropic_over_local(form: DiagonalForm) -> bool:
         return True
     e = form.entries
     if n == 2:
-        return _is_square_in(-e[0] * e[1], form.field)
+        return is_square(-e[0] * e[1], form.field)
     if n == 3:
-        return _hilbert_in(-e[0] * e[2], -e[1] * e[2], form.field) == 1
+        return hilbert_symbol(-e[0] * e[2], -e[1] * e[2], form.field) == 1
     disc = form.discriminant()
-    if not _is_square_in(disc, form.field):
+    if not is_square(disc, form.field):
         return True
     alpha = e[0] * e[1]
     beta = e[0] * e[2]
-    return _hilbert_in(-alpha, -beta, form.field) == 1
+    return hilbert_symbol(-alpha, -beta, form.field) == 1
 
 
 def witt_zero(form: DiagonalForm) -> bool:
@@ -146,9 +117,9 @@ def witt_zero(form: DiagonalForm) -> bool:
     if n % 2:
         return False
     if n == 2:
-        return _is_square_in(-form.entries[0] * form.entries[1], form.field)
+        return is_square(-form.entries[0] * form.entries[1], form.field)
     if n == 4:
-        return _is_square_in(form.discriminant(), form.field) and isotropic_over_local(form)
+        return is_square(form.discriminant(), form.field) and isotropic_over_local(form)
     raise PreconditionFailed(f"witt_zero not implemented for dimension {n}")
 
 
@@ -157,11 +128,10 @@ def i2_class(u, field) -> int:
 
     Equals the Hilbert symbol (u, -pi); +1 iff <1, pi, -u, -pi u> is
     isotropic.  Multiplying u by powers of pi does not change the value.
+    ``field`` is a PadicContext or a field handle.
     """
-    if isinstance(field, PadicContext):
-        return hilbert_symbol(Fraction(u), -field.uniformizer, field)
-    pi = field.base_context.uniformizer
-    return hilbert_symbol(field.coerce(u), field.embed(-pi), field)
+    field = field_handle(field)
+    return hilbert_symbol(u, -field.context.uniformizer, field)
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +184,22 @@ def order_at(entry: PadicPolynomial, q: PadicPolynomial) -> tuple[int, PadicPoly
         cur = quot
 
 
-def _residue_field_for(q: PadicPolynomial, ctx: PadicContext):
+def residue_field(q: PadicPolynomial, ctx: PadicContext):
+    """K[t]/(q) for a monic irreducible q: Q_p itself when q is linear.
+
+    A modulus of degree 2 or more is certified irreducible by the
+    LocalField construction, which raises NotIrreducible when it cannot.
+    """
     if q.degree == 1:
-        return ctx
+        return BaseField(ctx)
     return LocalField(q, ctx)
 
 
-def _reduce_mod(entry: PadicPolynomial, q: PadicPolynomial, residue_field):
-    if isinstance(residue_field, PadicContext):
-        root = -q.constant_coefficient()  # q = t - root, monic linear
-        return entry.evaluate(root)
-    return residue_field.from_poly(entry)
+def reduce_at_place(entry: PadicPolynomial, q: PadicPolynomial, field):
+    """The image of entry in field = residue_field(q, ctx)."""
+    if q.degree == 1:
+        return entry.evaluate(-q.constant_coefficient())  # q = t - root
+    return field.from_poly(entry)
 
 
 def second_residue(form: FunctionFieldForm, q: PadicPolynomial) -> ResidueSplit:
@@ -236,19 +211,19 @@ def second_residue(form: FunctionFieldForm, q: PadicPolynomial) -> ResidueSplit:
     """
     if not q.is_monic() or q.degree < 1:
         raise PreconditionFailed("place must be a monic polynomial of degree >= 1")
-    residue_field = _residue_field_for(q, form.context)
+    field = residue_field(q, form.context)
     first, second = [], []
     for entry in form.entries:
         v, cofactor = order_at(entry, q)
-        value = _reduce_mod(cofactor, q, residue_field)
-        if _entry_is_zero(value, residue_field):
+        value = reduce_at_place(cofactor, q, field)
+        if field.is_zero(value):
             raise UnknownFactorization("entry reduction vanished; not coprime after division")
         (second if v % 2 else first).append(value)
     return ResidueSplit(
         q,
-        DiagonalForm.make(first, residue_field),
-        DiagonalForm.make(second, residue_field),
-        residue_field,
+        DiagonalForm.make(first, field),
+        DiagonalForm.make(second, field),
+        field,
     )
 
 
@@ -305,23 +280,23 @@ def pfister_residue_test(
         (0,0): zero.                  (1,0): zero iff i2(-yb) = +1.
         (0,1): zero iff i2(-xb) = +1. (1,1): zero iff i2(-xb yb) = +1.
     """
-    residue_field = _residue_field_for(q, ctx)
+    field = residue_field(q, ctx)
     vx, cof_x = order_at(x_poly, q)
     vy, cof_y = order_at(y_poly, q)
     px, py = vx % 2, vy % 2
-    xb = _reduce_mod(cof_x, q, residue_field)
-    yb = _reduce_mod(cof_y, q, residue_field)
-    if _entry_is_zero(xb, residue_field) or _entry_is_zero(yb, residue_field):
+    xb = reduce_at_place(cof_x, q, field)
+    yb = reduce_at_place(cof_y, q, field)
+    if field.is_zero(xb) or field.is_zero(yb):
         raise UnknownFactorization("slot not coprime to the place after division")
     if (px, py) == (0, 0):
         return ResidueTest(q, 0, 0, 1, True, "even orders: residue trivially zero")
     if (px, py) == (1, 0):
-        s = i2_class(-yb, residue_field)
+        s = i2_class(-yb, field)
         return ResidueTest(q, 1, 0, s, s == 1, "zero iff i2(-y_bar) = +1")
     if (px, py) == (0, 1):
-        s = i2_class(-xb, residue_field)
+        s = i2_class(-xb, field)
         return ResidueTest(q, 0, 1, s, s == 1, "zero iff i2(-x_bar) = +1")
-    s = i2_class(-xb * yb, residue_field)
+    s = i2_class(-xb * yb, field)
     return ResidueTest(q, 1, 1, s, s == 1, "zero iff i2(-x_bar y_bar) = +1")
 
 

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotCoprime, NotIrreducible, PreconditionFailed
-from .extensions import LocalField, is_square
+from .extensions import is_square
 from .newton import reduction_irreducibility
 from .padics import PadicContext
 from .polynomials import PadicPolynomial
-from .quadform import i2_class
+from .quadform import i2_class, reduce_at_place, residue_field
 
 
 def _t_poly(ctx: PadicContext) -> PadicPolynomial:
@@ -37,16 +37,14 @@ def is_t(q: PadicPolynomial) -> bool:
 def certify_modulus(q: PadicPolynomial, ctx: PadicContext):
     """Return (residue_field, evidence) for a monic irreducible modulus.
 
-    Degree 1 is trivially irreducible; otherwise the local field
-    construction certifies irreducibility by the polygon criteria and
-    raises NotIrreducible when it cannot.
+    Degree 1 is trivially irreducible and its residue field is Q_p;
+    otherwise the local field construction certifies irreducibility by the
+    polygon criteria and raises NotIrreducible when it cannot.
     """
     if not q.is_monic() or q.degree < 1:
         raise NotIrreducible("modulus must be monic of degree >= 1")
-    if q.degree == 1:
-        return ctx, "linear"
-    field = LocalField(q, ctx)
-    return field, field.irreducibility_evidence
+    field = residue_field(q, ctx)
+    return field, "linear" if q.degree == 1 else field.irreducibility_evidence
 
 
 @dataclass(frozen=True)
@@ -78,14 +76,8 @@ def legendre_symbol(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext) -
     if p.is_zero():
         raise NotCoprime("p vanishes modulo q")
     field, _ = certify_modulus(q, ctx)
-    if isinstance(field, PadicContext):
-        root = -q.constant_coefficient()
-        value = p.evaluate(root)
-        if value == 0:
-            raise NotCoprime("p vanishes at the root of q")
-        return i2_class(value, ctx)
-    value = field.from_poly(p)
-    if value.is_zero():
+    value = reduce_at_place(p, q, field)
+    if field.is_zero(value):
         raise NotCoprime("p vanishes modulo q")
     return i2_class(value, field)
 
@@ -102,21 +94,13 @@ def explicit_square_criterion(p: PadicPolynomial, q: PadicPolynomial, ctx: Padic
     if ctx.p == 2:
         raise PreconditionFailed("the square criterion applies to odd residue characteristic")
     field, _ = certify_modulus(q, ctx)
-    pi = ctx.uniformizer
-    if isinstance(field, PadicContext):
-        value = p.evaluate(-q.constant_coefficient())
-        if value == 0:
-            raise NotCoprime("p vanishes at the root of q")
-        w = ctx.vp(value)
-        xi = value * (-pi) ** (-w) * Fraction(-1) ** w
-        return 1 if is_square(xi, ctx) else -1
-    value = field.from_poly(p)
-    if value.is_zero():
+    value = reduce_at_place(p, q, field)
+    if field.is_zero(value):
         raise NotCoprime("p vanishes modulo q")
     e = field.ramification_index
-    w = value.w()
-    xi = value ** e * field.embed((-pi) ** (-w) * Fraction(-1) ** (e * w))
-    return 1 if is_square(xi) else -1
+    w = int(field.valuation(value) * e)
+    xi = value ** e * field.coerce((-ctx.uniformizer) ** (-w) * Fraction(-1) ** (e * w))
+    return 1 if is_square(xi, field) else -1
 
 
 @dataclass(frozen=True)
@@ -208,15 +192,9 @@ def symbol_via_isotropy(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContex
     from .quadform import DiagonalForm, isotropic_over_local
 
     field, _ = certify_modulus(q, ctx)
-    pi = ctx.uniformizer
-    if isinstance(field, PadicContext):
-        u = p.evaluate(-q.constant_coefficient())
-        form = DiagonalForm.make([1, pi, -u, -pi * u], ctx)
-    else:
-        u = field.from_poly(p)
-        form = DiagonalForm.make(
-            [field.one, field.embed(pi), -u, -(u * field.embed(pi))], field
-        )
+    u = reduce_at_place(p, q, field)
+    pi = field.coerce(ctx.uniformizer)
+    form = DiagonalForm.make([field.one, pi, -u, -(u * pi)], field)
     return 1 if isotropic_over_local(form) else -1
 
 

@@ -139,6 +139,27 @@ def test_verify_rejects_garbage(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
 
 
+_CONTEXT = {"prime": 3, "uniformizer": "3/1", "precision": 64}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"schema": "padic-forms/1", "command": "hilbert", "context": _CONTEXT, "assertions": 5},
+        {"schema": "padic-forms/1", "command": "hilbert", "context": _CONTEXT, "assertions": [5]},
+    ],
+    ids=["not-an-object", "assertions-not-a-list", "assertion-not-an-object"],
+)
+def test_verify_rejects_misshapen_documents(doc, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert "certificate REJECTED" in capsys.readouterr().err
+    ok, problems = verify_certificate(doc)
+    assert not ok and len(problems) == 1
+
+
 @pytest.fixture(scope="module")
 def construct_doc():
     import subprocess, sys

@@ -9,12 +9,17 @@ from padicforms import (
     DiagonalForm,
     FunctionFieldForm,
     LocalField,
+    PadicContext,
+    PadicScalar,
     PfisterSlot,
+    hilbert_symbol,
     i2_class,
+    is_square,
     isotropic_over_local,
     milnor_isotropy,
     second_residue,
     springer_anisotropy,
+    square_class,
     square_class_rational,
     square_class_representatives,
     witt_zero,
@@ -210,3 +215,35 @@ def test_isotropy_over_extension(c3):
     # 4-dimensional <1,pi><1,-gamma> over K with pi = 3 square: isotropic
     form = DiagonalForm.make([1, 3, -2, -6], K)
     assert isotropic_over_local(form)
+
+
+@pytest.mark.parametrize(
+    "prime, minimal_poly, values",
+    [
+        (3, None, [2, 3, -1, 12, 7, -6]),
+        (2, None, [1, 2, 3, 5, -1, 6, 7]),
+        (3, [-3, 0, 1], [2, -1, 3, 5, 6]),
+    ],
+    ids=["Q_3", "Q_2", "Q_3(sqrt 3)"],
+)
+def test_scalar_input_kinds_agree(prime, minimal_poly, values):
+    """A PadicScalar, an int and a Fraction of equal value give equal answers."""
+    ctx = PadicContext(prime)
+    field = ctx if minimal_poly is None else LocalField(poly(minimal_poly, ctx))
+
+    def answers(kind, x, y):
+        x, y = kind(x), kind(y)
+        form = DiagonalForm.make([kind(1), x, -y, -x * y], field)
+        return (
+            is_square(x, field),
+            square_class(x, field),
+            hilbert_symbol(x, y, field),
+            i2_class(x, field),
+            isotropic_over_local(form),
+        )
+
+    kinds = [lambda v: PadicScalar(v, ctx), int, Fraction]
+    for x in values:
+        for y in values:
+            got = [answers(kind, x, y) for kind in kinds]
+            assert got[0] == got[1] == got[2], (x, y, got)
