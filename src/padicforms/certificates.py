@@ -31,6 +31,9 @@ def rat_str(x) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
+    """Parse "n/d" or "n"; anything but a string is a ValueError."""
+    if not isinstance(s, str):
+        raise ValueError(f"expected a rational string, got {type(s).__name__}")
     num, _, den = s.partition("/")
     return Fraction(int(num), int(den) if den else 1)
 

@@ -7,18 +7,28 @@ reduction with matching degree).  Elements are rational coefficient
 vectors; valuations come from exact resultant norms, normalized so that
 the base uniformizer has valuation 1 (so values lie in (1/e)Z).
 
-Squareness and Hilbert symbols over extensions are decided exactly:
+Squareness and Hilbert symbols over extensions are decided exactly.  Write
+x = pi_K^w u with u a unit, q = p^f, and chi for the quadratic character
+of the residue field F_q = F_p[y]/(cbar), cbar the reduction of the
+minimal polynomial (chi(r) = r^((q-1)/2), Euler's criterion):
 
-* a unit is a square iff some residue a modulo pi_K^(v(4)+1) satisfies
-  v(a^2 - u) > v(4), a Hensel-conclusive finite search over an integral
-  basis lattice;
+* for odd p, x is a square iff w is even and chi(u mod pi_K) = 1
+  (Hensel), and the square-class tag of u is the least residue of its
+  character;
 * a Hilbert symbol with one argument from the base field reduces to the
   base symbol through the norm projection formula
   (a, b)_K = (N_{K/Q_p}(a), b)_{Q_p};
-* a symbol with two genuinely irrational arguments is decided by a
-  bounded primitive-triple search modulo pi_K^M whose positive hits carry
-  a Hensel certificate and whose negative answers are conclusive because
-  an exact solution would reduce.
+* for odd p, a symbol with two irrational arguments is the tame symbol
+  (a, b) = chi((-1)^(w(a) w(b)) a^w(b) b^(-w(a)) mod pi_K).
+
+At p = 2 no such formula is used.  There a unit is a square iff some
+residue a modulo pi_K^(v(4)+1) has v(a^2 - u) > v(4), a Hensel-conclusive
+search over an integral basis lattice; the tag is the least lattice
+residue of u s^2; and a symbol with two irrational arguments is decided
+by a bounded primitive-triple search modulo pi_K^M whose positive hits
+carry a Hensel certificate and whose negative answers are conclusive
+because an exact solution would reduce.  The searches run at any p, and
+the test suite compares them with the closed forms at odd p.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from .errors import (
     SearchExhausted,
 )
 from .newton import (
+    FiniteFieldPoly,
     finite_field_irreducible,
     newton_polygon,
     reduce_one_edge,
@@ -47,6 +58,7 @@ from .padics import (
     field_handle,
     hilbert_symbol_qp,
     is_square_rational,
+    legendre_int,
     rational_mod_pk,
     square_class_rational,
 )
@@ -125,10 +137,13 @@ class LocalField:
         edge = polygon.single_edge()
         self.slope = edge.slope
         d = slope_denominator(edge.slope)
+        # F_p[x]/(residue_modulus) is the residue field, x the residue of beta
+        # (see _build_integral_basis); None when f = 1 and it is F_p itself
+        self.residue_modulus = None
         if d == self.degree:
             self.irreducibility_evidence = "eisenstein-type: slope denominator equals degree"
         else:
-            cbar = reduce_one_edge(minimal_poly)
+            cbar = self.residue_modulus = reduce_one_edge(minimal_poly)
             if d * cbar.degree != self.degree or not finite_field_irreducible(cbar):
                 raise NotIrreducible(
                     "irreducibility not certified by the polygon criteria"
@@ -139,6 +154,7 @@ class LocalField:
             )
         self.ramification_index = d
         self.residue_degree = self.degree // d
+        self._unit_tags = {}  # quadratic character -> square-class unit tag (odd p)
 
         # alpha-power reduction rows for alpha^n .. alpha^(2n-2)
         n = self.degree
@@ -171,6 +187,8 @@ class LocalField:
                 raise TypeError("element of a different field")
             return x
         if isinstance(x, PadicScalar):
+            if x.context != self.base_context:
+                raise TypeError("scalar of a different context")
             x = x.value
         if isinstance(x, (int, Fraction)):
             return self.embed(Fraction(x))
@@ -450,10 +468,11 @@ class LocalFieldElement:
 class SquareClassTag:
     """Canonical square-class tag for an extension element.
 
-    ``parity`` is w(x) mod 2; ``unit_tag`` is the lexicographically
-    minimal lattice residue of u * s^2 over units s, taken modulo
-    pi_K^(v(4)+1) (residues reduced mod p^ceil((e v(4)+1)/e)), which is a
-    complete invariant of the unit square class.
+    ``parity`` is w(x) mod 2; ``unit_tag`` is, for u = x pi_K^(-w(x)), the
+    lexicographically minimal lattice residue of u * s^2 over units s,
+    taken modulo pi_K^(v(4)+1) (residues reduced mod
+    p^ceil((e v(4)+1)/e)), which is a complete invariant of the unit
+    square class.
     """
 
     parity: int
@@ -504,6 +523,63 @@ def square_class(x, context=None):
     return square_class_rational(x, field.context)
 
 
+def _unit(x: LocalFieldElement, w: int) -> LocalFieldElement:
+    """The unit x * pi_K^(-w), for w = w(x)."""
+    return x * x.field.uniformizer_elt ** (-w) if w else x
+
+
+def _character(field: LocalField, digits) -> int:
+    """Quadratic character of sum_i digits[i] xbar^i in F_p[x]/(residue_modulus), p odd.
+
+    Euler's criterion: r^((p^f - 1)/2) is 1 for a nonzero square, -1 for
+    a non-square, and 0 for r = 0.
+    """
+    p = field.base_context.p
+    if field.residue_modulus is None:
+        return legendre_int(digits[0], p)
+    half = (p ** field.residue_degree - 1) // 2
+    r = FiniteFieldPoly(digits, p).pow_mod(half, field.residue_modulus)
+    return {(): 0, (1,): 1, (p - 1,): -1}[r.coeffs]
+
+
+def _residue_character(u: LocalFieldElement) -> int:
+    """Quadratic character (+1 or -1) of the residue of the unit u, p odd.
+
+    The residue is read from u's lattice coordinates at the beta^i
+    positions (index i e) as an element of F_p[x]/(residue_modulus); the
+    pi_K-multiples of the integral basis reduce to zero.
+    """
+    field = u.field
+    p, e = field.base_context.p, field.ramification_index
+    coords = field.lattice_coordinates(u)
+    digits = [rational_mod_pk(coords[i * e], p, 1) for i in range(field.residue_degree)]
+    chi = _character(field, digits)
+    if chi == 0:
+        raise ConditionFailed("residue character of a non-unit")
+    return chi
+
+
+def _least_unit_tag(field: LocalField, chi: int) -> tuple:
+    """Lattice residue tag of the unit square class of character chi, p odd.
+
+    Modulo p every unit with the same residue character is u * s^2 for a
+    unit s (1 + pi_K O_K is a pro-p group, p odd), so the least such
+    lattice residue carries the lexicographically least residue vector of
+    character chi at the beta^i positions and zeros elsewhere.
+    """
+    tag = field._unit_tags.get(chi)
+    if tag is None:
+        p, e = field.base_context.p, field.ramification_index
+        digits = next(
+            ds for ds in itertools.product(range(p), repeat=field.residue_degree)
+            if _character(field, ds) == chi
+        )
+        tag = field._unit_tags[chi] = tuple(
+            0 if i % e else digits[i // e] for i in range(field.degree)
+        )
+    return tag
+
+
 def _unit_modulus(field: LocalField) -> int:
     """Power of p whose lattice residues decide unit square classes."""
     e = field.ramification_index
@@ -511,26 +587,28 @@ def _unit_modulus(field: LocalField) -> int:
     return -((w4 + 1) // -e)  # ceil((w4+1)/e)
 
 
-def _strip_even_uniformizer(x: LocalFieldElement):
-    w = x.w()
-    half = w // 2 if w % 2 == 0 else (w - 1) // 2
-    u = x * (x.field.uniformizer_elt ** (-2 * half) if half else x.field.one)
-    return w % 2, u
-
-
 def _is_square_ext(x: LocalFieldElement) -> bool:
     if x.is_zero():
         raise PreconditionFailed("is_square is undefined at 0")
-    field = x.field
-    parity, u = _strip_even_uniformizer(x)
-    if parity:
+    w = x.w()
+    if w % 2:
         return False
-    e = field.ramification_index
-    w4 = e * field.base_context.v4
-    kp = _unit_modulus(field)
-    q = field.base_context.p ** kp
-    n = field.degree
-    for coords in itertools.product(range(q), repeat=n):
+    u = _unit(x, w)
+    if x.field.base_context.p == 2:
+        return _is_square_search(u)
+    return _residue_character(u) == 1
+
+
+def _is_square_search(u: LocalFieldElement) -> bool:
+    """Is the unit u a square: some lattice residue a has w(a^2 - u) > w(4).
+
+    Hensel-conclusive at any p; it decides p = 2 and is the test oracle
+    for the residue character at odd p.
+    """
+    field = u.field
+    w4 = field.ramification_index * field.base_context.v4
+    q = field.base_context.p ** _unit_modulus(field)
+    for coords in itertools.product(range(q), repeat=field.degree):
         a = field.from_lattice_coordinates(coords)
         diff = a * a - u
         if diff.is_zero() or diff.w() > w4:
@@ -539,17 +617,33 @@ def _is_square_ext(x: LocalFieldElement) -> bool:
 
 
 def square_class_of(x: LocalFieldElement) -> SquareClassTag:
-    """Deterministic tag: (w mod 2, minimal residue of u*s^2 over units s)."""
+    """Deterministic tag: (w mod 2, least lattice residue of u s^2 over units s).
+
+    u = x pi_K^(-w(x)).  For odd p the tag is read off the residue
+    character of u; for p = 2 it is found by the lattice search.
+    """
     field = x.field
-    parity, u = _strip_even_uniformizer(x)
+    w = x.w()
+    u = _unit(x, w)
+    if field.base_context.p == 2:
+        tag = _square_class_search(u)
+    else:
+        tag = _least_unit_tag(field, _residue_character(u))
+    return SquareClassTag(w % 2, tag, repr(field))
+
+
+def _square_class_search(u: LocalFieldElement) -> tuple:
+    """Least lattice residue of u * s^2 over units s, modulo p^_unit_modulus.
+
+    Decides p = 2; the test oracle for ``_least_unit_tag`` at odd p.
+    """
+    field = u.field
     kp = _unit_modulus(field)
     p = field.base_context.p
-    q = p ** kp
-    n = field.degree
     e = field.ramification_index
     f = field.residue_degree
     best = None
-    for coords in itertools.product(range(q), repeat=n):
+    for coords in itertools.product(range(p ** kp), repeat=field.degree):
         # unit mask: some pi_K^0-level coordinate must be a p-unit
         if all(coords[i * e] % p == 0 for i in range(f)):
             continue
@@ -562,7 +656,7 @@ def square_class_of(x: LocalFieldElement) -> SquareClassTag:
             best = res
     if best is None:
         raise ConditionFailed("no unit s found in the square-class search")
-    return SquareClassTag(parity, best, repr(field))
+    return best
 
 
 def hilbert_symbol(a, b, field=None) -> int:
@@ -570,9 +664,12 @@ def hilbert_symbol(a, b, field=None) -> int:
 
     With one argument from Q_p: the norm projection
     (a, b)_K = (N(a), b)_{Q_p}, which over Q_p itself (N = id) is the
-    classical case formula.  With two irrational arguments:
-    Hensel-certified bounded search.  ``field`` is a PadicContext or a
-    field handle; it may be omitted when an argument carries its field.
+    classical case formula.  With two irrational arguments and p odd: the
+    tame symbol (a, b) = chi((-1)^(w(a) w(b)) a^w(b) b^(-w(a)) mod pi_K),
+    chi the quadratic character of F_q, q = p^f.  With two irrational
+    arguments and p = 2: the Hensel-certified bounded search.  ``field``
+    is a PadicContext or a field handle; it may be omitted when an
+    argument carries its field.
     """
     field = _field_for(field, a, b)
     a, b = field.coerce(a), field.coerce(b)
@@ -584,7 +681,25 @@ def hilbert_symbol(a, b, field=None) -> int:
     ra = as_base_rational(a)
     if ra is not None:
         return hilbert_symbol_qp(field.norm(b), ra, field.context)
-    return _certified_hilbert_search(a, b)
+    if field.context.p == 2:
+        return _certified_hilbert_search(a, b)
+    return _tame_symbol(a, b)
+
+
+def _tame_symbol(a: LocalFieldElement, b: LocalFieldElement) -> int:
+    """(a, b)_K for odd p: chi(-1)^(alpha beta) chi(u)^beta chi(v)^alpha.
+
+    a = pi_K^alpha u and b = pi_K^beta v with u, v units; chi(-1) = -1
+    exactly when q = 3 mod 4.
+    """
+    alpha, beta = a.w(), b.w()
+    q = a.field.base_context.p ** a.field.residue_degree
+    s = -1 if alpha % 2 and beta % 2 and q % 4 == 3 else 1
+    if beta % 2:
+        s *= _residue_character(_unit(a, alpha))
+    if alpha % 2:
+        s *= _residue_character(_unit(b, beta))
+    return s
 
 
 def _certified_hilbert_search(a: LocalFieldElement, b: LocalFieldElement) -> int:

@@ -168,6 +168,8 @@ class BaseField:
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, PadicScalar):
+            if x.context != self.context:
+                raise TypeError("scalar of a different context")
             return x.value
         raise TypeError(f"cannot coerce {type(x).__name__} into Q_{self.context.p}")
 
@@ -303,10 +305,9 @@ class PadicScalar:
 def is_square_rational(x, ctx: PadicContext) -> bool:
     """Exact squareness test in Q_p.
 
-    Strips the even-valuation part, then certifies the unit part by a
-    Hensel-conclusive residue test: a unit u is a square iff some residue
-    a mod p^(v(4)+1) has v(a^2 - u) > v(4).  For odd p that is the residue
-    being a square mod p; for p = 2 it is u = 1 mod 8.
+    x = p^v u is a square iff v is even and the unit u is: for odd p iff
+    (u mod p | p) = 1 (Euler's criterion, then Hensel), for p = 2 iff
+    u = 1 mod 8.
     """
     x = Fraction(x)
     if x == 0:
@@ -314,9 +315,9 @@ def is_square_rational(x, ctx: PadicContext) -> bool:
     v, u = ctx.unit_part(x)
     if v % 2 != 0:
         return False
-    k = ctx.v4 + 1
-    target = rational_mod_pk(u, ctx.p, k)
-    return any((a * a - target) % ctx.p ** k == 0 for a in range(1, ctx.p ** k) if a % ctx.p)
+    if ctx.p == 2:
+        return rational_mod_pk(u, 2, 3) == 1
+    return legendre_int(rational_mod_pk(u, ctx.p, 1), ctx.p) == 1
 
 
 def square_class_rational(x, ctx: PadicContext) -> Fraction:

@@ -148,8 +148,13 @@ _CONTEXT = {"prime": 3, "uniformizer": "3/1", "precision": 64}
         [],
         {"schema": "padic-forms/1", "command": "hilbert", "context": _CONTEXT, "assertions": 5},
         {"schema": "padic-forms/1", "command": "hilbert", "context": _CONTEXT, "assertions": [5]},
+        {"schema": "padic-forms/1", "command": "hilbert", "context": _CONTEXT, "assertions": [
+            {"kind": "hilbert-base", "a": 5, "b": "2/1", "value": 1}]},
+        {"schema": "padic-forms/1", "command": "hilbert", "context": _CONTEXT, "assertions": [
+            {"kind": "hilbert-base", "a": [1], "b": "2/1", "value": 1}]},
     ],
-    ids=["not-an-object", "assertions-not-a-list", "assertion-not-an-object"],
+    ids=["not-an-object", "assertions-not-a-list", "assertion-not-an-object",
+         "payload-number-not-a-string", "payload-list-not-a-string"],
 )
 def test_verify_rejects_misshapen_documents(doc, tmp_path, capsys):
     path = tmp_path / "cert.json"

@@ -1,5 +1,6 @@
 """Local field extensions: certification, norms, squares, symbols, Hensel."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,14 +9,23 @@ import pytest
 from padicforms import (
     LocalField,
     NotIrreducible,
+    PadicContext,
     PrecisionExhausted,
     PreconditionFailed,
     hensel_lift,
     hilbert_symbol,
     is_square,
+    is_square_rational,
     square_class,
 )
-from padicforms.extensions import _certified_hilbert_search, as_base_rational
+from padicforms.extensions import (
+    _certified_hilbert_search,
+    _is_square_search,
+    _square_class_search,
+    _unit,
+    as_base_rational,
+)
+from padicforms.padics import rational_mod_pk
 
 from conftest import poly
 
@@ -220,3 +230,94 @@ def test_search_symbol_relations(c2, c3):
             assert _certified_hilbert_search(a, -(a * b * b)) == 1
             assert _certified_hilbert_search(a, -(a * b)) == s_ab
             pairs += 1
+
+
+def test_odd_valuation_square_class_tags(c2, c3, c5):
+    """x and x*g share a square class exactly when the unit g is a square."""
+    Ki = unramified3(c3)
+    g = Ki.element([1, 1])
+    assert not is_square(g)
+    assert square_class(Ki.embed(3)) != square_class(Ki.embed(3) * g)
+    for K in (LocalField(poly([2, 0, 1], c5)), LocalField(poly([1, 1, 1], c2))):
+        pi = K.uniformizer_elt
+        assert square_class(pi) == square_class(pi ** 3)
+        units = [K.element(cs) for cs in itertools.product(range(-3, 4), repeat=2)]
+        units = [u for u in units if not u.is_zero() and u.w() == 0]
+        assert len(units) >= 40
+        for u in units:
+            assert (square_class(pi) == square_class(pi * u)) == is_square(u), (K, u)
+
+
+def _odd_p_fields():
+    """Odd-p fields with e in {1, 2, 3} and f in {1, 2, 3}."""
+    c3, c5, c7 = PadicContext(3), PadicContext(5), PadicContext(7)
+    return [
+        LocalField(poly([1, 0, 1], c3)),  # e = 1, f = 2
+        LocalField(poly([-3, 0, 1], c3)),  # e = 2, f = 1
+        LocalField(poly([1, 2, 0, 1], c3)),  # e = 1, f = 3
+        LocalField(poly([-3, 0, 0, 1], c3)),  # e = 3, f = 1
+        LocalField(poly([18, 0, 3, 0, 1], c3)),  # e = 2, f = 2
+        LocalField(poly([2, 0, 1], c5)),  # e = 1, f = 2
+        LocalField(poly([-5, 0, 1], c5)),  # e = 2, f = 1
+        LocalField(poly([-5, 0, 0, 1], c5)),  # e = 3, f = 1
+        LocalField(poly([1, 0, 1], c7)),  # e = 1, f = 2
+        LocalField(poly([-7, 0, 1], c7)),  # e = 2, f = 1
+        # a non-default uniformizer pi = 3/2
+        LocalField(poly([-6, 0, 1], PadicContext(3, uniformizer=Fraction(3, 2)))),
+        LocalField(poly([1, 0, 1], PadicContext(3, uniformizer=Fraction(-3)))),
+    ]
+
+
+def _random_element(K, rng, irrational=False):
+    while True:
+        x = K.element([rng.randint(-9, 9) for _ in range(K.degree)])
+        x = x * K.uniformizer_elt ** rng.randint(0, 3)
+        if any(x.coeffs[1:]) if irrational else not x.is_zero():
+            return x
+
+
+def test_closed_forms_against_searches():
+    """Residue characters and the tame symbol agree with the lattice searches (odd p)."""
+    rng = random.Random(31)
+    fields = _odd_p_fields()
+    assert {(K.ramification_index, K.residue_degree) for K in fields} >= {
+        (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)}
+    for K in fields:
+        for _ in range(6):
+            x = _random_element(K, rng)
+            w = x.w()
+            u = _unit(x, w)
+            assert is_square(x) == (w % 2 == 0 and _is_square_search(u)), (K, x)
+            tag = square_class(x)
+            assert tag.parity == w % 2
+            if w % 2 == 0:
+                assert tag.unit_tag == _square_class_search(u), (K, x)
+        for _ in range(4):
+            a, b = _random_element(K, rng, True), _random_element(K, rng, True)
+            assert hilbert_symbol(a, b) == _certified_hilbert_search(a, b), (K, a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 10007])
+def test_is_square_rational_against_residue_loop(p):
+    ctx = PadicContext(p)
+    rng = random.Random(p)
+    k = ctx.v4 + 1
+    for _ in range(40):
+        x = Fraction(rng.randint(1, 10 ** 6) * rng.choice([1, -1]), rng.randint(1, 1000))
+        x *= Fraction(p) ** rng.randint(-2, 2)
+        v, u = ctx.unit_part(x)
+        target = rational_mod_pk(u, p, k)
+        want = v % 2 == 0 and any((a * a - target) % p ** k == 0 for a in range(1, p ** k))
+        assert is_square_rational(x, ctx) == want, (x, p)
+
+
+def test_tame_symbol_relations_beyond_the_search_cap():
+    """Over Q_7[t]/(t^3+t+1) the search exceeds its cap; check the symbol's laws."""
+    K = LocalField(poly([1, 1, 0, 1], PadicContext(7)))
+    rng = random.Random(37)
+    for _ in range(8):
+        a, b, c = (_random_element(K, rng, True) for _ in range(3))
+        assert hilbert_symbol(a, b) * hilbert_symbol(a, c) == hilbert_symbol(a, b * c)
+        assert hilbert_symbol(a, -a) == 1
+        if not (1 - a).is_zero():
+            assert hilbert_symbol(a, 1 - a) == 1

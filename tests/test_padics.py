@@ -7,15 +7,19 @@ from fractions import Fraction
 import pytest
 
 from padicforms import (
+    LocalField,
     PadicContext,
     PadicScalar,
     PreconditionFailed,
     hilbert_symbol_qp,
+    is_square,
     is_square_rational,
     square_class_rational,
     square_class_representatives,
 )
 from padicforms.oracles import hilbert_by_search, isotropic_by_search
+
+from conftest import poly
 
 
 def test_context_validation():
@@ -156,3 +160,13 @@ def test_hilbert_depends_only_on_square_class(contexts):
             b = Fraction(rng.randint(-40, -1))
             s = Fraction(rng.randint(1, 20)) ** 2
             assert hilbert_symbol_qp(a, b, ctx) == hilbert_symbol_qp(a * s, b, ctx)
+
+
+def test_scalar_from_another_context_is_rejected(c3):
+    seven = PadicScalar(7, PadicContext(5))
+    with pytest.raises(TypeError):
+        is_square(seven, c3)  # 7 is a square in Q_3 but not in Q_5
+    with pytest.raises(TypeError):
+        is_square(seven, LocalField(poly([1, 0, 1], c3)))
+    assert not is_square(seven)
+    assert is_square(PadicScalar(7, c3), c3)
