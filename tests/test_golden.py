@@ -3,7 +3,8 @@
 Each case's stdout is compared byte for byte with ``tests/golden/<name>.json``
 and its exit code with the one recorded below.  The cases are the README
 examples (all but ``verify``) plus symbols over linear, unramified,
-ramified and p = 2 moduli and a p = 2 reciprocity check.  A change that
+ramified and p = 2 moduli, a p = 2 reciprocity check and a two-factor
+construction whose second factor reaches the case-two valuation margin.  A change that
 alters a verdict, a certificate byte or an exit code fails here.
 """
 
@@ -26,6 +27,11 @@ CASES = {
     "check-recip": (["check-recip", "--prime", "3", "t - 1", "t - 3"], 0),
     "isotropy": (["isotropy", "--prime", "3", "1,-2,-3,6"], 1),
     "construct-s": (["construct-s", "--prime", "3", "--gamma", "2", "t^2 - 3"], 0),
+    "construct-s-two-factors": (
+        ["construct-s", "--prime", "3", "--gamma", "2", "t^4 - 15*t^2 + 36",
+         "--factors", "t^2 - 3;t^2 - 12"],
+        0,
+    ),
     "predicate": (["predicate", "--prime", "3", "--gamma", "2", "1/t"], 1),
     "elliptic-point": (["elliptic-point", "--prime", "3", "3", "--digits", "40"], 0),
     "corpus": (["corpus", "--prime", "2", "--seed", "7", "--cases", "100", "check-recip"], 0),
