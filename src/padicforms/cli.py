@@ -2,10 +2,11 @@
 
 Subcommands cover every public operation; all take --prime, --precision,
 --uniformizer, --seed and --json.  Exit codes: 0 for success and true
-verdicts, 1 for false verdicts, 2 for usage or computation errors.  With
---json the output is a certificate document (schema padic-forms/1) whose
-assertions re-verify through the ``verify`` subcommand; identical
-arguments and seed produce byte-identical JSON.
+verdicts, 1 for false verdicts, 2 for usage or computation errors,
+internal faults included.  With --json the output is a certificate
+document (schema padic-forms/1) whose assertions re-verify through the
+``verify`` subcommand; identical arguments and seed produce
+byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -529,11 +530,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error at offset {exc.position}: {exc}", file=sys.stderr)
         return 2
-    except PadicFormsError as exc:
+    except (PadicFormsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # an internal fault is not a verdict: never exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -17,8 +17,8 @@ top-coefficient window and the result is lifted back through Euclidean
 division in R.  For a slope with even denominator, each irreducible
 factor g_ij is perturbed to s_ij = g_ij + pi^A t g/g_ij mod g_ij with A
 large enough that every symbol at every other factor is provably
-unchanged (a valuation margin of v(4), checked exactly through
-characteristic polynomial Newton polygons).
+unchanged (a valuation margin of v(4), checked exactly in the residue
+field of that factor).
 
 Everything asserted during the construction is re-verified afterwards by
 direct symbol evaluation in :func:`verify_conditions`.
@@ -34,7 +34,7 @@ from .errors import (
     ConditionFailed,
     EscalationCapReached,
     FactorizationUncertified,
-    NotOneEdge,
+    NotIrreducible,
     OddVertex,
     PreconditionFailed,
 )
@@ -44,13 +44,11 @@ from .newton import (
     graded_reduction,
     newton_polygon,
     random_irreducible_search,
-    reduce_one_edge,
-    reduction_irreducibility,
     slope_denominator,
 )
 from .padics import PadicContext
 from .polynomials import BaseField, PadicPolynomial
-from .quadform import PfisterSlot, milnor_isotropy
+from .quadform import PfisterSlot, milnor_isotropy, reduce_at_place, residue_field
 from .reciprocity import legendre_symbol
 
 
@@ -145,23 +143,23 @@ class ConstructionParams:
 
 
 def certify_factor(f: PadicPolynomial) -> str:
-    """Irreducibility evidence for a monic factor, or FactorizationUncertified."""
+    """Irreducibility evidence for a monic factor, or FactorizationUncertified.
+
+    The verdict is the residue field's own certification of f.
+    """
     if f.degree == 1:
         return "linear"
     try:
-        if reduction_irreducibility(f):
-            edge = newton_polygon(f).single_edge()
-            d = slope_denominator(edge.slope)
-            if f.degree == d:
-                return f"one edge of slope {edge.slope} with denominator = degree"
-            return (
-                f"one edge of slope {edge.slope}; reduction"
-                f" {reduce_one_edge(f.monic()).to_text()} irreducible with matching degree"
-            )
-    except NotOneEdge:
-        pass
-    raise FactorizationUncertified(
-        f"cannot certify irreducibility of {f.to_text()}"
+        field = residue_field(f.monic(), f.field.context)
+    except NotIrreducible:
+        raise FactorizationUncertified(
+            f"cannot certify irreducibility of {f.to_text()}"
+        ) from None
+    if field.residue_modulus is None:
+        return f"one edge of slope {field.slope} with denominator = degree"
+    return (
+        f"one edge of slope {field.slope}; reduction"
+        f" {field.residue_modulus.to_text()} irreducible with matching degree"
     )
 
 
@@ -425,55 +423,17 @@ def _case_one(params: ConstructionParams, i: int, rng) -> tuple[SFactor, CaseOne
     return sf, CaseOneTrace(a_el, b_el, q, r, c, h_i, e, m)
 
 
-def _value_valuations(value: PadicPolynomial, modulus: PadicPolynomial, ctx: PadicContext):
-    """Valuations of value(alpha) over all roots alpha of the modulus.
+def _place_valuation(value: PadicPolynomial, modulus: PadicPolynomial, ctx: PadicContext):
+    """v(value(alpha)) at a root alpha of the certified irreducible modulus.
 
-    Computed from the Newton polygon of the characteristic polynomial of
-    multiplication by value in Q_p[t]/(modulus); needs gcd(value, modulus)
-    trivial so that no conjugate value vanishes.
+    The valuation of Q_p extends uniquely to Q_p(alpha), so every root
+    gives the same value, v_p(N(value(alpha))) / deg(modulus).
     """
-    n = modulus.degree
-    if n == 1:
-        v = value.evaluate(-modulus.constant_coefficient())
-        if v == 0:
-            raise PreconditionFailed("value vanishes at a root of the modulus")
-        return [ctx.vp(v)]
-    red = value % modulus
-    cols = []
-    cur = red
-    tpoly = PadicPolynomial.from_rationals([0, 1], ctx)
-    for _ in range(n):
-        cols.append([cur[k] for k in range(n)])
-        cur = (cur * tpoly) % modulus
-    mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    # Faddeev-LeVerrier: exact characteristic polynomial coefficients
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [row[:] for row in mat]
-    for k in range(1, n + 1):
-        tr = sum(mk[j][j] for j in range(n))
-        c = -tr / k
-        coeffs[n - k] = c
-        if k == n:
-            break
-        for j in range(n):
-            mk[j][j] += c
-        mk = _matmul(mat, mk)
-    charpoly = PadicPolynomial.from_rationals(coeffs, ctx)
-    if charpoly.constant_coefficient() == 0:
+    field = residue_field(modulus, ctx)
+    x = reduce_at_place(value, modulus, field)
+    if field.is_zero(x):
         raise PreconditionFailed("value vanishes at a root of the modulus")
-    vals = []
-    for edge in newton_polygon(charpoly).edges:
-        vals.extend([-edge.slope] * edge.length)
-    return vals
-
-
-def _matmul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    return field.valuation(x)
 
 
 def _case_two(params: ConstructionParams, i: int) -> list[SFactor]:
@@ -498,20 +458,18 @@ def _case_two(params: ConstructionParams, i: int) -> list[SFactor]:
         p_base = (tpoly * cof) % g_ij
         assert not p_base.is_zero()
 
+        others = [other for other in others_all if other != g_ij]
+        v_g = {other: _place_valuation(g_ij, other, ctx) for other in others}
         margin_data = []
         bound = Fraction(v4)  # require A >= v4 + 1 at minimum
-        for other in others_all:
-            if other == g_ij:
-                continue
-            g_vals = _value_valuations(g_ij, other, ctx)
-            p_vals = _value_valuations(p_base, other, ctx)
-            need = max(g_vals) + v4 - min(p_vals)
-            bound = max(bound, need)
+        for other in others:
+            v_p = _place_valuation(p_base, other, ctx)
+            bound = max(bound, v_g[other] + v4 - v_p)
             margin_data.append(
                 {
                     "at": other.to_text(),
-                    "max_v_g": str(max(g_vals)),
-                    "min_v_p_base": str(min(p_vals)),
+                    "max_v_g": str(v_g[other]),
+                    "min_v_p_base": str(v_p),
                 }
             )
         p0 = p_base.constant_coefficient()
@@ -535,14 +493,10 @@ def _case_two(params: ConstructionParams, i: int) -> list[SFactor]:
                     g_ij.constant_coefficient()
                 ) + v4
             if ok:
-                for other in others_all:
-                    if other == g_ij:
-                        continue
-                    p_vals = _value_valuations(p_ij, other, ctx)
-                    g_vals = _value_valuations(g_ij, other, ctx)
-                    if not min(p_vals) > max(g_vals) + v4:
-                        ok = False
-                        break
+                ok = all(
+                    _place_valuation(p_ij, other, ctx) > v_g[other] + v4
+                    for other in others
+                )
             s_ij = g_ij + p_ij
             if ok:
                 try:

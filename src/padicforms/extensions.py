@@ -33,6 +33,7 @@ the test suite compares them with the closed forms at odd p.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,10 +91,10 @@ def _det(rows):
     return det
 
 
-def _solve(rows, vec):
-    """Solve M x = vec exactly (M invertible, Fractions)."""
+def _inverse(rows):
+    """Inverse of an invertible square matrix of Fractions, by Gauss-Jordan."""
     n = len(rows)
-    m = [list(r) + [v] for r, v in zip(rows, vec)]
+    m = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if m[r][col] != 0)
         m[col], m[pivot] = m[pivot], m[col]
@@ -103,7 +104,7 @@ def _solve(rows, vec):
             if r != col and m[r][col] != 0:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    return [row[n:] for row in m]
 
 
 class LocalField:
@@ -111,9 +112,15 @@ class LocalField:
 
     Exposes the coefficient-field protocol used by
     :class:`padicforms.polynomials.PadicPolynomial`, so polynomials over
-    extensions work unchanged.  e * f = deg q always holds; the stored
+    extensions work unchanged.  e * f = deg q always holds; the
     uniformizer element has valuation 1/e and the irreducibility evidence
     records which criterion fired.
+
+    Construction certifies q and sets up multiplication only.  The lattice
+    structures (the uniformizer element, the integral basis and the
+    inverse of its coordinate matrix) are built on first use and kept:
+    squares and square classes read them, while symbols, which go through
+    the norm projection, never do.
     """
 
     is_extension = True
@@ -138,7 +145,7 @@ class LocalField:
         self.slope = edge.slope
         d = slope_denominator(edge.slope)
         # F_p[x]/(residue_modulus) is the residue field, x the residue of beta
-        # (see _build_integral_basis); None when f = 1 and it is F_p itself
+        # (see _integral_basis); None when f = 1 and it is F_p itself
         self.residue_modulus = None
         if d == self.degree:
             self.irreducibility_evidence = "eisenstein-type: slope denominator equals degree"
@@ -168,12 +175,6 @@ class LocalField:
 
         self.zero = LocalFieldElement(self, (Fraction(0),) * n)
         self.one = LocalFieldElement(self, (Fraction(1),) + (Fraction(0),) * (n - 1))
-
-        self.uniformizer_elt = self._build_uniformizer()
-        self._integral_basis = self._build_integral_basis()
-        self._basis_matrix = [
-            [self._integral_basis[j].coeffs[i] for j in range(n)] for i in range(n)
-        ]
 
     # -- field protocol ------------------------------------------------
 
@@ -255,7 +256,9 @@ class LocalField:
 
     # -- structure ------------------------------------------------------
 
-    def _build_uniformizer(self):
+    @functools.cached_property
+    def uniformizer_elt(self) -> "LocalFieldElement":
+        """An element of valuation 1/e."""
         e = self.ramification_index
         if e == 1:
             return self.embed(self.base_context.uniformizer)
@@ -266,7 +269,8 @@ class LocalField:
         out = alpha ** x if x >= 0 else alpha.inverse() ** (-x)
         return out * self.base_context.uniformizer ** y
 
-    def _build_integral_basis(self):
+    @functools.cached_property
+    def _integral_basis(self):
         e, f = self.ramification_index, self.residue_degree
         # beta = alpha^e * pi^(m e) is a unit whose residue generates the
         # residue field; {beta^i pi_K^j} is an integral basis of O_K.
@@ -285,9 +289,17 @@ class LocalField:
                 basis.append(beta_pows[i] * pk_pows[j])
         return basis
 
+    @functools.cached_property
+    def _basis_inverse(self):
+        """Inverse of the matrix whose columns are the integral basis in powers of alpha."""
+        n = self.degree
+        basis = self._integral_basis
+        return _inverse([[basis[j].coeffs[i] for j in range(n)] for i in range(n)])
+
     def lattice_coordinates(self, x: "LocalFieldElement"):
         """Coordinates of x in the integral basis (p-integral iff x in O)."""
-        return _solve(self._basis_matrix, list(self.coerce(x).coeffs))
+        coeffs = self.coerce(x).coeffs
+        return [sum(a * c for a, c in zip(row, coeffs)) for row in self._basis_inverse]
 
     def from_lattice_coordinates(self, coords) -> "LocalFieldElement":
         acc = self.zero
@@ -931,6 +943,8 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
     ctx = field.context
     if digits is None:
         digits = ctx.precision_digits
+    if digits < 0:
+        raise PreconditionFailed(f"digit target {digits} is negative")
     if digits > ctx.precision_digits:
         raise PrecisionExhausted(
             f"digit target {digits} exceeds context precision {ctx.precision_digits}"

@@ -16,6 +16,7 @@ by the form's entries.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,10 @@ from .errors import PreconditionFailed, UnknownFactorization
 from .extensions import LocalField, hilbert_symbol, is_square
 from .padics import BaseField, PadicContext, field_handle
 from .polynomials import PadicPolynomial
+
+# recently used residue fields kept by residue_field; a construction or a
+# verdict touches a handful of moduli at a time
+_FIELD_CACHE_SIZE = 32
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +189,17 @@ def order_at(entry: PadicPolynomial, q: PadicPolynomial) -> tuple[int, PadicPoly
         cur = quot
 
 
+@functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def residue_field(q: PadicPolynomial, ctx: PadicContext):
     """K[t]/(q) for a monic irreducible q: Q_p itself when q is linear.
 
     A modulus of degree 2 or more is certified irreducible by the
     LocalField construction, which raises NotIrreducible when it cannot.
+    This is the one place that builds K[t]/(q).  The field is memoised on
+    (q, ctx), so every symbol, residue test and factor certificate on a
+    modulus shares one certified field; q's own field is part of its key,
+    so the tower and context checks run for every new pair, and a failed
+    certification is not cached.
     """
     if q.degree == 1:
         return BaseField(ctx)

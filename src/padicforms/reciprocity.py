@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotCoprime, NotIrreducible, PreconditionFailed
+from .errors import NotCoprime, NotIrreducible, PadicFormsError, PreconditionFailed
 from .extensions import is_square
 from .newton import reduction_irreducibility
 from .padics import PadicContext
@@ -257,7 +257,7 @@ def random_certified_irreducible(
         try:
             if reduction_irreducibility(cand):
                 return cand
-        except Exception:
+        except PadicFormsError:
             continue
     raise PreconditionFailed("could not sample a certified irreducible modulus")
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from padicforms import cli
 from padicforms.certificates import verify_certificate
 from padicforms.cli import main
 
@@ -39,6 +40,20 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "isotropy", "--prime", "3", "1,-1")
     assert code == 0
+
+
+def test_internal_errors_exit_2(capsys, monkeypatch):
+    # exit 1 means "false verdict", so no failure may leave with it
+    code, _, err = run_cli(capsys, "elliptic-point", "--prime", "3", "3", "--digits", "-3")
+    assert code == 2 and err == "error: digit target -3 is negative\n"
+
+    def broken(args):
+        raise TypeError("injected fault")
+
+    monkeypatch.setattr(cli, "_cmd_newton", broken)
+    code, out, err = run_cli(capsys, "newton", "--prime", "3", "t^2+3*t+9")
+    assert code == 2 and out == ""
+    assert err == "internal error: TypeError: injected fault\n"
 
 
 def test_hilbert_and_symbol_commands(capsys):

@@ -9,15 +9,20 @@ import pytest
 from padicforms import (
     ConditionFailed,
     FactorizationUncertified,
+    NotIrreducible,
     OddVertex,
+    PadicContext,
+    PreconditionFailed,
     construct_s,
     corollary_isotropy,
     legendre_symbol,
     prepare,
     verify_conditions,
 )
-from padicforms.construct import SlopeRing, _value_valuations, certify_factor
+from padicforms.construct import SlopeRing, _place_valuation, certify_factor
 from padicforms.newton import FiniteFieldPoly, newton_polygon
+from padicforms.quadform import residue_field
+from padicforms.reciprocity import random_certified_irreducible, random_coprime_poly
 
 from conftest import poly
 
@@ -131,14 +136,40 @@ def test_corrupted_s_fails_conditions(c3):
         verify_conditions(bad)
 
 
-def test_value_valuations(c3):
-    # values of t at the roots of t^2 - 9 both have valuation 1
-    vals = _value_valuations(poly([0, 1], c3), poly([-9, 0, 1], c3), c3)
-    assert sorted(vals) == [1, 1]
-    vals2 = _value_valuations(poly([0, 1], c3), poly([-3, 0, 1], c3), c3)
-    assert sorted(vals2) == [Fraction(1, 2), Fraction(1, 2)]
-    vals3 = _value_valuations(poly([1, 1], c3), poly([-9, 1], c3), c3)
-    assert vals3 == [0]  # 1 + 9 = 10 is a unit
+def test_place_valuation(c3, c5):
+    """v(value(alpha)) = v_p(Res(q, value)) / deg q, with sympy's resultant as oracle."""
+    import sympy
+
+    t = sympy.Symbol("t")
+
+    def sym(f):
+        return sympy.Poly(
+            [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], t
+        )
+
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7):
+        ctx = PadicContext(p)
+        seen = {d: 0 for d in (1, 2, 3, 4)}
+        while min(seen.values()) < 3:
+            q = random_certified_irreducible(rng, ctx, max_deg=4)
+            seen[q.degree] += 1
+            value = random_coprime_poly(rng, ctx, q) * Fraction(p) ** rng.randint(-2, 3)
+            res = sympy.resultant(sym(q), sym(value))
+            want = Fraction(sympy.multiplicity(p, res), q.degree)
+            assert _place_valuation(value, q, ctx) == want, (p, q.to_text(), value.to_text())
+            with pytest.raises(PreconditionFailed, match="vanishes"):
+                _place_valuation(value * q, q, ctx)
+
+    # one certified field per modulus, whichever call built it
+    for coeffs in ([-3, 1], [1, 0, 1], [-3, 0, 0, 1]):
+        assert residue_field(poly(coeffs, c3), c3) is residue_field(poly(coeffs, c3), c3)
+    # failures are not cached: each call raises again
+    for _ in range(2):
+        with pytest.raises(NotIrreducible):
+            residue_field(poly([-1, 0, 1], c3), c3)
+        with pytest.raises(PreconditionFailed, match="context mismatch"):
+            residue_field(poly([1, 0, 1], c3), c5)
 
 
 def test_corollary_cases(c2, c3, c5):
@@ -174,8 +205,15 @@ def test_gamma_condition_via_even_degree(c3):
 
 def test_certify_factor_evidence(c3):
     assert certify_factor(poly([-5, 1], c3)) == "linear"
-    assert "denominator = degree" in certify_factor(poly([-3, 0, 1], c3))
-    assert "irreducible" in certify_factor(poly([1, 0, 1], c3))
+    assert certify_factor(poly([-3, 0, 1], c3)) == (
+        "one edge of slope -1/2 with denominator = degree"
+    )
+    assert certify_factor(poly([1, 0, 1], c3)) == (
+        "one edge of slope 0; reduction u^2 + 1 irreducible with matching degree"
+    )
+    assert certify_factor(poly([18, 0, 3, 0, 1], c3)) == (
+        "one edge of slope -1/2; reduction u^2 + u + 2 irreducible with matching degree"
+    )
     with pytest.raises(FactorizationUncertified):
         certify_factor(poly([9, 3, 1], c3))  # irreducible but uncertifiable
 
