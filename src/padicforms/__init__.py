@@ -29,7 +29,6 @@ from .errors import (
     SearchExhausted,
     SlopeCollision,
     UnknownFactorization,
-    VerificationError,
     ZeroEndpoint,
 )
 from .padics import (

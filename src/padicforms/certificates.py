@@ -292,7 +292,7 @@ def _v_elliptic(a, ctx):
 
 
 def _v_isotropy_local(a, ctx):
-    from .oracles import isotropic_by_search
+    from .oracles import isotropic_by_search, within_budget
     from .quadform import DiagonalForm, isotropic_over_local
 
     entries = [parse_rat(e) for e in a["entries"]]
@@ -300,9 +300,10 @@ def _v_isotropy_local(a, ctx):
     problems = []
     if verdict != a["isotropic"]:
         problems.append(f"isotropy recomputes to {verdict}")
-    oracle, _ = isotropic_by_search(entries, ctx)
-    if oracle != a["isotropic"]:
-        problems.append(f"residue-search oracle disagrees: {oracle}")
+    if within_budget(ctx):
+        oracle, _ = isotropic_by_search(entries, ctx)
+        if oracle != a["isotropic"]:
+            problems.append(f"residue-search oracle disagrees: {oracle}")
     return problems
 
 

@@ -19,7 +19,7 @@ class PrecisionExhausted(PadicFormsError):
 
 
 class SearchExhausted(PadicFormsError):
-    """A certified bounded search hit its escalation cap without deciding."""
+    """A bounded search hit its cap without deciding (the lattice search oracles)."""
 
 
 class SearchBudgetExhausted(PadicFormsError):
@@ -86,7 +86,3 @@ class ParseError(PadicFormsError):
         super().__init__(message)
         self.position = position
         self.expected = expected
-
-
-class VerificationError(PadicFormsError):
-    """A serialized certificate failed re-verification."""

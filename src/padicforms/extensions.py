@@ -19,16 +19,18 @@ minimal polynomial (chi(r) = r^((q-1)/2), Euler's criterion):
   base symbol through the norm projection formula
   (a, b)_K = (N_{K/Q_p}(a), b)_{Q_p};
 * for odd p, a symbol with two irrational arguments is the tame symbol
-  (a, b) = chi((-1)^(w(a) w(b)) a^w(b) b^(-w(a)) mod pi_K).
+  (a, b) = chi((-1)^(w(a) w(b)) a^w(b) b^(-w(a)) mod pi_K);
+* at p = 2, x is a square iff its coordinates in K*/K*^2 = F_2^(n+2)
+  vanish (w mod 2, then the unit's residue digits at the odd levels
+  below 2e and a trace bit at level 2e; see ``_DyadicClasses``), and the
+  square-class tag is that vector;
+* at p = 2, a symbol with two irrational arguments is a bilinear form on
+  those coordinates, whose Gram matrix is certified once per field from
+  the coordinates of exact norms.
 
-At p = 2 no such formula is used.  There a unit is a square iff some
-residue a modulo pi_K^(v(4)+1) has v(a^2 - u) > v(4), a Hensel-conclusive
-search over an integral basis lattice; the tag is the least lattice
-residue of u s^2; and a symbol with two irrational arguments is decided
-by a bounded primitive-triple search modulo pi_K^M whose positive hits
-carry a Hensel certificate and whose negative answers are conclusive
-because an exact solution would reduce.  The searches run at any p, and
-the test suite compares them with the closed forms at odd p.
+Every decision is exact, and no search has a cap that could leave it
+undecided.  Brute-force lattice searches, kept in the test suite,
+cross-check these closed forms.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .errors import (
     NotIrreducible,
     PrecisionExhausted,
     PreconditionFailed,
-    SearchExhausted,
 )
 from .newton import (
     FiniteFieldPoly,
@@ -62,10 +63,9 @@ from .padics import (
     legendre_int,
     rational_mod_pk,
     square_class_rational,
+    vp_rational,
 )
 from .polynomials import PadicPolynomial
-
-_SEARCH_CELL_CAP = 1 << 21
 
 
 def _det(rows):
@@ -118,7 +118,8 @@ class LocalField:
 
     Construction certifies q and sets up multiplication only.  The lattice
     structures (the uniformizer element, the integral basis and the
-    inverse of its coordinate matrix) are built on first use and kept:
+    inverse of its coordinate matrix) and, over Q_2, the square-class
+    coordinates and the Hilbert form are built on first use and kept:
     squares and square classes read them, while symbols, which go through
     the norm projection, never do.
     """
@@ -308,6 +309,11 @@ class LocalField:
                 acc = acc + b * Fraction(c)
         return acc
 
+    @functools.cached_property
+    def _dyadic(self) -> "_DyadicClasses":
+        """Square-class coordinates and the Hilbert form (p = 2), built on first use."""
+        return _DyadicClasses(self)
+
 
 def _bezout_int(a: int, b: int):
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -480,11 +486,13 @@ class LocalFieldElement:
 class SquareClassTag:
     """Canonical square-class tag for an extension element.
 
-    ``parity`` is w(x) mod 2; ``unit_tag`` is, for u = x pi_K^(-w(x)), the
+    ``parity`` is w(x) mod 2; ``unit_tag`` is a complete invariant of the
+    square class of the unit u = x pi_K^(-w(x)).  For odd p it is the
     lexicographically minimal lattice residue of u * s^2 over units s,
-    taken modulo pi_K^(v(4)+1) (residues reduced mod
-    p^ceil((e v(4)+1)/e)), which is a complete invariant of the unit
-    square class.
+    modulo p, which the residue character determines.  For p = 2 it is
+    the tuple of the n + 1 coordinates of u in U/U^2 (one bit per residue
+    digit at each odd level below 2e, then the trace bit at level 2e), so
+    two tags are equal iff x / y is a square.
     """
 
     parity: int
@@ -554,18 +562,21 @@ def _character(field: LocalField, digits) -> int:
     return {(): 0, (1,): 1, (p - 1,): -1}[r.coeffs]
 
 
-def _residue_character(u: LocalFieldElement) -> int:
-    """Quadratic character (+1 or -1) of the residue of the unit u, p odd.
+def _residue_digits(field: LocalField, coords, j: int = 0) -> list:
+    """Residue digits of x at the beta^i pi_K^j positions of its lattice coordinates.
 
-    The residue is read from u's lattice coordinates at the beta^i
-    positions (index i e) as an element of F_p[x]/(residue_modulus); the
-    pi_K-multiples of the integral basis reduce to zero.
+    For x with w(x) >= j the residue of x pi_K^(-j) is
+    sum_i digits[i] xbar^i in F_p[x]/(residue_modulus): the other
+    positions of the integral basis reduce to zero.
     """
-    field = u.field
     p, e = field.base_context.p, field.ramification_index
-    coords = field.lattice_coordinates(u)
-    digits = [rational_mod_pk(coords[i * e], p, 1) for i in range(field.residue_degree)]
-    chi = _character(field, digits)
+    return [rational_mod_pk(coords[i * e + j], p, 1) for i in range(field.residue_degree)]
+
+
+def _residue_character(u: LocalFieldElement) -> int:
+    """Quadratic character (+1 or -1) of the residue of the unit u, p odd."""
+    field = u.field
+    chi = _character(field, _residue_digits(field, field.lattice_coordinates(u)))
     if chi == 0:
         raise ConditionFailed("residue character of a non-unit")
     return chi
@@ -592,83 +603,28 @@ def _least_unit_tag(field: LocalField, chi: int) -> tuple:
     return tag
 
 
-def _unit_modulus(field: LocalField) -> int:
-    """Power of p whose lattice residues decide unit square classes."""
-    e = field.ramification_index
-    w4 = e * field.base_context.v4
-    return -((w4 + 1) // -e)  # ceil((w4+1)/e)
-
-
 def _is_square_ext(x: LocalFieldElement) -> bool:
     if x.is_zero():
         raise PreconditionFailed("is_square is undefined at 0")
-    w = x.w()
-    if w % 2:
-        return False
-    u = _unit(x, w)
     if x.field.base_context.p == 2:
-        return _is_square_search(u)
-    return _residue_character(u) == 1
-
-
-def _is_square_search(u: LocalFieldElement) -> bool:
-    """Is the unit u a square: some lattice residue a has w(a^2 - u) > w(4).
-
-    Hensel-conclusive at any p; it decides p = 2 and is the test oracle
-    for the residue character at odd p.
-    """
-    field = u.field
-    w4 = field.ramification_index * field.base_context.v4
-    q = field.base_context.p ** _unit_modulus(field)
-    for coords in itertools.product(range(q), repeat=field.degree):
-        a = field.from_lattice_coordinates(coords)
-        diff = a * a - u
-        if diff.is_zero() or diff.w() > w4:
-            return True
-    return False
+        return not any(x.field._dyadic.coords(x))
+    w = x.w()
+    return w % 2 == 0 and _residue_character(_unit(x, w)) == 1
 
 
 def square_class_of(x: LocalFieldElement) -> SquareClassTag:
-    """Deterministic tag: (w mod 2, least lattice residue of u s^2 over units s).
+    """Deterministic tag: w(x) mod 2 and a complete invariant of the unit u = x pi_K^(-w(x)).
 
-    u = x pi_K^(-w(x)).  For odd p the tag is read off the residue
-    character of u; for p = 2 it is found by the lattice search.
+    For odd p the unit tag is read off the residue character of u; for
+    p = 2 it is u's coordinate vector in U/U^2.
     """
     field = x.field
-    w = x.w()
-    u = _unit(x, w)
     if field.base_context.p == 2:
-        tag = _square_class_search(u)
-    else:
-        tag = _least_unit_tag(field, _residue_character(u))
+        parity, *bits = field._dyadic.coords(x)
+        return SquareClassTag(parity, tuple(bits), repr(field))
+    w = x.w()
+    tag = _least_unit_tag(field, _residue_character(_unit(x, w)))
     return SquareClassTag(w % 2, tag, repr(field))
-
-
-def _square_class_search(u: LocalFieldElement) -> tuple:
-    """Least lattice residue of u * s^2 over units s, modulo p^_unit_modulus.
-
-    Decides p = 2; the test oracle for ``_least_unit_tag`` at odd p.
-    """
-    field = u.field
-    kp = _unit_modulus(field)
-    p = field.base_context.p
-    e = field.ramification_index
-    f = field.residue_degree
-    best = None
-    for coords in itertools.product(range(p ** kp), repeat=field.degree):
-        # unit mask: some pi_K^0-level coordinate must be a p-unit
-        if all(coords[i * e] % p == 0 for i in range(f)):
-            continue
-        s = field.from_lattice_coordinates(coords)
-        val = u * s * s
-        res = tuple(
-            rational_mod_pk(c, p, kp) for c in field.lattice_coordinates(val)
-        )
-        if best is None or res < best:
-            best = res
-    if best is None:
-        raise ConditionFailed("no unit s found in the square-class search")
-    return best
 
 
 def hilbert_symbol(a, b, field=None) -> int:
@@ -679,9 +635,9 @@ def hilbert_symbol(a, b, field=None) -> int:
     classical case formula.  With two irrational arguments and p odd: the
     tame symbol (a, b) = chi((-1)^(w(a) w(b)) a^w(b) b^(-w(a)) mod pi_K),
     chi the quadratic character of F_q, q = p^f.  With two irrational
-    arguments and p = 2: the Hensel-certified bounded search.  ``field``
-    is a PadicContext or a field handle; it may be omitted when an
-    argument carries its field.
+    arguments and p = 2: the field's bilinear Hilbert form on square-class
+    coordinates.  ``field`` is a PadicContext or a field handle; it may be
+    omitted when an argument carries its field.
     """
     field = _field_for(field, a, b)
     a, b = field.coerce(a), field.coerce(b)
@@ -694,7 +650,7 @@ def hilbert_symbol(a, b, field=None) -> int:
     if ra is not None:
         return hilbert_symbol_qp(field.norm(b), ra, field.context)
     if field.context.p == 2:
-        return _certified_hilbert_search(a, b)
+        return field._dyadic.symbol(a, b)
     return _tame_symbol(a, b)
 
 
@@ -714,198 +670,207 @@ def _tame_symbol(a: LocalFieldElement, b: LocalFieldElement) -> int:
     return s
 
 
-def _certified_hilbert_search(a: LocalFieldElement, b: LocalFieldElement) -> int:
-    """Decide z^2 = a x^2 + b y^2 by searching primitive triples mod pi_K^M.
+class _DyadicClasses:
+    """K*/K*^2 = F_2^(n+2) for K over Q_2, and the Hilbert symbol as a bilinear form on it.
 
-    After normalizing w(a), w(b) into {0, 1}, any primitive residue
-    solution modulo pi_K^M with M >= w(4) + 3 carries one coordinate with
-    Hensel slack, so a hit certifies +1 and an empty search certifies -1
-    (an exact solution would reduce).  M starts at 2 w(4) + 3 and doubles
-    up to 8 (w(4) + 1); hitting the cap raises SearchExhausted and is
-    treated as a defect.
+    The coordinates of x = pi_K^w u are w mod 2 followed by n + 1 bits of
+    the unit u.  Integral elements are handled as integer lattice
+    coordinates modulo a power of 2 (``table`` multiplies them); u is
+    needed only modulo 8, since 8 O_K lies in pi_K^(2e+1) O_K, whose units
+    are squares.  With 2 = pi_K^e eps, the unit is peeled one level
+    k = w(u - 1) at a time, k = e m + j with 0 <= j < e, d being the
+    residue digits of (u - 1) / (2^m pi_K^j):
+
+    * level 0: multiply u by t^2, t a lift of 1/sqrt(ubar), so u = 1 mod pi_K;
+    * even k < 2e: multiply by (1 + pi_K^(k/2) r)^2 with r^2 = epsbar^m d,
+      which clears the level because 2 pi_K^(k/2) r lies deeper;
+    * odd k < 2e: record the f bits of d and multiply by the basis units
+      1 + 2^m pi_K^j beta^i whose bit is set;
+    * k = 2e: u = 1 + 4 d modulo pi_K^(2e+1) is a square exactly when
+      z^2 + z = dbar is solvable in F_q, that is, when
+      Tr_{F_q/F_2}(dbar) = 0; that is the last bit.
+
+    Multiplying by a basis unit instead of dividing changes u by a square.
+    So u is, up to squares, the product of the basis units whose bits are
+    set and of 1 + 4 beta^i0 (Tr(xbar^i0) = 1) if the trace bit is; as
+    these n + 1 units generate U/U^2, of order 2^(n+1), they are a basis
+    and the bits are its coordinates (O'Meara, Introduction to Quadratic
+    Forms, section 63; Serre, Local Fields, ch. XIV).
     """
-    import numpy as np
 
-    field = a.field
-    ctx = field.base_context
-    p = ctx.p
-    e = field.ramification_index
-    f = field.residue_degree
-    n = field.degree
-    w4 = e * ctx.v4
+    # sampled norms are computed modulo 2^_PRECISION in lattice coordinates
+    _PRECISION = 32
 
-    def norm01(x):
-        w = x.w()
-        return x * field.uniformizer_elt ** (-2 * (w // 2))
+    def __init__(self, field: LocalField):
+        self.field = field
+        self.e, self.f = e, f = field.ramification_index, field.residue_degree
+        basis = field._integral_basis
+        self.table = [[self._lattice(a * b, self._PRECISION) for b in basis] for a in basis]
+        # F_q = F_2[x]/(cbar); F_2[x]/(x) when f = 1
+        self.cbar = field.residue_modulus or FiniteFieldPoly((0, 1), 2)
+        eps = field.embed(2) * field.uniformizer_elt ** (-e)
+        self.eps = self._lattice(eps, 3)
+        self.eps_bar = self._ff(_residue_digits(field, self.eps))
+        self.traces = []
+        for i in range(f):
+            z = self._ff([0] * i + [1])
+            trace = z
+            for _ in range(f - 1):
+                z = (z * z) % self.cbar
+                trace = trace + z
+            self.traces.append(trace[0])
 
-    a, b = norm01(a), norm01(b)
-    m_cap = max(8 * (w4 + 1), 2 * w4 + 3)
-    m = 2 * w4 + 3
-    while True:
-        kp = -(m // -e)  # ceil(M/e): search modulo p^kp in the lattice
-        q = p ** kp
-        if q ** n > _SEARCH_CELL_CAP:
-            raise SearchExhausted(
-                f"lattice of {q ** n} cells exceeds the search cap"
-            )
-        found = _search_lattice(a, b, q, np)
-        if found is None:
-            return -1
-        x, y, z = found
-        fval = z * z - a * x * x - b * y * y
-        grads = [z * 2, a * x * 2, b * y * 2]
-        res_w = INFINITY if fval.is_zero() else fval.w()
-        ok = any(
-            not g.is_zero() and res_w > 2 * g.w() for g in grads
-        ) or fval.is_zero()
-        if ok:
-            return 1
-        if m >= m_cap:
-            raise SearchExhausted("certification failed up to the modulus cap")
-        m = min(2 * m, m_cap)
+    def _lattice(self, x: LocalFieldElement, k: int) -> list:
+        return [rational_mod_pk(c, 2, k) for c in self.field.lattice_coordinates(x)]
 
+    def _ff(self, digits) -> FiniteFieldPoly:
+        return FiniteFieldPoly(digits, 2) % self.cbar
 
-def _search_lattice(a, b, q, np):
-    """Find (x, y, z) with z^2 = a x^2 + b y^2 mod p^q-lattice, (x, y) primitive."""
-    field = a.field
-    p = field.base_context.p
-    n = field.degree
-    e = field.ramification_index
-    f = field.residue_degree
+    def _mul(self, x: list, y: list, k: int = 3) -> list:
+        """Product of two lattice residues, modulo 2^k."""
+        out = [0] * len(x)
+        for xa, row in zip(x, self.table):
+            if xa:
+                for yb, prod in zip(y, row):
+                    if yb:
+                        c = xa * yb
+                        out = [o + c * t for o, t in zip(out, prod)]
+        return [o % (1 << k) for o in out]
 
-    # integer structure tensor: basis_i * basis_j in lattice coordinates
-    tensor = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            prod = field._integral_basis[i] * field._integral_basis[j]
-            coords = field.lattice_coordinates(prod)
-            row = tuple(rational_mod_pk(c, p, _exp_of(q, p)) for c in coords)
-            tensor[i][j] = row
-            tensor[j][i] = row
-    a_co = [rational_mod_pk(c, p, _exp_of(q, p)) for c in field.lattice_coordinates(a)]
-    b_co = [rational_mod_pk(c, p, _exp_of(q, p)) for c in field.lattice_coordinates(b)]
-
-    grids = np.meshgrid(*([np.arange(q)] * n), indexing="ij")
-    flat = [g.reshape(-1).astype(np.int64) for g in grids]
-    total = flat[0].shape[0]
-
-    def mul_vec(xc, yc):
-        out = [np.zeros(total, dtype=np.int64) for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                xij = (xc[i] * yc[j]) % q
-                row = tensor[i][j]
-                for c in range(n):
-                    if row[c]:
-                        out[c] = (out[c] + xij * row[c]) % q
+    def _lift(self, digits, j: int, scale: int = 1, one: int = 0) -> list:
+        """Lattice residue of one + scale * sum_i digits[i] beta^i pi_K^j."""
+        out = [0] * self.field.degree
+        out[0] = one
+        for i, d in enumerate(digits):
+            out[i * self.e + j] += scale * d
         return out
 
-    def scale(co, vec):
-        # multiply the vectorized element by the fixed element with coords co
-        out = [np.zeros(total, dtype=np.int64) for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if co[j]:
-                    row = tensor[i][j]
-                    for c in range(n):
-                        if row[c]:
-                            out[c] = (out[c] + vec[i] * co[j] * row[c]) % q
-        return out
+    def coords(self, x: LocalFieldElement) -> tuple:
+        """The n + 2 coordinates of x != 0 in K*/K*^2; all zero exactly for squares."""
+        if x.is_zero():
+            raise PreconditionFailed("the square class of 0 is undefined")
+        return self._coords(self.field.lattice_coordinates(x))
 
-    def encode(vec):
-        out = np.zeros(total, dtype=np.int64)
-        for c in range(n):
-            out = out * q + vec[c]
-        return out
+    def _coords(self, c) -> tuple:
+        """Coordinates of the element with lattice coordinates c (exact or mod 2^_PRECISION)."""
+        e = self.e
+        # the residues of the beta^i are independent, so
+        # w(x) = min over positions (i, j) of e v_2(c_ij) + j
+        w = min(e * vp_rational(v, 2) + pos % e for pos, v in enumerate(c) if v)
+        m, j = divmod(w, e)
+        y = [rational_mod_pk(v * Fraction(2) ** -m, 2, 4) for v in c]  # x / 2^m, w = j
+        if j:
+            # pi_K^(-j) = pi_K^(e-j) eps / 2
+            y = [v // 2 for v in self._mul(y, self._lift([1], e - j), 4)]
+        # x pi_K^(-w) = (x / 2^m) pi_K^(-j) eps^m, and eps^2 is a square
+        if (m + (j > 0)) % 2:
+            y = self._mul(y, self.eps)
+        return (w % 2,) + self._unit_bits([v % 8 for v in y])
 
-    sq = mul_vec(flat, flat)
-    unit_mask = np.zeros(total, dtype=bool)
-    for i in range(f):
-        unit_mask |= (flat[i * e] % p) != 0
+    def _unit_bits(self, vec: list) -> tuple:
+        e, f = self.e, self.f
+        ubar = self._ff(_residue_digits(self.field, vec))
+        t = ubar.pow_mod(2 ** (f - 1) - 1, self.cbar)  # t^2 = 1/ubar
+        s = self._lift(t.coeffs, 0)
+        vec = self._mul(vec, self._mul(s, s))
+        bits = []
+        for k in range(1, 2 * e + 1):
+            m, j = divmod(k, e)
+            u1 = [(c - (i == 0)) % 8 >> m for i, c in enumerate(vec)]  # (u - 1) / 2^m
+            d = _residue_digits(self.field, u1, j)
+            if k == 2 * e:
+                bits.append(sum(a * b for a, b in zip(d, self.traces)) % 2)
+            elif k % 2:
+                bits += d
+                for i, b in enumerate(d):
+                    if b:
+                        vec = self._mul(vec, self._lift([0] * i + [1], j, 2 ** m, one=1))
+            elif any(d):
+                d = self._ff(d)
+                r = ((d * self.eps_bar) % self.cbar if m else d).pow_mod(2 ** (f - 1), self.cbar)
+                y = self._lift(r.coeffs, k // 2, one=1)
+                vec = self._mul(vec, self._mul(y, y))
+        if any((c - (i == 0)) % 4 for i, c in enumerate(vec)):
+            raise ConditionFailed("dyadic unit did not reduce to 1 mod 4")
+        return tuple(bits)
 
-    z_codes = encode(sq)
-    square_set = np.zeros(q ** n, dtype=bool)
-    square_set[z_codes] = True
-    z_example = {}
-    for idx in range(total):
-        code = int(z_codes[idx])
-        if code not in z_example:
-            z_example[code] = idx
+    def basis_classes(self) -> list:
+        """The classes whose coordinates are the unit vectors, in coordinate order."""
+        field, e = self.field, self.e
+        basis = field._integral_basis
+        out = [field.uniformizer_elt]
+        for k in range(1, 2 * e, 2):
+            m, j = divmod(k, e)
+            out += [field.one + basis[i * e + j] * 2 ** m for i in range(self.f)]
+        i0 = self.traces.index(1)
+        return out + [field.one + basis[i0 * e] * 4]
 
-    ax = encode(scale(a_co, sq))
-    by = encode(scale(b_co, sq))
+    @functools.cached_property
+    def gram(self) -> list:
+        """Bit masks: row i is the normal of the norm hyperplane H_i of basis class b_i.
 
-    # shape (q,)*n boolean indicators; sumset via FFT convolution
-    shape = (q,) * n
-    ax_any = np.zeros(q ** n)
-    np.add.at(ax_any, ax, 1.0)
-    by_any = np.zeros(q ** n)
-    np.add.at(by_any, by, 1.0)
-    ax_unit = np.zeros(q ** n)
-    np.add.at(ax_unit, ax[unit_mask], 1.0)
-    by_unit = np.zeros(q ** n)
-    np.add.at(by_unit, by[unit_mask], 1.0)
+        (b_i, c) = 1 exactly when c is a norm from K(sqrt b_i), and those
+        norms form a hyperplane of K*/K*^2 (index 2, local class field
+        theory).  Norms x^2 - b_i y^2 are exact, so once their coordinates
+        reach rank n + 1 they span H_i.  Which norms are drawn affects the
+        running time only.
+        """
+        classes = self.basis_classes()
+        dim = len(classes)
+        if [_mask(self.coords(b)) for b in classes] != [1 << i for i in range(dim)]:
+            raise ConditionFailed("dyadic basis classes are not a coordinate basis")
+        rows = []
+        for b in classes:
+            echelon = {}  # leading bit -> row
+            for c in self._norm_samples(b):
+                while c and c.bit_length() - 1 in echelon:
+                    c ^= echelon[c.bit_length() - 1]
+                if c:
+                    echelon[c.bit_length() - 1] = c
+                    if len(echelon) == dim - 1:
+                        break
+            # the one vector orthogonal to every row: set the free bit, then solve upward
+            h = 1 << next(i for i in range(dim) if i not in echelon)
+            for lead in sorted(echelon):
+                if (echelon[lead] & h).bit_count() % 2:
+                    h |= 1 << lead
+            rows.append(h)
+        if any(rows[i] >> j & 1 != rows[j] >> i & 1 for i in range(dim) for j in range(i)):
+            raise ConditionFailed("dyadic Hilbert form is not symmetric")
+        return rows
 
-    def sumset_hits(A, B):
-        fa = np.fft.fftn(A.reshape(shape))
-        fb = np.fft.fftn(B.reshape(shape))
-        conv = np.fft.ifftn(fa * fb).real.reshape(-1)
-        return (conv > 0.5) & square_set
+    def _norm_samples(self, b: LocalFieldElement):
+        """Coordinate masks of x^2 - b y^2, x and y with lattice coordinates in [0, 64).
 
-    hits = sumset_hits(ax_unit, by_any)
-    tag = "xu"
-    if not hits.any():
-        hits = sumset_hits(ax_any, by_unit)
-        tag = "yu"
-    if not hits.any():
-        return None
-    target = int(np.nonzero(hits)[0][0])
+        x and y come from a fixed-seed stream.  A norm's class is fixed by
+        x and y modulo 64 O_K when w(x^2 - b y^2) <= 2e + 1, and every class
+        of H_b is such a norm, so each has a positive share of the pairs.
+        """
+        import random
 
-    def decode(code):
-        out = []
-        for _ in range(n):
-            out.append(code % q)
-            code //= q
-        return tuple(reversed(out))
+        k, n = self._PRECISION, self.field.degree
+        b = self._lattice(b, k)
+        rng = random.Random(0)
+        while True:
+            x, y = ([rng.getrandbits(6) for _ in range(n)] for _ in range(2))
+            norm = [(s - t) % (1 << k) for s, t in
+                    zip(self._mul(x, x, k), self._mul(b, self._mul(y, y, k), k))]
+            # skip a norm too deep to read modulo 2^k
+            if any(norm) and min(vp_rational(v, 2) for v in norm if v) < k - 4:
+                yield _mask(self._coords(norm))
 
-    def encode_vec(vec):
-        code = 0
-        for c in vec:
-            code = code * q + c
-        return code
-
-    target_vec = decode(target)
-
-    # recover a concrete triple for the chosen target value
-    by_index = {}
-    use_unit_y = tag == "yu"
-    for idx in range(total):
-        if use_unit_y and not unit_mask[idx]:
-            continue
-        code = int(by[idx])
-        if code not in by_index:
-            by_index[code] = idx
-    for idx in range(total):
-        if tag == "xu" and not unit_mask[idx]:
-            continue
-        ax_vec = decode(int(ax[idx]))
-        need = encode_vec([(t - v) % q for t, v in zip(target_vec, ax_vec)])
-        j = by_index.get(need)
-        if j is not None:
-            x = field.from_lattice_coordinates([int(flat[c][idx]) for c in range(n)])
-            y = field.from_lattice_coordinates([int(flat[c][j]) for c in range(n)])
-            zidx = z_example[target]
-            z = field.from_lattice_coordinates([int(flat[c][zidx]) for c in range(n)])
-            return x, y, z
-    return None
+    def symbol(self, a: LocalFieldElement, b: LocalFieldElement) -> int:
+        """(a, b)_K = (-1)^(coords(a) G coords(b))."""
+        ca, cb = _mask(self.coords(a)), _mask(self.coords(b))
+        acc = 0
+        for i, row in enumerate(self.gram):
+            if ca >> i & 1:
+                acc ^= row
+        return -1 if (acc & cb).bit_count() % 2 else 1
 
 
-def _exp_of(q, p):
-    k = 0
-    while q > 1:
-        q //= p
-        k += 1
-    return k
+def _mask(bits) -> int:
+    return sum(b << i for i, b in enumerate(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +894,6 @@ class HenselWitness:
     residual_valuation: object
     digits: int
     starting_point: object
-    exact_value: object
 
 
 def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitness:
@@ -988,5 +952,5 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
         vdiff = field.valuation(root - a)
         if not vdiff > v_fpa:
             raise PrecisionExhausted("root moved outside the Hensel ball")
-    return HenselWitness(truncated, slack, residual, digits, a, b)
+    return HenselWitness(truncated, slack, residual, digits, a)
 

@@ -17,9 +17,20 @@ from .errors import PreconditionFailed
 from .padics import PadicContext, vp_rational
 
 
+# largest modulus p^(v(4)+3) that the CLI and the verifier cross-check by
+# residue search, so p <= 7: the search's cost grows like the cube of the
+# modulus, and a 4-dimensional form already takes seconds at p = 17
+CROSS_CHECK_BUDGET = 7 ** 3
+
+
 def conclusive_exponent(ctx: PadicContext) -> int:
     """Smallest modulus exponent at which the residue search is decisive."""
     return ctx.v4 + 3
+
+
+def within_budget(ctx: PadicContext) -> bool:
+    """Is the residue search cheap enough to run as a cross-check?"""
+    return ctx.p ** conclusive_exponent(ctx) <= CROSS_CHECK_BUDGET
 
 
 def normalize_entry(a, ctx: PadicContext) -> int:

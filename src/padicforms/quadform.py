@@ -189,7 +189,6 @@ def order_at(entry: PadicPolynomial, q: PadicPolynomial) -> tuple[int, PadicPoly
         cur = quot
 
 
-@functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
 def residue_field(q: PadicPolynomial, ctx: PadicContext):
     """K[t]/(q) for a monic irreducible q: Q_p itself when q is linear.
 
@@ -199,11 +198,16 @@ def residue_field(q: PadicPolynomial, ctx: PadicContext):
     (q, ctx), so every symbol, residue test and factor certificate on a
     modulus shares one certified field; q's own field is part of its key,
     so the tower and context checks run for every new pair, and a failed
-    certification is not cached.
+    certification is not cached.  Linear moduli share the one Q_p of
+    their context and take none of the slots kept for extensions.
     """
     if q.degree == 1:
-        return BaseField(ctx)
-    return LocalField(q, ctx)
+        return _base_field(ctx)
+    return _local_field(q, ctx)
+
+
+_base_field = functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)(BaseField)
+_local_field = functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)(LocalField)
 
 
 def reduce_at_place(entry: PadicPolynomial, q: PadicPolynomial, field):

@@ -30,10 +30,6 @@ def _t_poly(ctx: PadicContext) -> PadicPolynomial:
     return PadicPolynomial.from_rationals([0, 1], ctx)
 
 
-def is_t(q: PadicPolynomial) -> bool:
-    return q.degree == 1 and q.constant_coefficient() == 0 and q.is_monic()
-
-
 def certify_modulus(q: PadicPolynomial, ctx: PadicContext):
     """Return (residue_field, evidence) for a monic irreducible modulus.
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 
 import pytest
 
@@ -226,3 +227,26 @@ def test_fault_injection(construct_doc, capsys):
 
     for mut in (flip_result_s, flip_assertion_poly, flip_symbol, flip_residue):
         assert not _mutate_and_verify(doc, mut), mut.__name__
+
+
+def test_positionals_with_a_leading_minus(capsys):
+    """A value such as "-1/t" or "-t^2+1" is a positional argument, not an option."""
+    code, out, err = run_cli(capsys, "predicate", "--prime", "3", "--gamma", "2", "-1/t")
+    assert (code, err) == (1, "") and out.startswith("v_t((-1)/(t)) >= 0: False")
+    code, out, err = run_cli(capsys, "symbol", "--prime", "3", "-t^2+1", "t^2+1")
+    assert (code, err) == (0, "") and out == "<-t^2 + 1 / t^2 + 1> = +1\n"
+    # "--" still ends the options, and -p is still the prime
+    assert run_cli(capsys, "symbol", "-p", "3", "--", "-t^2+1", "t^2+1")[1] == out
+    assert run_cli(capsys, "symbol", "-p3", "-t^2+1", "t^2+1")[1] == out
+
+
+def test_oracle_cross_check_budget(capsys):
+    """Past p^(v(4)+3) = 7^3 the residue-search cross-check is skipped, and says so."""
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "hilbert", "--prime", "101", "3", "5")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and doc["result"]["oracle"] == "skipped: budget"
+    code, doc = run_json(capsys, "isotropy", "--prime", "11", "1,-2,-3,11")
+    assert code == 0 and doc["result"]["oracle_witness"] == "skipped: budget"
+    code, doc = run_json(capsys, "hilbert", "--prime", "7", "3", "7")
+    assert doc["result"]["oracle"] == doc["result"]["value"] == -1

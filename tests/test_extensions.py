@@ -1,8 +1,12 @@
 """Local field extensions: certification, norms, squares, symbols, Hensel."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,16 +22,11 @@ from padicforms import (
     is_square_rational,
     square_class,
 )
-from padicforms.extensions import (
-    _certified_hilbert_search,
-    _is_square_search,
-    _square_class_search,
-    _unit,
-    as_base_rational,
-)
+from padicforms.extensions import _unit, as_base_rational
 from padicforms.padics import rational_mod_pk
 
 from conftest import poly
+from lattice_oracles import _certified_hilbert_search, _is_square_search, _square_class_search
 
 
 def ramified3(c3):
@@ -321,3 +320,100 @@ def test_tame_symbol_relations_beyond_the_search_cap():
         assert hilbert_symbol(a, -a) == 1
         if not (1 - a).is_zero():
             assert hilbert_symbol(a, 1 - a) == 1
+
+
+def _dyadic_fields():
+    """Fields over Q_2 with (e, f) in {(1,2), (2,1), (1,3), (3,1), (2,2), (4,1)}."""
+    c2 = PadicContext(2)
+    return [
+        LocalField(poly([1, 1, 1], c2)),  # e = 1, f = 2
+        LocalField(poly([-2, 0, 1], c2)),  # e = 2, f = 1
+        LocalField(poly([2, 2, 1], c2)),  # e = 2, f = 1: Q_2(i)
+        LocalField(poly([-6, 0, 1], c2)),  # e = 2, f = 1
+        LocalField(poly([1, 1, 0, 1], c2)),  # e = 1, f = 3
+        LocalField(poly([1, 0, 1, 1], c2)),  # e = 1, f = 3
+        LocalField(poly([-2, 0, 0, 1], c2)),  # e = 3, f = 1
+        LocalField(poly([4, 0, 2, 0, 1], c2)),  # e = 2, f = 2
+        LocalField(poly([-2, 0, 0, 0, 1], c2)),  # e = 4, f = 1
+        LocalField(poly([2, 2, 0, 0, 1], c2)),  # e = 4, f = 1
+        # a non-default uniformizer pi = -2
+        LocalField(poly([-2, 0, 1], PadicContext(2, uniformizer=Fraction(-2)))),
+    ]
+
+
+def _dyadic_element(K, rng, irrational=False):
+    """Random elements, with units near 1 (1 + 2^k z) among them."""
+    while True:
+        z = K.element([rng.randint(-9, 9) for _ in range(K.degree)])
+        x = rng.choice([z, 1 + 2 * z, 1 + 4 * z, 1 + 8 * z])
+        x = x * K.uniformizer_elt ** rng.randint(-1, 3)
+        if any(x.coeffs[1:]) if irrational else not x.is_zero():
+            return x
+
+
+def _check_symbol_laws(K, rng, rounds):
+    for _ in range(rounds):
+        a, b, c = (_dyadic_element(K, rng, True) for _ in range(3))
+        s = hilbert_symbol(a, b)
+        assert s == hilbert_symbol(b, a), (K, a, b)
+        assert s * hilbert_symbol(a, c) == hilbert_symbol(a, b * c), (K, a, b, c)
+        assert hilbert_symbol(a, -a) == 1, (K, a)
+        if not (1 - a).is_zero():
+            assert hilbert_symbol(a, 1 - a) == 1, (K, a)
+
+
+def test_dyadic_closed_forms_against_searches():
+    """Square-class coordinates and the Hilbert form at p = 2 against the lattice searches."""
+    rng = random.Random(41)
+    fields = _dyadic_fields()
+    assert {(K.ramification_index, K.residue_degree) for K in fields} >= {
+        (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (4, 1)}
+    for K in fields:
+        if K.degree <= 3:
+            for _ in range(4):
+                x = _dyadic_element(K, rng)
+                s = _dyadic_element(K, rng)
+                for y in (x, x * s * s, s * s):
+                    w = y.w()
+                    want = w % 2 == 0 and _is_square_search(_unit(y, w))
+                    assert is_square(y) == want, (K, y)
+        xs = [_dyadic_element(K, rng) for _ in range(4)]
+        xs += [x * _dyadic_element(K, rng) ** 2 for x in xs]
+        xs += [xs[0] * b for b in K._dyadic.basis_classes()]
+        tags = [square_class(x) for x in xs]
+        for (x, tx), (y, ty) in itertools.combinations(zip(xs, tags), 2):
+            assert (tx == ty) == is_square(x / y), (K, x, y)
+        if K.degree == 2:
+            for _ in range(3):
+                a, b = _dyadic_element(K, rng, True), _dyadic_element(K, rng, True)
+                assert hilbert_symbol(a, b) == _certified_hilbert_search(a, b), (K, a, b)
+        for _ in range(6):
+            a = _dyadic_element(K, rng)
+            r = Fraction(rng.choice([1, -1]) * rng.randint(1, 40), rng.randint(1, 6))
+            assert K._dyadic.symbol(a, K.embed(r)) == hilbert_symbol(a, r), (K, a, r)
+        _check_symbol_laws(K, rng, 3)
+
+
+def test_dyadic_symbol_laws_beyond_the_search_cap():
+    """Over Q_2[t]/(t^6 + 2t^3 + 4) (e = 3, f = 2) the lattice search is out of reach."""
+    K = LocalField(poly([4, 0, 0, 2, 0, 0, 1], PadicContext(2)))
+    assert (K.ramification_index, K.residue_degree) == (3, 2)
+    _check_symbol_laws(K, random.Random(43), 6)
+
+
+def test_no_numpy_at_runtime():
+    """Squares, square classes and two-irrational symbols at p = 2 never import numpy."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from padicforms import LocalField, PadicContext, PadicPolynomial,"
+        " hilbert_symbol, is_square, square_class\n"
+        "c2 = PadicContext(2)\n"
+        "K = LocalField(PadicPolynomial.from_rationals([-2, 0, 0, 0, 1], c2))\n"
+        "a, b = K.element([1, 1]), K.element([3, 0, 1])\n"
+        "print(is_square(a), square_class(b).parity, hilbert_symbol(a, b))\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert out.returncode == 0, out.stderr

@@ -17,6 +17,7 @@ from padicforms import (
     legendre_symbol,
     run_law_corpus,
 )
+from padicforms.quadform import residue_field
 from padicforms.reciprocity import (
     certify_modulus,
     random_certified_irreducible,
@@ -206,3 +207,11 @@ def test_quartic_modulus_pinned_by_law(c2, c3):
             done += 1
         total += done
     assert total >= 10
+
+
+def test_linear_moduli_leave_the_field_cache_alone(c3):
+    """Symbols over many linear moduli do not evict a field built earlier."""
+    field = residue_field(poly([1, 0, 1], c3), c3)
+    for r in range(40):
+        legendre_symbol(poly([1, 0, 1], c3), poly([-3 * r - 1, 1], c3), c3)
+    assert residue_field(poly([1, 0, 1], c3), c3) is field
