@@ -138,9 +138,6 @@ class ConstructionParams:
     blocks: tuple  # SlopeBlock, slopes increasing
     big_n: int
 
-    def all_factors(self):
-        return [gf for b in self.blocks for gf in b.factors]
-
 
 def certify_factor(f: PadicPolynomial) -> str:
     """Irreducibility evidence for a monic factor, or FactorizationUncertified.
@@ -339,10 +336,12 @@ def _case_one(params: ConstructionParams, i: int, rng) -> tuple[SFactor, CaseOne
 
     g_i = block.product
     h_i = g_i * pi ** int(m * n_i)
-    assert ring.in_R(h_i) and not ring.in_P(h_i)
+    if not (ring.in_R(h_i) and not ring.in_P(h_i)):
+        raise ConditionFailed("h_i is not a unit of the graded ring")
 
     cof, rem = divmod(params.g_norm, g_i)
-    assert rem.is_zero()
+    if not rem.is_zero():
+        raise ConditionFailed("block product does not divide g")
     a_exp, b_exp, cap_g = 0, 0, 0
     for mu, other in enumerate(params.blocks):
         if mu == i:
@@ -355,11 +354,13 @@ def _case_one(params: ConstructionParams, i: int, rng) -> tuple[SFactor, CaseOne
             b_exp += b_mu - other.degree
             cap_g += b_mu // d
     x_el = (cof * pi ** a_exp).shift(b_exp)
-    assert ring.in_R(x_el) and not ring.in_P(x_el)
+    if not (ring.in_R(x_el) and not ring.in_P(x_el)):
+        raise ConditionFailed("pi^A t^B g/g_i is not a unit of the graded ring")
     xbar = ring.reduction(x_el)
-    assert xbar.degree == cap_g and all(
+    if not (xbar.degree == cap_g and all(
         c == 0 for k, c in enumerate(xbar.coeffs) if k != cap_g
-    ), "reduction of pi^A t^B g/g_i is not a monomial"
+    )):
+        raise ConditionFailed("reduction of pi^A t^B g/g_i is not a monomial")
     rho = xbar.coeffs[cap_g]
 
     n_prime = params.big_n // d
@@ -379,28 +380,37 @@ def _case_one(params: ConstructionParams, i: int, rng) -> tuple[SFactor, CaseOne
 
     q1 = ring.lift(found.qbar1, base)
     rbar1 = cbar - hbar * FiniteFieldPoly((0,) * e_prime + (1,), ctx.p)
-    assert rbar1.is_zero() or d * rbar1.degree <= n_i + e - params.big_n
+    if not (rbar1.is_zero() or d * rbar1.degree <= n_i + e - params.big_n):
+        raise ConditionFailed("rbar1 degree exceeds the window")
     r1 = ring.lift(rbar1, base)
     c_tilde = r1 + h_i * PadicPolynomial.monomial(pi ** int(m * e), e, base)
 
     f_err = a_el + q1 * b_el - c_tilde
-    assert ring.in_P(f_err), "lift error term must vanish modulo P"
+    if not ring.in_P(f_err):
+        raise ConditionFailed("lift error term must vanish modulo P")
     q2, r2 = divmod(f_err, b_el)
-    assert ring.in_P(r2), "division remainder must vanish modulo P"
+    if not ring.in_P(r2):
+        raise ConditionFailed("division remainder must vanish modulo P")
     c = c_tilde + r2
     q = q1 - q2
     r = r1 + r2
 
-    assert c == a_el + q * b_el
-    assert c == r + h_i * PadicPolynomial.monomial(pi ** int(m * e), e, base)
-    assert r.is_zero() or r.degree <= n_i + e - params.big_n
-    assert newton_polygon(c).single_edge().slope == m
+    if c != a_el + q * b_el:
+        raise ConditionFailed("c is not a + q b")
+    if c != r + h_i * PadicPolynomial.monomial(pi ** int(m * e), e, base):
+        raise ConditionFailed("c is not r + h_i pi^(m e) t^e")
+    if not (r.is_zero() or r.degree <= n_i + e - params.big_n):
+        raise ConditionFailed("r degree exceeds the window")
+    if newton_polygon(c).single_edge().slope != m:
+        raise ConditionFailed("c does not have one edge of the block slope")
     if ring.reduction(c) != cbar or d * cbar.degree != c.degree:
         raise ConditionFailed("reduction of c is not the irreducible cbar of matching degree")
-    assert finite_field_irreducible(cbar)
+    if not finite_field_irreducible(cbar):
+        raise ConditionFailed("cbar is not irreducible")
 
     s_i = c * pi ** int(-m * c.degree)
-    assert s_i.is_monic() and s_i.degree % 2 == 0
+    if not (s_i.is_monic() and s_i.degree % 2 == 0):
+        raise ConditionFailed("s_i is not monic of even degree")
     evidence = (
         f"one edge of slope {m}; reduction {cbar.to_text()} irreducible over"
         f" F_{ctx.p} with matching degree"
@@ -452,11 +462,14 @@ def _case_two(params: ConstructionParams, i: int) -> list[SFactor]:
     for g_ij_factor in block.factors:
         g_ij = g_ij_factor.poly
         edge = newton_polygon(g_ij).single_edge()
-        assert edge.slope == block.slope
+        if edge.slope != block.slope:
+            raise ConditionFailed("factor slope differs from its block")
         cof, rem = divmod(params.g_norm, g_ij)
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise ConditionFailed("block product does not divide g")
         p_base = (tpoly * cof) % g_ij
-        assert not p_base.is_zero()
+        if p_base.is_zero():
+            raise ConditionFailed("t g/g_ij vanishes modulo g_ij")
 
         others = [other for other in others_all if other != g_ij]
         v_g = {other: _place_valuation(g_ij, other, ctx) for other in others}
@@ -552,9 +565,11 @@ def construct_s(params: ConstructionParams, seed: int = 0) -> ConstructionResult
     tg = tpoly * params.g_norm
     for sf in s_factors:
         key = sf.poly.coeffs
-        assert key not in seen, "duplicate s factor"
+        if key in seen:
+            raise ConditionFailed("duplicate s factor")
         seen.add(key)
-        assert sf.poly.gcd(tg).degree == 0, "s factor not coprime to t g"
+        if sf.poly.gcd(tg).degree != 0:
+            raise ConditionFailed("s factor not coprime to t g")
 
     metrics = {
         "deg_s": s_poly.degree,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EvenValuation, PadicFormsError, PreconditionFailed
+from .errors import ConditionFailed, EvenValuation, PadicFormsError, PreconditionFailed
 from .extensions import hensel_lift
 from .newton import NewtonPolygon, newton_polygon
 from .padics import INFINITY, PadicContext
@@ -164,14 +164,16 @@ def anisotropy_at_t(f: RationalFunction, gamma, ctx: PadicContext) -> Anisotropy
     phi2 = DiagonalForm.make([-1, -pi, -gamma * fn, -pi * gamma * fn], ctx)
     phi1_nonzero = i2_class(-fn, ctx) == -1
     phi2_nonzero = i2_class(-gamma * fn, ctx) == -1
-    assert phi1_nonzero or phi2_nonzero, "difference class is nonzero"
+    if not (phi1_nonzero or phi2_nonzero):
+        raise ConditionFailed("difference class is zero")
     which = 1 if phi1_nonzero else 2
 
     first_res = DiagonalForm.make([1, pi, -gamma, -pi * gamma], ctx)
     second_res = phi1 if which == 1 else phi2
     first_aniso = not isotropic_over_local(first_res)
     second_aniso = not isotropic_over_local(second_res)
-    assert first_aniso and second_aniso
+    if not (first_aniso and second_aniso):
+        raise ConditionFailed("a residue form is isotropic")
     return AnisotropyAtT(
         int(vt),
         fn,
@@ -221,7 +223,8 @@ def predicate_vt_nonneg(
     report = build_f(x, 0, ctx)
 
     if report.v_t_h == 0:
-        assert vt_x is INFINITY or vt_x >= 0, "case analysis: v_t(h)=0 iff v_t(x)>=0"
+        if not (vt_x is INFINITY or vt_x >= 0):
+            raise ConditionFailed("case analysis: v_t(h) = 0 but v_t(x) < 0")
         witness = choose_c(report.h_num, report.h_den, ctx)
         report = build_f(x, witness.c, ctx)
         full = None
@@ -248,8 +251,10 @@ def predicate_vt_nonneg(
         )
         return True, cert
 
-    assert report.v_t_h == 1, "case analysis: v_t(x) <= -1 forces v_t(h) = 1"
-    assert vt_x is not INFINITY and vt_x <= -1
+    if report.v_t_h != 1:
+        raise ConditionFailed("case analysis: v_t(h) is neither 0 nor 1")
+    if vt_x is INFINITY or vt_x > -1:
+        raise ConditionFailed("case analysis: v_t(h) = 1 but v_t(x) > -1")
     aniso = anisotropy_at_t(RationalFunction(report.h_num, report.h_den), gamma, ctx)
     note = (
         "for every c, v_t(f) = 1 because v_t(c t^2) = 2 > 1 = v_t(h); the"

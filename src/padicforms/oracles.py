@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PreconditionFailed
+from .errors import ConditionFailed, PreconditionFailed
 from .padics import PadicContext, vp_rational
 
 
@@ -102,7 +102,8 @@ def _recover(norm, q, p, reach_any, reach_prim, per_any, per_unit):
                 break
         if not found:  # pragma: no cover - reachability guarantees recovery
             raise AssertionError("witness recovery failed")
-    assert target == 0 and not need_unit
+    if target != 0 or need_unit:
+        raise ConditionFailed("search target left unmet")
     return xs
 
 

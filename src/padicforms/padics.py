@@ -50,14 +50,27 @@ def is_prime(n: int) -> bool:
 
 
 def vp_int(n: int, p: int) -> int:
-    """p-adic order of a nonzero integer."""
+    """p-adic order of a nonzero integer, in O(log v) divisions.
+
+    At p = 2 it is the index of the lowest set bit.  At odd p, blocks
+    p, p^2, p^4, ... are stripped while they divide n, then the same
+    blocks are tried again from the largest down.
+    """
     if n == 0:
         raise ValueError("vp_int(0) is infinite")
+    if p == 2:
+        return (n & -n).bit_length() - 1
     n = abs(n)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    blocks = [p]
+    while n % blocks[-1] == 0:
+        n //= blocks[-1]
+        v += 1 << (len(blocks) - 1)
+        blocks.append(blocks[-1] * blocks[-1])
+    for k in range(len(blocks) - 2, -1, -1):
+        if n % blocks[k] == 0:
+            n //= blocks[k]
+            v += 1 << k
     return v
 
 
@@ -127,11 +140,6 @@ class PadicContext:
             raise PreconditionFailed("0 has no unit part")
         v = self.vp(x)
         return v, x / Fraction(self.p) ** v
-
-    def unit_residue(self, x, k: int = 1) -> int:
-        """Residue mod p^k of the unit part of x."""
-        _, u = self.unit_part(x)
-        return rational_mod_pk(u, self.p, k)
 
     def least_nonresidue(self) -> int:
         """Smallest positive quadratic nonresidue mod p (odd p only)."""
