@@ -128,8 +128,12 @@ class SlopeFactor:
 class SlopeFactorization:
     """f = unit * prod(factors), each factor monic with one edge.
 
-    The product matches f with residual coefficient valuations above the
-    digit target used to compute it.
+    The product matches f with residual coefficient valuations above
+    ``digits``.  When f has several slopes, every factor coefficient is
+    the true factor's coefficient truncated modulo p^N (``_truncate_coeff``),
+    with N = digits + 1 + max(0, -min_k v(f_k)) fixed by ``digits`` and f
+    alone, so the reported factors do not depend on how they were lifted.
+    A factor that is f itself (one edge) is reported exactly.
     """
 
     unit: object
@@ -223,14 +227,17 @@ def slope_factorization(f: PadicPolynomial, digits: int) -> SlopeFactorization:
     unit = f.leading_coefficient()
     fm = f.monic()
     slopes = polygon.slopes
+    n_out = _output_precision(f, digits)
 
-    work = digits + 8
+    work = n_out + 8
     for _attempt in range(4):
         try:
             parts = _split_all(fm, work)
         except PrecisionExhausted:
             work *= 2
             continue
+        if len(parts) > 1:
+            parts = [_truncate_poly(p, n_out) for p in parts]
         factors = tuple(
             SlopeFactor(p, s, p.degree, slope_denominator(s))
             for p, s in zip(parts, slopes)
@@ -240,6 +247,12 @@ def slope_factorization(f: PadicPolynomial, digits: int) -> SlopeFactorization:
             return result
         work *= 2
     raise PrecisionExhausted("slope factorization residual below digit target")
+
+
+def _output_precision(f: PadicPolynomial, digits: int) -> int:
+    """Digits N of the reported factors: errors of valuation >= N in them
+    move the product by at least N + min_k v(f_k) > digits."""
+    return digits + 1 + max(0, -min_coefficient_valuation(f))
 
 
 def _split_all(fm: PadicPolynomial, work):
