@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ from .errors import (
 )
 from .newton import (
     FiniteFieldPoly,
+    _truncate_coeff,
     finite_field_irreducible,
     newton_polygon,
     reduce_one_edge,
@@ -882,11 +884,12 @@ def _mask(bits) -> int:
 class HenselWitness:
     """Certified refinement of an approximate root.
 
-    ``approximate_root`` is truncated to ``digits`` p-adic digits (an
-    integer representative over Q_p, a coordinate-truncated element over
-    extensions); ``slack`` is v(f(a)) - 2 v(f'(a)) at the certified
-    starting point, and ``residual_valuation`` is v(f(root)) at the
-    reported root, which exceeds ``digits``.
+    ``approximate_root`` is the true root's representative modulo
+    p^(digits + 1): an integer in [0, p^(digits + 1)) over Q_p, and over an
+    extension the tuple of its coordinates in powers of alpha, each reduced
+    modulo p^(digits + 1).  ``slack`` is v(f(a)) - 2 v(f'(a)) at the
+    certified starting point, and ``residual_valuation`` is v(f(root)) at
+    the reported root, which exceeds ``digits``.
     """
 
     approximate_root: object
@@ -897,11 +900,17 @@ class HenselWitness:
 
 
 def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitness:
-    """Refine a to a root of f by Newton iteration with exact rationals.
+    """Refine a to a root of f by Newton iteration at doubling precision.
 
-    Requires v(f(a)) > 2 v(f'(a)) and p-integral coefficients; returns a
-    witness whose root satisfies v(f(b)) > digits and v(b - a) > v(f'(a)),
-    both checked exactly.  Only the reported root is truncated.
+    Requires v(f(a)) > 2 v(f'(a)) and p-integral coefficients.  After each
+    step the iterate b is truncated (coordinate by coordinate over an
+    extension) to 2 ceil(v(f(b))) + 2 digits, which keeps the quadratic
+    convergence, and never beyond digits + v(f'(a)) + 2, which is all the
+    root needs.  Iteration stops once v(f(b)) - v(f'(a)), the valuation of
+    b minus the true root, puts every coordinate of b within p^(digits + 1)
+    of the root's; so the reported root is the true root reduced modulo
+    p^(digits + 1), whatever path led there.  v(f(root)) > digits and
+    v(root - a) > v(f'(a)) are checked exactly on the reported root.
     """
     field = f.field
     ctx = field.context
@@ -935,13 +944,29 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
         raise PreconditionFailed(f"Hensel slack {slack} is not positive")
 
     b = a
-    for _ in range(4 * digits + 16):
-        fb = f.evaluate(b)
-        if field.valuation(fb) > digits:
-            break
-        b = b - fb * field.inv(deriv.evaluate(b))
-    else:
-        raise PrecisionExhausted("Newton iteration did not reach the digit target")
+    if v_fa is not INFINITY:
+        loss = spread = 0
+        if field.is_extension:
+            # an element of valuation >= V has coordinates of valuation
+            # >= V - loss, loss read off the integral basis; coordinates
+            # truncated at k digits move an element by valuation >= k - spread
+            loss = -min(ctx.vp(c) for y in field._integral_basis for c in y.coeffs if c)
+            spread = math.ceil(field.degree * max(0, field.slope))
+        stop = digits + 1 + loss + v_fpa
+        cap = math.ceil(stop) + 1
+        for _ in range(4 * digits + 16):
+            fb = f.evaluate(b)
+            v_fb = field.valuation(fb)
+            if v_fb >= stop:
+                break
+            b = b - fb * field.inv(deriv.evaluate(b))
+            k = min(cap, 2 * math.ceil(v_fb) + 2) + spread
+            if field.is_extension:
+                b = field.element([_truncate_coeff(c, k, ctx) for c in b.coeffs])
+            else:
+                b = _truncate_coeff(b, k, ctx)
+        else:
+            raise PrecisionExhausted("Newton iteration did not reach the digit target")
 
     truncated = field.truncate(b, digits + 1)
     root = field.coerce(truncated)
