@@ -131,9 +131,11 @@ class SlopeFactorization:
     The product matches f with residual coefficient valuations above
     ``digits``.  When f has several slopes, every factor coefficient is
     the true factor's coefficient truncated modulo p^N (``_truncate_coeff``),
-    with N = digits + 1 + max(0, -min_k v(f_k)) fixed by ``digits`` and f
-    alone, so the reported factors do not depend on how they were lifted.
-    A factor that is f itself (one edge) is reported exactly.
+    with N = max(digits + 1 + max(0, -min_k v(f_k)), h + 1) and h the
+    largest edge height of f's polygon.  N depends on ``digits`` and f
+    alone, so the reported factors do not depend on how they were lifted,
+    and each keeps its one edge.  A factor that is f itself (one edge) is
+    reported exactly.
     """
 
     unit: object
@@ -227,7 +229,7 @@ def slope_factorization(f: PadicPolynomial, digits: int) -> SlopeFactorization:
     unit = f.leading_coefficient()
     fm = f.monic()
     slopes = polygon.slopes
-    n_out = _output_precision(f, digits)
+    n_out = _output_precision(f, polygon, digits)
 
     work = n_out + 8
     for _attempt in range(4):
@@ -249,10 +251,15 @@ def slope_factorization(f: PadicPolynomial, digits: int) -> SlopeFactorization:
     raise PrecisionExhausted("slope factorization residual below digit target")
 
 
-def _output_precision(f: PadicPolynomial, digits: int) -> int:
-    """Digits N of the reported factors: errors of valuation >= N in them
-    move the product by at least N + min_k v(f_k) > digits."""
-    return digits + 1 + max(0, -min_coefficient_valuation(f))
+def _output_precision(f: PadicPolynomial, polygon: NewtonPolygon, digits: int) -> int:
+    """Digits N of the reported factors.
+
+    Errors of valuation >= N in the factors move the product by at least
+    N + min_k v(f_k) > digits, and leave each factor's one edge, whose
+    height is at most the largest edge height of f, in place.
+    """
+    heights = [e.v0 - e.v1 for e in polygon.edges]
+    return max(digits + 1 + max(0, -min_coefficient_valuation(f)), int(max(heights)) + 1)
 
 
 def _split_all(fm: PadicPolynomial, work):
