@@ -3,8 +3,13 @@
 The Newton polygon of f = a_0 + ... + a_d t^d (a_0 a_d != 0) is the lower
 convex hull of the points (i, v(a_i)).  Each edge of slope m and
 horizontal length l predicts l roots of valuation -m, and f splits into
-monic one-edge factors, one per slope, computed here by coprime two-block
-Hensel lifting at each interior vertex.
+monic one-edge factors, one per slope.  They are split off one vertex at
+a time, the last edge first, by quadratic Hensel lifting of the factor
+pair together with the inverse of one factor modulo the other, on
+integers modulo p^K at doubling precision.  Each split is lifted to the
+digits that the later splits will lose, so the factors come out right to
+a precision fixed by the digit target and the polygon, and are reported
+truncated there.
 
 For a monic one-edge polynomial of slope m with denominator d, the
 coefficients sitting on the edge reduce to a polynomial over the residue
@@ -18,11 +23,13 @@ or through rational linear factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     BadDecomposition,
+    ConditionFailed,
     NotOneEdge,
     PrecisionExhausted,
     PreconditionFailed,
@@ -30,7 +37,7 @@ from .errors import (
     SlopeCollision,
     ZeroEndpoint,
 )
-from .padics import INFINITY, rational_mod_pk
+from .padics import INFINITY, rational_mod_pk, vp_int
 from .polynomials import PadicPolynomial
 
 
@@ -175,46 +182,141 @@ def _truncate_poly(f: PadicPolynomial, k: int) -> PadicPolynomial:
     return PadicPolynomial([_truncate_coeff(c, k, ctx) for c in f.coeffs], f.field)
 
 
-def _two_block_lift(f: PadicPolynomial, r: int, target, max_iter: int = 200):
-    """Split monic f = g * h at the polygon vertex of abscissa r.
+def _block_loss(r: int, d: int, m) -> int:
+    """Digits lost when a monic polynomial of degree d whose last edge has
+    slope m, from the vertex at abscissa r, is split there.
 
-    g carries the edges left of the vertex (deg r), h the rest; both
-    monic.  Newton refinement on the pair, with coefficients truncated
-    modulo p^(target + guard) every step to keep heights bounded; the
-    caller re-checks the product residual exactly.
+    With c = -ceil(m) the substitution t = p^c x makes every root
+    integral; the split then loses v(Res(G, H)) = r (d - r)(ceil(m) - m)
+    digits, and scaling back and forth |c| d more.
+    """
+    c = math.ceil(m)
+    return int(r * (d - r) * (c - m)) + abs(c) * d
+
+
+def _split_loss(vertices) -> int:
+    """Digits lost by _split_all on a polynomial with these polygon vertices."""
+    return sum(
+        _block_loss(r, d, Fraction(v_d - v_r, d - r))
+        for (r, v_r), (d, v_d) in zip(vertices[1:-1], vertices[2:])
+    )
+
+
+def _imul(a, b, m: int) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [c % m for c in out]
+
+
+def _idivmod(a, g, m: int):
+    """Quotient and remainder of integer polynomials modulo m, g monic."""
+    r = list(a)
+    dg = len(g) - 1
+    q = [0] * max(1, len(r) - dg)
+    for k in range(len(r) - 1, dg - 1, -1):
+        c = r[k] % m
+        if c:
+            q[k - dg] = c
+            for j, y in enumerate(g):
+                r[k - dg + j] -= c * y
+    return q, [c % m for c in r[:dg]] + [0] * (dg - len(r))
+
+
+def _exact_shift(a, pk: int) -> list:
+    out = []
+    for c in a:
+        q, rem = divmod(c, pk)
+        if rem:
+            raise ConditionFailed("Hensel correction is not divisible by the cofactor shift")
+        out.append(q)
+    return out
+
+
+def _two_block_lift(f: PadicPolynomial, r: int, n: int, max_iter: int = 200):
+    """Split monic f = g * h at the polygon vertex of abscissa r, its last.
+
+    g carries every edge left of the vertex (deg r), h the last edge; both
+    are monic, and each lies within p^n of the true factor when f is known
+    to n + _block_loss(r, deg f, m) digits.
+
+    With m the last slope and c = -ceil(m), F(x) = p^(-c d) f(p^c x) is
+    monic with integral roots, so F and its factors G, H are carried as
+    integer coefficients modulo p^K: denominators prime to p are scaled
+    out once.  The start is the polygon split G = F[0..r] / F_r,
+    H = F[r..d].  One ``half_egcd`` of it, at the precision of that
+    split, gives t = 1/H modulo G; t is kept as T = p^sigma t, where the
+    shift sigma >= ceil((ceil(m) - m)(d - 1)) bounds the denominators of
+    every t along the way (it is read off the Newton polygon).  Each step
+    is quadratic Hensel lifting (von zur Gathen and Gerhard, Modern
+    Computer Algebra, section 15.4):
+
+        E = F - G H,  dG = E t mod G,  dH = (E - H dG) div G,
+        t <- t + t (1 - t H) mod G   for the new G and H,
+
+    at twice the precision E has reached.  The lift stops once
+    v(F - G H) >= n + v(Res(G, H)) + max(0, -c) d, which puts G, H and,
+    after scaling back, g and h within p^n of the true factors; the caller
+    re-checks the product residual exactly.
     """
     field = f.field
     if field.is_extension:
         raise PreconditionFailed("two-block lifting implemented over Q_p coefficients")
-    guard = int(target) + 24
-    a_r = f[r]
-    g = PadicPolynomial(list(f.coeffs[: r + 1]), field) * field.inv(a_r)
-    h = PadicPolynomial(list(f.coeffs[r:]), field)
-    best = None
-    stall = 0
+    ctx = field.context
+    p, d = ctx.p, f.degree
+    m = newton_polygon(f).edges[-1].slope
+    c = -math.ceil(m)
+    res_digits = int(r * (d - r) * (-c - m))  # v(Res(G, H)) in x
+    target = n + res_digits + max(0, -c) * d
+    scale = Fraction(p) ** c
+    big_f = [a * scale ** (k - d) for k, a in enumerate(f.coeffs)]
+
+    # the polygon split and its cofactor, from F at the precision they need
+    low = [_truncate_coeff(a, res_digits + r + 2, ctx) for a in big_f]
+    g0 = PadicPolynomial(low[: r + 1], field) * (1 / low[r])
+    h0 = PadicPolynomial(low[r:], field)
+    one, s = g0.half_egcd(h0)
+    if one.degree != 0:
+        raise PrecisionExhausted("block approximations are not coprime")
+    t = (one - s * g0) // h0
+    sigma = max(
+        [math.ceil((-c - m) * (d - 1))] + [-ctx.vp(a) for a in t.coeffs if a]
+    )
+    top = target + 2 * sigma + 2
+    big_f = [rational_mod_pk(a, p, top) for a in big_f]
+    g = [rational_mod_pk(a, p, top) for a in g0.coeffs]
+    h = [rational_mod_pk(a, p, top) for a in h0.coeffs]
+    t = [rational_mod_pk(a * Fraction(p) ** sigma, p, top) for a in t.coeffs]
+    t += [0] * (r - len(t))
+    shift = p ** sigma
+
+    best, stall = -1, 0
     for _ in range(max_iter):
-        e = f - g * h
-        cur = min_coefficient_valuation(e)
-        if cur == INFINITY or cur > target:
-            return g, h
-        if best is not None and cur <= best:
+        mod = p ** top
+        e = [(a - b) % mod for a, b in zip(big_f, _imul(g, h, mod))]
+        reached = min((vp_int(a, p) for a in e if a), default=top)
+        if reached >= target:
+            return (
+                PadicPolynomial([a * scale ** (r - k) for k, a in enumerate(g)], field),
+                PadicPolynomial([a * scale ** (d - r - k) for k, a in enumerate(h)], field),
+            )
+        if reached <= best:
             stall += 1
-            if stall >= 6:
-                raise PrecisionExhausted(
-                    f"two-block lifting stalled at residual valuation {cur}"
-                )
+            if stall >= 3:
+                raise PrecisionExhausted(f"two-block lifting stalled at {reached} digits")
         else:
-            stall = 0
-            best = cur
-        one, u = g.half_egcd(h)
-        if one.degree != 0:
-            raise PrecisionExhausted("block approximations are not coprime")
-        v = (one - u * g) // h  # exact: u g + v h = 1
-        dg = (e * v) % g
-        q = (e * v) // g
-        dh = e * u + q * h
-        g = _truncate_poly(g + dg, guard)
-        h = _truncate_poly(h + dh, guard)
+            best, stall = reached, 0
+        mod = p ** min(top, 2 * reached + 2 * sigma + d + 2)
+        e = [a % mod for a in e]
+        dg = _exact_shift(_idivmod(_imul(e, t, mod), g, mod)[1], shift)
+        dh = _idivmod([(a - b) % mod for a, b in zip(e, _imul(h, dg, mod) + [0])], g, mod)[0]
+        g = [(a + b) % mod for a, b in zip(g, dg + [0])]
+        h = [(a + b) % mod for a, b in zip(h, dh + [0])]
+        u = _idivmod(_imul(t, h, mod), g, mod)[1]
+        dt = _idivmod(_imul(t, [shift - u[0]] + [-a for a in u[1:]], mod), g, mod)[1]
+        t = [(a + b) % mod for a, b in zip(t, _exact_shift(dt, shift))]
     raise PrecisionExhausted("two-block lifting did not reach the digit target")
 
 
@@ -231,7 +333,7 @@ def slope_factorization(f: PadicPolynomial, digits: int) -> SlopeFactorization:
     slopes = polygon.slopes
     n_out = _output_precision(f, polygon, digits)
 
-    work = n_out + 8
+    work = n_out
     for _attempt in range(4):
         try:
             parts = _split_all(fm, work)
@@ -262,13 +364,22 @@ def _output_precision(f: PadicPolynomial, polygon: NewtonPolygon, digits: int) -
     return max(digits + 1 + max(0, -min_coefficient_valuation(f)), int(max(heights)) + 1)
 
 
-def _split_all(fm: PadicPolynomial, work):
+def _split_all(fm: PadicPolynomial, n: int):
+    """The one-edge factors of monic fm, slopes increasing, each within p^n
+    of the true factor; fm must be known to n + _split_loss digits, and n
+    must exceed every edge height.
+
+    The last edge is split off first.  The left part is lifted to the
+    digits its own splits will lose, and beyond its constant term, so
+    that its polygon stays exact.
+    """
     polygon = newton_polygon(fm)
     if len(polygon.edges) <= 1:
         return [fm]
-    r = polygon.vertices[1][0]
-    g, h = _two_block_lift(fm, r, work)
-    return [g] + _split_all(h, work)
+    (_, v0), (r, vr) = polygon.vertices[0], polygon.vertices[-2]
+    left = polygon.vertices[:-1]
+    g, h = _two_block_lift(fm, r, max(n + _split_loss(left), int(v0 - vr) + 1))
+    return _split_all(g, n) + [h]
 
 
 # ---------------------------------------------------------------------------
