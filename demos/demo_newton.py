@@ -28,7 +28,8 @@ for f in (P([9, 3, 1]), P([27, -12, 1]), P([27, -3, -9, 1])):
     print()
 
 print("Factorization according to the slopes (one monic factor per edge),")
-print("computed by coprime two-block Hensel lifting to 40 digits:\n")
+print("computed by quadratic Hensel lifting, one polygon vertex at a time,")
+print("and reported to 41 digits for a 40-digit target:\n")
 
 f = P([27, -3, -9, 1])  # (t - 9)(t^2 - 3)
 fac = slope_factorization(f, 40)

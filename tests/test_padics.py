@@ -18,6 +18,7 @@ from padicforms import (
     square_class_representatives,
 )
 from padicforms.oracles import hilbert_by_search, isotropic_by_search
+from padicforms.padics import vp_int
 
 from conftest import poly
 
@@ -31,6 +32,30 @@ def test_context_validation():
         PadicContext(2, precision_digits=5)
     ctx = PadicContext(3, uniformizer=Fraction(6))
     assert ctx.vp(ctx.uniformizer) == 1
+
+
+def _vp_by_division(n, p):
+    """The reference valuation: strip one p per division."""
+    n, v = abs(n), 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 10007])
+def test_vp_int_against_division_loop(p):
+    rng = random.Random(f"vp-{p}")
+    valuations = [0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 1023, 1024, 3000] + [
+        rng.randint(0, 3000) for _ in range(10)
+    ]
+    for v in valuations:
+        for _ in range(2):
+            cofactor = rng.randint(1, 10 ** 50)
+            n = rng.choice([1, -1]) * cofactor * p ** v
+            assert vp_int(n, p) == _vp_by_division(n, p) == v + _vp_by_division(cofactor, p)
+    with pytest.raises(ValueError):
+        vp_int(0, p)
 
 
 def test_valuation_examples(c3):
