@@ -257,9 +257,10 @@ def _two_block_lift(f: PadicPolynomial, r: int, n: int, max_iter: int = 200):
         t <- t + t (1 - t H) mod G   for the new G and H,
 
     at twice the precision E has reached.  The lift stops once
-    v(F - G H) >= n + v(Res(G, H)) + max(0, -c) d, which puts G, H and,
-    after scaling back, g and h within p^n of the true factors; the caller
-    re-checks the product residual exactly.
+    v(F - G H) >= n + _block_loss, which puts G and H within
+    p^(n + |c| d) of the true factors (v(Res(G, H)) digits are lost from
+    the residual to the factors), and g and h, scaled back, within p^n;
+    the caller re-checks the product residual exactly.
     """
     field = f.field
     if field.is_extension:
@@ -268,13 +269,13 @@ def _two_block_lift(f: PadicPolynomial, r: int, n: int, max_iter: int = 200):
     p, d = ctx.p, f.degree
     m = newton_polygon(f).edges[-1].slope
     c = -math.ceil(m)
-    res_digits = int(r * (d - r) * (-c - m))  # v(Res(G, H)) in x
-    target = n + res_digits + max(0, -c) * d
+    loss = _block_loss(r, d, m)
+    target = n + loss
     scale = Fraction(p) ** c
     big_f = [a * scale ** (k - d) for k, a in enumerate(f.coeffs)]
 
     # the polygon split and its cofactor, from F at the precision they need
-    low = [_truncate_coeff(a, res_digits + r + 2, ctx) for a in big_f]
+    low = [_truncate_coeff(a, loss + r + 2, ctx) for a in big_f]
     g0 = PadicPolynomial(low[: r + 1], field) * (1 / low[r])
     h0 = PadicPolynomial(low[r:], field)
     one, s = g0.half_egcd(h0)
@@ -290,12 +291,11 @@ def _two_block_lift(f: PadicPolynomial, r: int, n: int, max_iter: int = 200):
     h = [rational_mod_pk(a, p, top) for a in h0.coeffs]
     t = [rational_mod_pk(a * Fraction(p) ** sigma, p, top) for a in t.coeffs]
     t += [0] * (r - len(t))
-    shift = p ** sigma
+    shift, full = p ** sigma, p ** top
 
     best, stall = -1, 0
     for _ in range(max_iter):
-        mod = p ** top
-        e = [(a - b) % mod for a, b in zip(big_f, _imul(g, h, mod))]
+        e = [(a - b) % full for a, b in zip(big_f, _imul(g, h, full))]
         reached = min((vp_int(a, p) for a in e if a), default=top)
         if reached >= target:
             return (
