@@ -52,9 +52,10 @@ def is_prime(n: int) -> bool:
 def vp_int(n: int, p: int) -> int:
     """p-adic order of a nonzero integer, in O(log v) divisions.
 
-    At p = 2 it is the index of the lowest set bit.  At odd p, blocks
-    p, p^2, p^4, ... are stripped while they divide n, then the same
-    blocks are tried again from the largest down.
+    At p = 2 it is the index of the lowest set bit.  At odd p, up to four
+    factors p are stripped one at a time (most valuations are small);
+    past that, blocks p, p^2, p^4, ... are stripped while they divide n,
+    then the same blocks are tried again from the largest down.
     """
     if n == 0:
         raise ValueError("vp_int(0) is infinite")
@@ -62,6 +63,13 @@ def vp_int(n: int, p: int) -> int:
         return (n & -n).bit_length() - 1
     n = abs(n)
     v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+        if v == 4:
+            break
+    else:
+        return v
     blocks = [p]
     while n % blocks[-1] == 0:
         n //= blocks[-1]

@@ -46,7 +46,7 @@ def _vp_by_division(n, p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 10007])
 def test_vp_int_against_division_loop(p):
     rng = random.Random(f"vp-{p}")
-    valuations = [0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 1023, 1024, 3000] + [
+    valuations = [0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1023, 1024, 3000] + [
         rng.randint(0, 3000) for _ in range(10)
     ]
     for v in valuations:
