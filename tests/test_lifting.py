@@ -78,6 +78,30 @@ def test_hensel_root_canonical_over_extensions(p, minimal):
         _assert_canonical(PadicPolynomial([a * b + d * p, -(a + b), K.one], K), a, p)
 
 
+# Q_3(sqrt 27) and Q_2(4^(1/3)), whose integral bases {1, alpha/3} and
+# {1, alpha, alpha^2/2} let an element of valuation V have an
+# alpha-coordinate of valuation V - 1: p^j alpha^(n-1) has valuation
+# j + 3/2 and j + 4/3, and its last coordinate p^j
+DEEP_FIELDS = [(3, [-27, 0, 1]), (2, [-4, 0, 0, 1])]
+
+
+@pytest.mark.parametrize("p,minimal", DEEP_FIELDS)
+def test_hensel_root_canonical_over_deep_integral_bases(p, minimal):
+    rng = random.Random(f"hensel-deep-{p}-{minimal}")
+    ctx = PadicContext(p, precision_digits=200)
+    K = residue_field(poly(minimal, ctx), ctx)
+    alpha = K.gen()
+    units = [k for k in range(1, 2 * p + 1) if k % p]
+    for j in range(3):
+        # coefficients in Z_p[alpha] and f'(a) a unit there, so the root
+        # lies in Z_p[alpha] and its alpha-coordinates are p-integral;
+        # f(a) = p^(j+1) alpha^(n-1) u puts a - root in the last coordinate
+        a = K.embed(rng.randint(-5, 5)) + alpha * rng.randint(-5, 5)
+        b = a + 1 + alpha * (p * rng.randint(-5, 5))
+        d = alpha ** (K.degree - 1) * (p ** j * rng.choice(units))
+        _assert_canonical(PadicPolynomial([a * b + d * p, -(a + b), K.one], K), a, p)
+
+
 def _multi_slope(rng, p, ctx):
     while True:
         deg = rng.randint(2, 7)
