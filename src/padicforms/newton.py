@@ -202,29 +202,6 @@ def _split_loss(vertices) -> int:
     )
 
 
-def _imul(a, b, m: int) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return [c % m for c in out]
-
-
-def _idivmod(a, g, m: int):
-    """Quotient and remainder of integer polynomials modulo m, g monic."""
-    r = list(a)
-    dg = len(g) - 1
-    q = [0] * max(1, len(r) - dg)
-    for k in range(len(r) - 1, dg - 1, -1):
-        c = r[k] % m
-        if c:
-            q[k - dg] = c
-            for j, y in enumerate(g):
-                r[k - dg + j] -= c * y
-    return q, [c % m for c in r[:dg]] + [0] * (dg - len(r))
-
-
 def _exact_shift(a, pk: int) -> list:
     out = []
     for c in a:
@@ -286,21 +263,20 @@ def _two_block_lift(f: PadicPolynomial, r: int, n: int, max_iter: int = 200):
         [math.ceil((-c - m) * (d - 1))] + [-ctx.vp(a) for a in t.coeffs if a]
     )
     top = target + 2 * sigma + 2
-    big_f = [rational_mod_pk(a, p, top) for a in big_f]
-    g = [rational_mod_pk(a, p, top) for a in g0.coeffs]
-    h = [rational_mod_pk(a, p, top) for a in h0.coeffs]
-    t = [rational_mod_pk(a * Fraction(p) ** sigma, p, top) for a in t.coeffs]
-    t += [0] * (r - len(t))
     shift, full = p ** sigma, p ** top
+    big_f = FiniteFieldPoly([rational_mod_pk(a, p, top) for a in big_f], full)
+    g = FiniteFieldPoly([rational_mod_pk(a, p, top) for a in g0.coeffs], full)
+    h = FiniteFieldPoly([rational_mod_pk(a, p, top) for a in h0.coeffs], full)
+    t = FiniteFieldPoly([rational_mod_pk(a * Fraction(p) ** sigma, p, top) for a in t.coeffs], full)
 
     best, stall = -1, 0
     for _ in range(max_iter):
-        e = [(a - b) % full for a, b in zip(big_f, _imul(g, h, full))]
-        reached = min((vp_int(a, p) for a in e if a), default=top)
+        e = big_f - FiniteFieldPoly(g.coeffs, full) * FiniteFieldPoly(h.coeffs, full)
+        reached = min((vp_int(a, p) for a in e.coeffs if a), default=top)
         if reached >= target:
             return (
-                PadicPolynomial([a * scale ** (r - k) for k, a in enumerate(g)], field),
-                PadicPolynomial([a * scale ** (d - r - k) for k, a in enumerate(h)], field),
+                PadicPolynomial([a * scale ** (r - k) for k, a in enumerate(g.coeffs)], field),
+                PadicPolynomial([a * scale ** (d - r - k) for k, a in enumerate(h.coeffs)], field),
             )
         if reached <= best:
             stall += 1
@@ -309,14 +285,12 @@ def _two_block_lift(f: PadicPolynomial, r: int, n: int, max_iter: int = 200):
         else:
             best, stall = reached, 0
         mod = p ** min(top, 2 * reached + 2 * sigma + d + 2)
-        e = [a % mod for a in e]
-        dg = _exact_shift(_idivmod(_imul(e, t, mod), g, mod)[1], shift)
-        dh = _idivmod([(a - b) % mod for a, b in zip(e, _imul(h, dg, mod) + [0])], g, mod)[0]
-        g = [(a + b) % mod for a, b in zip(g, dg + [0])]
-        h = [(a + b) % mod for a, b in zip(h, dh + [0])]
-        u = _idivmod(_imul(t, h, mod), g, mod)[1]
-        dt = _idivmod(_imul(t, [shift - u[0]] + [-a for a in u[1:]], mod), g, mod)[1]
-        t = [(a + b) % mod for a, b in zip(t, _exact_shift(dt, shift))]
+        e, g, h, t = (FiniteFieldPoly(x.coeffs, mod) for x in (e, g, h, t))
+        dg = FiniteFieldPoly(_exact_shift((e * t % g).coeffs, shift), mod)
+        h = h + (e - h * dg) // g
+        g = g + dg
+        dt = t * (FiniteFieldPoly((shift,), mod) - t * h % g) % g
+        t = t + FiniteFieldPoly(_exact_shift(dt.coeffs, shift), mod)
     raise PrecisionExhausted("two-block lifting did not reach the digit target")
 
 
@@ -388,7 +362,12 @@ def _split_all(fm: PadicPolynomial, n: int):
 
 
 class FiniteFieldPoly:
-    """Polynomial over the prime residue field F_p, coefficients in [0, p)."""
+    """Polynomial over Z/pZ, coefficients in [0, p).
+
+    ``p`` is the prime of the residue field F_p, or a prime power p^K
+    when _two_block_lift runs Hensel lifting modulo p^K: there every
+    divisor is monic, the one case where ``divmod`` needs no inverse mod p.
+    """
 
     __slots__ = ("coeffs", "p")
 
