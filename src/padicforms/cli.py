@@ -12,6 +12,7 @@ byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -454,6 +455,16 @@ def _cmd_verify(args):
     return 1
 
 
+def _command(sub, name, fn, help, *positionals):
+    """A subcommand with the common options and plain positional arguments."""
+    s = sub.add_parser(name, help=help)
+    _common(s)
+    for arg in positionals:
+        s.add_argument(arg)
+    s.set_defaults(fn=fn)
+    return s
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="padicforms",
@@ -461,79 +472,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("newton", help="Newton polygon of a polynomial")
-    _common(s)
-    s.add_argument("poly")
-    s.set_defaults(fn=_cmd_newton)
-
-    s = sub.add_parser("slopes", help="factorization according to the slopes")
-    _common(s)
-    s.add_argument("poly")
+    _command(sub, "newton", _cmd_newton, "Newton polygon of a polynomial", "poly")
+    s = _command(sub, "slopes", _cmd_slopes, "factorization according to the slopes", "poly")
     s.add_argument("--digits", type=int, default=40)
-    s.set_defaults(fn=_cmd_slopes)
+    _command(sub, "squareclass", _cmd_squareclass, "canonical square-class representative", "value")
+    _command(sub, "hilbert", _cmd_hilbert, "Hilbert symbol (a, b) over Q_p", "a", "b")
+    _command(sub, "symbol", _cmd_symbol, "the polynomial Legendre symbol <p/q>", "p", "q")
+    _command(sub, "check-mult", _cmd_check_mult, "verify <pr/q> = <p/q><r/q>", "p", "r", "q")
+    _command(sub, "check-recip", _cmd_check_recip, "verify the reciprocity law", "p", "q")
 
-    s = sub.add_parser("squareclass", help="canonical square-class representative")
-    _common(s)
-    s.add_argument("value")
-    s.set_defaults(fn=_cmd_squareclass)
-
-    s = sub.add_parser("hilbert", help="Hilbert symbol (a, b) over Q_p")
-    _common(s)
-    s.add_argument("a")
-    s.add_argument("b")
-    s.set_defaults(fn=_cmd_hilbert)
-
-    s = sub.add_parser("symbol", help="the polynomial Legendre symbol <p/q>")
-    _common(s)
-    s.add_argument("p")
-    s.add_argument("q")
-    s.set_defaults(fn=_cmd_symbol)
-
-    s = sub.add_parser("check-mult", help="verify <pr/q> = <p/q><r/q>")
-    _common(s)
-    s.add_argument("p")
-    s.add_argument("r")
-    s.add_argument("q")
-    s.set_defaults(fn=_cmd_check_mult)
-
-    s = sub.add_parser("check-recip", help="verify the reciprocity law")
-    _common(s)
-    s.add_argument("p")
-    s.add_argument("q")
-    s.set_defaults(fn=_cmd_check_recip)
-
-    s = sub.add_parser("isotropy", help="isotropy of a diagonal form over Q_p")
-    _common(s)
+    s = _command(sub, "isotropy", _cmd_isotropy, "isotropy of a diagonal form over Q_p")
     s.add_argument("entries", help="comma-separated nonzero rationals")
-    s.set_defaults(fn=_cmd_isotropy)
 
-    s = sub.add_parser("construct-s", help="build s and certify both Pfister forms")
-    _common(s)
-    s.add_argument("g")
+    s = _command(sub, "construct-s", _cmd_construct_s, "build s and certify both Pfister forms", "g")
     s.add_argument("--gamma", required=True)
     s.add_argument("--factors", help="semicolon-separated monic irreducible factors of g")
-    s.set_defaults(fn=_cmd_construct_s)
 
-    s = sub.add_parser("predicate", help="decide v_t(x) >= 0 with certificate")
-    _common(s)
+    s = _command(sub, "predicate", _cmd_predicate, "decide v_t(x) >= 0 with certificate")
     s.add_argument("x", help="rational function in t, e.g. '1/t' or '(t+1)/(t^2-3)'")
     s.add_argument("--gamma", help="constant with i2(gamma) = -1 (default: smallest)")
     s.add_argument("--full-construction", action="store_true",
                    help="also attempt the full auxiliary-polynomial construction")
-    s.set_defaults(fn=_cmd_predicate)
 
-    s = sub.add_parser("elliptic-point", help="solve x^3 - x = y^2 by Hensel lifting")
-    _common(s)
-    s.add_argument("y")
+    s = _command(sub, "elliptic-point", _cmd_elliptic, "solve x^3 - x = y^2 by Hensel lifting", "y")
     s.add_argument("--digits", type=int, default=None)
-    s.set_defaults(fn=_cmd_elliptic)
 
-    s = sub.add_parser("corpus", help="run a seeded property corpus")
-    _common(s)
+    s = _command(sub, "corpus", _cmd_corpus, "run a seeded property corpus")
     s.add_argument("law", choices=["check-mult", "check-recip", "constant",
                                    "pi-invariance", "square-criterion", "predicate"])
     s.add_argument("--cases", type=int, default=100)
-    s.set_defaults(fn=_cmd_corpus)
 
     s = sub.add_parser("verify", help="re-verify a JSON certificate file")
     s.add_argument("file")
@@ -542,14 +509,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # by name, so the parser built once reaches the module's current binding
+        return globals()[args.fn.__name__](args)
     except ParseError as exc:
         print(f"parse error at offset {exc.position}: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,9 @@ A :class:`LocalField` is Q_p[t]/(q) for a monic irreducible q whose
 irreducibility is certified at construction by one of the two Newton
 polygon criteria (slope denominator equals the degree, or irreducible
 reduction with matching degree).  Elements are rational coefficient
-vectors; valuations come from exact resultant norms, normalized so that
-the base uniformizer has valuation 1 (so values lie in (1/e)Z).
+vectors.  Norms are exact resultants Res(q, r) for x = r(alpha), and
+valuations are read off the coordinates in an integral basis, normalized
+so that the base uniformizer has valuation 1 (so values lie in (1/e)Z).
 
 Squareness and Hilbert symbols over extensions are decided exactly.  Write
 x = pi_K^w u with u a unit, q = p^f, and chi for the quadratic character
@@ -70,27 +71,44 @@ from .padics import (
 from .polynomials import PadicPolynomial
 
 
-def _det(rows):
-    """Determinant of a square matrix of Fractions, by exact elimination."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
+def _resultant(a, b) -> Fraction:
+    """Res(a, b) of two coefficient lists (constant term first), deg a >= 1.
+
+    By the Euclidean remainder sequence: with r = a mod b,
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), and
+    Res(a, c) = c^(deg a) for a constant c (Cohen, A Course in
+    Computational Algebraic Number Theory, section 3.3).
+    """
+    b = list(b)
+    while b and not b[-1]:
+        b.pop()
+    res = Fraction(1)
+    while len(b) > 1:
+        db, r = len(b) - 1, list(a)
+        for k in range(len(r) - 1, db - 1, -1):
+            c = r[k] / b[-1]
+            if c:
+                for i in range(db):
+                    r[k - db + i] -= c * b[i]
+        del r[db:]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
             return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
+        if (len(a) - 1) * db % 2:
+            res = -res
+        res *= b[-1] ** (len(a) - len(r))
+        a, b = b, r
+    return res * b[0] ** (len(a) - 1) if b else Fraction(0)
+
+
+def _lattice_w(coords, p: int, e: int) -> int:
+    """w(x) (w(pi_K) = 1) of x != 0 from its lattice coordinates, exact or modulo a p-power.
+
+    The position of beta^i pi_K^j is i e + j.  The residues of the beta^i
+    are independent, so w(x) = min over positions (i, j) of e v_p(c_ij) + j.
+    """
+    return min(e * vp_rational(c, p) + pos % e for pos, c in enumerate(coords) if c)
 
 
 def _inverse(rows):
@@ -122,8 +140,8 @@ class LocalField:
     structures (the uniformizer element, the integral basis and the
     inverse of its coordinate matrix) and, over Q_2, the square-class
     coordinates and the Hilbert form are built on first use and kept:
-    squares and square classes read them, while symbols, which go through
-    the norm projection, never do.
+    valuations, squares and square classes read them, while symbols,
+    which go through the norm projection, never do.
     """
 
     is_extension = True
@@ -437,29 +455,19 @@ class LocalFieldElement:
         _, u = PadicPolynomial(self.coeffs, q.field).half_egcd(q)
         return self.field.element(list(u.coeffs))
 
-    def multiplication_matrix(self):
-        """Matrix of y -> x*y in the alpha-power basis (columns x*alpha^k)."""
-        cols = []
-        cur = self
-        alpha = self.field.gen()
-        for _ in range(self.field.degree):
-            cols.append(cur.coeffs)
-            cur = cur * alpha
-        return [[cols[j][i] for j in range(self.field.degree)] for i in range(self.field.degree)]
-
     def norm(self) -> Fraction:
-        """Field norm down to Q_p (determinant of multiplication)."""
-        return _det(self.multiplication_matrix())
+        """Field norm down to Q_p: N(r(alpha)) = Res(q, r), q the monic minimal polynomial."""
+        return _resultant(self.field.minimal_poly.coeffs, self.coeffs)
 
     @property
     def valuation(self):
-        """v(x) = v_p(N(x)) / [K : Q_p], with v(pi) = 1; +inf at 0."""
+        """v(x) = w(x) / e, w read off the lattice coordinates, so v(pi) = 1; +inf at 0."""
         if self._val is None:
-            if self.is_zero():
-                object.__setattr__(self, "_val", INFINITY)
-            else:
-                vp = self.field.base_context.vp(self.norm())
-                object.__setattr__(self, "_val", Fraction(vp, self.field.degree))
+            field = self.field
+            v = INFINITY if self.is_zero() else Fraction(_lattice_w(
+                field.lattice_coordinates(self), field.base_context.p, field.ramification_index
+            ), field.ramification_index)
+            object.__setattr__(self, "_val", v)
         return self._val
 
     def w(self) -> int:
@@ -467,10 +475,7 @@ class LocalFieldElement:
         v = self.valuation
         if v is INFINITY:
             raise PreconditionFailed("w(0) is infinite")
-        w = v * self.field.ramification_index
-        if w.denominator != 1:
-            raise ConditionFailed(f"valuation {v} is not in (1/e)Z")
-        return int(w)
+        return int(v * self.field.ramification_index)
 
     def __repr__(self):
         terms = " + ".join(
@@ -756,9 +761,7 @@ class _DyadicClasses:
     def _coords(self, c) -> tuple:
         """Coordinates of the element with lattice coordinates c (exact or mod 2^_PRECISION)."""
         e = self.e
-        # the residues of the beta^i are independent, so
-        # w(x) = min over positions (i, j) of e v_2(c_ij) + j
-        w = min(e * vp_rational(v, 2) + pos % e for pos, v in enumerate(c) if v)
+        w = _lattice_w(c, 2, e)
         m, j = divmod(w, e)
         y = [rational_mod_pk(v * Fraction(2) ** -m, 2, 4) for v in c]  # x / 2^m, w = j
         if j:
@@ -902,15 +905,20 @@ class HenselWitness:
 def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitness:
     """Refine a to a root of f by Newton iteration at doubling precision.
 
-    Requires v(f(a)) > 2 v(f'(a)) and p-integral coefficients.  After each
-    step the iterate b is truncated (coordinate by coordinate over an
-    extension) to 2 ceil(v(f(b))) + 2 digits, which keeps the quadratic
+    Requires v(f(a)) > 2 v(f'(a)) and p-integral coefficients.  The one
+    exact inverse is s = 1/f'(a); each later step first refines s to
+    s (2 - f'(b) s), which squares its relative error, so s keeps pace
+    with b (von zur Gathen and Gerhard, Modern Computer Algebra, 9.4).
+    After each step b and s are truncated (coordinate by coordinate over
+    an extension) to 2 ceil(v(f(b))) + 2 digits, which keeps the quadratic
     convergence, and never beyond digits + v(f'(a)) + 2, which is all the
     root needs.  Iteration stops once v(f(b)) - v(f'(a)), the valuation of
     b minus the true root, puts every coordinate of b within p^(digits + 1)
     of the root's; so the reported root is the true root reduced modulo
     p^(digits + 1), whatever path led there.  v(f(root)) > digits and
-    v(root - a) > v(f'(a)) are checked exactly on the reported root.
+    v(root - a) > v(f'(a)) are checked exactly on the reported root.  A
+    root whose alpha-coordinates are not p-integral has no such
+    representative and raises PreconditionFailed.
     """
     field = f.field
     ctx = field.context
@@ -954,21 +962,34 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
             spread = math.ceil(field.degree * max(0, field.slope))
         stop = digits + 1 + loss + v_fpa
         cap = math.ceil(stop) + 1
-        for _ in range(4 * digits + 16):
+
+        def cut(x, k):
+            if field.is_extension:
+                return field.element([_truncate_coeff(c, k, ctx) for c in x.coeffs])
+            return _truncate_coeff(x, k, ctx)
+
+        s = field.inv(fpa)  # 1/f'(b), carried along with b
+        for step in range(4 * digits + 16):
             fb = f.evaluate(b)
             v_fb = field.valuation(fb)
             if v_fb >= stop:
                 break
-            b = b - fb * field.inv(deriv.evaluate(b))
             k = min(cap, 2 * math.ceil(v_fb) + 2) + spread
-            if field.is_extension:
-                b = field.element([_truncate_coeff(c, k, ctx) for c in b.coeffs])
-            else:
-                b = _truncate_coeff(b, k, ctx)
+            if step:
+                # a Newton step for 1/f'(b) squares the relative error of s,
+                # which then keeps pace with the error of b
+                s = cut(s * (2 - deriv.evaluate(b) * s), k)
+            b = cut(b - fb * s, k)
         else:
             raise PrecisionExhausted("Newton iteration did not reach the digit target")
 
-    truncated = field.truncate(b, digits + 1)
+    try:
+        truncated = field.truncate(b, digits + 1)
+    except PreconditionFailed as exc:
+        raise PreconditionFailed(
+            "the root's alpha-coordinates are not p-integral, so the reported"
+            " format (coordinates modulo p^(digits + 1)) cannot hold it"
+        ) from exc
     root = field.coerce(truncated)
     residual = field.valuation(f.evaluate(root))
     if not residual > digits:

@@ -4,7 +4,7 @@ For q monic irreducible with root alpha and p coprime to q, the symbol
 <p/q> is the class of <1,pi><1,-p(alpha)> in I^2(K(alpha)) = Z/2,
 written multiplicatively as +-1.  It is computed through the norm
 projection (p(alpha), -pi)_{K(alpha)} = (N(p(alpha)), -pi)_{Q_p}, with
-the norm an exact resultant determinant, and is invariant under
+the norm the exact resultant Res(q, p), and is invariant under
 multiplying p by powers of pi.
 
 The laws checked here: multiplicativity <pr/q> = <p/q><r/q>; the

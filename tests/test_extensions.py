@@ -65,6 +65,53 @@ def test_valuation_via_norm(c3):
     assert K.zero.valuation == float("inf")
 
 
+# (p, minimal polynomial), degrees 2-6: among them the deep integral bases
+# Q_3(sqrt 27) and Q_2(4^(1/3)), and alpha^2 = 1/3, where alpha is not integral
+NORM_FIELDS = [
+    (2, [1, 1, 1]), (2, [-4, 0, 0, 1]), (2, [4, 0, 2, 0, 1]), (2, [-2, 0, 0, 0, 0, 0, 1]),
+    (3, [-27, 0, 1]), (3, [Fraction(-1, 3), 0, 1]), (3, [1, 2, 0, 1]), (3, [18, 0, 3, 0, 1]),
+    (5, [1, 1, 0, 1]), (5, [-5, 0, 0, 0, 0, 1]),
+    (7, [1, 0, 1]), (7, [-7, 0, 0, 0, 0, 0, 1]),
+    (10007, [-5, 0, 1]), (10007, [-10007, 0, 0, 1]),
+]
+
+
+def test_norm_and_valuation_against_resultant():
+    """norm is Res(q, r) (sympy as oracle) and valuation is v_p(N) / n, at every valuation and at 0."""
+    import sympy
+
+    t = sympy.Symbol("t")
+
+    def sym(cs):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(cs)], t)
+
+    rng = random.Random(47)
+    degrees = set()
+    for p, minimal in NORM_FIELDS:
+        ctx = PadicContext(p)
+        K = LocalField(poly(minimal, ctx))
+        e, n = K.ramification_index, K.degree
+        degrees.add(n)
+        assert K.zero.norm() == 0 and K.zero.valuation == float("inf")
+        xs = []
+        for w in range(-e, 2 * e + 1):
+            # a unit: lattice coordinates with a first one prime to p
+            coords = [rng.randint(1, p - 1) + p * rng.randint(0, 3)]
+            coords += [rng.randint(-9, 9) for _ in range(n - 1)]
+            x = K.from_lattice_coordinates(coords) * K.uniformizer_elt ** w
+            assert x.w() == w, (K, x)
+            xs.append(x)
+        for _ in range(4):
+            xs.append(K.element([Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5]))
+                                 * Fraction(p) ** rng.randint(-2, 3) for _ in range(n)]))
+        for x in xs:
+            want = sympy.resultant(sym(K.minimal_poly.coeffs), sym(x.coeffs))
+            norm = x.norm()
+            assert norm == Fraction(int(want.p), int(want.q)), (K, x)
+            assert x.valuation == (Fraction(ctx.vp(norm), n) if norm else float("inf")), (K, x)
+    assert degrees == {2, 3, 4, 5, 6}
+
+
 def test_element_arithmetic(c3):
     K = unramified3(c3)
     a = K.element([2, 3])

@@ -16,10 +16,14 @@ import pytest
 from padicforms import (
     PadicContext,
     PadicPolynomial,
+    PreconditionFailed,
+    cli,
+    h10,
     hensel_lift,
     newton_polygon,
     slope_factorization,
 )
+from padicforms.extensions import LocalFieldElement
 from padicforms.newton import _output_precision, _truncate_poly, min_coefficient_valuation
 from padicforms.quadform import residue_field
 
@@ -77,6 +81,42 @@ def test_hensel_root_canonical_over_extensions(p, minimal):
         d = K.embed(rng.randint(1, 5)) + pi * rng.randint(-5, 5)
         _assert_canonical(PadicPolynomial([a * b + d * p, -(a + b), K.one], K), a, p)
 
+
+
+def test_one_inverse_per_hensel_lift(monkeypatch):
+    """Newton carries 1/f'(b) along with b: one exact inverse per lift, however many steps."""
+    calls = []
+    inverse = LocalFieldElement.inverse
+    monkeypatch.setattr(LocalFieldElement, "inverse", lambda x: calls.append(x) or inverse(x))
+    for p, minimal in [(3, [1, 0, 1]), (2, [-2, 0, 1])]:
+        rng = random.Random(f"one-inverse-{p}")
+        ctx = PadicContext(p, precision_digits=1024)
+        K = residue_field(poly(minimal, ctx), ctx)
+        pi = K.uniformizer_elt
+        K.lattice_coordinates(K.one)  # the field's lattice structures, built once
+        for _ in range(3):
+            a = K.embed(rng.randint(-5, 5)) + pi * rng.randint(-5, 5)
+            b = a + 1 + pi * (p * rng.randint(-5, 5))
+            f = PadicPolynomial([a * b + K.embed(rng.randint(1, 5)) * p, -(a + b), K.one], K)
+            calls.clear()
+            assert hensel_lift(f, a, 1024).residual_valuation > 1024
+            assert len(calls) <= 1, (K, len(calls))
+
+
+def test_hensel_root_with_non_integral_alpha_coordinates(monkeypatch, capsys):
+    """Over Q_3(alpha), alpha = 3 sqrt 2, the root sqrt 2 = alpha/3 of x^2 - 2 is
+    integral but its alpha-coordinates are not: a typed error, exit 2 from the CLI."""
+    ctx = PadicContext(3)
+    K = residue_field(poly([-18, 0, 1], ctx), ctx)
+    f = PadicPolynomial([K.embed(-2), K.zero, K.one], K)
+    a = K.element([3, Fraction(1, 3)])
+    message = "alpha-coordinates are not p-integral"
+    with pytest.raises(PreconditionFailed, match=message):
+        hensel_lift(f, a, 10)
+    # no subcommand lifts over an extension, so this lift stands in for elliptic-point's
+    monkeypatch.setattr(h10, "elliptic_constant_point", lambda *args: hensel_lift(f, a, 10))
+    assert cli.main(["elliptic-point", "--prime", "3", "3"]) == 2
+    assert message in capsys.readouterr().err
 
 # Q_3(sqrt 27) and Q_2(4^(1/3)), whose integral bases {1, alpha/3} and
 # {1, alpha, alpha^2/2} let an element of valuation V have an
