@@ -463,10 +463,9 @@ class LocalFieldElement:
     def valuation(self):
         """v(x) = w(x) / e, w read off the lattice coordinates, so v(pi) = 1; +inf at 0."""
         if self._val is None:
-            field = self.field
-            v = INFINITY if self.is_zero() else Fraction(_lattice_w(
-                field.lattice_coordinates(self), field.base_context.p, field.ramification_index
-            ), field.ramification_index)
+            field, e = self.field, self.field.ramification_index
+            v = INFINITY if self.is_zero() else Fraction(
+                _lattice_w(field.lattice_coordinates(self), field.base_context.p, e), e)
             object.__setattr__(self, "_val", v)
         return self._val
 
