@@ -12,7 +12,6 @@ byte-identical JSON.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from fractions import Fraction
@@ -509,20 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves no state on it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        # by name, so the parser built once reaches the module's current binding
-        return globals()[args.fn.__name__](args)
+        return args.fn(args)
     except ParseError as exc:
         print(f"parse error at offset {exc.position}: {exc}", file=sys.stderr)
         return 2

@@ -140,8 +140,9 @@ class LocalField:
     structures (the uniformizer element, the integral basis and the
     inverse of its coordinate matrix) and, over Q_2, the square-class
     coordinates and the Hilbert form are built on first use and kept:
-    valuations, squares and square classes read them, while symbols,
-    which go through the norm projection, never do.
+    valuations, squares, square classes and Hilbert symbols with two
+    irrational arguments read them.  Only symbols with an argument from
+    Q_p, which go through the norm projection, skip them.
     """
 
     is_extension = True
@@ -968,16 +969,15 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
             return _truncate_coeff(x, k, ctx)
 
         s = field.inv(fpa)  # 1/f'(b), carried along with b
-        for step in range(4 * digits + 16):
+        for _ in range(4 * digits + 16):
             fb = f.evaluate(b)
             v_fb = field.valuation(fb)
             if v_fb >= stop:
                 break
             k = min(cap, 2 * math.ceil(v_fb) + 2) + spread
-            if step:
-                # a Newton step for 1/f'(b) squares the relative error of s,
-                # which then keeps pace with the error of b
-                s = cut(s * (2 - deriv.evaluate(b) * s), k)
+            # a Newton step for 1/f'(b) squares the relative error of s,
+            # which then keeps pace with the error of b
+            s = cut(s * (2 - deriv.evaluate(b) * s), k)
             b = cut(b - fb * s, k)
         else:
             raise PrecisionExhausted("Newton iteration did not reach the digit target")
