@@ -34,12 +34,10 @@ from .errors import (
 from .padics import (
     BaseField,
     PadicContext,
-    PadicScalar,
     hilbert_symbol_qp,
     is_square_rational,
     square_class_rational,
     square_class_representatives,
-    valuation,
 )
 from .polynomials import PadicPolynomial, RationalFunction
 from .newton import (
@@ -49,7 +47,6 @@ from .newton import (
     finite_field_irreducible,
     newton_polygon,
     random_irreducible_search,
-    reduction_irreducibility,
     slope_factorization,
     square_class_at_root_one_edge,
 )
@@ -77,7 +74,6 @@ from .quadform import (
     witt_zero,
 )
 from .reciprocity import (
-    SymbolQuery,
     check_multiplicativity,
     check_pi_power_invariance,
     check_reciprocity,

@@ -17,10 +17,23 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .construct import certify_factor
 from .errors import PadicFormsError
-from .padics import PadicContext
+from .h10 import anisotropy_at_t, build_f, run_predicate_corpus, strip_t, witness_g
+from .newton import min_coefficient_valuation, newton_polygon
+from .oracles import isotropic_by_search, within_budget
+from .padics import PadicContext, hilbert_symbol_qp, square_class_rational
 from .parsing import parse_poly, parse_rational_function
 from .polynomials import PadicPolynomial
+from .quadform import DiagonalForm, i2_class, isotropic_over_local, pfister_residue_test
+from .reciprocity import (
+    check_multiplicativity,
+    check_pi_power_invariance,
+    check_reciprocity,
+    constant_symbol_check,
+    legendre_symbol,
+    run_law_corpus,
+)
 
 SCHEMA = "padic-forms/1"
 
@@ -77,8 +90,6 @@ def dump_certificate(doc: dict) -> str:
 
 
 def _v_hilbert(a, ctx):
-    from .padics import hilbert_symbol_qp
-
     value = hilbert_symbol_qp(parse_rat(a["a"]), parse_rat(a["b"]), ctx)
     if value != a["value"]:
         return [f"hilbert({a['a']},{a['b']}) recomputes to {value}, recorded {a['value']}"]
@@ -86,8 +97,6 @@ def _v_hilbert(a, ctx):
 
 
 def _v_legendre(a, ctx):
-    from .reciprocity import legendre_symbol
-
     p = parse_poly(a["p"], ctx)
     q = parse_poly(a["q"], ctx)
     value = legendre_symbol(p, q, ctx)
@@ -97,13 +106,6 @@ def _v_legendre(a, ctx):
 
 
 def _v_law(a, ctx):
-    from .reciprocity import (
-        check_multiplicativity,
-        check_pi_power_invariance,
-        check_reciprocity,
-        constant_symbol_check,
-    )
-
     law = a["law"]
     inputs = a["inputs"]
     if law == "multiplicativity":
@@ -131,8 +133,6 @@ def _v_law(a, ctx):
 
 
 def _v_square_class(a, ctx):
-    from .padics import square_class_rational
-
     rep = square_class_rational(parse_rat(a["x"]), ctx)
     if rat_str(rep) != a["representative"]:
         return [f"square_class({a['x']}) recomputes to {rat_str(rep)}"]
@@ -140,8 +140,6 @@ def _v_square_class(a, ctx):
 
 
 def _v_newton(a, ctx):
-    from .newton import newton_polygon
-
     poly = parse_poly(a["poly"], ctx)
     polygon = newton_polygon(poly)
     vertices = [[i, rat_str(v)] for i, v in polygon.vertices]
@@ -155,21 +153,22 @@ def _v_newton(a, ctx):
 
 
 def _v_even_vertices(a, ctx):
-    from .newton import newton_polygon
-
     polygon = newton_polygon(parse_poly(a["poly"], ctx))
     if not polygon.all_vertices_even():
         return [f"polygon of {a['poly']} has odd-degree vertices {polygon.odd_vertices()}"]
     return []
 
 
-def _v_slope_factorization(a, ctx):
-    from .newton import min_coefficient_valuation, newton_polygon
+def _negative_digits(digits) -> list:
+    """A negative digit target makes every residual check vacuous."""
+    return [f"digit target {digits} is negative"] if digits < 0 else []
 
+
+def _v_slope_factorization(a, ctx):
     poly = parse_poly(a["poly"], ctx)
     unit = parse_rat(a["unit"])
     product = PadicPolynomial.from_rationals([unit], ctx)
-    problems = []
+    problems = _negative_digits(a["digits"])
     for text, slope in a["factors"]:
         factor = parse_poly(text, ctx)
         product = product * factor
@@ -187,7 +186,7 @@ def _v_hensel(a, ctx):
     root = parse_rat(a["root"])
     start = parse_rat(a["start"])
     digits = a["digits"]
-    problems = []
+    problems = _negative_digits(digits)
     if not ctx.vp(poly.evaluate(root)) > digits:
         problems.append("residual valuation at the recorded root is not above the digit target")
     dstart = poly.derivative().evaluate(start)
@@ -213,8 +212,6 @@ def _v_construct_identity(a, ctx):
 
 
 def _v_symbol_condition(a, ctx):
-    from .reciprocity import legendre_symbol
-
     value = legendre_symbol(parse_poly(a["p"], ctx), parse_poly(a["q"], ctx), ctx)
     problems = []
     if value != a["lhs"]:
@@ -231,8 +228,6 @@ def _v_symbol_condition(a, ctx):
 
 
 def _v_residue_test(a, ctx):
-    from .quadform import pfister_residue_test
-
     test = pfister_residue_test(
         parse_poly(a["x"], ctx), parse_poly(a["y"], ctx), parse_poly(a["place"], ctx), ctx
     )
@@ -245,17 +240,12 @@ def _v_residue_test(a, ctx):
 
 
 def _v_gamma_valid(a, ctx):
-    from .quadform import i2_class
-
     if i2_class(parse_rat(a["gamma"]), ctx) != -1:
         return [f"gamma {a['gamma']} does not give an anisotropic binary Pfister form"]
     return []
 
 
 def _v_predicate_witness(a, ctx):
-    from .h10 import build_f, strip_t, witness_g
-    from .newton import newton_polygon
-
     c = parse_rat(a["c"])
     report = build_f(parse_rational_function(a["x"], ctx), c, ctx)
     g = witness_g(*strip_t(report.h_num, report.h_den), c)
@@ -268,8 +258,6 @@ def _v_predicate_witness(a, ctx):
 
 
 def _v_anisotropy_at_t(a, ctx):
-    from .h10 import anisotropy_at_t
-
     f = parse_rational_function(a["f"], ctx)
     res = anisotropy_at_t(f, parse_rat(a["gamma"]), ctx)
     problems = []
@@ -286,15 +274,13 @@ def _v_elliptic(a, ctx):
     y = parse_rat(a["y"])
     x = parse_rat(a["x"])
     residual = ctx.vp(x ** 3 - x - y ** 2) if x ** 3 - x - y ** 2 != 0 else None
+    problems = _negative_digits(a["digits"])
     if residual is not None and not residual > a["digits"]:
-        return [f"v(x^3 - x - y^2) = {residual} is not above {a['digits']}"]
-    return []
+        problems.append(f"v(x^3 - x - y^2) = {residual} is not above {a['digits']}")
+    return problems
 
 
 def _v_isotropy_local(a, ctx):
-    from .oracles import isotropic_by_search, within_budget
-    from .quadform import DiagonalForm, isotropic_over_local
-
     entries = [parse_rat(e) for e in a["entries"]]
     verdict = isotropic_over_local(DiagonalForm.make(entries, ctx))
     problems = []
@@ -308,8 +294,6 @@ def _v_isotropy_local(a, ctx):
 
 
 def _v_irreducible(a, ctx):
-    from .construct import certify_factor
-
     try:
         certify_factor(parse_poly(a["poly"], ctx))
     except PadicFormsError as exc:
@@ -327,12 +311,8 @@ def _v_coprime(a, ctx):
 
 def _v_law_corpus(a, ctx):
     if a["law"] == "predicate":
-        from .h10 import run_predicate_corpus
-
         summary = run_predicate_corpus(ctx, a["cases"], a["seed"])
     else:
-        from .reciprocity import run_law_corpus
-
         summary = run_law_corpus(ctx, a["law"], a["cases"], a["seed"])
     if summary["passes"] != a["passes"]:
         return [f"corpus recomputes to {summary['passes']} passes, recorded {a['passes']}"]
@@ -372,9 +352,6 @@ def _doc_construct_s(doc, ctx):
     result, so a flipped coefficient inside a single assertion cannot
     hide behind another valid polynomial.
     """
-    from .construct import certify_factor
-    from .reciprocity import legendre_symbol
-
     r = doc.get("result", {})
     problems = []
     if "s" not in r:

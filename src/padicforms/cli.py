@@ -12,15 +12,26 @@ byte-identical JSON.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
 from . import certificates as cert
+from .construct import corollary_isotropy
 from .errors import PadicFormsError, ParseError
+from .h10 import elliptic_constant_point, predicate_vt_nonneg, run_predicate_corpus
+from .newton import newton_polygon, slope_factorization
+from .oracles import hilbert_by_search, isotropic_by_search, within_budget
 from .padics import PadicContext, hilbert_symbol_qp, square_class_rational
 from .parsing import parse_poly, parse_rational_function, parse_rational_scalar
-from .polynomials import PadicPolynomial
+from .polynomials import PadicPolynomial, RationalFunction
+from .quadform import DiagonalForm, isotropic_over_local
+from .reciprocity import (
+    certify_modulus,
+    check_multiplicativity,
+    check_reciprocity,
+    legendre_symbol,
+    run_law_corpus,
+)
 
 
 # what hilbert and isotropy report when p is too large for the residue-search cross-check
@@ -43,18 +54,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _context(args) -> PadicContext:
-    precision = args.precision
-    if precision is None:
-        precision = int(os.environ.get("PADICFORMS_PRECISION", "64"))
     uniformizer = (
         Fraction(args.prime) if args.uniformizer is None else Fraction(args.uniformizer)
     )
-    return PadicContext(args.prime, precision, uniformizer)
+    return PadicContext(args.prime, args.precision, uniformizer)
 
 
 def _common(sub):
     sub.add_argument("--prime", "-p", type=int, required=True, help="residue prime p")
-    sub.add_argument("--precision", type=int, default=None, help="digit cap (default 64)")
+    sub.add_argument("--precision", type=int, default=64, help="digit cap (default 64)")
     sub.add_argument("--uniformizer", type=str, default=None, help="uniformizer (default p)")
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     sub.add_argument("--json", action="store_true", help="emit a JSON certificate")
@@ -70,8 +78,6 @@ def _emit(args, command, ctx, result, assertions, human_lines, seed=None):
 
 
 def _cmd_newton(args):
-    from .newton import newton_polygon
-
     ctx = _context(args)
     poly = parse_poly(args.poly, ctx)
     polygon = newton_polygon(poly)
@@ -97,8 +103,6 @@ def _cmd_newton(args):
 
 
 def _cmd_slopes(args):
-    from .newton import slope_factorization
-
     ctx = _context(args)
     poly = parse_poly(args.poly, ctx)
     fac = slope_factorization(poly, args.digits)
@@ -140,8 +144,6 @@ def _cmd_squareclass(args):
 
 
 def _cmd_hilbert(args):
-    from .oracles import hilbert_by_search, within_budget
-
     ctx = _context(args)
     a = parse_rational_scalar(args.a, ctx)
     b = parse_rational_scalar(args.b, ctx)
@@ -160,8 +162,6 @@ def _cmd_hilbert(args):
 
 
 def _cmd_symbol(args):
-    from .reciprocity import certify_modulus, legendre_symbol
-
     ctx = _context(args)
     p = parse_poly(args.p, ctx)
     q = parse_poly(args.q, ctx)
@@ -196,8 +196,6 @@ def _law_command(args, runner, law_name, inputs):
 
 
 def _cmd_check_mult(args):
-    from .reciprocity import check_multiplicativity
-
     def run(ctx):
         return check_multiplicativity(
             parse_poly(args.p, ctx), parse_poly(args.r, ctx), parse_poly(args.q, ctx), ctx
@@ -207,8 +205,6 @@ def _cmd_check_mult(args):
 
 
 def _cmd_check_recip(args):
-    from .reciprocity import check_reciprocity
-
     def run(ctx):
         return check_reciprocity(parse_poly(args.p, ctx), parse_poly(args.q, ctx), ctx)
 
@@ -216,9 +212,6 @@ def _cmd_check_recip(args):
 
 
 def _cmd_isotropy(args):
-    from .oracles import isotropic_by_search, within_budget
-    from .quadform import DiagonalForm, isotropic_over_local
-
     ctx = _context(args)
     entries = [parse_rational_scalar(e, ctx) for e in args.entries.split(",")]
     verdict = isotropic_over_local(DiagonalForm.make(entries, ctx))
@@ -297,8 +290,6 @@ def _construct_assertions(cor, ctx):
 
 
 def _cmd_construct_s(args):
-    from .construct import corollary_isotropy
-
     ctx = _context(args)
     g = parse_poly(args.g, ctx)
     gamma = parse_rational_scalar(args.gamma, ctx)
@@ -332,8 +323,6 @@ def _cmd_construct_s(args):
 
 
 def _cmd_predicate(args):
-    from .h10 import predicate_vt_nonneg
-
     ctx = _context(args)
     x = parse_rational_function(args.x, ctx)
     gamma = parse_rational_scalar(args.gamma, ctx) if args.gamma else None
@@ -363,8 +352,6 @@ def _cmd_predicate(args):
         human.append(f"witness c = {pcert.witness.c}; all polygon vertices even")
     else:
         h = pcert.report
-        from .polynomials import RationalFunction
-
         assertions.append(
             {
                 "kind": "anisotropy-at-t",
@@ -383,8 +370,6 @@ def _cmd_predicate(args):
 
 
 def _cmd_elliptic(args):
-    from .h10 import elliptic_constant_point
-
     ctx = _context(args)
     y = parse_rational_scalar(args.y, ctx)
     x, witness = elliptic_constant_point(y, ctx, args.digits)
@@ -414,12 +399,8 @@ def _cmd_elliptic(args):
 def _cmd_corpus(args):
     ctx = _context(args)
     if args.law == "predicate":
-        from .h10 import run_predicate_corpus
-
         summary = run_predicate_corpus(ctx, args.cases, args.seed)
     else:
-        from .reciprocity import run_law_corpus
-
         summary = run_law_corpus(ctx, args.law, args.cases, args.seed)
     ok = summary["passes"] == summary["cases"]
     assertions = [
@@ -442,9 +423,7 @@ def _cmd_corpus(args):
 
 
 def _cmd_verify(args):
-    from .certificates import verify_certificate_file
-
-    ok, problems = verify_certificate_file(args.file)
+    ok, problems = cert.verify_certificate_file(args.file)
     if ok:
         print(f"{args.file}: certificate verifies")
         return 0

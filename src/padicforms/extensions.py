@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,7 +60,6 @@ from .newton import (
 from .padics import (
     INFINITY,
     PadicContext,
-    PadicScalar,
     field_handle,
     hilbert_symbol_qp,
     is_square_rational,
@@ -209,10 +209,6 @@ class LocalField:
             if x.field != self:
                 raise TypeError("element of a different field")
             return x
-        if isinstance(x, PadicScalar):
-            if x.context != self.base_context:
-                raise TypeError("scalar of a different context")
-            x = x.value
         if isinstance(x, (int, Fraction)):
             return self.embed(Fraction(x))
         if isinstance(x, tuple):
@@ -851,8 +847,6 @@ class _DyadicClasses:
         x and y modulo 64 O_K when w(x^2 - b y^2) <= 2e + 1, and every class
         of H_b is such a norm, so each has a positive share of the pairs.
         """
-        import random
-
         k, n = self._PRECISION, self.field.degree
         b = self._lattice(b, k)
         rng = random.Random(0)

@@ -21,15 +21,24 @@ here.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConditionFailed, EvenValuation, PadicFormsError, PreconditionFailed
+from .construct import corollary_isotropy
+from .errors import (
+    ConditionFailed,
+    EvenValuation,
+    FactorizationUncertified,
+    PadicFormsError,
+    PreconditionFailed,
+)
 from .extensions import hensel_lift
 from .newton import NewtonPolygon, newton_polygon
 from .padics import INFINITY, PadicContext
 from .polynomials import PadicPolynomial, RationalFunction
 from .quadform import DiagonalForm, i2_class, isotropic_over_local
+from .reciprocity import random_poly
 
 
 def find_gamma(ctx: PadicContext) -> Fraction:
@@ -89,7 +98,7 @@ class WitnessC:
     g: PadicPolynomial
 
 
-def choose_c(h_num: PadicPolynomial, h_den: PadicPolynomial, ctx: PadicContext, max_j: int = 0) -> WitnessC:
+def choose_c(h_num: PadicPolynomial, h_den: PadicPolynomial, ctx: PadicContext) -> WitnessC:
     """Pick c = pi^(-j) making all vertices of g = h_N h_D + c t^2 h_D^2 even.
 
     Requires v_t(h) = 0 and v_infinity(h) >= -2.  Low enough v(c) places
@@ -103,11 +112,10 @@ def choose_c(h_num: PadicPolynomial, h_den: PadicPolynomial, ctx: PadicContext, 
     h_num, h_den = strip_t(h_num, h_den)
     if h_den.degree - h_num.degree < -2:
         raise PreconditionFailed("v_infinity(h) must be >= -2")
-    if not max_j:
-        spread = max(
-            abs(ctx.vp(c)) for c in (h_num * h_den).coeffs + (h_den * h_den).coeffs if c != 0
-        )
-        max_j = 2 * int(spread) + 2 * (h_den.degree + 2) + ctx.v4 + 8
+    spread = max(
+        abs(ctx.vp(c)) for c in (h_num * h_den).coeffs + (h_den * h_den).coeffs if c != 0
+    )
+    max_j = 2 * int(spread) + 2 * (h_den.degree + 2) + ctx.v4 + 8
     for j in range(1, max_j + 1):
         c = ctx.uniformizer ** (-j)
         g = witness_g(h_num, h_den, c)
@@ -234,9 +242,6 @@ def predicate_vt_nonneg(
             " forms isotropic"
         )
         if attempt_full_construction:
-            from .construct import corollary_isotropy
-            from .errors import FactorizationUncertified
-
             try:
                 full = (
                     corollary_isotropy(gamma, witness.g, ctx, seed=seed),
@@ -273,11 +278,8 @@ def run_predicate_corpus(ctx: PadicContext, cases: int, seed: int) -> dict:
     all-even polygon, every false instance a c-independent residue
     certificate; any disagreement or missing certificate is a failure.
     """
-    import random
-
-    from .newton import newton_polygon
-    from .reciprocity import random_poly
-
+    if cases < 0:
+        raise PreconditionFailed(f"the number of cases must be >= 0, got {cases}")
     rng = random.Random(seed)
     gamma = find_gamma(ctx)
     passes, failures = 0, []

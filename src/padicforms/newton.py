@@ -1,4 +1,4 @@
-"""Newton polygons, slope factorization and reduction-based irreducibility.
+"""Newton polygons, slope factorization and reduction to the residue field.
 
 The Newton polygon of f = a_0 + ... + a_d t^d (a_0 a_d != 0) is the lower
 convex hull of the points (i, v(a_i)).  Each edge of slope m and
@@ -15,10 +15,10 @@ For a monic one-edge polynomial of slope m with denominator d, the
 coefficients sitting on the edge reduce to a polynomial over the residue
 field in the variable ubar (the image of pi^(m d) t^d).  Irreducibility
 of the reduction with matching degree certifies irreducibility of the
-polynomial itself, as does d = deg (the Eisenstein-type case).  These are
-the only two irreducibility criteria implemented; everything in this
-package that needs an irreducible polynomial is built to go through them
-or through rational linear factors.
+polynomial itself, as does d = deg (the Eisenstein-type case).  The
+construction of :class:`padicforms.extensions.LocalField` is the one place
+that applies these two criteria; everything in this package that needs an
+irreducible polynomial goes through it or through rational linear factors.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def _exact_shift(a, pk: int) -> list:
     return out
 
 
-def _two_block_lift(f: PadicPolynomial, r: int, n: int, max_iter: int = 200):
+def _two_block_lift(f: PadicPolynomial, r: int, n: int):
     """Split monic f = g * h at the polygon vertex of abscissa r, its last.
 
     g carries every edge left of the vertex (deg r), h the last edge; both
@@ -270,7 +270,7 @@ def _two_block_lift(f: PadicPolynomial, r: int, n: int, max_iter: int = 200):
     t = FiniteFieldPoly([rational_mod_pk(a * Fraction(p) ** sigma, p, top) for a in t.coeffs], full)
 
     best, stall = -1, 0
-    for _ in range(max_iter):
+    for _ in range(200):
         e = big_f - FiniteFieldPoly(g.coeffs, full) * FiniteFieldPoly(h.coeffs, full)
         reached = min((vp_int(a, p) for a in e.coeffs if a), default=top)
         if reached >= target:
@@ -301,6 +301,8 @@ def slope_factorization(f: PadicPolynomial, digits: int) -> SlopeFactorization:
     slope, each with a one-edge polygon; the product agrees with f to
     coefficient valuations above ``digits``.
     """
+    if digits < 0:
+        raise PreconditionFailed(f"digit target {digits} is negative")
     polygon = newton_polygon(f)
     unit = f.leading_coefficient()
     fm = f.monic()
@@ -552,23 +554,6 @@ def graded_reduction(f: PadicPolynomial, slope) -> FiniteFieldPoly:
     return FiniteFieldPoly(digits, ctx.p)
 
 
-def reduction_irreducibility(c: PadicPolynomial) -> bool:
-    """Certify irreducibility of a one-edge polynomial over Q_p.
-
-    True when the slope denominator equals the degree (Eisenstein-type),
-    or when the reduction to F_p[ubar] is irreducible with
-    d * deg(reduction) = deg(c).  False means "not certified by these
-    criteria", which includes genuinely reducible inputs.
-    """
-    cm = c.monic()
-    edge = newton_polygon(cm).single_edge()
-    d = slope_denominator(edge.slope)
-    if cm.degree == d:
-        return True
-    cbar = reduce_one_edge(cm)
-    return d * cbar.degree == cm.degree and finite_field_irreducible(cbar)
-
-
 # ---------------------------------------------------------------------------
 # one-edge square-class evaluation
 # ---------------------------------------------------------------------------
@@ -634,20 +619,14 @@ class WindowSearchResult:
 
 
 def random_irreducible_search(
-    hbar: FiniteFieldPoly,
-    rho: int,
-    n_prime: int,
-    cap_g: int,
-    rng,
-    e_prime_start: int | None = None,
-    max_escalations: int = 24,
-    samples_per_shape: int = 400,
+    hbar: FiniteFieldPoly, rho: int, n_prime: int, cap_g: int, rng
 ) -> WindowSearchResult:
     """Find an irreducible cbar = abar + qbar1 * bbar inside the window.
 
     Here abar = hbar + rho u^(N'+G) and bbar = hbar u^(N'+G); qbar1 runs
     over u^(e'-N'-G) plus a free part of degree <= e'-2N'-G, with e' even
-    escalating from the smallest value making deg cbar >= N' + deg bbar.
+    escalating from the smallest value making deg cbar >= N' + deg bbar,
+    24 times at most, with up to 400 samples for each e'.
     Rejection sampling is seeded and deterministic; prime-polynomial
     density makes termination overwhelmingly likely, and every returned
     polynomial is re-certified by the Frobenius irreducibility test.
@@ -662,18 +641,15 @@ def random_irreducible_search(
     e0 = 2 * n_prime + cap_g
     if e0 % 2:
         e0 += 1
-    if e_prime_start is not None:
-        e0 = max(e0, e_prime_start + (e_prime_start % 2))
     samples = 0
-    for step in range(max_escalations):
+    for step in range(24):
         e_prime = e0 + 2 * step
         free_deg = e_prime - 2 * n_prime - cap_g
         space = p ** (free_deg + 1)
-        budget = min(samples_per_shape, 4 * space)
         seen = set()
-        for _ in range(budget):
+        for _ in range(min(400, 4 * space)):
             free = tuple(rng.randrange(p) for _ in range(free_deg + 1))
-            if free in seen and space <= samples_per_shape:
+            if free in seen and space <= 400:
                 continue
             seen.add(free)
             qbar1 = FiniteFieldPoly(

@@ -21,8 +21,6 @@ from .errors import PreconditionFailed
 
 INFINITY = math.inf
 
-_RAT = (int, Fraction)
-
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test, adequate for word-sized primes."""
@@ -161,9 +159,6 @@ class PadicContext:
             n += 1
         return n
 
-    def scalar(self, x) -> "PadicScalar":
-        return PadicScalar(Fraction(x), self)
-
 
 class BaseField:
     """Q_p as a field handle; its elements are Fractions.
@@ -186,10 +181,6 @@ class BaseField:
             return x
         if isinstance(x, int):
             return Fraction(x)
-        if isinstance(x, PadicScalar):
-            if x.context != self.context:
-                raise TypeError("scalar of a different context")
-            return x.value
         raise TypeError(f"cannot coerce {type(x).__name__} into Q_{self.context.p}")
 
     def inv(self, c):
@@ -221,104 +212,6 @@ class BaseField:
 def field_handle(field):
     """The field handle for ``field``: BaseField for a PadicContext, else itself."""
     return BaseField(field) if isinstance(field, PadicContext) else field
-
-
-def valuation(x):
-    """Normalized valuation of a scalar (v(pi) = 1); +infinity at 0.
-
-    Accepts a :class:`PadicScalar` or a field element from an extension
-    (anything exposing a ``valuation`` attribute or property).
-    """
-    if isinstance(x, PadicScalar):
-        return x.valuation
-    v = getattr(x, "valuation", None)
-    if v is None:
-        raise TypeError(f"no valuation defined for {type(x).__name__}")
-    return v
-
-
-class PadicScalar:
-    """An exact rational viewed as an element of Q_p.
-
-    Thin immutable wrapper pairing a Fraction with its context; arithmetic
-    is exact and returns new scalars.
-    """
-
-    __slots__ = ("value", "context")
-
-    def __init__(self, value, context: PadicContext):
-        object.__setattr__(self, "value", Fraction(value))
-        object.__setattr__(self, "context", context)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("PadicScalar is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, PadicScalar):
-            if other.context != self.context:
-                raise ValueError("mixed contexts")
-            return other.value
-        if isinstance(other, _RAT):
-            return Fraction(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else PadicScalar(self.value + v, self.context)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else PadicScalar(self.value - v, self.context)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else PadicScalar(v - self.value, self.context)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else PadicScalar(self.value * v, self.context)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else PadicScalar(self.value / v, self.context)
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else PadicScalar(v / self.value, self.context)
-
-    def __pow__(self, n: int):
-        return PadicScalar(self.value ** n, self.context)
-
-    def __neg__(self):
-        return PadicScalar(-self.value, self.context)
-
-    def __eq__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else self.value == v
-
-    def __hash__(self):
-        return hash((self.value, self.context.p))
-
-    def __repr__(self):
-        return f"PadicScalar({self.value} in Q_{self.context.p})"
-
-    @property
-    def field(self) -> BaseField:
-        return BaseField(self.context)
-
-    @property
-    def valuation(self):
-        return self.context.vp(self.value)
-
-    def is_square(self) -> bool:
-        return is_square_rational(self.value, self.context)
-
-    def square_class(self) -> Fraction:
-        return square_class_rational(self.value, self.context)
 
 
 def is_square_rational(x, ctx: PadicContext) -> bool:

@@ -15,15 +15,21 @@ The symbol is exposed for q = t as well (evaluation at alpha = 0).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotCoprime, NotIrreducible, PadicFormsError, PreconditionFailed
 from .extensions import is_square
-from .newton import reduction_irreducibility
 from .padics import PadicContext
 from .polynomials import PadicPolynomial
-from .quadform import i2_class, reduce_at_place, residue_field
+from .quadform import (
+    DiagonalForm,
+    i2_class,
+    isotropic_over_local,
+    reduce_at_place,
+    residue_field,
+)
 
 
 def _t_poly(ctx: PadicContext) -> PadicPolynomial:
@@ -41,30 +47,6 @@ def certify_modulus(q: PadicPolynomial, ctx: PadicContext):
         raise NotIrreducible("modulus must be monic of degree >= 1")
     field = residue_field(q, ctx)
     return field, "linear" if q.degree == 1 else field.irreducibility_evidence
-
-
-@dataclass(frozen=True)
-class SymbolQuery:
-    """A validated symbol instance <p/q> over a fixed context.
-
-    Construction certifies the modulus and checks coprimality, so a query
-    object always evaluates; the certification evidence is kept for
-    certificates.
-    """
-
-    p: PadicPolynomial
-    q: PadicPolynomial
-    context: PadicContext
-    evidence: str = ""
-
-    def __post_init__(self):
-        _, evidence = certify_modulus(self.q, self.context)
-        object.__setattr__(self, "evidence", evidence)
-        if self.p.is_zero() or (self.p % self.q).is_zero():
-            raise NotCoprime("p and q share a factor")
-
-    def value(self) -> int:
-        return legendre_symbol(self.p, self.q, self.context)
 
 
 def legendre_symbol(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext) -> int:
@@ -141,14 +123,12 @@ def constant_symbol_check(c, q: PadicPolynomial, ctx: PadicContext) -> LawCheck:
     )
 
 
-def check_pi_power_invariance(
-    p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext, powers=(1, 2, 3)
-) -> LawCheck:
-    """<pi^n p / q> = <p/q> for all n."""
+def check_pi_power_invariance(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext) -> LawCheck:
+    """<pi^n p / q> = <p/q> for n = 1, 2, 3."""
     base = legendre_symbol(p, q, ctx)
     values = {"base": base}
     holds = True
-    for n in powers:
+    for n in (1, 2, 3):
         s = legendre_symbol(p * ctx.uniformizer ** n, q, ctx)
         values[f"pi^{n}"] = s
         holds = holds and s == base
@@ -185,8 +165,6 @@ def symbol_via_isotropy(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContex
     <p/q> = +1 iff <1, pi, -p(alpha), -pi p(alpha)> is isotropic over
     K(alpha); used as a representation cross-check against i2_class.
     """
-    from .quadform import DiagonalForm, isotropic_over_local
-
     field, _ = certify_modulus(q, ctx)
     u = reduce_at_place(p, q, field)
     pi = field.coerce(ctx.uniformizer)
@@ -222,17 +200,16 @@ def random_poly(rng, ctx: PadicContext, max_deg: int, scale_padic: bool = True) 
     return PadicPolynomial.from_rationals(coeffs, ctx)
 
 
-def random_certified_irreducible(
-    rng, ctx: PadicContext, max_deg: int = 4, max_tries: int = 400
-) -> PadicPolynomial:
-    """Random monic irreducible modulus, certified by the polygon criteria.
+def random_certified_irreducible(rng, ctx: PadicContext, max_deg: int = 4) -> PadicPolynomial:
+    """Random monic irreducible modulus, certified by ``certify_modulus``.
 
     Mixes linear polynomials, Eisenstein-type polynomials, unramified
     reductions and lifted irreducible reductions with denominator 2;
-    uncertifiable samples are discarded.
+    samples that the polygon criteria do not certify are discarded, and
+    up to 400 are drawn.
     """
     p = ctx.p
-    for _ in range(max_tries):
+    for _ in range(400):
         deg = rng.randint(1, max_deg)
         kind = rng.random()
         if deg == 1:
@@ -248,13 +225,11 @@ def random_certified_irreducible(
             if coeffs[0] == 0:
                 coeffs[0] = Fraction(rng.randint(1, p - 1))
             cand = PadicPolynomial.from_rationals(coeffs, ctx)
-        if cand.degree == 1:
-            return cand
         try:
-            if reduction_irreducibility(cand):
-                return cand
+            certify_modulus(cand, ctx)
         except PadicFormsError:
             continue
+        return cand
     raise PreconditionFailed("could not sample a certified irreducible modulus")
 
 
@@ -268,8 +243,8 @@ def random_coprime_poly(rng, ctx, q: PadicPolynomial, max_deg: int = 3) -> Padic
 
 def run_law_corpus(ctx: PadicContext, law: str, cases: int, seed: int):
     """Run a seeded corpus of one symbol law; returns a summary dict."""
-    import random
-
+    if cases < 0:
+        raise PreconditionFailed(f"the number of cases must be >= 0, got {cases}")
     rng = random.Random(seed)
     passes, failures = 0, []
     for k in range(cases):
@@ -312,7 +287,7 @@ def run_law_corpus(ctx: PadicContext, law: str, cases: int, seed: int):
         "law": law,
         "prime": ctx.p,
         "seed": seed,
-        "cases": passes + len(failures),
+        "cases": cases,
         "passes": passes,
         "failures": failures,
     }

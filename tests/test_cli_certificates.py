@@ -84,6 +84,30 @@ def test_corpus_command(capsys):
     assert verify_certificate(doc)[0]
 
 
+def test_corpus_negative_cases_exit_2(capsys):
+    # exit 1 means "false verdict"; a negative count is a usage error
+    for law in ("predicate", "check-recip"):
+        code, out, err = run_cli(capsys, "corpus", "--prime", "3", "--cases", "-1", law)
+        assert code == 2 and out == ""
+        assert err == "error: the number of cases must be >= 0, got -1\n"
+        code, doc = run_json(capsys, "corpus", "--prime", "3", "--cases", "0", law)
+        assert code == 0 and doc["result"]["cases"] == doc["result"]["passes"] == 0
+
+
+def test_negative_digit_targets_rejected(capsys):
+    code, out, err = run_cli(capsys, "slopes", "--prime", "3", "--digits", "-3", "t^2 - 12*t + 27")
+    assert code == 2 and out == ""
+    assert err == "error: digit target -3 is negative\n"
+    for argv in (("slopes", "--prime", "3", "t^2 - 12*t + 27"),
+                 ("elliptic-point", "--prime", "3", "3")):
+        _, doc = run_json(capsys, *argv)
+        for a in doc["assertions"]:
+            a["digits"] = -3
+        ok, problems = verify_certificate(doc)
+        flagged = [m for m in problems if m.endswith("digit target -3 is negative")]
+        assert not ok and len(flagged) == len(doc["assertions"])
+
+
 def test_slopes_squareclass_elliptic(capsys):
     code, doc = run_json(capsys, "slopes", "--prime", "3", "t^2 - 12*t + 27")
     assert code == 0 and len(doc["result"]["factors"]) == 2

@@ -18,7 +18,6 @@ from padicforms import (
     PadicPolynomial,
     PreconditionFailed,
     cli,
-    h10,
     hensel_lift,
     newton_polygon,
     slope_factorization,
@@ -114,7 +113,7 @@ def test_hensel_root_with_non_integral_alpha_coordinates(monkeypatch, capsys):
     with pytest.raises(PreconditionFailed, match=message):
         hensel_lift(f, a, 10)
     # no subcommand lifts over an extension, so this lift stands in for elliptic-point's
-    monkeypatch.setattr(h10, "elliptic_constant_point", lambda *args: hensel_lift(f, a, 10))
+    monkeypatch.setattr(cli, "elliptic_constant_point", lambda *args: hensel_lift(f, a, 10))
     assert cli.main(["elliptic-point", "--prime", "3", "3"]) == 2
     assert message in capsys.readouterr().err
 

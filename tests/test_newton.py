@@ -8,14 +8,14 @@ import pytest
 from padicforms import (
     BadDecomposition,
     FiniteFieldPoly,
-    NotOneEdge,
+    LocalField,
+    NotIrreducible,
     SlopeCollision,
     ZeroEndpoint,
     finite_field_irreducible,
     is_square_rational,
     newton_polygon,
     random_irreducible_search,
-    reduction_irreducibility,
     slope_factorization,
     square_class_at_root_one_edge,
     square_class_rational,
@@ -104,13 +104,15 @@ def test_root_valuations_match_slopes(c3):
 
 
 def test_reduction_irreducibility(c3):
-    assert reduction_irreducibility(poly([-3, 0, 1], c3))  # Eisenstein-type
-    assert not reduction_irreducibility(poly([-1, 0, 1], c3))  # splits
+    """LocalField certifies its modulus by the two polygon criteria, or refuses it."""
+    assert "eisenstein" in LocalField(poly([-3, 0, 1], c3)).irreducibility_evidence
+    with pytest.raises(NotIrreducible):
+        LocalField(poly([-1, 0, 1], c3))  # splits
     for a_exp in (1, 2, 5):
         f = poly([-3, 3 ** a_exp, 0], c3) + poly([0, 0, 1], c3)
-        assert reduction_irreducibility(f)
-    with pytest.raises(NotOneEdge):
-        reduction_irreducibility(poly([27, -12, 1], c3))
+        assert LocalField(f).ramification_index == 2
+    with pytest.raises(NotIrreducible):
+        LocalField(poly([27, -12, 1], c3))  # two slopes
 
 
 def test_reduce_one_edge(c3):

@@ -9,8 +9,8 @@ import pytest
 from padicforms import (
     LocalField,
     PadicContext,
-    PadicScalar,
     PreconditionFailed,
+    hilbert_symbol,
     hilbert_symbol_qp,
     is_square,
     is_square_rational,
@@ -62,8 +62,6 @@ def test_valuation_examples(c3):
     assert c3.vp(Fraction(9, 2)) == 2
     assert c3.vp(0) == math.inf
     assert c3.vp(Fraction(2, 27)) == -3
-    s = PadicScalar(Fraction(9, 2), c3)
-    assert s.valuation == 2
 
 
 def test_valuation_laws(contexts):
@@ -161,22 +159,6 @@ def test_hilbert_tables_against_oracle(contexts):
                 )
 
 
-def test_scalar_arithmetic(c3):
-    a = PadicScalar(Fraction(9, 2), c3)
-    b = PadicScalar(Fraction(3), c3)
-    assert (a + b).value == Fraction(15, 2)
-    assert (a * b).valuation == 3
-    assert (a / b).valuation == 1
-    assert (-a).value == Fraction(-9, 2)
-    assert (a - Fraction(1, 2)).value == 4
-    assert (2 * a).value == 9
-    assert a == Fraction(9, 2) and a != b
-    assert PadicScalar(Fraction(12), c3).square_class() == 3
-    assert PadicScalar(Fraction(10), c3).is_square()
-    with pytest.raises(ValueError):
-        a + PadicScalar(Fraction(1), PadicContext(5))
-
-
 def test_hilbert_depends_only_on_square_class(contexts):
     rng = random.Random(6)
     for ctx in contexts:
@@ -187,11 +169,17 @@ def test_hilbert_depends_only_on_square_class(contexts):
             assert hilbert_symbol_qp(a, b, ctx) == hilbert_symbol_qp(a * s, b, ctx)
 
 
-def test_scalar_from_another_context_is_rejected(c3):
-    seven = PadicScalar(7, PadicContext(5))
+def test_element_of_another_field_is_rejected(c3):
+    """An element is decided only in its own field, even when both fields are over Q_3."""
+    gaussian = LocalField(poly([1, 0, 1], c3))
+    ramified = LocalField(poly([-3, 0, 1], c3))
+    i, root3 = gaussian.gen(), ramified.gen()
     with pytest.raises(TypeError):
-        is_square(seven, c3)  # 7 is a square in Q_3 but not in Q_5
+        is_square(i, ramified)
     with pytest.raises(TypeError):
-        is_square(seven, LocalField(poly([1, 0, 1], c3)))
-    assert not is_square(seven)
-    assert is_square(PadicScalar(7, c3), c3)
+        hilbert_symbol(root3, i, ramified)
+    with pytest.raises(TypeError):
+        hilbert_symbol(i, 2, ramified)
+    # in their own fields the same elements are decided
+    assert is_square(i * i, gaussian) and is_square(root3 * root3, ramified)
+    assert hilbert_symbol(root3, root3, ramified) == hilbert_symbol(root3, -1, ramified)

@@ -10,7 +10,6 @@ from padicforms import (
     FunctionFieldForm,
     LocalField,
     PadicContext,
-    PadicScalar,
     PfisterSlot,
     hilbert_symbol,
     i2_class,
@@ -25,6 +24,7 @@ from padicforms import (
     witt_zero,
 )
 from padicforms.oracles import isotropic_by_search
+from padicforms.padics import field_handle
 from padicforms.quadform import order_at, pfister_residue_test
 
 from conftest import poly
@@ -227,7 +227,7 @@ def test_isotropy_over_extension(c3):
     ids=["Q_3", "Q_2", "Q_3(sqrt 3)"],
 )
 def test_scalar_input_kinds_agree(prime, minimal_poly, values):
-    """A PadicScalar, an int and a Fraction of equal value give equal answers."""
+    """The field's own element, an int and a Fraction of equal value give equal answers."""
     ctx = PadicContext(prime)
     field = ctx if minimal_poly is None else LocalField(poly(minimal_poly, ctx))
 
@@ -242,7 +242,7 @@ def test_scalar_input_kinds_agree(prime, minimal_poly, values):
             isotropic_over_local(form),
         )
 
-    kinds = [lambda v: PadicScalar(v, ctx), int, Fraction]
+    kinds = [field_handle(field).coerce, int, Fraction]
     for x in values:
         for y in values:
             got = [answers(kind, x, y) for kind in kinds]

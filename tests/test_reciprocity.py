@@ -168,15 +168,16 @@ def test_random_irreducibles_are_certified(contexts):
         assert max(degs) >= 3
 
 
-def test_symbol_query_type(c3):
-    from padicforms import SymbolQuery
-
-    q = SymbolQuery(poly([-1, 1], c3), poly([-3, 1], c3), c3)
-    assert q.value() == -1 and q.evidence == "linear"
-    ext = SymbolQuery(poly([0, 1], c3), poly([-3, 0, 1], c3), c3)
-    assert ext.value() == -1 and "degree" in ext.evidence
+def test_symbol_value_and_evidence(c3):
+    """The value comes from legendre_symbol, the modulus evidence from certify_modulus."""
+    linear = poly([-3, 1], c3)
+    assert legendre_symbol(poly([-1, 1], c3), linear, c3) == -1
+    assert certify_modulus(linear, c3)[1] == "linear"
+    ramified = poly([-3, 0, 1], c3)
+    assert legendre_symbol(poly([0, 1], c3), ramified, c3) == -1
+    assert "degree" in certify_modulus(ramified, c3)[1]
     with pytest.raises(NotCoprime):
-        SymbolQuery(poly([-3, 1], c3), poly([-3, 1], c3), c3)
+        legendre_symbol(linear, linear, c3)
 
 
 def test_quartic_modulus_pinned_by_law(c2, c3):
