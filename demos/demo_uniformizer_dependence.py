@@ -23,8 +23,8 @@ for p, unit in ((3, 2), (5, 2), (2, 3)):
     for _ in range(60):
         q = random_certified_irreducible(rng, ctx_std, max_deg=3)
         f = random_coprime_poly(rng, ctx_std, q)
-        q_alt = type(q)(q.coeffs, type(q.field)(ctx_alt))
-        f_alt = type(f)(f.coeffs, type(f.field)(ctx_alt))
+        q_alt = type(q)(q.coeffs, ctx_alt)
+        f_alt = type(f)(f.coeffs, ctx_alt)
         s_std = legendre_symbol(f, q, ctx_std)
         s_alt = legendre_symbol(f_alt, q_alt, ctx_alt)
         if s_std == s_alt:

@@ -32,7 +32,6 @@ from .errors import (
     ZeroEndpoint,
 )
 from .padics import (
-    BaseField,
     PadicContext,
     hilbert_symbol_qp,
     is_square_rational,

@@ -428,6 +428,8 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
         return False, ["the document is not a JSON object"]
     if doc.get("schema") != SCHEMA:
         return False, [f"unknown schema {doc.get('schema')!r}"]
+    if not isinstance(doc.get("command", ""), str):
+        return False, [f"command {doc['command']!r} is not a string"]
     try:
         ctx = context_from_block(doc["context"])
     except Exception as exc:
@@ -437,7 +439,7 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
         return False, ["assertions must be a list of JSON objects"]
     for k, a in enumerate(assertions):
         kind = a.get("kind")
-        fn = _VERIFIERS.get(kind)
+        fn = _VERIFIERS.get(kind) if isinstance(kind, str) else None
         if fn is None:
             problems.append(f"assertion {k}: unknown kind {kind!r}")
             continue
@@ -445,7 +447,7 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
             problems.extend(f"assertion {k} ({kind}): {msg}" for msg in fn(a, ctx))
         except PadicFormsError as exc:
             problems.append(f"assertion {k} ({kind}): recomputation failed: {exc}")
-        except (KeyError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             problems.append(f"assertion {k} ({kind}): malformed payload: {exc!r}")
     doc_fn = _DOC_VERIFIERS.get(doc.get("command"))
     if doc_fn is not None:
@@ -453,7 +455,7 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
             problems.extend(f"document: {msg}" for msg in doc_fn(doc, ctx))
         except PadicFormsError as exc:
             problems.append(f"document: consistency recomputation failed: {exc}")
-        except (KeyError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             problems.append(f"document: malformed result block: {exc!r}")
     return (not problems), problems
 

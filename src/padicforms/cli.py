@@ -26,6 +26,7 @@ from .parsing import parse_poly, parse_rational_function, parse_rational_scalar
 from .polynomials import PadicPolynomial, RationalFunction
 from .quadform import DiagonalForm, isotropic_over_local
 from .reciprocity import (
+    LAWS,
     certify_modulus,
     check_multiplicativity,
     check_reciprocity,
@@ -476,8 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--digits", type=int, default=None)
 
     s = _command(sub, "corpus", _cmd_corpus, "run a seeded property corpus")
-    s.add_argument("law", choices=["check-mult", "check-recip", "constant",
-                                   "pi-invariance", "square-criterion", "predicate"])
+    s.add_argument("law", choices=[*LAWS, "predicate"])
     s.add_argument("--cases", type=int, default=100)
 
     s = sub.add_parser("verify", help="re-verify a JSON certificate file")

@@ -47,7 +47,7 @@ from .newton import (
     slope_denominator,
 )
 from .padics import PadicContext, is_square_rational
-from .polynomials import BaseField, PadicPolynomial
+from .polynomials import PadicPolynomial
 from .quadform import PfisterSlot, milnor_isotropy, reduce_at_place, residue_field
 from .reciprocity import legendre_symbol
 
@@ -88,7 +88,7 @@ class SlopeRing:
             raise PreconditionFailed("element is not in R")
         return graded_reduction(f, self.slope)
 
-    def lift(self, fbar: FiniteFieldPoly, base: BaseField) -> PadicPolynomial:
+    def lift(self, fbar: FiniteFieldPoly, base: PadicContext) -> PadicPolynomial:
         """Monomial-wise lift: digit at ubar^j becomes digit pi^(m d j) t^(d j)."""
         d = self.d
         pi = self.context.uniformizer
@@ -98,7 +98,7 @@ class SlopeRing:
                 coeffs[d * j] = Fraction(digit) * pi ** int(self.slope * d * j)
         return PadicPolynomial(coeffs, base)
 
-    def u_pow(self, j: int, base: BaseField) -> PadicPolynomial:
+    def u_pow(self, j: int, base: PadicContext) -> PadicPolynomial:
         pi = self.context.uniformizer
         return PadicPolynomial.monomial(
             pi ** int(self.slope * self.d * j), self.d * j, base

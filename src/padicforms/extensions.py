@@ -60,7 +60,6 @@ from .newton import (
 from .padics import (
     INFINITY,
     PadicContext,
-    field_handle,
     hilbert_symbol_qp,
     is_square_rational,
     legendre_int,
@@ -513,22 +512,22 @@ def as_base_rational(x):
 def _field_for(field, *xs):
     """The field handle to work in: the one given, else the largest of the xs' own.
 
-    A PadicContext stands for Q_p.  Bare rationals carry no field, so with
+    A PadicContext is Q_p's handle.  Bare rationals carry no field, so with
     no other argument they need one given.
     """
-    if field is None:
-        owned = [x.field for x in xs if hasattr(x, "field")]
-        if not owned:
-            raise PreconditionFailed("a context or field is required for bare rationals")
-        field = max(owned, key=lambda f: f.is_extension)
-    return field_handle(field)
+    if field is not None:
+        return field
+    owned = [x.field for x in xs if hasattr(x, "field")]
+    if not owned:
+        raise PreconditionFailed("a context or field is required for bare rationals")
+    return max(owned, key=lambda f: f.is_extension)
 
 
 def is_square(x, context=None) -> bool:
     """Exact squareness test in Q_p or a certified extension.
 
-    ``context`` is a PadicContext or a field handle; it may be omitted when
-    x carries its own field.
+    ``context`` is a field handle (a PadicContext is Q_p's); it may be
+    omitted when x carries its own field.
     """
     field = _field_for(context, x)
     x = field.coerce(x)
@@ -639,8 +638,8 @@ def hilbert_symbol(a, b, field=None) -> int:
     tame symbol (a, b) = chi((-1)^(w(a) w(b)) a^w(b) b^(-w(a)) mod pi_K),
     chi the quadratic character of F_q, q = p^f.  With two irrational
     arguments and p = 2: the field's bilinear Hilbert form on square-class
-    coordinates.  ``field`` is a PadicContext or a field handle; it may be
-    omitted when an argument carries its field.
+    coordinates.  ``field`` is a field handle (a PadicContext is Q_p's);
+    it may be omitted when an argument carries its field.
     """
     field = _field_for(field, a, b)
     a, b = field.coerce(a), field.coerce(b)

@@ -337,7 +337,7 @@ def _output_precision(f: PadicPolynomial, polygon: NewtonPolygon, digits: int) -
     height is at most the largest edge height of f, in place.
     """
     heights = [e.v0 - e.v1 for e in polygon.edges]
-    return max(digits + 1 + max(0, -min_coefficient_valuation(f)), int(max(heights)) + 1)
+    return max(digits + 1 + max(0, -min_coefficient_valuation(f)), int(max(heights, default=0)) + 1)
 
 
 def _split_all(fm: PadicPolynomial, n: int):

@@ -116,11 +116,21 @@ class PadicContext:
     Symbols depend on this choice, so certificates always record it.
     ``precision_digits`` caps truncated output expansions only; all
     intermediate arithmetic is exact.
+
+    The context is also Q_p's field handle, whose elements are Fractions:
+    it implements the protocol of :class:`padicforms.extensions.LocalField`,
+    so code written against a field handle runs unchanged over Q_p and
+    over its extensions.
     """
 
     p: int
     precision_digits: int = 64
     uniformizer: Fraction = field(default=None)  # type: ignore[assignment]
+
+    is_extension = False
+    ramification_index = 1
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -159,29 +169,19 @@ class PadicContext:
             n += 1
         return n
 
+    # the field-handle protocol
+    valuation = vp
 
-class BaseField:
-    """Q_p as a field handle; its elements are Fractions.
-
-    Implements the same protocol as
-    :class:`padicforms.extensions.LocalField`, so code written against a
-    field handle runs unchanged over Q_p and over its extensions.
-    """
-
-    is_extension = False
-    ramification_index = 1
-
-    def __init__(self, context: PadicContext):
-        self.context = context
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    @property
+    def context(self) -> PadicContext:
+        return self
 
     def coerce(self, x):
         if isinstance(x, Fraction):
             return x
         if isinstance(x, int):
             return Fraction(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} into Q_{self.context.p}")
+        raise TypeError(f"cannot coerce {type(x).__name__} into Q_{self.p}")
 
     def inv(self, c):
         return 1 / c
@@ -189,29 +189,12 @@ class BaseField:
     def is_zero(self, c):
         return c == 0
 
-    def valuation(self, c):
-        return self.context.vp(c)
-
     def norm(self, c):
         return c
 
     def truncate(self, c, k: int) -> int:
         """The representative of c modulo p^k in [0, p^k); ``coerce`` maps it back."""
-        return rational_mod_pk(c, self.context.p, k)
-
-    def __eq__(self, other):
-        return isinstance(other, BaseField) and other.context == self.context
-
-    def __hash__(self):
-        return hash(("QP", self.context))
-
-    def __repr__(self):
-        return f"Q_{self.context.p}"
-
-
-def field_handle(field):
-    """The field handle for ``field``: BaseField for a PadicContext, else itself."""
-    return BaseField(field) if isinstance(field, PadicContext) else field
+        return rational_mod_pk(c, self.p, k)
 
 
 def is_square_rational(x, ctx: PadicContext) -> bool:

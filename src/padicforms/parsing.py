@@ -147,9 +147,7 @@ def parse_rational_function(text: str, context: PadicContext) -> RationalFunctio
         den = parse_poly(right.rstrip().removesuffix(")"), context)
         return RationalFunction(num, den)
     try:
-        return RationalFunction(
-            parse_poly(text, context), PadicPolynomial.one(parse_poly("1", context).field)
-        )
+        return RationalFunction(parse_poly(text, context), PadicPolynomial.one(context))
     except ParseError:
         pass
     for k, ch in enumerate(text):

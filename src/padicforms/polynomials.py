@@ -1,8 +1,8 @@
 """Exact polynomial and rational-function arithmetic in one variable t.
 
 Coefficients live in a field given by a field handle.  There are two
-kinds, with one protocol: :class:`padicforms.padics.BaseField` is Q_p,
-with elements carried as `Fraction`, and
+kinds, with one protocol: a :class:`padicforms.padics.PadicContext` is
+Q_p's handle, with elements carried as `Fraction`, and
 :class:`padicforms.extensions.LocalField` is a certified finite
 extension.  Both expose ``context``, ``is_extension``,
 ``ramification_index``, ``zero``, ``one``, ``coerce``, ``inv``,
@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionFailed
-from .padics import INFINITY, BaseField, PadicContext
+from .padics import INFINITY, PadicContext
 
 
 class PadicPolynomial:
@@ -39,7 +39,7 @@ class PadicPolynomial:
 
     @classmethod
     def from_rationals(cls, coeffs, context: PadicContext):
-        return cls([Fraction(c) for c in coeffs], BaseField(context))
+        return cls([Fraction(c) for c in coeffs], context)
 
     @classmethod
     def zero(cls, field):
@@ -322,9 +322,9 @@ class PadicPolynomial:
         return " ".join(parts)
 
     def __repr__(self):
-        if isinstance(self.field, BaseField):
-            return f"PadicPolynomial({self.to_text()!r} over {self.field!r})"
-        return f"PadicPolynomial(deg {self.degree} over {self.field!r})"
+        if self.field.is_extension:
+            return f"PadicPolynomial(deg {self.degree} over {self.field!r})"
+        return f"PadicPolynomial({self.to_text()!r} over Q_{self.field.p})"
 
 
 def _is_element(c, field):

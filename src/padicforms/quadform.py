@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import PreconditionFailed, UnknownFactorization
 from .extensions import LocalField, hilbert_symbol, is_square
-from .padics import BaseField, PadicContext, field_handle
+from .padics import PadicContext
 from .polynomials import PadicPolynomial
 
 # recently used residue fields kept by residue_field; a construction or a
@@ -40,23 +40,20 @@ class DiagonalForm:
     """<a_1, ..., a_n> with nonzero entries in Q_p or one extension."""
 
     entries: tuple
-    field: object  # field handle: BaseField or LocalField (a PadicContext means Q_p)
+    field: object  # field handle: a PadicContext (Q_p) or a LocalField
 
     def __post_init__(self):
-        object.__setattr__(self, "field", field_handle(self.field))
         for a in self.entries:
             if self.field.is_zero(a):
                 raise PreconditionFailed("form entries must be nonzero")
 
     @classmethod
     def make(cls, entries, field):
-        field = field_handle(field)
         return cls(tuple(field.coerce(a) for a in entries), field)
 
     @classmethod
     def pfister(cls, slots, field):
         """<<s_1, ..., s_n>> = tensor of <1, s_i>, expanded to 2^n entries."""
-        field = field_handle(field)
         entries = [field.one]
         for s in slots:
             s = field.coerce(s)
@@ -133,9 +130,8 @@ def i2_class(u, field) -> int:
 
     Equals the Hilbert symbol (u, -pi); +1 iff <1, pi, -u, -pi u> is
     isotropic.  Multiplying u by powers of pi does not change the value.
-    ``field`` is a PadicContext or a field handle.
+    ``field`` is a field handle; a PadicContext is Q_p's.
     """
-    field = field_handle(field)
     return hilbert_symbol(u, -field.context.uniformizer, field)
 
 
@@ -198,15 +194,14 @@ def residue_field(q: PadicPolynomial, ctx: PadicContext):
     (q, ctx), so every symbol, residue test and factor certificate on a
     modulus shares one certified field; q's own field is part of its key,
     so the tower and context checks run for every new pair, and a failed
-    certification is not cached.  Linear moduli share the one Q_p of
-    their context and take none of the slots kept for extensions.
+    certification is not cached.  A linear modulus gives the context
+    itself, Q_p's handle, and takes none of the cache's slots.
     """
     if q.degree == 1:
-        return _base_field(ctx)
+        return ctx
     return _local_field(q, ctx)
 
 
-_base_field = functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)(BaseField)
 _local_field = functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)(LocalField)
 
 

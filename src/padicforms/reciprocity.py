@@ -241,8 +241,14 @@ def random_coprime_poly(rng, ctx, q: PadicPolynomial, max_deg: int = 3) -> Padic
     raise PreconditionFailed("could not sample a coprime polynomial")
 
 
+# the symbol laws that run_law_corpus checks
+LAWS = ("check-mult", "check-recip", "constant", "pi-invariance", "square-criterion")
+
+
 def run_law_corpus(ctx: PadicContext, law: str, cases: int, seed: int):
     """Run a seeded corpus of one symbol law; returns a summary dict."""
+    if law not in LAWS:
+        raise PreconditionFailed(f"unknown law {law!r}")
     if cases < 0:
         raise PreconditionFailed(f"the number of cases must be >= 0, got {cases}")
     rng = random.Random(seed)
@@ -266,7 +272,7 @@ def run_law_corpus(ctx: PadicContext, law: str, cases: int, seed: int):
             while p == q:
                 p = random_certified_irreducible(rng, ctx)
             res = check_reciprocity(p, q, ctx)
-        elif law == "square-criterion":
+        else:  # square-criterion
             q = random_certified_irreducible(rng, ctx)
             p = random_coprime_poly(rng, ctx, q)
             s1 = legendre_symbol(p, q, ctx)
@@ -277,8 +283,6 @@ def run_law_corpus(ctx: PadicContext, law: str, cases: int, seed: int):
                 {"i2": s1, "square_criterion": s2},
                 s1 == s2,
             )
-        else:
-            raise PreconditionFailed(f"unknown law {law!r}")
         if res.holds:
             passes += 1
         else:

@@ -6,9 +6,10 @@ import time
 
 import pytest
 
-from padicforms import cli
+from padicforms import PadicContext, cli, run_law_corpus
 from padicforms.certificates import verify_certificate
 from padicforms.cli import main
+from padicforms.errors import PreconditionFailed
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +93,23 @@ def test_corpus_negative_cases_exit_2(capsys):
         assert err == "error: the number of cases must be >= 0, got -1\n"
         code, doc = run_json(capsys, "corpus", "--prime", "3", "--cases", "0", law)
         assert code == 0 and doc["result"]["cases"] == doc["result"]["passes"] == 0
+
+
+def test_unknown_law_rejected_even_with_no_cases():
+    with pytest.raises(PreconditionFailed, match="unknown law 'bogus'"):
+        run_law_corpus(PadicContext(3), "bogus", 0, 1)
+    doc = {"schema": "padic-forms/1", "command": "corpus", "context": _CONTEXT, "assertions": [
+        {"kind": "law-corpus", "law": "bogus", "cases": 0, "passes": 0, "seed": 1}]}
+    ok, problems = verify_certificate(doc)
+    assert not ok and problems == ["assertion 0 (law-corpus): recomputation failed: unknown law 'bogus'"]
+
+
+def test_slopes_of_a_constant_is_trivial(capsys):
+    code, out, _ = run_cli(capsys, "slopes", "--prime", "3", "--json", "--", "5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["unit"] == "5/1" and doc["result"]["factors"] == []
+    assert verify_certificate(doc) == (True, [])
 
 
 def test_negative_digit_targets_rejected(capsys):
@@ -192,9 +210,20 @@ _CONTEXT = {"prime": 3, "uniformizer": "3/1", "precision": 64}
             {"kind": "hilbert-base", "a": 5, "b": "2/1", "value": 1}]},
         {"schema": "padic-forms/1", "command": "hilbert", "context": _CONTEXT, "assertions": [
             {"kind": "hilbert-base", "a": [1], "b": "2/1", "value": 1}]},
+        {"schema": "padic-forms/1", "command": "slopes", "context": _CONTEXT, "assertions": [
+            {"kind": "slope-factorization", "poly": "t^2 + 3*t + 9", "unit": "1/1",
+             "digits": "40", "factors": [["t^2 + 3*t + 9", "-1/1"]]}]},
+        {"schema": "padic-forms/1", "command": "newton", "context": _CONTEXT, "assertions": [
+            {"kind": "newton-polygon", "poly": 5, "slopes": [], "vertices": [[0, "0/1"]]}]},
+        {"schema": "padic-forms/1", "command": "hilbert", "context": _CONTEXT, "assertions": [
+            {"kind": ["hilbert-base"], "a": "2/1", "b": "2/1", "value": 1}]},
+        {"schema": "padic-forms/1", "command": ["construct-s"], "context": _CONTEXT,
+         "assertions": []},
     ],
     ids=["not-an-object", "assertions-not-a-list", "assertion-not-an-object",
-         "payload-number-not-a-string", "payload-list-not-a-string"],
+         "payload-number-not-a-string", "payload-list-not-a-string",
+         "digits-string-not-a-number", "poly-number-not-a-string", "kind-list-not-a-string",
+         "command-list-not-a-string"],
 )
 def test_verify_rejects_misshapen_documents(doc, tmp_path, capsys):
     path = tmp_path / "cert.json"

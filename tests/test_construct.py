@@ -164,6 +164,8 @@ def test_place_valuation(c3, c5):
     # one certified field per modulus, whichever call built it
     for coeffs in ([-3, 1], [1, 0, 1], [-3, 0, 0, 1]):
         assert residue_field(poly(coeffs, c3), c3) is residue_field(poly(coeffs, c3), c3)
+    # a linear modulus gives the context itself, Q_3's field handle
+    assert residue_field(poly([-1, 1], c3), c3) is c3
     # failures are not cached: each call raises again
     for _ in range(2):
         with pytest.raises(NotIrreducible):

@@ -5,13 +5,16 @@ and its exit code with the one recorded below.  The cases are the README
 examples (all but ``verify``) plus symbols over linear, unramified,
 ramified and p = 2 moduli, a p = 2 reciprocity check and a two-factor
 construction whose second factor reaches the case-two valuation margin.  A change that
-alters a verdict, a certificate byte or an exit code fails here.
+alters a verdict, a certificate byte or an exit code fails here, and so does
+a verifier that no longer accepts a golden certificate.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from padicforms.certificates import verify_certificate
 from padicforms.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -49,3 +52,4 @@ def test_golden_certificate(name, capsys):
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert got_code == code
+    assert verify_certificate(json.loads(out)) == (True, [])

@@ -24,7 +24,6 @@ from padicforms import (
     witt_zero,
 )
 from padicforms.oracles import isotropic_by_search
-from padicforms.padics import field_handle
 from padicforms.quadform import order_at, pfister_residue_test
 
 from conftest import poly
@@ -242,7 +241,7 @@ def test_scalar_input_kinds_agree(prime, minimal_poly, values):
             isotropic_over_local(form),
         )
 
-    kinds = [field_handle(field).coerce, int, Fraction]
+    kinds = [field.coerce, int, Fraction]
     for x in values:
         for y in values:
             got = [answers(kind, x, y) for kind in kinds]
