@@ -47,7 +47,7 @@ from .newton import (
     slope_denominator,
 )
 from .padics import PadicContext, is_square_rational
-from .polynomials import PadicPolynomial
+from .polynomials import PadicPolynomial, integer_vector
 from .quadform import PfisterSlot, milnor_isotropy, reduce_at_place, residue_field
 from .reciprocity import legendre_symbol
 
@@ -162,10 +162,7 @@ def certify_factor(f: PadicPolynomial) -> str:
 
 def _rational_roots(f: PadicPolynomial):
     """All rational roots of a monic squarefree rational polynomial."""
-    den_lcm = 1
-    for c in f.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in f.coeffs]
+    ints, _ = integer_vector(f.coeffs)
     a0, ad = ints[0], ints[-1]
     if a0 == 0:
         raise PreconditionFailed("zero constant term")

@@ -8,11 +8,13 @@ extension.  Both expose ``context``, ``is_extension``,
 ``ramification_index``, ``zero``, ``one``, ``coerce``, ``inv``,
 ``is_zero``, ``valuation``, ``norm`` and ``truncate``.  All arithmetic
 (addition, multiplication, Euclidean division, gcd, evaluation,
-composition) is exact.
+composition) is exact.  Over Q_p, products and divisions run on integer
+vectors over one common denominator.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import PreconditionFailed
@@ -129,6 +131,14 @@ class PadicPolynomial:
         other = self._check(other)
         if self.is_zero() or other.is_zero():
             return PadicPolynomial.zero(self.field)
+        if not self.field.is_extension:
+            (a, da), (b, db) = integer_vector(self.coeffs), integer_vector(other.coeffs)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            return PadicPolynomial([Fraction(c, da * db) for c in out], self.field)
         out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if self.field.is_zero(a):
@@ -156,6 +166,24 @@ class PadicPolynomial:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         q = [self.field.zero] * max(0, self.degree - other.degree + 1)
+        if not self.field.is_extension:
+            # r = R / d and other = B / db; R is rescaled only when lc does not divide its top
+            (r, d), (b, db) = integer_vector(self.coeffs), integer_vector(other.coeffs)
+            lc = b[-1]
+            while len(r) >= len(b):
+                k = len(r) - len(b)
+                q[k] = Fraction(r[-1] * db, d * lc)
+                s = abs(lc) // math.gcd(r[-1], lc)
+                if s != 1:
+                    r = [c * s for c in r]
+                    d *= s
+                m = r[-1] // lc
+                for j, y in enumerate(b):
+                    r[k + j] -= m * y
+                while r and not r[-1]:
+                    r.pop()
+            r = [Fraction(c, d) for c in r]
+            return PadicPolynomial(q, self.field), PadicPolynomial(r, self.field)
         r = list(self.coeffs)
         inv_lc = self.field.inv(other.leading_coefficient())
         while len(r) - 1 >= other.degree and r:
@@ -325,6 +353,14 @@ class PadicPolynomial:
         if self.field.is_extension:
             return f"PadicPolynomial(deg {self.degree} over {self.field!r})"
         return f"PadicPolynomial({self.to_text()!r} over Q_{self.field.p})"
+
+
+def integer_vector(coeffs):
+    """The numerators of Fraction coefficients over their lcm d, and d."""
+    d = 1
+    for c in coeffs:
+        d = math.lcm(d, c.denominator)
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def _is_element(c, field):

@@ -1,8 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from padicforms import PadicContext, PadicPolynomial
+
+# the same examples on every run, and no per-example deadline on a shared runner
+settings.register_profile("padicforms", derandomize=True, deadline=None)
+settings.load_profile("padicforms")
 
 
 @pytest.fixture(scope="session")

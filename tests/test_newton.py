@@ -140,6 +140,68 @@ def test_random_irreducible_search():
     assert found.cbar.degree == hbar.degree + found.e_prime
 
 
+IRREDUCIBILITY_PRIMES = (2, 3, 5, 7, 10007)
+
+
+def _sympy_irreducible(g):
+    import sympy
+
+    return sympy.Poly(list(reversed(g.coeffs)), sympy.Symbol("u"), modulus=g.p).is_irreducible
+
+
+def _random_ff(rng, p, n, monic):
+    top = 1 if monic else rng.randrange(1, p)
+    return FiniteFieldPoly([rng.randrange(p) for _ in range(n)] + [top], p)
+
+
+def _random_irreducible(rng, p, n):
+    while True:
+        g = _random_ff(rng, p, n, monic=True)
+        if _sympy_irreducible(g):
+            return g
+
+
+@pytest.mark.parametrize("p", IRREDUCIBILITY_PRIMES)
+def test_finite_field_irreducible_against_sympy(p):
+    """Ben-Or's test agrees with sympy's on every kind of input, degrees 1-16."""
+    rng = random.Random(p)
+    cases = []
+    for n in range(1, 17):
+        cases += [_random_ff(rng, p, n, monic=True), _random_ff(rng, p, n, monic=False)]
+        if n >= 2:
+            k = rng.randrange(1, n)
+            cases.append(_random_irreducible(rng, p, k) * _random_irreducible(rng, p, n - k))
+            cases.append(FiniteFieldPoly((0, 1), p) * _random_ff(rng, p, n - 1, monic=False))
+        if n % 2 == 0:
+            f = _random_irreducible(rng, p, n // 2)
+            cases.append(f * f)
+        cases.append(_random_irreducible(rng, p, n))
+    for g in cases:
+        assert finite_field_irreducible(g) == _sympy_irreducible(g), g
+
+
+@pytest.mark.parametrize("p", IRREDUCIBILITY_PRIMES)
+def test_window_candidates_against_sympy(p, monkeypatch):
+    """Every candidate random_irreducible_search tests gets sympy's verdict."""
+    import padicforms.newton as newton
+
+    seen = []
+
+    def recording(g):
+        seen.append(g)
+        return finite_field_irreducible(g)
+
+    monkeypatch.setattr(newton, "finite_field_irreducible", recording)
+    for seed in range(6):
+        rng = random.Random(seed)
+        hbar = FiniteFieldPoly([rng.randrange(1, p), rng.randrange(p), 1], p)
+        found = random_irreducible_search(hbar, rng.randrange(1, p), 1 + seed % 4, seed % 2, rng)
+        assert seen[-1] == found.cbar
+    assert any(not finite_field_irreducible(g) for g in seen)
+    for g in seen:
+        assert finite_field_irreducible(g) == _sympy_irreducible(g), g
+
+
 def _assemble(a, g, z, big_n, ctx):
     deg_g = g.degree if not g.is_zero() else 0
     deg_z = z.degree
