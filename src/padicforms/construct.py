@@ -46,7 +46,8 @@ from .newton import (
     random_irreducible_search,
     slope_denominator,
 )
-from .padics import PadicContext, is_square_rational
+from .extensions import hensel_lift
+from .padics import PadicContext, is_prime, is_square_rational
 from .polynomials import PadicPolynomial, integer_vector
 from .quadform import PfisterSlot, milnor_isotropy, reduce_at_place, residue_field
 from .reciprocity import legendre_symbol
@@ -161,30 +162,54 @@ def certify_factor(f: PadicPolynomial) -> str:
 
 
 def _rational_roots(f: PadicPolynomial):
-    """All rational roots of a monic squarefree rational polynomial."""
+    """All rational roots of a monic squarefree rational polynomial, by the modular method.
+
+    With F = a_d f integral, each root is a/b with a | a_0 and b | a_d.
+    For the least prime l dividing neither a_d nor disc(F), F mod l is
+    squarefree, so every root modulo l is simple: each is lifted by
+    Hensel to l^k > 2 |a_0 a_d|, recovered by rational reconstruction and
+    confirmed exactly (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 5.10 and 15.6).  Roots come ordered by |a|, then b, the
+    positive one first.
+    """
     ints, _ = integer_vector(f.coeffs)
     a0, ad = ints[0], ints[-1]
     if a0 == 0:
         raise PreconditionFailed("zero constant term")
+    ell = 2
+    while ad % ell == 0 or FiniteFieldPoly(ints, ell).gcd(
+            FiniteFieldPoly([k * c for k, c in enumerate(ints)][1:], ell)).degree:
+        ell += 1
+        while not is_prime(ell):
+            ell += 1
+    bound = 2 * abs(a0 * ad)
+    k = 1
+    while ell ** k <= bound:
+        k += 1
+    ctx = PadicContext(ell, precision_digits=max(k, 8))  # a context's cap is at least 2 v(4) + 4
+    f_ell = PadicPolynomial(f.coeffs, ctx)
     roots = []
-    for num in _divisors(abs(a0)):
-        for den in _divisors(abs(ad)):
-            for sign in (1, -1):
-                r = Fraction(sign * num, den)
-                if f.evaluate(r) == 0 and r not in roots:
-                    roots.append(r)
-    return roots
+    for r in range(ell):
+        if sum(c * r ** i for i, c in enumerate(ints)) % ell:
+            continue
+        lift = hensel_lift(f_ell, r, k - 1).approximate_root
+        a, b = _reconstruct(lift, ell ** k, abs(a0))
+        if 0 < b <= abs(ad) and math.gcd(a, b) == 1 and not sum(
+                c * a ** i * b ** (len(ints) - 1 - i) for i, c in enumerate(ints)):
+            roots.append(Fraction(a, b))
+    return sorted(roots, key=lambda x: (abs(x.numerator), x.denominator, x < 0))
 
 
-def _divisors(n: int):
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _reconstruct(u: int, m: int, bound: int):
+    """(a, b) with a = u b modulo m and |a| <= bound, by the half-extended Euclidean algorithm.
+
+    It is the one such pair with 0 < b < m / (2 bound) when there is one.
+    """
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _auto_factor(g0: PadicPolynomial):

@@ -3,10 +3,15 @@
 A :class:`LocalField` is Q_p[t]/(q) for a monic irreducible q whose
 irreducibility is certified at construction by one of the two Newton
 polygon criteria (slope denominator equals the degree, or irreducible
-reduction with matching degree).  Elements are rational coefficient
-vectors.  Norms are exact resultants Res(q, r) for x = r(alpha), and
+reduction with matching degree).  Elements are integer coefficient
+vectors in powers of alpha over one positive denominator, in lowest terms,
+and every kernel (products, inverses, norms, lattice coordinates,
+valuations, residues and cuts) runs on those integers.  Norms are exact
+resultants Res(q, r) for x = r(alpha), by sub-resultants over Z, and
 valuations are read off the coordinates in an integral basis, normalized
 so that the base uniformizer has valuation 1 (so values lie in (1/e)Z).
+Residue digits and truncations are read through the field handle's
+``residue`` and ``cut``.
 
 Squareness and Hilbert symbols over extensions are decided exactly.  Write
 x = pi_K^w u with u a unit, q = p^f, and chi for the quadratic character
@@ -39,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +57,6 @@ from .errors import (
 )
 from .newton import (
     FiniteFieldPoly,
-    _truncate_coeff,
     finite_field_irreducible,
     newton_polygon,
     reduce_one_edge,
@@ -60,54 +65,82 @@ from .newton import (
 from .padics import (
     INFINITY,
     PadicContext,
+    cut_int,
     hilbert_symbol_qp,
+    int_mod_pk,
     is_square_rational,
     legendre_int,
-    rational_mod_pk,
     square_class_rational,
-    vp_rational,
+    vp_int,
 )
-from .polynomials import PadicPolynomial
+from .polynomials import PadicPolynomial, integer_vector
 
 
-def _resultant(a, b) -> Fraction:
-    """Res(a, b) of two coefficient lists (constant term first), deg a >= 1.
+def _trim(a) -> list:
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
 
-    By the Euclidean remainder sequence: with r = a mod b,
-    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), and
-    Res(a, c) = c^(deg a) for a constant c (Cohen, A Course in
-    Computational Algebraic Number Theory, section 3.3).
+
+def _prem(a: list, b: list) -> list:
+    """lc(b)^(deg a - deg b + 1) a mod b over Z, for deg a >= deg b >= 1."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k]
+        r = [x * lb for x in r[:k]]
+        if c:
+            for i in range(db):
+                r[k - db + i] -= c * b[i]
+    return _trim(r)
+
+
+def _resultant(a, b) -> int:
+    """Res(a, b) of two integer coefficient lists (constant term first), deg a >= 1.
+
+    The sub-resultant algorithm (Cohen, A Course in Computational Algebraic
+    Number Theory, algorithm 3.3.7): contents are taken out first, each
+    pseudo-remainder is divided exactly by g h^delta, and Res(A, c) =
+    c^(deg A) for a constant c ends the sequence.
     """
-    b = list(b)
-    while b and not b[-1]:
-        b.pop()
-    res = Fraction(1)
-    while len(b) > 1:
-        db, r = len(b) - 1, list(a)
-        for k in range(len(r) - 1, db - 1, -1):
-            c = r[k] / b[-1]
-            if c:
-                for i in range(db):
-                    r[k - db + i] -= c * b[i]
-        del r[db:]
-        while r and not r[-1]:
-            r.pop()
+    a, b = _trim(a), _trim(b)
+    if not b:
+        return 0
+    da, db = len(a) - 1, len(b) - 1
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    t = ca ** db * cb ** da
+    a, b = [x // ca for x in a], [x // cb for x in b]
+    s = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da % 2 and db % 2:
+            s = -1
+    g = h = 1
+    while db > 0:
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        r = _prem(a, b)
         if not r:
-            return Fraction(0)
-        if (len(a) - 1) * db % 2:
-            res = -res
-        res *= b[-1] ** (len(a) - len(r))
-        a, b = b, r
-    return res * b[0] ** (len(a) - 1) if b else Fraction(0)
+            return 0
+        div = g * h ** delta
+        a, b = b, [x // div for x in r]
+        da, db = db, len(b) - 1
+        g = a[-1]
+        if delta:
+            h = g ** delta // h ** (delta - 1)
+    return s * t * (b[0] ** da // h ** (da - 1))
 
 
 def _lattice_w(coords, p: int, e: int) -> int:
-    """w(x) (w(pi_K) = 1) of x != 0 from its lattice coordinates, exact or modulo a p-power.
+    """min over positions (i, j) of e v_p(c_ij) + j, for integer lattice coordinates c, not all 0.
 
     The position of beta^i pi_K^j is i e + j.  The residues of the beta^i
-    are independent, so w(x) = min over positions (i, j) of e v_p(c_ij) + j.
+    are independent, so for x with lattice coordinates c / d this is
+    w(x) + e v_p(d), and w(pi_K) = 1; it reads the same on coordinates
+    known modulo a high enough p-power.
     """
-    return min(e * vp_rational(c, p) + pos % e for pos, c in enumerate(coords) if c)
+    return min(e * vp_int(c, p) + pos % e for pos, c in enumerate(coords) if c)
 
 
 def _inverse(rows):
@@ -124,6 +157,13 @@ def _inverse(rows):
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return [row[n:] for row in m]
+
+
+def _integer_rows(rows):
+    """Rows of rationals as integer rows over one common denominator: (rows, d)."""
+    width = len(rows[0])
+    flat, d = integer_vector([Fraction(c) for row in rows for c in row])
+    return [tuple(flat[i:i + width]) for i in range(0, len(flat), width)], d
 
 
 class LocalField:
@@ -184,7 +224,10 @@ class LocalField:
         self.residue_degree = self.degree // d
         self._unit_tags = {}  # quadratic character -> square-class unit tag (odd p)
 
-        # alpha-power reduction rows for alpha^n .. alpha^(2n-2)
+        # q as integers: q = _minimal_ints[0] / _minimal_ints[1]
+        self._minimal_ints = integer_vector(minimal_poly.coeffs)
+        # alpha-power reduction rows for alpha^n .. alpha^(2n-2), as integer
+        # rows over one denominator
         n = self.degree
         top = [-c for c in minimal_poly.coeffs[:-1]]
         rows = [tuple(top)]
@@ -192,10 +235,11 @@ class LocalField:
             prev = rows[-1]
             shifted = (Fraction(0),) + prev[: n - 1]
             rows.append(tuple(x + prev[n - 1] * t for x, t in zip(shifted, top)))
-        self._power_rows = rows
+        self._power_rows = _integer_rows(rows)
 
-        self.zero = LocalFieldElement(self, (Fraction(0),) * n)
-        self.one = LocalFieldElement(self, (Fraction(1),) + (Fraction(0),) * (n - 1))
+        self._zeros = (0,) * (n - 1)
+        self.zero = LocalFieldElement(self, (0,) * n)
+        self.one = LocalFieldElement(self, (1,) + self._zeros)
 
     # -- field protocol ------------------------------------------------
 
@@ -205,11 +249,11 @@ class LocalField:
 
     def coerce(self, x):
         if isinstance(x, LocalFieldElement):
-            if x.field != self:
+            if x.field is not self and x.field != self:
                 raise TypeError("element of a different field")
             return x
         if isinstance(x, (int, Fraction)):
-            return self.embed(Fraction(x))
+            return self.embed(x)
         if isinstance(x, tuple):
             return self.element(x)
         raise TypeError(f"cannot coerce {type(x).__name__} into {self!r}")
@@ -218,7 +262,7 @@ class LocalField:
         return self.coerce(x).inverse()
 
     def is_zero(self, x):
-        return all(c == 0 for c in self.coerce(x).coeffs)
+        return not any(self.coerce(x).num)
 
     def valuation(self, x):
         return self.coerce(x).valuation
@@ -229,9 +273,57 @@ class LocalField:
     def truncate(self, x, k: int) -> tuple:
         """Coefficients of x in powers of alpha, each reduced modulo p^k.
 
-        ``coerce`` maps the tuple back to an element.
+        They must be p-integral.  ``coerce`` maps the tuple back to an element.
         """
-        return tuple(rational_mod_pk(c, self.base_context.p, k) for c in self.coerce(x).coeffs)
+        x, p = self.coerce(x), self.base_context.p
+        return tuple(int_mod_pk(c, x.den, p, k) for c in x.num)
+
+    def residue(self, x, j: int = 0) -> list:
+        """Residue digits of x pi_K^(-j), for w(x) >= j.
+
+        The residue is sum_i digits[i] xbar^i in F_p[x]/(residue_modulus).
+        With j = e m + j0 (0 <= j0 < e) and p = pi_K^e eps,
+        x pi_K^(-j) = (x / p^m) pi_K^(-j0) eps^m.  The residue of
+        (x / p^m) pi_K^(-j0) is read at the beta^i pi_K^j0 positions of the
+        lattice coordinates of x / p^m (the other positions reduce to zero),
+        and is multiplied by epsbar^m.
+        """
+        x = self.coerce(x)
+        p, e = self.base_context.p, self.ramification_index
+        m, j0 = divmod(j, e)
+        nums, d = self.lattice_coordinates(x)
+        if m > 0:
+            d *= p ** m
+        scale = p ** -m if m < 0 else 1
+        digits = [int_mod_pk(nums[i * e + j0] * scale, d, p, 1) for i in range(self.residue_degree)]
+        if m:
+            eps = self.residue(self._eps)
+            if self.residue_modulus is None:
+                return [digits[0] * pow(eps[0], m, p) % p]
+            cbar = self.residue_modulus
+            q1 = p ** self.residue_degree - 1
+            r = FiniteFieldPoly(digits, p) * FiniteFieldPoly(eps, p).pow_mod(m % q1, cbar) % cbar
+            digits = list(r.coeffs) + [0] * (self.residue_degree - len(r.coeffs))
+        return digits
+
+    def cut(self, x, k: int) -> "LocalFieldElement":
+        """The valuation-shifted cut of each coefficient of x in powers of alpha (see ``PadicContext.cut``)."""
+        x, p = self.coerce(x), self.base_context.p
+        parts = [cut_int(c, x.den, p, k) for c in x.num]
+        d = max(dd for _, dd in parts)
+        return LocalFieldElement(self, [c * (d // dd) for c, dd in parts], d)
+
+    @functools.cached_property
+    def coordinate_margins(self) -> tuple:
+        """(loss, spread) between valuations and alpha-coordinates.
+
+        An element of valuation >= V has coordinates of valuation
+        >= V - loss, loss read off the integral basis; coordinates cut at k
+        digits move an element by valuation >= k - spread.
+        """
+        p = self.base_context.p
+        loss = -min(vp_int(c, p) - vp_int(y.den, p) for y in self._integral_basis for c in y.num if c)
+        return loss, math.ceil(self.degree * max(0, self.slope))
 
     def __eq__(self, other):
         return (
@@ -252,14 +344,15 @@ class LocalField:
     # -- constructors ---------------------------------------------------
 
     def element(self, coeffs) -> "LocalFieldElement":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(cs) > self.degree:
             raise PreconditionFailed("too many coefficients")
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return LocalFieldElement(self, tuple(cs))
+        nums, d = integer_vector(cs)
+        return LocalFieldElement(self, nums + [0] * (self.degree - len(cs)), d)
 
     def embed(self, x) -> "LocalFieldElement":
-        return self.element([Fraction(x)])
+        """The rational x (an int or a Fraction) as an element."""
+        return LocalFieldElement(self, (x.numerator,) + self._zeros, x.denominator)
 
     def gen(self) -> "LocalFieldElement":
         return self.element([0, 1])
@@ -287,6 +380,11 @@ class LocalField:
         return out * self.base_context.uniformizer ** y
 
     @functools.cached_property
+    def _eps(self) -> "LocalFieldElement":
+        """The unit eps = p pi_K^(-e)."""
+        return self.embed(self.base_context.p) * self.uniformizer_elt ** (-self.ramification_index)
+
+    @functools.cached_property
     def _integral_basis(self):
         e, f = self.ramification_index, self.residue_degree
         # beta = alpha^e * pi^(m e) is a unit whose residue generates the
@@ -308,15 +406,27 @@ class LocalField:
 
     @functools.cached_property
     def _basis_inverse(self):
-        """Inverse of the matrix whose columns are the integral basis in powers of alpha."""
+        """Inverse of the matrix whose columns are the integral basis in powers of alpha.
+
+        Integer rows over one denominator.
+        """
         n = self.degree
         basis = self._integral_basis
-        return _inverse([[basis[j].coeffs[i] for j in range(n)] for i in range(n)])
+        return _integer_rows(_inverse(
+            [[Fraction(basis[j].num[i], basis[j].den) for j in range(n)] for i in range(n)]))
 
-    def lattice_coordinates(self, x: "LocalFieldElement"):
-        """Coordinates of x in the integral basis (p-integral iff x in O)."""
-        coeffs = self.coerce(x).coeffs
-        return [sum(a * c for a, c in zip(row, coeffs)) for row in self._basis_inverse]
+    def lattice_coordinates(self, x: "LocalFieldElement") -> tuple:
+        """Coordinates of x in the integral basis: integers over one positive denominator, (c, d).
+
+        x lies in O_K iff every c_i / d is p-integral.
+        """
+        x = self.coerce(x)
+        if x._lat is None:
+            rows, d = self._basis_inverse
+            num = x.num
+            coords = tuple(sum(map(operator.mul, row, num)) for row in rows)
+            object.__setattr__(x, "_lat", (coords, d * x.den))
+        return x._lat
 
     def from_lattice_coordinates(self, coords) -> "LocalFieldElement":
         acc = self.zero
@@ -344,17 +454,36 @@ def _bezout_int(a: int, b: int):
 
 
 class LocalFieldElement:
-    """Element of a LocalField as a rational coefficient vector in alpha."""
+    """Element of a LocalField: an integer vector in powers of alpha over one denominator.
 
-    __slots__ = ("field", "coeffs", "_val")
+    ``num`` holds the integer coefficients and ``den`` the positive common
+    denominator, in lowest terms (gcd(den, num) = 1), so equal elements
+    have equal representations.  Every kernel runs on these integers.  ``coeffs``
+    is a read-only view of the same coefficients as lowest-terms
+    Fractions, for printing and certificates.
+    """
 
-    def __init__(self, field: LocalField, coeffs):
+    __slots__ = ("field", "num", "den", "_val", "_lat")
+
+    def __init__(self, field: LocalField, num, den: int = 1):
+        num = tuple(num)
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_val", None)
+        object.__setattr__(self, "_lat", None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("LocalFieldElement is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients in powers of alpha, as lowest-terms Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other):
         try:
@@ -366,7 +495,10 @@ class LocalFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return LocalFieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b = self.den, o.den
+        if a == b:
+            return LocalFieldElement(self.field, map(operator.add, self.num, o.num), a)
+        return LocalFieldElement(self.field, [x * b + y * a for x, y in zip(self.num, o.num)], a * b)
 
     __radd__ = __add__
 
@@ -374,7 +506,10 @@ class LocalFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return LocalFieldElement(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b = self.den, o.den
+        if a == b:
+            return LocalFieldElement(self.field, map(operator.sub, self.num, o.num), a)
+        return LocalFieldElement(self.field, [x * b - y * a for x, y in zip(self.num, o.num)], a * b)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -383,27 +518,25 @@ class LocalFieldElement:
         return o - self
 
     def __neg__(self):
-        return LocalFieldElement(self.field, tuple(-a for a in self.coeffs))
+        return LocalFieldElement(self.field, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.field.degree
-        conv = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
+        field = self.field
+        n = field.degree
+        conv = [0] * (2 * n - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(o.num):
                     conv[i + j] += a * b
-        out = list(conv[:n])
-        for k in range(n, 2 * n - 1):
-            c = conv[k]
+        rows, d = field._power_rows
+        out = conv[:n] if d == 1 else [c * d for c in conv[:n]]
+        for c, row in zip(conv[n:], rows):
             if c:
-                row = self.field._power_rows[k - n]
                 out = [x + c * r for x, r in zip(out, row)]
-        return LocalFieldElement(self.field, tuple(out))
+        return LocalFieldElement(field, out, self.den * o.den * d)
 
     __rmul__ = __mul__
 
@@ -435,33 +568,50 @@ class LocalFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.coeffs, self.field))
+        return hash((self.num, self.den, self.field))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        q = self.field.minimal_poly
-        # u * a = 1 modulo the irreducible q
-        _, u = PadicPolynomial(self.coeffs, q.field).half_egcd(q)
-        return self.field.element(list(u.coeffs))
+        field = self.field
+        q = field.minimal_poly
+        # u * r = 1 modulo the irreducible q for the integer vector r = den * x,
+        # so 1/x = den * u
+        _, u = PadicPolynomial([Fraction(c) for c in self.num], q.field).half_egcd(q)
+        nums, d = integer_vector(u.coeffs)
+        nums += [0] * (field.degree - len(nums))
+        return LocalFieldElement(field, [c * self.den for c in nums], d)
 
     def norm(self) -> Fraction:
-        """Field norm down to Q_p: N(r(alpha)) = Res(q, r), q the monic minimal polynomial."""
-        return _resultant(self.field.minimal_poly.coeffs, self.coeffs)
+        """Field norm down to Q_p: N(r(alpha)) = Res(q, r), q the monic minimal polynomial.
+
+        With q = Q / D and r = N / den for integer polynomials Q and N,
+        Res(q, r) = Res(Q, N) / (D^(deg N) den^n).
+        """
+        field = self.field
+        q, dq = field._minimal_ints
+        m = len(_trim(self.num)) - 1
+        if m < 0:
+            return Fraction(0)
+        return Fraction(_resultant(q, self.num), dq ** m * self.den ** field.degree)
 
     @property
     def valuation(self):
         """v(x) = w(x) / e, w read off the lattice coordinates, so v(pi) = 1; +inf at 0."""
         if self._val is None:
-            field, e = self.field, self.field.ramification_index
-            v = INFINITY if self.is_zero() else Fraction(
-                _lattice_w(field.lattice_coordinates(self), field.base_context.p, e), e)
+            field = self.field
+            if self.is_zero():
+                v = INFINITY
+            else:
+                p, e = field.base_context.p, field.ramification_index
+                nums, d = field.lattice_coordinates(self)
+                v = Fraction(_lattice_w(nums, p, e) - e * vp_int(d, p), e)
             object.__setattr__(self, "_val", v)
         return self._val
 
@@ -470,7 +620,7 @@ class LocalFieldElement:
         v = self.valuation
         if v is INFINITY:
             raise PreconditionFailed("w(0) is infinite")
-        return int(v * self.field.ramification_index)
+        return v.numerator * (self.field.ramification_index // v.denominator)
 
     def __repr__(self):
         terms = " + ".join(
@@ -505,7 +655,7 @@ class SquareClassTag:
 def as_base_rational(x):
     """Return a field element x as a Fraction if it lies in Q_p, else None."""
     if isinstance(x, LocalFieldElement):
-        return x.coeffs[0] if not any(x.coeffs[1:]) else None
+        return Fraction(x.num[0], x.den) if not any(x.num[1:]) else None
     return Fraction(x)
 
 
@@ -545,40 +695,24 @@ def square_class(x, context=None):
     return square_class_rational(x, field.context)
 
 
-def _unit(x: LocalFieldElement, w: int) -> LocalFieldElement:
-    """The unit x * pi_K^(-w), for w = w(x)."""
-    return x * x.field.uniformizer_elt ** (-w) if w else x
-
-
 def _character(field: LocalField, digits) -> int:
-    """Quadratic character of sum_i digits[i] xbar^i in F_p[x]/(residue_modulus), p odd.
+    """Quadratic character of r = sum_i digits[i] xbar^i in F_q = F_p[x]/(residue_modulus), p odd.
 
-    Euler's criterion: r^((p^f - 1)/2) is 1 for a nonzero square, -1 for
+    Euler's criterion through the norm: r^((q - 1)/2) = N(r)^((p - 1)/2)
+    with N(r) = r^((q - 1)/(p - 1)) = Res(cbar, r) mod p, cbar monic.  So
+    it is the Legendre symbol of the norm: 1 for a nonzero square, -1 for
     a non-square, and 0 for r = 0.
     """
     p = field.base_context.p
     if field.residue_modulus is None:
         return legendre_int(digits[0], p)
-    half = (p ** field.residue_degree - 1) // 2
-    r = FiniteFieldPoly(digits, p).pow_mod(half, field.residue_modulus)
-    return {(): 0, (1,): 1, (p - 1,): -1}[r.coeffs]
+    return legendre_int(_resultant(field.residue_modulus.coeffs, digits), p)
 
 
-def _residue_digits(field: LocalField, coords, j: int = 0) -> list:
-    """Residue digits of x at the beta^i pi_K^j positions of its lattice coordinates.
-
-    For x with w(x) >= j the residue of x pi_K^(-j) is
-    sum_i digits[i] xbar^i in F_p[x]/(residue_modulus): the other
-    positions of the integral basis reduce to zero.
-    """
-    p, e = field.base_context.p, field.ramification_index
-    return [rational_mod_pk(coords[i * e + j], p, 1) for i in range(field.residue_degree)]
-
-
-def _residue_character(u: LocalFieldElement) -> int:
-    """Quadratic character (+1 or -1) of the residue of the unit u, p odd."""
-    field = u.field
-    chi = _character(field, _residue_digits(field, field.lattice_coordinates(u)))
+def _residue_character(x: LocalFieldElement, w: int) -> int:
+    """Quadratic character (+1 or -1) of the residue of the unit x pi_K^(-w), w = w(x), p odd."""
+    field = x.field
+    chi = _character(field, field.residue(x, w))
     if chi == 0:
         raise ConditionFailed("residue character of a non-unit")
     return chi
@@ -611,7 +745,7 @@ def _is_square_ext(x: LocalFieldElement) -> bool:
     if x.field.base_context.p == 2:
         return not any(x.field._dyadic.coords(x))
     w = x.w()
-    return w % 2 == 0 and _residue_character(_unit(x, w)) == 1
+    return w % 2 == 0 and _residue_character(x, w) == 1
 
 
 def square_class_of(x: LocalFieldElement) -> SquareClassTag:
@@ -625,7 +759,7 @@ def square_class_of(x: LocalFieldElement) -> SquareClassTag:
         parity, *bits = field._dyadic.coords(x)
         return SquareClassTag(parity, tuple(bits), repr(field))
     w = x.w()
-    tag = _least_unit_tag(field, _residue_character(_unit(x, w)))
+    tag = _least_unit_tag(field, _residue_character(x, w))
     return SquareClassTag(w % 2, tag, repr(field))
 
 
@@ -666,9 +800,9 @@ def _tame_symbol(a: LocalFieldElement, b: LocalFieldElement) -> int:
     q = a.field.base_context.p ** a.field.residue_degree
     s = -1 if alpha % 2 and beta % 2 and q % 4 == 3 else 1
     if beta % 2:
-        s *= _residue_character(_unit(a, alpha))
+        s *= _residue_character(a, alpha)
     if alpha % 2:
-        s *= _residue_character(_unit(b, beta))
+        s *= _residue_character(b, beta)
     return s
 
 
@@ -710,9 +844,8 @@ class _DyadicClasses:
         self.table = [[self._lattice(a * b, self._PRECISION) for b in basis] for a in basis]
         # F_q = F_2[x]/(cbar); F_2[x]/(x) when f = 1
         self.cbar = field.residue_modulus or FiniteFieldPoly((0, 1), 2)
-        eps = field.embed(2) * field.uniformizer_elt ** (-e)
-        self.eps = self._lattice(eps, 3)
-        self.eps_bar = self._ff(_residue_digits(field, self.eps))
+        self.eps = self._lattice(field._eps, 3)
+        self.eps_bar = self._ff(field.residue(field._eps))
         self.traces = []
         for i in range(f):
             z = self._ff([0] * i + [1])
@@ -723,7 +856,13 @@ class _DyadicClasses:
             self.traces.append(trace[0])
 
     def _lattice(self, x: LocalFieldElement, k: int) -> list:
-        return [rational_mod_pk(c, 2, k) for c in self.field.lattice_coordinates(x)]
+        """The lattice coordinates of an integral x modulo 2^k."""
+        nums, d = self.field.lattice_coordinates(x)
+        return [int_mod_pk(c, d, 2, k) for c in nums]
+
+    def _digits(self, vec: list, j: int = 0) -> list:
+        """Residue digits at the beta^i pi_K^j positions of integer lattice coordinates."""
+        return [vec[i * self.e + j] & 1 for i in range(self.f)]
 
     def _ff(self, digits) -> FiniteFieldPoly:
         return FiniteFieldPoly(digits, 2) % self.cbar
@@ -751,14 +890,15 @@ class _DyadicClasses:
         """The n + 2 coordinates of x != 0 in K*/K*^2; all zero exactly for squares."""
         if x.is_zero():
             raise PreconditionFailed("the square class of 0 is undefined")
-        return self._coords(self.field.lattice_coordinates(x))
+        return self._coords(*self.field.lattice_coordinates(x))
 
-    def _coords(self, c) -> tuple:
-        """Coordinates of the element with lattice coordinates c (exact or mod 2^_PRECISION)."""
+    def _coords(self, c, d: int = 1) -> tuple:
+        """Coordinates of the element with lattice coordinates c / d (exact, or mod 2^_PRECISION)."""
         e = self.e
-        w = _lattice_w(c, 2, e)
+        w = _lattice_w(c, 2, e) - e * vp_int(d, 2)
         m, j = divmod(w, e)
-        y = [rational_mod_pk(v * Fraction(2) ** -m, 2, 4) for v in c]  # x / 2^m, w = j
+        # x / 2^m, w = j
+        y = [int_mod_pk(v, d << m, 2, 4) if m >= 0 else int_mod_pk(v << -m, d, 2, 4) for v in c]
         if j:
             # pi_K^(-j) = pi_K^(e-j) eps / 2
             y = [v // 2 for v in self._mul(y, self._lift([1], e - j), 4)]
@@ -769,7 +909,7 @@ class _DyadicClasses:
 
     def _unit_bits(self, vec: list) -> tuple:
         e, f = self.e, self.f
-        ubar = self._ff(_residue_digits(self.field, vec))
+        ubar = self._ff(self._digits(vec))
         t = ubar.pow_mod(2 ** (f - 1) - 1, self.cbar)  # t^2 = 1/ubar
         s = self._lift(t.coeffs, 0)
         vec = self._mul(vec, self._mul(s, s))
@@ -777,7 +917,7 @@ class _DyadicClasses:
         for k in range(1, 2 * e + 1):
             m, j = divmod(k, e)
             u1 = [(c - (i == 0)) % 8 >> m for i, c in enumerate(vec)]  # (u - 1) / 2^m
-            d = _residue_digits(self.field, u1, j)
+            d = self._digits(u1, j)
             if k == 2 * e:
                 bits.append(sum(a * b for a, b in zip(d, self.traces)) % 2)
             elif k % 2:
@@ -854,7 +994,7 @@ class _DyadicClasses:
             norm = [(s - t) % (1 << k) for s, t in
                     zip(self._mul(x, x, k), self._mul(b, self._mul(y, y, k), k))]
             # skip a norm too deep to read modulo 2^k
-            if any(norm) and min(vp_rational(v, 2) for v in norm if v) < k - 4:
+            if any(norm) and min(vp_int(v, 2) for v in norm if v) < k - 4:
                 yield _mask(self._coords(norm))
 
     def symbol(self, a: LocalFieldElement, b: LocalFieldElement) -> int:
@@ -946,21 +1086,9 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
 
     b = a
     if v_fa is not INFINITY:
-        loss = spread = 0
-        if field.is_extension:
-            # an element of valuation >= V has coordinates of valuation
-            # >= V - loss, loss read off the integral basis; coordinates
-            # truncated at k digits move an element by valuation >= k - spread
-            loss = -min(ctx.vp(c) for y in field._integral_basis for c in y.coeffs if c)
-            spread = math.ceil(field.degree * max(0, field.slope))
+        loss, spread = field.coordinate_margins
         stop = digits + 1 + loss + v_fpa
         cap = math.ceil(stop) + 1
-
-        def cut(x, k):
-            if field.is_extension:
-                return field.element([_truncate_coeff(c, k, ctx) for c in x.coeffs])
-            return _truncate_coeff(x, k, ctx)
-
         s = field.inv(fpa)  # 1/f'(b), carried along with b
         for _ in range(4 * digits + 16):
             fb = f.evaluate(b)
@@ -970,8 +1098,8 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
             k = min(cap, 2 * math.ceil(v_fb) + 2) + spread
             # a Newton step for 1/f'(b) squares the relative error of s,
             # which then keeps pace with the error of b
-            s = cut(s * (2 - deriv.evaluate(b) * s), k)
-            b = cut(b - fb * s, k)
+            s = field.cut(s * (2 - deriv.evaluate(b) * s), k)
+            b = field.cut(b - fb * s, k)
         else:
             raise PrecisionExhausted("Newton iteration did not reach the digit target")
 

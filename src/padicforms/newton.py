@@ -137,7 +137,7 @@ class SlopeFactorization:
 
     The product matches f with residual coefficient valuations above
     ``digits``.  When f has several slopes, every factor coefficient is
-    the true factor's coefficient truncated modulo p^N (``_truncate_coeff``),
+    the true factor's coefficient truncated modulo p^N (the handle's ``cut``),
     with N = max(digits + 1 + max(0, -min_k v(f_k)), h + 1) and h the
     largest edge height of f's polygon.  N depends on ``digits`` and f
     alone, so the reported factors do not depend on how they were lifted,
@@ -166,20 +166,8 @@ def min_coefficient_valuation(f: PadicPolynomial):
     return min(f.field.valuation(c) for c in f.coeffs)
 
 
-def _truncate_coeff(c, k: int, ctx):
-    """A rational congruent to c modulo p^k with height bounded by ~p^k."""
-    if c == 0:
-        return c
-    v = ctx.vp(c)
-    if v >= k:
-        return Fraction(0)
-    shift = Fraction(ctx.p) ** v
-    return rational_mod_pk(c / shift, ctx.p, k - v) * shift
-
-
 def _truncate_poly(f: PadicPolynomial, k: int) -> PadicPolynomial:
-    ctx = f.field.context
-    return PadicPolynomial([_truncate_coeff(c, k, ctx) for c in f.coeffs], f.field)
+    return PadicPolynomial([f.field.cut(c, k) for c in f.coeffs], f.field)
 
 
 def _block_loss(r: int, d: int, m) -> int:
@@ -252,7 +240,7 @@ def _two_block_lift(f: PadicPolynomial, r: int, n: int):
     big_f = [a * scale ** (k - d) for k, a in enumerate(f.coeffs)]
 
     # the polygon split and its cofactor, from F at the precision they need
-    low = [_truncate_coeff(a, loss + r + 2, ctx) for a in big_f]
+    low = [ctx.cut(a, loss + r + 2) for a in big_f]
     g0 = PadicPolynomial(low[: r + 1], field) * (1 / low[r])
     h0 = PadicPolynomial(low[r:], field)
     one, s = g0.half_egcd(h0)
@@ -539,7 +527,7 @@ def graded_reduction(f: PadicPolynomial, slope) -> FiniteFieldPoly:
     for b, c in enumerate(f.coeffs):
         if not field.is_zero(c) and field.valuation(c) == slope * b:
             # on the grading line v = m b integrality forces d | b
-            digits[b // d] = rational_mod_pk(c * ctx.uniformizer ** int(-slope * b), ctx.p, 1)
+            digits[b // d] = ctx.residue(c, int(slope * b))[0]
     return FiniteFieldPoly(digits, ctx.p)
 
 

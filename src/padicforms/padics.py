@@ -99,13 +99,51 @@ def legendre_int(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def int_mod_pk(n: int, d: int, p: int, k: int) -> int:
+    """Canonical representative modulo p^k of the p-integral rational n / d (d > 0)."""
+    m = p ** k
+    if d % p:
+        return n * pow(d, -1, m) % m
+    ps = p ** vp_int(d, p)
+    if n % ps:
+        raise PreconditionFailed(f"{Fraction(n, d)} is not p-integral at p={p}")
+    return n // ps * pow(d // ps, -1, m) % m
+
+
 def rational_mod_pk(x, p: int, k: int) -> int:
     """Canonical representative of a p-integral rational modulo p^k."""
     x = Fraction(x)
-    if vp_rational(x, p) < 0:
-        raise PreconditionFailed(f"{x} is not p-integral at p={p}")
-    m = p ** k
-    return x.numerator * pow(x.denominator, -1, m) % m
+    return int_mod_pk(x.numerator, x.denominator, p, k)
+
+
+def unit_split(n: int, d: int, p: int) -> tuple[int, int, int]:
+    """(v, a, b) with n / d = p^v a / b and a, b prime to p, for nonzero n and d."""
+    v = 0
+    if n % p == 0:
+        v = vp_int(n, p)
+        n //= p ** v
+    if d % p == 0:
+        s = vp_int(d, p)
+        d //= p ** s
+        v -= s
+    return v, n, d
+
+
+def cut_int(n: int, d: int, p: int, k: int) -> tuple[int, int]:
+    """The valuation-shifted cut of n / d (d > 0) at k digits, as (numerator, denominator).
+
+    With n / d = p^v u, u a unit, it is p^v (u mod p^(k - v)): congruent to
+    n / d modulo p^k, with height about p^k, and 0 when v >= k.  The
+    denominator is a power of p.
+    """
+    if not n:
+        return 0, 1
+    v, a, b = unit_split(n, d, p)
+    if v >= k:
+        return 0, 1
+    m = p ** (k - v)
+    r = a * pow(b, -1, m) % m
+    return (r * p ** v, 1) if v >= 0 else (r, p ** -v)
 
 
 @dataclass(frozen=True)
@@ -129,6 +167,8 @@ class PadicContext:
 
     is_extension = False
     ramification_index = 1
+    # (loss, spread) between valuations and coordinates; see LocalField.coordinate_margins
+    coordinate_margins = (0, 0)
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -157,8 +197,8 @@ class PadicContext:
         x = Fraction(x)
         if x == 0:
             raise PreconditionFailed("0 has no unit part")
-        v = self.vp(x)
-        return v, x / Fraction(self.p) ** v
+        v, a, b = unit_split(x.numerator, x.denominator, self.p)
+        return v, Fraction(a, b)
 
     def least_nonresidue(self) -> int:
         """Smallest positive quadratic nonresidue mod p (odd p only)."""
@@ -196,6 +236,23 @@ class PadicContext:
         """The representative of c modulo p^k in [0, p^k); ``coerce`` maps it back."""
         return rational_mod_pk(c, self.p, k)
 
+    def residue(self, c, j: int = 0) -> list:
+        """The residue digit [c pi^(-j) mod p], for c with v(c) >= j."""
+        c = Fraction(c) * self.uniformizer ** -j if j else Fraction(c)
+        return [int_mod_pk(c.numerator, c.denominator, self.p, 1)]
+
+    def cut(self, c, k: int) -> Fraction:
+        """p^v (u mod p^(k - v)) for c = p^v u: congruent to c modulo p^k, of height about p^k."""
+        n, d = cut_int(c.numerator, c.denominator, self.p, k)
+        return Fraction(n, d)
+
+
+def _unit_digits(x: Fraction, p: int) -> tuple[int, int]:
+    """(v, u mod p) for x = p^v u, u mod 8 at p = 2: what squares and symbols over Q_p read."""
+    v, a, b = unit_split(x.numerator, x.denominator, p)
+    m = 8 if p == 2 else p
+    return v, a * pow(b, -1, m) % m
+
 
 def is_square_rational(x, ctx: PadicContext) -> bool:
     """Exact squareness test in Q_p.
@@ -207,12 +264,10 @@ def is_square_rational(x, ctx: PadicContext) -> bool:
     x = Fraction(x)
     if x == 0:
         raise PreconditionFailed("is_square is undefined at 0")
-    v, u = ctx.unit_part(x)
+    v, u = _unit_digits(x, ctx.p)
     if v % 2 != 0:
         return False
-    if ctx.p == 2:
-        return rational_mod_pk(u, 2, 3) == 1
-    return legendre_int(rational_mod_pk(u, ctx.p, 1), ctx.p) == 1
+    return u == 1 if ctx.p == 2 else legendre_int(u, ctx.p) == 1
 
 
 def square_class_rational(x, ctx: PadicContext) -> Fraction:
@@ -225,13 +280,12 @@ def square_class_rational(x, ctx: PadicContext) -> Fraction:
     x = Fraction(x)
     if x == 0:
         raise PreconditionFailed("square_class is undefined at 0")
-    v, u = ctx.unit_part(x)
     p = ctx.p
+    v, u = _unit_digits(x, p)
     if p != 2:
-        un = ctx.least_nonresidue()
-        unit_rep = 1 if legendre_int(rational_mod_pk(u, p, 1), p) == 1 else un
+        unit_rep = 1 if legendre_int(u, p) == 1 else ctx.least_nonresidue()
     else:
-        unit_rep = {1: 1, 3: -5, 5: 5, 7: -1}[rational_mod_pk(u, 2, 3)]
+        unit_rep = {1: 1, 3: -5, 5: 5, 7: -1}[u]
     return Fraction(unit_rep * (p if v % 2 else 1))
 
 
@@ -247,15 +301,11 @@ def hilbert_symbol_qp(a, b, ctx: PadicContext) -> int:
     if a == 0 or b == 0:
         raise PreconditionFailed("hilbert symbol needs nonzero arguments")
     p = ctx.p
-    al, u = ctx.unit_part(a)
-    be, w = ctx.unit_part(b)
+    al, um = _unit_digits(a, p)
+    be, wm = _unit_digits(b, p)
     if p != 2:
-        um = rational_mod_pk(u, p, 1)
-        wm = rational_mod_pk(w, p, 1)
         s = legendre_int(-1, p) ** (al * be) * legendre_int(um, p) ** be * legendre_int(wm, p) ** al
         return 1 if s == 1 else -1
-    um = rational_mod_pk(u, 2, 3)
-    wm = rational_mod_pk(w, 2, 3)
     eps_u, eps_w = (um - 1) // 2 % 2, (wm - 1) // 2 % 2
     om_u, om_w = (um * um - 1) // 8 % 2, (wm * wm - 1) // 8 % 2
     return -1 if (eps_u * eps_w + al * om_w + be * om_u) % 2 else 1

@@ -6,7 +6,8 @@ Q_p's handle, with elements carried as `Fraction`, and
 :class:`padicforms.extensions.LocalField` is a certified finite
 extension.  Both expose ``context``, ``is_extension``,
 ``ramification_index``, ``zero``, ``one``, ``coerce``, ``inv``,
-``is_zero``, ``valuation``, ``norm`` and ``truncate``.  All arithmetic
+``is_zero``, ``valuation``, ``norm``, ``truncate``, ``residue``, ``cut``
+and ``coordinate_margins``.  All arithmetic
 (addition, multiplication, Euclidean division, gcd, evaluation,
 composition) is exact.  Over Q_p, products and divisions run on integer
 vectors over one common denominator.

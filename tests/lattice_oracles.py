@@ -21,7 +21,7 @@ import itertools
 
 from padicforms.errors import ConditionFailed, SearchExhausted
 from padicforms.extensions import LocalField, LocalFieldElement
-from padicforms.padics import INFINITY, rational_mod_pk
+from padicforms.padics import INFINITY, int_mod_pk
 
 _SEARCH_CELL_CAP = 1 << 21
 
@@ -31,6 +31,12 @@ def _unit_modulus(field: LocalField) -> int:
     e = field.ramification_index
     w4 = e * field.base_context.v4
     return -((w4 + 1) // -e)  # ceil((w4+1)/e)
+
+
+def _lattice_mod(x: LocalFieldElement, k: int) -> tuple:
+    """The lattice coordinates of an integral x modulo p^k."""
+    nums, d = x.field.lattice_coordinates(x)
+    return tuple(int_mod_pk(c, d, x.field.base_context.p, k) for c in nums)
 
 
 def _is_square_search(u: LocalFieldElement) -> bool:
@@ -60,9 +66,7 @@ def _square_class_search(u: LocalFieldElement) -> tuple:
             continue
         s = field.from_lattice_coordinates(coords)
         val = u * s * s
-        res = tuple(
-            rational_mod_pk(c, p, kp) for c in field.lattice_coordinates(val)
-        )
+        res = _lattice_mod(val, kp)
         if best is None or res < best:
             best = res
     if best is None:
@@ -136,12 +140,11 @@ def _search_lattice(a, b, q, np):
     for i in range(n):
         for j in range(i, n):
             prod = field._integral_basis[i] * field._integral_basis[j]
-            coords = field.lattice_coordinates(prod)
-            row = tuple(rational_mod_pk(c, p, _exp_of(q, p)) for c in coords)
+            row = _lattice_mod(prod, _exp_of(q, p))
             tensor[i][j] = row
             tensor[j][i] = row
-    a_co = [rational_mod_pk(c, p, _exp_of(q, p)) for c in field.lattice_coordinates(a)]
-    b_co = [rational_mod_pk(c, p, _exp_of(q, p)) for c in field.lattice_coordinates(b)]
+    a_co = list(_lattice_mod(a, _exp_of(q, p)))
+    b_co = list(_lattice_mod(b, _exp_of(q, p)))
 
     grids = np.meshgrid(*([np.arange(q)] * n), indexing="ij")
     flat = [g.reshape(-1).astype(np.int64) for g in grids]

@@ -2,9 +2,11 @@
 
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from padicforms import (
     ConditionFailed,
@@ -19,7 +21,8 @@ from padicforms import (
     prepare,
     verify_conditions,
 )
-from padicforms.construct import SlopeRing, _place_valuation, certify_factor
+from padicforms.cli import main
+from padicforms.construct import SlopeRing, _place_valuation, _rational_roots, certify_factor
 from padicforms.newton import FiniteFieldPoly, newton_polygon
 from padicforms.quadform import residue_field
 from padicforms.reciprocity import random_certified_irreducible, random_coprime_poly
@@ -249,3 +252,42 @@ def test_randomized_corollary_constructions(contexts):
             assert cor.isotropic and cor.conditions.all_hold, (ctx.p, g.to_text())
             done += 1
         assert done == targets[ctx.p]
+
+
+def test_rational_roots_against_sympy(c3):
+    """The modular rational roots equal sympy's, in the order of (|a|, b, sign) for a root a/b."""
+    f = poly([1, 0, 1], c3)
+    for r in (Fraction(1, 3), Fraction(-1, 2), Fraction(-1, 3), Fraction(2), Fraction(-1)):
+        f = f * poly([-r, 1], c3)
+    assert _rational_roots(f) == [-1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3), 2]
+    t = sympy.Symbol("t")
+    rng = random.Random(53)
+    seen_roots = 0
+    for _ in range(60):
+        roots = {Fraction(rng.choice([1, -1]) * rng.randint(1, 10 ** rng.randint(1, 12)),
+                          rng.randint(1, 10 ** rng.randint(0, 6)))
+                 for _ in range(rng.randint(0, 3))}
+        f = poly([1], c3)
+        for r in roots:
+            f = f * poly([-r, 1], c3)
+        if rng.random() < 0.7:
+            f = f * poly([rng.choice([-1, 1]) * rng.randint(1, 10 ** 20), rng.randint(-9, 9), 1], c3)
+        f = f.squarefree_odd_part()
+        if f.degree < 1:
+            continue
+        got = _rational_roots(f)
+        sym = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], t)
+        want = sorted((Fraction(int(r.p), int(r.q)) for r in sympy.roots(sym, filter="Q")),
+                      key=lambda x: (abs(x.numerator), x.denominator, x < 0))
+        assert got == want, f.to_text()
+        seen_roots += len(got)
+    assert seen_roots > 50
+
+
+def test_rational_roots_cliff(capsys):
+    """A 33-digit constant term: the divisor walk this replaced ran for minutes, the modular method answers at once."""
+    start = time.perf_counter()
+    rc = main(["construct-s", "--prime", "3", "--gamma", "2", "--", "t^2 - 300000000000000000000000000000147"])
+    assert time.perf_counter() - start < 2
+    assert rc == 0
+    assert "conditions verified: 6, all hold: True" in capsys.readouterr().out

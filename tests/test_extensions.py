@@ -22,11 +22,16 @@ from padicforms import (
     is_square_rational,
     square_class,
 )
-from padicforms.extensions import _unit, as_base_rational
+from padicforms.extensions import as_base_rational
 from padicforms.padics import rational_mod_pk
 
 from conftest import poly
 from lattice_oracles import _certified_hilbert_search, _is_square_search, _square_class_search
+
+
+def _unit(x, w):
+    """The unit x * pi_K^(-w), for w = w(x)."""
+    return x * x.field.uniformizer_elt ** (-w)
 
 
 def ramified3(c3):
