@@ -496,8 +496,6 @@ class LocalFieldElement:
         if o is None:
             return NotImplemented
         a, b = self.den, o.den
-        if a == b:
-            return LocalFieldElement(self.field, map(operator.add, self.num, o.num), a)
         return LocalFieldElement(self.field, [x * b + y * a for x, y in zip(self.num, o.num)], a * b)
 
     __radd__ = __add__
@@ -507,8 +505,6 @@ class LocalFieldElement:
         if o is None:
             return NotImplemented
         a, b = self.den, o.den
-        if a == b:
-            return LocalFieldElement(self.field, map(operator.sub, self.num, o.num), a)
         return LocalFieldElement(self.field, [x * b - y * a for x, y in zip(self.num, o.num)], a * b)
 
     def __rsub__(self, other):
@@ -532,7 +528,7 @@ class LocalFieldElement:
                 for j, b in enumerate(o.num):
                     conv[i + j] += a * b
         rows, d = field._power_rows
-        out = conv[:n] if d == 1 else [c * d for c in conv[:n]]
+        out = [c * d for c in conv[:n]]
         for c, row in zip(conv[n:], rows):
             if c:
                 out = [x + c * r for x, r in zip(out, row)]

@@ -166,10 +166,6 @@ def min_coefficient_valuation(f: PadicPolynomial):
     return min(f.field.valuation(c) for c in f.coeffs)
 
 
-def _truncate_poly(f: PadicPolynomial, k: int) -> PadicPolynomial:
-    return PadicPolynomial([f.field.cut(c, k) for c in f.coeffs], f.field)
-
-
 def _block_loss(r: int, d: int, m) -> int:
     """Digits lost when a monic polynomial of degree d whose last edge has
     slope m, from the vertex at abscissa r, is split there.
@@ -305,7 +301,7 @@ def slope_factorization(f: PadicPolynomial, digits: int) -> SlopeFactorization:
             work *= 2
             continue
         if len(parts) > 1:
-            parts = [_truncate_poly(p, n_out) for p in parts]
+            parts = [PadicPolynomial([p.field.cut(c, n_out) for c in p.coeffs], p.field) for p in parts]
         factors = tuple(
             SlopeFactor(p, s, p.degree, slope_denominator(s))
             for p, s in zip(parts, slopes)
