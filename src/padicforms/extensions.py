@@ -6,10 +6,13 @@ polygon criteria (slope denominator equals the degree, or irreducible
 reduction with matching degree).  Elements are integer coefficient
 vectors in powers of alpha over one positive denominator, in lowest terms,
 and every kernel (products, inverses, norms, lattice coordinates,
-valuations, residues and cuts) runs on those integers.  Norms are exact
-resultants Res(q, r) for x = r(alpha), by sub-resultants over Z, and
-valuations are read off the coordinates in an integral basis, normalized
-so that the base uniformizer has valuation 1 (so values lie in (1/e)Z).
+valuations, residues and cuts) runs on those integers.  Products are
+``polynomials.convolve`` reduced by precomputed alpha-power rows; images
+f(alpha) and the resultant's pseudo-remainders come from
+``polynomials.divide``.  Norms are exact resultants Res(q, r) for
+x = r(alpha), by sub-resultants over Z, and valuations are read off the
+coordinates in an integral basis, normalized so that the base
+uniformizer has valuation 1 (so values lie in (1/e)Z).
 Residue digits and truncations are read through the field handle's
 ``residue`` and ``cut``.
 
@@ -73,7 +76,7 @@ from .padics import (
     square_class_rational,
     vp_int,
 )
-from .polynomials import PadicPolynomial, integer_vector
+from .polynomials import PadicPolynomial, convolve, divide, integer_vector
 
 
 def _trim(a) -> list:
@@ -83,25 +86,15 @@ def _trim(a) -> list:
     return a
 
 
-def _prem(a: list, b: list) -> list:
-    """lc(b)^(deg a - deg b + 1) a mod b over Z, for deg a >= deg b >= 1."""
-    r, db, lb = list(a), len(b) - 1, b[-1]
-    for k in range(len(r) - 1, db - 1, -1):
-        c = r[k]
-        r = [x * lb for x in r[:k]]
-        if c:
-            for i in range(db):
-                r[k - db + i] -= c * b[i]
-    return _trim(r)
-
-
 def _resultant(a, b) -> int:
-    """Res(a, b) of two integer coefficient lists (constant term first), deg a >= 1.
+    """Res(a, b) of two integer coefficient lists (constant term first), deg a > deg b.
 
     The sub-resultant algorithm (Cohen, A Course in Computational Algebraic
     Number Theory, algorithm 3.3.7): contents are taken out first, each
     pseudo-remainder is divided exactly by g h^delta, and Res(A, c) =
-    c^(deg A) for a constant c ends the sequence.
+    c^(deg A) for a constant c ends the sequence.  The pseudo-remainder
+    lc(b)^(delta + 1) a mod b is lc(b)^(delta + 1) r / d for the remainder
+    r / d of ``divide``, exact since d divides |lc(b)|^(delta + 1).
     """
     a, b = _trim(a), _trim(b)
     if not b:
@@ -111,20 +104,16 @@ def _resultant(a, b) -> int:
     t = ca ** db * cb ** da
     a, b = [x // ca for x in a], [x // cb for x in b]
     s = 1
-    if da < db:
-        a, b, da, db = b, a, db, da
-        if da % 2 and db % 2:
-            s = -1
     g = h = 1
     while db > 0:
         delta = da - db
         if da % 2 and db % 2:
             s = -s
-        r = _prem(a, b)
+        _, r, d = divide(a, 1, b, 1)
         if not r:
             return 0
-        div = g * h ** delta
-        a, b = b, [x // div for x in r]
+        m, div = b[-1] ** (delta + 1) // d, g * h ** delta
+        a, b = b, [x * m // div for x in r]
         da, db = db, len(b) - 1
         g = a[-1]
         if delta:
@@ -171,7 +160,9 @@ class LocalField:
 
     Exposes the coefficient-field protocol used by
     :class:`padicforms.polynomials.PadicPolynomial`, so polynomials over
-    extensions work unchanged.  e * f = deg q always holds; the
+    K add, scale, differentiate, shift and evaluate as over Q_p (all that
+    ``hensel_lift`` needs); their products and divisions raise
+    PreconditionFailed.  e * f = deg q always holds; the
     uniformizer element has valuation 1/e and the irreducibility evidence
     records which criterion fired.
 
@@ -358,11 +349,11 @@ class LocalField:
         return self.element([0, 1])
 
     def from_poly(self, f: PadicPolynomial) -> "LocalFieldElement":
-        """Image of a base-coefficient polynomial, i.e. f(alpha)."""
+        """Image of a base-coefficient polynomial, i.e. f(alpha): the remainder of f by q, on integers."""
         if f.field.is_extension:
             raise PreconditionFailed("expected base-field coefficients")
-        r = f % PadicPolynomial(self.minimal_poly.coeffs, f.field)
-        return self.element(list(r.coeffs))
+        _, r, d = divide(*integer_vector(f.coeffs), *self._minimal_ints)
+        return LocalFieldElement(self, r + [0] * (self.degree - len(r)), d)
 
     # -- structure ------------------------------------------------------
 
@@ -522,11 +513,7 @@ class LocalFieldElement:
             return NotImplemented
         field = self.field
         n = field.degree
-        conv = [0] * (2 * n - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(o.num):
-                    conv[i + j] += a * b
+        conv = convolve(self.num, o.num)
         rows, d = field._power_rows
         out = [c * d for c in conv[:n]]
         for c, row in zip(conv[n:], rows):

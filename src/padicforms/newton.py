@@ -38,7 +38,7 @@ from .errors import (
     ZeroEndpoint,
 )
 from .padics import INFINITY, rational_mod_pk, vp_int
-from .polynomials import PadicPolynomial
+from .polynomials import PadicPolynomial, convolve
 
 
 @dataclass(frozen=True)
@@ -395,14 +395,7 @@ class FiniteFieldPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return FiniteFieldPoly([c * other for c in self.coeffs], self.p)
-        if self.is_zero() or other.is_zero():
-            return FiniteFieldPoly((), self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return FiniteFieldPoly(out, self.p)
+        return FiniteFieldPoly(convolve(self.coeffs, other.coeffs), self.p)
 
     def __divmod__(self, other):
         if other.is_zero():

@@ -255,13 +255,12 @@ def _unit_digits(x: Fraction, p: int) -> tuple[int, int]:
 
 
 def is_square_rational(x, ctx: PadicContext) -> bool:
-    """Exact squareness test in Q_p.
+    """Exact squareness test in Q_p, for x an int or a Fraction.
 
     x = p^v u is a square iff v is even and the unit u is: for odd p iff
     (u mod p | p) = 1 (Euler's criterion, then Hensel), for p = 2 iff
     u = 1 mod 8.
     """
-    x = Fraction(x)
     if x == 0:
         raise PreconditionFailed("is_square is undefined at 0")
     v, u = _unit_digits(x, ctx.p)
@@ -271,13 +270,12 @@ def is_square_rational(x, ctx: PadicContext) -> bool:
 
 
 def square_class_rational(x, ctx: PadicContext) -> Fraction:
-    """Canonical square-class representative of x in Q_p*.
+    """Canonical square-class representative of x (an int or a Fraction) in Q_p*.
 
     Odd p: {1, u, p, u p} with u the least positive nonresidue mod p.
     p = 2: {1, 5, -1, -5, 2, 10, -2, -10}.
     The sets are fixed so that emitted certificates are byte-stable.
     """
-    x = Fraction(x)
     if x == 0:
         raise PreconditionFailed("square_class is undefined at 0")
     p = ctx.p
@@ -290,14 +288,13 @@ def square_class_rational(x, ctx: PadicContext) -> Fraction:
 
 
 def hilbert_symbol_qp(a, b, ctx: PadicContext) -> int:
-    """Hilbert symbol (a, b) over Q_p, in {-1, +1}.
+    """Hilbert symbol (a, b) over Q_p, in {-1, +1}, for ints or Fractions a and b.
 
     (a, b) = 1 iff z^2 = a x^2 + b y^2 has a nontrivial solution.
     Classical case formulas: for odd p with a = p^alpha u, b = p^beta w,
         (a, b) = (-1|p)^(alpha beta) (u|p)^beta (w|p)^alpha ;
     for p = 2 the epsilon/omega exponent formula on units mod 8.
     """
-    a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise PreconditionFailed("hilbert symbol needs nonzero arguments")
     p = ctx.p

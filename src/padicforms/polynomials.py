@@ -7,10 +7,15 @@ Q_p's handle, with elements carried as `Fraction`, and
 extension.  Both expose ``context``, ``is_extension``,
 ``ramification_index``, ``zero``, ``one``, ``coerce``, ``inv``,
 ``is_zero``, ``valuation``, ``norm``, ``truncate``, ``residue``, ``cut``
-and ``coordinate_margins``.  All arithmetic
-(addition, multiplication, Euclidean division, gcd, evaluation,
-composition) is exact.  Over Q_p, products and divisions run on integer
-vectors over one common denominator.
+and ``coordinate_margins``.  All arithmetic is exact.  Addition,
+subtraction, scalar multiplication, derivatives, evaluation and shifts
+work over either handle.  Products, division with remainder and gcd
+(and so powers, composition and the squarefree machinery) are over Q_p
+only, and raise PreconditionFailed over an extension: they run on
+integer vectors over one common denominator, through :func:`convolve`
+and :func:`divide`, the one integer product and the one integer
+division in the package, which the extension and finite-field kernels
+call too.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from .padics import INFINITY, PadicContext
 
 class PadicPolynomial:
     """A polynomial in t over Q_p or an extension, stored exactly.
+
+    Products and division need Q_p coefficients (see the module docstring).
 
     Invariant: the last stored coefficient is nonzero unless the
     polynomial is zero (empty coefficient tuple).
@@ -130,23 +137,10 @@ class PadicPolynomial:
             c = self.field.coerce(other) if not _is_element(other, self.field) else other
             return PadicPolynomial([a * c for a in self.coeffs], self.field)
         other = self._check(other)
-        if self.is_zero() or other.is_zero():
-            return PadicPolynomial.zero(self.field)
-        if not self.field.is_extension:
-            (a, da), (b, db) = integer_vector(self.coeffs), integer_vector(other.coeffs)
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
-            return PadicPolynomial([Fraction(c, da * db) for c in out], self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if self.field.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return PadicPolynomial(out, self.field)
+        if self.field.is_extension:
+            raise PreconditionFailed("polynomial products implemented over Q_p coefficients")
+        (a, da), (b, db) = integer_vector(self.coeffs), integer_vector(other.coeffs)
+        return PadicPolynomial([Fraction(c, da * db) for c in convolve(a, b)], self.field)
 
     __rmul__ = __mul__
 
@@ -164,38 +158,14 @@ class PadicPolynomial:
 
     def __divmod__(self, other):
         other = self._check(other)
+        if self.field.is_extension:
+            raise PreconditionFailed("polynomial division implemented over Q_p coefficients")
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [self.field.zero] * max(0, self.degree - other.degree + 1)
-        if not self.field.is_extension:
-            # r = R / d and other = B / db; R is rescaled only when lc does not divide its top
-            (r, d), (b, db) = integer_vector(self.coeffs), integer_vector(other.coeffs)
-            lc = b[-1]
-            while len(r) >= len(b):
-                k = len(r) - len(b)
-                q[k] = Fraction(r[-1] * db, d * lc)
-                s = abs(lc) // math.gcd(r[-1], lc)
-                if s != 1:
-                    r = [c * s for c in r]
-                    d *= s
-                m = r[-1] // lc
-                for j, y in enumerate(b):
-                    r[k + j] -= m * y
-                while r and not r[-1]:
-                    r.pop()
-            r = [Fraction(c, d) for c in r]
-            return PadicPolynomial(q, self.field), PadicPolynomial(r, self.field)
-        r = list(self.coeffs)
-        inv_lc = self.field.inv(other.leading_coefficient())
-        while len(r) - 1 >= other.degree and r:
-            k = len(r) - 1 - other.degree
-            c = r[-1] * inv_lc
-            q[k] = c
-            for j, b in enumerate(other.coeffs):
-                r[k + j] = r[k + j] - c * b
-            while r and self.field.is_zero(r[-1]):
-                r.pop()
-        return (PadicPolynomial(q, self.field), PadicPolynomial(r, self.field))
+        b, db = integer_vector(other.coeffs)
+        quot, r, d = divide(*integer_vector(self.coeffs), b, db)
+        q = [Fraction(top * db, den * b[-1]) for top, den in quot]
+        return PadicPolynomial(q, self.field), PadicPolynomial([Fraction(c, d) for c in r], self.field)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -362,6 +332,48 @@ def integer_vector(coeffs):
     for c in coeffs:
         d = math.lcm(d, c.denominator)
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def convolve(a, b) -> list:
+    """The product of two integer coefficient lists (constant term first)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def divide(r, d, b, db):
+    """Division with remainder of R / d by B / db, for integer lists R and B with B's top nonzero.
+
+    Returns (quot, rem, d'): R / d = (sum_k q_k t^k)(B / db) + rem / d', rem
+    trimmed, d' > 0 when d > 0.  Each q_k is recorded as (top, den), the
+    top coefficient and the denominator it was read at, with
+    q_k = top db / (den lc(B)); a caller that drops the quotient pays no
+    big-integer work for it.  R is rescaled only when lc(B) does not
+    divide its top, so d' / d divides |lc(B)|^(deg R - deg B + 1).
+    """
+    r, lc, body = list(r), b[-1], b[:-1]
+    n = len(body)
+    quot = [(0, 1)] * max(0, len(r) - n)
+    while len(r) > n:
+        top = r.pop()  # cancelled exactly by m t^k B below
+        k = len(r) - n
+        quot[k] = (top, d)
+        if top % lc:
+            s = abs(lc) // math.gcd(top, lc)
+            r = [c * s for c in r]
+            d *= s
+            top *= s
+        m = top // lc
+        for j, y in enumerate(body):
+            r[k + j] -= m * y
+        while r and not r[-1]:
+            r.pop()
+    return quot, r, d
 
 
 def _is_element(c, field):

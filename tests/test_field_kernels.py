@@ -1,12 +1,13 @@
 """Differential tests of the integer kernels over a LocalField.
 
 Fields come from ``random_certified_irreducible`` at p in {2, 3, 5, 7,
-10007}, degrees 2-4, some with the root scaled, and from two fixed fields
-whose unit p pi_K^(-e) has a residue other than 1.  Each kernel is compared with a reference that shares
-no code with it: a Fraction convolution and division for the product, a
-Fraction linear solve for the inverse and the lattice coordinates, sympy's
-resultant for the norm, and ``rational_mod_pk`` on the ``coeffs`` view for
-the cut and the residue.
+10007}, degrees 2-4, some with the root scaled, and from three fixed fields:
+two whose unit p pi_K^(-e) has a residue other than 1, and one whose
+integral basis is not made of alpha-monomials.  Each kernel is compared with a reference that shares
+no code with it: a Fraction convolution and division for the product and
+for ``from_poly``, a Fraction linear solve for the inverse and the lattice
+coordinates, sympy's resultant for the norm, and ``rational_mod_pk`` on
+the ``coeffs`` view for the cut and the residue.
 """
 
 import math
@@ -47,10 +48,13 @@ def field(p: int, seed: int) -> LocalField:
 
 
 # e = f = 2 over Q_3, and f = 2 over Q_5 with the uniformizer 10: the
-# residue reads of x pi_K^(-j) at j >= e multiply by a unit residue epsbar != 1
+# residue reads of x pi_K^(-j) at j >= e multiply by a unit residue epsbar != 1;
+# slope -5/3 over Q_3: pi_K = alpha^(-1) 3^2 and pi_K^2 are not alpha-monomials,
+# so inverting the basis matrix eliminates below and above each pivot
 MIXED = [
     LocalField(PadicPolynomial.from_rationals([18, 0, 3, 0, 1], CONTEXTS[3])),
     LocalField(PadicPolynomial.from_rationals([-2, 0, 1], PadicContext(5, uniformizer=Fraction(10)))),
+    LocalField(PadicPolynomial.from_rationals([243, 81, 9, 1], CONTEXTS[3])),
 ]
 
 
@@ -64,10 +68,14 @@ def coefficient(draw, p):
     return Fraction(num, den) * Fraction(p) ** draw(st.integers(-3, 6))
 
 
+def fields():
+    return st.one_of(st.builds(field, st.sampled_from(PRIMES), st.integers(0, 40)), st.sampled_from(MIXED))
+
+
 @st.composite
 def elements(draw, count=1):
     """(K, x_1, ..., x_count), each x nonzero."""
-    K = draw(st.one_of(st.builds(field, st.sampled_from(PRIMES), st.integers(0, 40)), st.sampled_from(MIXED)))
+    K = draw(fields())
     p = K.base_context.p
     xs = []
     for _ in range(count):
@@ -166,3 +174,33 @@ def test_cut_and_residue_against_rational_mod_pk(case, k):
         ctx = K.base_context
         v = ctx.vp(c)
         assert ctx.residue(c, v) == [rational_mod_pk(c / ctx.uniformizer ** v, p, 1)]
+
+
+@st.composite
+def base_polynomials(draw):
+    """(K, f) with f over Q_p of degree 0-12, coefficients with p-power denominators."""
+    K = draw(fields())
+    p = K.base_context.p
+    num = st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64))
+    cs = draw(st.lists(st.builds(lambda a, k: Fraction(a, p**k), num, st.integers(0, 6)), max_size=13))
+    return K, PadicPolynomial(cs, K.base_context)
+
+
+@settings(max_examples=60)
+@given(base_polynomials())
+def test_from_poly_is_the_remainder_by_the_modulus(case):
+    K, f = case
+    got = K.from_poly(f)
+    # the route through PadicPolynomial division and the coeffs view
+    assert got == K.element(list((f % PadicPolynomial(K.minimal_poly.coeffs, f.field)).coeffs))
+    assert list(got.coeffs) == reduce_mod(f.coeffs, K.minimal_poly.coeffs)
+    assert math.gcd(got.den, *got.num) == 1 and got.den > 0
+
+
+def test_basis_inverse_on_a_basis_that_is_not_monomial():
+    K = MIXED[2]
+    basis = K._integral_basis
+    assert any(sum(1 for c in b.num if c) > 1 for b in basis)
+    for i, b in enumerate(basis):
+        nums, d = K.lattice_coordinates(b)
+        assert [Fraction(c, d) for c in nums] == [int(i == j) for j in range(K.degree)]

@@ -224,6 +224,34 @@ def test_prop_one_edge_value_examples(c3):
         square_class_at_root_one_edge(f, a, g, z, 1, Fraction(3))
 
 
+def test_prop_one_edge_at_a_point_of_an_extension(c2, c3):
+    """alpha in Q_3(sqrt 3), Q_2(sqrt 2) or Q_2(zeta_3): f over Q_p is evaluated across fields."""
+    from padicforms import square_class
+
+    k3 = LocalField(poly([-3, 0, 1], c3))
+    k2 = LocalField(poly([-2, 0, 1], c2))
+    k2u = LocalField(poly([1, 1, 1], c2))
+    cases = [  # (alpha, a, g, z, N), f = a + g t^N + z t^(2N + deg g - deg z)
+        (k3.gen(), [1], [], [1], 1),  # f = 1 + t^2, slope 0 > -1/2: the class of a(alpha)
+        (k3.gen(), [2], [], [1], 1),
+        (k3.gen(), [2], [3], [1], 1),
+        (k3.gen(), [9], [], [2], 1),  # f = 9 + 2 t^2, slope -1 < -1/2: the class of z(alpha)
+        (k3.gen(), [27], [], [1], 1),
+        (k2.gen(), [3], [], [1], 5),  # v(4) / |m + v(alpha)| = 4 < N
+        (k2.gen(), [3 * 2**10], [], [3], 5),
+        (k2u.gen(), [1, 2], [], [64], 3),  # alpha a unit, slope 1
+        (k2u.gen(), [64], [], [4, 0, 1], 3),  # slope -1
+    ]
+    sides = set()
+    for alpha, a, g, z, big_n in cases:
+        a, g, z = poly(a, alpha.field.context), poly(g, alpha.field.context), poly(z, alpha.field.context)
+        f = _assemble(a, g, z, big_n, alpha.field.context)
+        sides.add(newton_polygon(f).single_edge().slope < -alpha.valuation)
+        want = square_class(f.evaluate(alpha), alpha.field)
+        assert square_class_at_root_one_edge(f, a, g, z, big_n, alpha) == want, (f.to_text(), alpha)
+    assert sides == {True, False}
+
+
 def test_prop_one_edge_bad_shapes(c3):
     f = poly([9, 0, 1], c3)
     with pytest.raises(BadDecomposition):

@@ -1,13 +1,18 @@
-"""Properties of the integer product and division kernels over Q_p."""
+"""Properties of the integer product and division kernels over Q_p and F_p.
+
+Products over F_p and Z/p^K are compared with a naive convolution; over
+an extension, products and divisions of two polynomials are refused.
+"""
 
 import math
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicforms import PadicContext, PadicPolynomial
+from padicforms import FiniteFieldPoly, LocalField, PadicContext, PadicPolynomial, PreconditionFailed
 
 from conftest import poly
 
@@ -78,3 +83,34 @@ def test_division_identity_and_sympy(pair):
     sq, sr = sympy.div(to_sympy(a), to_sympy(b))
     assert q == from_sympy(sq, a.field)
     assert r == from_sympy(sr, a.field)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from((2, 3, 7, 10007, 2**9, 3**40, 10007**3)),
+    st.lists(st.integers(-(2**70), 2**70), max_size=9),
+    st.lists(st.integers(-(2**70), 2**70), max_size=9),
+)
+def test_finite_field_product_is_the_naive_convolution_mod_m(m, a, b):
+    want = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            want[i + j] = (want[i + j] + x * y) % m
+    while want and not want[-1]:
+        want.pop()
+    assert (FiniteFieldPoly(a, m) * FiniteFieldPoly(b, m)).coeffs == tuple(want)
+
+
+def test_products_and_divisions_over_an_extension_are_refused():
+    K = LocalField(poly([-3, 0, 1], CONTEXTS[3]))
+    f = PadicPolynomial([K.gen(), K.one], K)
+    g = PadicPolynomial([K.one, K.zero, K.gen()], K)
+    for op in (lambda: f * g, lambda: divmod(g, f), lambda: g % f, lambda: f ** 2):
+        with pytest.raises(PreconditionFailed):
+            op()
+    # scalar products, sums, derivatives, shifts and evaluation stay field-generic
+    alpha = K.gen()
+    assert (f * alpha).evaluate(alpha) == K.embed(6)  # 2 alpha * alpha, alpha^2 = 3
+    assert (g - f).evaluate(alpha) == K.element([1, 1])  # 1 + alpha^3 - 2 alpha
+    assert f.derivative() == PadicPolynomial([K.one], K)
+    assert f.shift(1).coeffs == (K.zero, alpha, K.one)
