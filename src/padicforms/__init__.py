@@ -28,7 +28,6 @@ from .errors import (
     SearchBudgetExhausted,
     SearchExhausted,
     SlopeCollision,
-    UnknownFactorization,
     ZeroEndpoint,
 )
 from .padics import (

@@ -49,7 +49,7 @@ from .newton import (
 from .extensions import hensel_lift
 from .padics import PadicContext, is_prime, is_square_rational
 from .polynomials import PadicPolynomial, integer_vector
-from .quadform import PfisterSlot, milnor_isotropy, reduce_at_place, residue_field
+from .quadform import PfisterSlot, at_place, milnor_isotropy, residue_field
 from .reciprocity import legendre_symbol
 
 
@@ -455,9 +455,8 @@ def _place_valuation(value: PadicPolynomial, modulus: PadicPolynomial, ctx: Padi
     The valuation of Q_p extends uniquely to Q_p(alpha), so every root
     gives the same value, v_p(N(value(alpha))) / deg(modulus).
     """
-    field = residue_field(modulus, ctx)
-    x = reduce_at_place(value, modulus, field)
-    if field.is_zero(x):
+    field, v, x = at_place(value, modulus, ctx)
+    if v:
         raise PreconditionFailed("value vanishes at a root of the modulus")
     return field.valuation(x)
 

@@ -46,10 +46,6 @@ class BadDecomposition(PadicFormsError):
     """A polynomial decomposition does not have the required shape."""
 
 
-class UnknownFactorization(PadicFormsError):
-    """An entry's order at a place cannot be certified from known factors."""
-
-
 class FactorizationUncertified(PadicFormsError):
     """A required irreducible factorization cannot be certified exactly."""
 

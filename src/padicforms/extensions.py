@@ -454,7 +454,7 @@ class LocalFieldElement:
     Fractions, for printing and certificates.
     """
 
-    __slots__ = ("field", "num", "den", "_val", "_lat")
+    __slots__ = ("field", "num", "den", "_lat")
 
     def __init__(self, field: LocalField, num, den: int = 1):
         num = tuple(num)
@@ -465,7 +465,6 @@ class LocalFieldElement:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_val", None)
         object.__setattr__(self, "_lat", None)
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -587,16 +586,12 @@ class LocalFieldElement:
     @property
     def valuation(self):
         """v(x) = w(x) / e, w read off the lattice coordinates, so v(pi) = 1; +inf at 0."""
-        if self._val is None:
-            field = self.field
-            if self.is_zero():
-                v = INFINITY
-            else:
-                p, e = field.base_context.p, field.ramification_index
-                nums, d = field.lattice_coordinates(self)
-                v = Fraction(_lattice_w(nums, p, e) - e * vp_int(d, p), e)
-            object.__setattr__(self, "_val", v)
-        return self._val
+        if self.is_zero():
+            return INFINITY
+        field = self.field
+        p, e = field.base_context.p, field.ramification_index
+        nums, d = field.lattice_coordinates(self)
+        return Fraction(_lattice_w(nums, p, e) - e * vp_int(d, p), e)
 
     def w(self) -> int:
         """Valuation normalized to Z (w(pi_K) = 1)."""

@@ -39,7 +39,7 @@ class PadicPolynomial:
     __slots__ = ("coeffs", "field")
 
     def __init__(self, coeffs, field):
-        cs = [field.coerce(c) if not _is_element(c, field) else c for c in coeffs]
+        cs = [field.coerce(c) for c in coeffs]
         while cs and field.is_zero(cs[-1]):
             cs.pop()
         self.coeffs = tuple(cs)
@@ -134,7 +134,7 @@ class PadicPolynomial:
 
     def __mul__(self, other):
         if not isinstance(other, PadicPolynomial):
-            c = self.field.coerce(other) if not _is_element(other, self.field) else other
+            c = self.field.coerce(other)
             return PadicPolynomial([a * c for a in self.coeffs], self.field)
         other = self._check(other)
         if self.field.is_extension:
@@ -376,12 +376,6 @@ def divide(r, d, b, db):
     return quot, r, d
 
 
-def _is_element(c, field):
-    if isinstance(c, Fraction) and not field.is_extension:
-        return True
-    return getattr(c, "field", None) == field
-
-
 class RationalFunction:
     """A quotient of polynomials over Q_p, kept as an exact pair.
 
@@ -414,20 +408,6 @@ class RationalFunction:
         other = self._coerce(other)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
@@ -436,11 +416,6 @@ class RationalFunction:
         return RationalFunction.from_poly(
             PadicPolynomial((self.field.coerce(other),), self.field)
         )
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num ** n, self.den ** n)
 
     def ord_t(self):
         """Order at t = 0 (can be negative); +infinity for 0."""

@@ -8,10 +8,11 @@ plus one Hilbert symbol), dimension 3 reduces to one symbol, dimension 2
 to one squareness test.
 
 Over the rational function field K(t), a form is analysed through its
-second residue forms at monic irreducible polynomials.  Orders at a place
-are computed by exact trial division, so no general factorization is
-needed; the places to visit are enumerated from the known factors carried
-by the form's entries.
+second residue forms at monic irreducible polynomials.  Every polynomial
+is read at a place q through :func:`at_place`: the residue field
+K[t]/(q), the order v_q(f) and the image of f / q^v there, so no general
+factorization is needed; the places to visit are enumerated from the
+known factors carried by the form's entries.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionFailed, UnknownFactorization
+from .errors import PreconditionFailed
 from .extensions import LocalField, hilbert_symbol, is_square
-from .padics import PadicContext
+from .padics import PadicContext, hilbert_symbol_qp
 from .polynomials import PadicPolynomial
 
 # recently used residue fields kept by residue_field; a construction or a
@@ -130,9 +131,11 @@ def i2_class(u, field) -> int:
 
     Equals the Hilbert symbol (u, -pi); +1 iff <1, pi, -u, -pi u> is
     isotropic.  Multiplying u by powers of pi does not change the value.
-    ``field`` is a field handle; a PadicContext is Q_p's.
+    ``field`` is a field handle; a PadicContext is Q_p's.  Since -pi lies
+    in Q_p, the symbol is the norm projection (N(u), -pi)_{Q_p}.
     """
-    return hilbert_symbol(u, -field.context.uniformizer, field)
+    ctx = field.context
+    return hilbert_symbol_qp(field.norm(u), -ctx.uniformizer, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +147,8 @@ def i2_class(u, field) -> int:
 class FunctionFieldForm:
     """Diagonal form over K(t) with polynomial entries.
 
-    Orders at a place are recomputed by exact trial division, so residue
-    splits need no factorization data; Witt-class analyses that must
+    Orders at a place are read by :func:`at_place`, so residue splits
+    need no factorization data; Witt-class analyses that must
     enumerate places go through :class:`PfisterSlot`, which carries the
     certified factor multiset of each entry.
     """
@@ -173,18 +176,6 @@ class ResidueSplit:
     residue_field: object
 
 
-def order_at(entry: PadicPolynomial, q: PadicPolynomial) -> tuple[int, PadicPolynomial]:
-    """(v_q(entry), entry / q^v) by exact trial division."""
-    v = 0
-    cur = entry
-    while True:
-        quot, rem = divmod(cur, q)
-        if not rem.is_zero():
-            return v, cur
-        v += 1
-        cur = quot
-
-
 def residue_field(q: PadicPolynomial, ctx: PadicContext):
     """K[t]/(q) for a monic irreducible q: Q_p itself when q is linear.
 
@@ -205,11 +196,27 @@ def residue_field(q: PadicPolynomial, ctx: PadicContext):
 _local_field = functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)(LocalField)
 
 
-def reduce_at_place(entry: PadicPolynomial, q: PadicPolynomial, field):
-    """The image of entry in field = residue_field(q, ctx)."""
-    if q.degree == 1:
-        return entry.evaluate(-q.constant_coefficient())  # q = t - root
-    return field.from_poly(entry)
+def at_place(f: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext):
+    """(field, v, u): f read at the place q.
+
+    ``field`` is residue_field(q, ctx), v = v_q(f) and u, never zero, the
+    image of f / q^v in it.  q must be monic of degree >= 1 and f nonzero.
+    The image is read first, as the value at the root when q is linear
+    and through ``LocalField.from_poly`` otherwise, and f is divided by q
+    only while it vanishes.
+    """
+    if not q.is_monic() or q.degree < 1:
+        raise PreconditionFailed("place must be a monic polynomial of degree >= 1")
+    field = residue_field(q, ctx)
+    if f.is_zero():
+        raise PreconditionFailed("the zero polynomial has no order at a place")
+    root = -q.constant_coefficient() if q.degree == 1 else None
+    v = 0
+    while True:
+        u = field.from_poly(f) if root is None else f.evaluate(root)
+        if not field.is_zero(u):
+            return field, v, u
+        f, v = f // q, v + 1
 
 
 def second_residue(form: FunctionFieldForm, q: PadicPolynomial) -> ResidueSplit:
@@ -219,15 +226,11 @@ def second_residue(form: FunctionFieldForm, q: PadicPolynomial) -> ResidueSplit:
     in the first form, odd orders in the second; the reconstruction
     first + <q> second matches the input up to squares of K(t).
     """
-    if not q.is_monic() or q.degree < 1:
-        raise PreconditionFailed("place must be a monic polynomial of degree >= 1")
-    field = residue_field(q, form.context)
+    # read through at_place so that q is checked for a form with no entries too
+    field, _, _ = at_place(PadicPolynomial.one(form.context), q, form.context)
     first, second = [], []
     for entry in form.entries:
-        v, cofactor = order_at(entry, q)
-        value = reduce_at_place(cofactor, q, field)
-        if field.is_zero(value):
-            raise UnknownFactorization("entry reduction vanished; not coprime after division")
+        _, v, value = at_place(entry, q, form.context)
         (second if v % 2 else first).append(value)
     return ResidueSplit(
         q,
@@ -290,14 +293,9 @@ def pfister_residue_test(
         (0,0): zero.                  (1,0): zero iff i2(-yb) = +1.
         (0,1): zero iff i2(-xb) = +1. (1,1): zero iff i2(-xb yb) = +1.
     """
-    field = residue_field(q, ctx)
-    vx, cof_x = order_at(x_poly, q)
-    vy, cof_y = order_at(y_poly, q)
+    field, vx, xb = at_place(x_poly, q, ctx)
+    _, vy, yb = at_place(y_poly, q, ctx)
     px, py = vx % 2, vy % 2
-    xb = reduce_at_place(cof_x, q, field)
-    yb = reduce_at_place(cof_y, q, field)
-    if field.is_zero(xb) or field.is_zero(yb):
-        raise UnknownFactorization("slot not coprime to the place after division")
     if (px, py) == (0, 0):
         return ResidueTest(q, 0, 0, 1, True, "even orders: residue trivially zero")
     if (px, py) == (1, 0):

@@ -23,13 +23,7 @@ from .errors import NotCoprime, NotIrreducible, PadicFormsError, PreconditionFai
 from .extensions import is_square
 from .padics import PadicContext
 from .polynomials import PadicPolynomial
-from .quadform import (
-    DiagonalForm,
-    i2_class,
-    isotropic_over_local,
-    reduce_at_place,
-    residue_field,
-)
+from .quadform import DiagonalForm, at_place, i2_class, isotropic_over_local, residue_field
 
 
 def _t_poly(ctx: PadicContext) -> PadicPolynomial:
@@ -43,20 +37,34 @@ def certify_modulus(q: PadicPolynomial, ctx: PadicContext):
     otherwise the local field construction certifies irreducibility by the
     polygon criteria and raises NotIrreducible when it cannot.
     """
-    if not q.is_monic() or q.degree < 1:
-        raise NotIrreducible("modulus must be monic of degree >= 1")
+    _require_monic(q)
     field = residue_field(q, ctx)
     return field, "linear" if q.degree == 1 else field.irreducibility_evidence
 
 
-def legendre_symbol(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext) -> int:
-    """<p/q> in {-1, +1}; requires gcd(p, q) = 1 and q monic irreducible."""
+def _require_monic(q: PadicPolynomial) -> None:
+    if not q.is_monic() or q.degree < 1:
+        raise NotIrreducible("modulus must be monic of degree >= 1")
+
+
+def _value_at_root(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext):
+    """(K(alpha), p(alpha)) at a root alpha of the modulus q, through ``at_place``.
+
+    NotCoprime when q divides p, p = 0 included; NotIrreducible when q is
+    not monic or its irreducibility cannot be certified.
+    """
     if p.is_zero():
         raise NotCoprime("p vanishes modulo q")
-    field, _ = certify_modulus(q, ctx)
-    value = reduce_at_place(p, q, field)
-    if field.is_zero(value):
+    _require_monic(q)
+    field, v, value = at_place(p, q, ctx)
+    if v:
         raise NotCoprime("p vanishes modulo q")
+    return field, value
+
+
+def legendre_symbol(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext) -> int:
+    """<p/q> in {-1, +1}; requires gcd(p, q) = 1 and q monic irreducible."""
+    field, value = _value_at_root(p, q, ctx)
     return i2_class(value, field)
 
 
@@ -71,10 +79,7 @@ def explicit_square_criterion(p: PadicPolynomial, q: PadicPolynomial, ctx: Padic
     """
     if ctx.p == 2:
         raise PreconditionFailed("the square criterion applies to odd residue characteristic")
-    field, _ = certify_modulus(q, ctx)
-    value = reduce_at_place(p, q, field)
-    if field.is_zero(value):
-        raise NotCoprime("p vanishes modulo q")
+    field, value = _value_at_root(p, q, ctx)
     e = field.ramification_index
     w = int(field.valuation(value) * e)
     xi = value ** e * field.coerce((-ctx.uniformizer) ** (-w) * Fraction(-1) ** (e * w))
@@ -165,8 +170,7 @@ def symbol_via_isotropy(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContex
     <p/q> = +1 iff <1, pi, -p(alpha), -pi p(alpha)> is isotropic over
     K(alpha); used as a representation cross-check against i2_class.
     """
-    field, _ = certify_modulus(q, ctx)
-    u = reduce_at_place(p, q, field)
+    field, u = _value_at_root(p, q, ctx)
     pi = field.coerce(ctx.uniformizer)
     form = DiagonalForm.make([field.one, pi, -u, -(u * pi)], field)
     return 1 if isotropic_over_local(form) else -1
@@ -184,13 +188,13 @@ def random_rational(rng, bound: int = 50) -> Fraction:
     return Fraction(num, rng.randint(1, bound))
 
 
-def random_poly(rng, ctx: PadicContext, max_deg: int, scale_padic: bool = True) -> PadicPolynomial:
+def random_poly(rng, ctx: PadicContext, max_deg: int) -> PadicPolynomial:
     """Random nonzero polynomial with small integer times p-power coefficients."""
     deg = rng.randint(0, max_deg)
     coeffs = []
     for k in range(deg + 1):
         c = rng.randint(-9, 9)
-        if scale_padic and c and rng.random() < 0.35:
+        if c and rng.random() < 0.35:
             c *= ctx.p ** rng.randint(1, 2)
         coeffs.append(Fraction(c))
     if all(c == 0 for c in coeffs):

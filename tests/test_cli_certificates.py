@@ -234,6 +234,27 @@ def test_verify_rejects_misshapen_documents(doc, tmp_path, capsys):
     assert not ok and len(problems) == 1
 
 
+@pytest.mark.parametrize(
+    "slots",
+    [
+        {"x": "0", "y": "t", "place": "t - 1"},
+        {"x": "t - 1", "y": "t", "place": "2*t - 2"},
+    ],
+    ids=["zero-slot", "place-not-monic"],
+)
+def test_verify_rejects_residue_tests_it_cannot_read(slots, tmp_path, capsys):
+    """A zero slot once hung the verifier; a non-monic place was read at the wrong point."""
+    assertion = {"kind": "residue-test", "symbol": 1, "is_zero": True, **slots}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(
+        {"schema": "padic-forms/1", "context": _CONTEXT, "assertions": [assertion]}
+    ))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert "recomputation failed" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def construct_doc():
     import subprocess, sys

@@ -4,12 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicforms import (
     DiagonalForm,
     FunctionFieldForm,
     LocalField,
     PadicContext,
+    PadicFormsError,
+    PadicPolynomial,
+    PreconditionFailed,
     PfisterSlot,
     hilbert_symbol,
     i2_class,
@@ -24,7 +29,8 @@ from padicforms import (
     witt_zero,
 )
 from padicforms.oracles import isotropic_by_search
-from padicforms.quadform import order_at, pfister_residue_test
+from padicforms.quadform import at_place, pfister_residue_test, residue_field
+from padicforms.reciprocity import random_certified_irreducible, random_coprime_poly
 
 from conftest import poly
 
@@ -147,9 +153,50 @@ def test_second_residue_reconstruction(c3):
         if (cof % q).is_zero():
             continue
         entry = q ** v * cof
-        got_v, got_cof = order_at(entry, q)
-        assert got_v == v and got_cof == cof
-        assert entry == q ** v * got_cof
+        field, got_v, image = at_place(entry, q, c3)
+        assert got_v == v and image == field.from_poly(cof)
+
+
+PLACE_CONTEXTS = {p: PadicContext(p) for p in (2, 3, 5, 7)}
+
+
+@st.composite
+def places(draw):
+    """(q, g, k): a certified monic irreducible q of degree 1-4, g prime to q, k in 0..3."""
+    ctx = PLACE_CONTEXTS[draw(st.sampled_from(sorted(PLACE_CONTEXTS)))]
+    degree = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    q = random_certified_irreducible(rng, ctx)
+    while q.degree != degree:
+        q = random_certified_irreducible(rng, ctx)
+    return q, random_coprime_poly(rng, ctx, q), draw(st.integers(0, 3))
+
+
+@settings(max_examples=80)
+@given(places())
+def test_at_place_reads_the_order_and_the_image(case):
+    q, g, k = case
+    ctx = q.field
+    field, v, u = at_place(q ** k * g, q, ctx)
+    want = g.evaluate(-q.constant_coefficient()) if q.degree == 1 else field.from_poly(g)
+    assert field is residue_field(q, ctx)
+    assert v == k and u == want and not field.is_zero(u)
+    with pytest.raises(PreconditionFailed):
+        at_place(PadicPolynomial.zero(ctx), q, ctx)
+    for c in (-1, ctx.p, Fraction(1, 2)):
+        with pytest.raises(PreconditionFailed):
+            at_place(g, q * c, ctx)
+
+
+def test_residue_test_at_a_place_that_is_not_monic(c3):
+    """2t - 2 is the place t - 1, read at the wrong point before at_place checked it."""
+    x, y = poly([-1, 1], c3), poly([0, 1], c3)
+    at_root = pfister_residue_test(x, y, poly([-1, 1], c3), c3)
+    assert (at_root.symbol_value, at_root.is_zero) == (-1, False)  # i2(-1) = -1 at p = 3
+    with pytest.raises(PadicFormsError):
+        pfister_residue_test(x, y, poly([-2, 2], c3), c3)
+    with pytest.raises(PreconditionFailed):
+        pfister_residue_test(poly([0], c3), y, poly([-1, 1], c3), c3)
 
 
 def test_form_constructors(c3):

@@ -66,6 +66,19 @@ def test_symbol_errors(c3):
         certify_modulus(poly([-1, 0, 2], c3), c3)  # not monic
 
 
+def test_symbol_error_types_agree(c3):
+    """The three readings of p(alpha) refuse the same inputs with the same errors."""
+    q = poly([-3, 1], c3)
+    readings = (legendre_symbol, explicit_square_criterion, symbol_via_isotropy)
+    for symbol in readings:
+        for p in (poly([0], c3), poly([-3, 1], c3), poly([9, -6, 1], c3) * 5):
+            with pytest.raises(NotCoprime):
+                symbol(p, q, c3)
+        for modulus in (poly([-6, 2], c3), poly([2, 0, 2], c3)):  # not monic
+            with pytest.raises(NotIrreducible):
+                symbol(poly([1, 1], c3), modulus, c3)
+
+
 def test_multiplicativity_examples(c3):
     q = poly([-3, 1], c3)
     p = poly([-1, 1], c3)
