@@ -14,7 +14,6 @@ that machinery.
 from .errors import (
     BadDecomposition,
     ConditionFailed,
-    EscalationCapReached,
     EvenValuation,
     FactorizationUncertified,
     NotCoprime,

@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands cover every public operation; all take --prime, --precision,
---uniformizer, --seed and --json.  Exit codes: 0 for success and true
-verdicts, 1 for false verdicts, 2 for usage or computation errors,
-internal faults included.  With --json the output is a certificate
-document (schema padic-forms/1) whose assertions re-verify through the
-``verify`` subcommand; identical arguments and seed produce
+--uniformizer and --json, and the seeded ones (construct-s, predicate,
+corpus) take --seed, which their certificates record.  Exit codes: 0 for
+success and true verdicts, 1 for false verdicts, 2 for usage or
+computation errors, internal faults included.  With --json the output is
+a certificate document (schema padic-forms/1) whose assertions re-verify
+through the ``verify`` subcommand; identical arguments and seed produce
 byte-identical JSON.
 """
 
@@ -65,8 +66,11 @@ def _common(sub):
     sub.add_argument("--prime", "-p", type=int, required=True, help="residue prime p")
     sub.add_argument("--precision", type=int, default=64, help="digit cap (default 64)")
     sub.add_argument("--uniformizer", type=str, default=None, help="uniformizer (default p)")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     sub.add_argument("--json", action="store_true", help="emit a JSON certificate")
+
+
+def _seeded(sub):
+    sub.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
 
 
 def _emit(args, command, ctx, result, assertions, human_lines, seed=None):
@@ -327,10 +331,7 @@ def _cmd_predicate(args):
     ctx = _context(args)
     x = parse_rational_function(args.x, ctx)
     gamma = parse_rational_scalar(args.gamma, ctx) if args.gamma else None
-    verdict, pcert = predicate_vt_nonneg(
-        x, ctx, gamma=gamma, seed=args.seed,
-        attempt_full_construction=args.full_construction,
-    )
+    verdict, pcert = predicate_vt_nonneg(x, ctx, gamma=gamma, seed=args.seed)
     result = {
         "x": x.to_text(),
         "verdict": verdict,
@@ -466,12 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = _command(sub, "construct-s", _cmd_construct_s, "build s and certify both Pfister forms", "g")
     s.add_argument("--gamma", required=True)
     s.add_argument("--factors", help="semicolon-separated monic irreducible factors of g")
+    _seeded(s)
 
     s = _command(sub, "predicate", _cmd_predicate, "decide v_t(x) >= 0 with certificate")
     s.add_argument("x", help="rational function in t, e.g. '1/t' or '(t+1)/(t^2-3)'")
-    s.add_argument("--gamma", help="constant with i2(gamma) = -1 (default: smallest)")
-    s.add_argument("--full-construction", action="store_true",
-                   help="also attempt the full auxiliary-polynomial construction")
+    s.add_argument("--gamma", help="constant with i2(gamma) = -1"
+                   " (default: 5 at p = 2, else the least nonresidue mod p)")
+    _seeded(s)
 
     s = _command(sub, "elliptic-point", _cmd_elliptic, "solve x^3 - x = y^2 by Hensel lifting", "y")
     s.add_argument("--digits", type=int, default=None)
@@ -479,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = _command(sub, "corpus", _cmd_corpus, "run a seeded property corpus")
     s.add_argument("law", choices=[*LAWS, "predicate"])
     s.add_argument("--cases", type=int, default=100)
+    _seeded(s)
 
     s = sub.add_parser("verify", help="re-verify a JSON certificate file")
     s.add_argument("file")

@@ -33,7 +33,6 @@ from fractions import Fraction
 
 from .errors import (
     ConditionFailed,
-    EscalationCapReached,
     FactorizationUncertified,
     NotIrreducible,
     OddVertex,
@@ -44,7 +43,6 @@ from .newton import (
     graded_reduction,
     newton_polygon,
     random_irreducible_search,
-    slope_denominator,
 )
 from .extensions import hensel_lift
 from .padics import PadicContext, is_prime, is_square_rational
@@ -67,7 +65,7 @@ class SlopeRing:
 
     @property
     def d(self) -> int:
-        return slope_denominator(self.slope)
+        return self.slope.denominator
 
     def in_R(self, f: PadicPolynomial) -> bool:
         return all(
@@ -283,7 +281,7 @@ def prepare(gamma, g: PadicPolynomial, ctx: PadicContext, factors=None) -> Const
         n_i = prod.degree
         if n_i % 2:
             raise OddVertex(f"slope block {slope} has odd degree {n_i}")
-        blocks.append(SlopeBlock(slope, slope_denominator(slope), n_i, tuple(fs), prod))
+        blocks.append(SlopeBlock(slope, slope.denominator, n_i, tuple(fs), prod))
 
     odd_ds = [b.denominator for b in blocks if b.denominator % 2]
     lcm = 1
@@ -462,8 +460,14 @@ def _place_valuation(value: PadicPolynomial, modulus: PadicPolynomial, ctx: Padi
 
 
 def _case_two(params: ConstructionParams, i: int) -> list[SFactor]:
+    """One s_ij = g_ij + pi^A (t g/g_ij mod g_ij) per factor of an even-denominator block.
+
+    A is the least integer above every margin's bound and at least
+    v(4) + 1, so every term of pi^A (t g/g_ij mod g_ij) lies strictly
+    above g_ij's edge: s_ij keeps g_ij's edge and reduction, and every
+    symbol at every other factor is unchanged.
+    """
     ctx = params.context
-    base = params.g0.field
     block = params.blocks[i]
     pi = ctx.uniformizer
     v4 = ctx.v4
@@ -506,47 +510,22 @@ def _case_two(params: ConstructionParams, i: int) -> list[SFactor]:
         for beta, c in enumerate(p_base.coeffs):
             if c != 0:
                 bound = max(bound, edge.line_value(beta) - ctx.vp(c))
-        a0 = max(v4 + 1, math.floor(bound) + 1)
+        a0 = math.floor(bound) + 1
 
-        a_val = a0
-        while a_val <= 1024 * a0:
-            p_ij = p_base * pi ** a_val
-            ok = all(
-                ctx.vp(c) > edge.line_value(beta)
-                for beta, c in enumerate(p_ij.coeffs)
-                if c != 0
-            )
-            if ok and p_ij.constant_coefficient() != 0:
-                ok = ctx.vp(p_ij.constant_coefficient()) > ctx.vp(
-                    g_ij.constant_coefficient()
-                ) + v4
-            if ok:
-                ok = all(
-                    _place_valuation(p_ij, other, ctx) > v_g[other] + v4
-                    for other in others
-                )
-            s_ij = g_ij + p_ij
-            if ok:
-                try:
-                    evidence = certify_factor(s_ij)
-                except FactorizationUncertified:
-                    ok = False
-            if ok:
-                out.append(
-                    SFactor(
-                        s_ij,
-                        i,
-                        2,
-                        evidence,
-                        {"A": a_val, "margins": margin_data},
-                    )
-                )
-                break
-            a_val *= 2
-        else:
-            raise EscalationCapReached(
-                f"no admissible valuation shift for factor {g_ij.to_text()}"
-            )
+        # a0 > bound meets every margin at once, since v(pi) = 1 in every K(alpha)
+        p_ij = p_base * pi ** a0
+        c0 = p_ij.constant_coefficient()
+        margins_met = (
+            all(ctx.vp(c) > edge.line_value(b) for b, c in enumerate(p_ij.coeffs) if c != 0)
+            and (c0 == 0 or ctx.vp(c0) > ctx.vp(g_ij.constant_coefficient()) + v4)
+            and all(_place_valuation(p_ij, o, ctx) > v_g[o] + v4 for o in others)
+        )
+        if not margins_met:
+            raise ConditionFailed(f"valuation shift A = {a0} misses a margin for {g_ij.to_text()}")
+        s_ij = g_ij + p_ij
+        out.append(
+            SFactor(s_ij, i, 2, certify_factor(s_ij), {"A": a0, "margins": margin_data})
+        )
     return out
 
 
@@ -618,7 +597,6 @@ class SymbolCondition:
 @dataclass(frozen=True)
 class ConditionReport:
     conditions: tuple
-    chain_note: str
 
     @property
     def all_hold(self) -> bool:
@@ -636,7 +614,6 @@ def verify_conditions(result: ConstructionResult) -> ConditionReport:
     """
     params = result.params
     ctx = params.context
-    base = params.g0.field
     tpoly = PadicPolynomial.from_rationals([0, 1], ctx)
     conds = []
 
@@ -710,17 +687,7 @@ def verify_conditions(result: ConstructionResult) -> ConditionReport:
     for c in primary:
         if not c.holds:
             raise ConditionFailed(f"condition {c.name} fails at q = {c.q.to_text()}")
-    ts_tg = all(
-        c.holds for c in conds if c.name in ("ts-over-g-factor", "minus-tg-over-s-factor")
-    )
-    sg_ok = all(c.holds for c in conds if c.name == "sg-over-t")
-    chain = (
-        "chain verified: the t-and-g conditions hold and the sg-over-t condition"
-        " holds with them"
-        if ts_tg and sg_ok
-        else "chain broken"
-    )
-    return ConditionReport(tuple(conds), chain)
+    return ConditionReport(tuple(conds))
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,6 @@ class SearchBudgetExhausted(PadicFormsError):
     """A randomized search used up its sample budget."""
 
 
-class EscalationCapReached(PadicFormsError):
-    """A parameter escalation loop hit its cap."""
-
-
 class ZeroEndpoint(PadicFormsError):
     """Newton polygon requested for a polynomial with a_0 * a_d = 0."""
 

@@ -63,7 +63,6 @@ from .newton import (
     finite_field_irreducible,
     newton_polygon,
     reduce_one_edge,
-    slope_denominator,
 )
 from .padics import (
     INFINITY,
@@ -195,7 +194,7 @@ class LocalField:
             raise NotIrreducible("minimal polynomial has several Newton slopes")
         edge = polygon.single_edge()
         self.slope = edge.slope
-        d = slope_denominator(edge.slope)
+        d = edge.slope.denominator
         # F_p[x]/(residue_modulus) is the residue field, x the residue of beta
         # (see _integral_basis); None when f = 1 and it is F_p itself
         self.residue_modulus = None

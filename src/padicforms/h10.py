@@ -42,13 +42,16 @@ from .reciprocity import random_poly
 
 
 def find_gamma(ctx: PadicContext) -> Fraction:
-    """Smallest canonical constant with <1,pi><1,-gamma> anisotropic."""
-    candidates = [Fraction(5)] if ctx.p == 2 else [Fraction(ctx.least_nonresidue())]
-    candidates += [Fraction(k) for k in range(2, 50)]
-    for g in candidates:
-        if i2_class(g, ctx) == -1:
-            return g
-    raise PadicFormsError("no gamma found; impossible over a p-adic field")
+    """The canonical constant with <1,pi><1,-gamma> anisotropic, i.e. i2(gamma) = -1.
+
+    By the Hilbert symbol formulas (Serre, A Course in Arithmetic, ch. III)
+    and v(-pi) = 1: for odd p, (u, -pi) = (u|p) for a unit u, so gamma is
+    the least positive nonresidue mod p; for p = 2, (5, x) = (-1)^v(x), so
+    gamma = 5.  The value is still checked.
+    """
+    gamma = Fraction(5) if ctx.p == 2 else Fraction(ctx.least_nonresidue())
+    validate_gamma(gamma, ctx)
+    return gamma
 
 
 def validate_gamma(gamma, ctx: PadicContext) -> None:

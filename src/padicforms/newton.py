@@ -113,11 +113,6 @@ def newton_polygon(f: PadicPolynomial) -> NewtonPolygon:
     return NewtonPolygon(tuple(pts), vertices, tuple(edges))
 
 
-def slope_denominator(slope) -> int:
-    """Denominator d of the slope (1 for slope 0)."""
-    return Fraction(slope).denominator
-
-
 # ---------------------------------------------------------------------------
 # slope factorization
 # ---------------------------------------------------------------------------
@@ -283,34 +278,27 @@ def slope_factorization(f: PadicPolynomial, digits: int) -> SlopeFactorization:
 
     Returns the leading coefficient as unit and one monic factor per
     slope, each with a one-edge polygon; the product agrees with f to
-    coefficient valuations above ``digits``.
+    coefficient valuations above ``digits``.  Each split is lifted once,
+    at the precision its loss bound asks; PrecisionExhausted means a lift
+    stalled or the product residual missed ``digits``.
     """
     if digits < 0:
         raise PreconditionFailed(f"digit target {digits} is negative")
     polygon = newton_polygon(f)
     unit = f.leading_coefficient()
     fm = f.monic()
-    slopes = polygon.slopes
     n_out = _output_precision(f, polygon, digits)
 
-    work = n_out
-    for _attempt in range(4):
-        try:
-            parts = _split_all(fm, work)
-        except PrecisionExhausted:
-            work *= 2
-            continue
-        if len(parts) > 1:
-            parts = [PadicPolynomial([p.field.cut(c, n_out) for c in p.coeffs], p.field) for p in parts]
-        factors = tuple(
-            SlopeFactor(p, s, p.degree, slope_denominator(s))
-            for p, s in zip(parts, slopes)
-        )
-        result = SlopeFactorization(unit, factors, digits)
-        if result.residual_valuation(f) > digits:
-            return result
-        work *= 2
-    raise PrecisionExhausted("slope factorization residual below digit target")
+    parts = _split_all(fm, n_out)
+    if len(parts) > 1:
+        parts = [PadicPolynomial([p.field.cut(c, n_out) for c in p.coeffs], p.field) for p in parts]
+    factors = tuple(
+        SlopeFactor(p, s, p.degree, s.denominator) for p, s in zip(parts, polygon.slopes)
+    )
+    result = SlopeFactorization(unit, factors, digits)
+    if result.residual_valuation(f) <= digits:
+        raise PrecisionExhausted("slope factorization residual below digit target")
+    return result
 
 
 def _output_precision(f: PadicPolynomial, polygon: NewtonPolygon, digits: int) -> int:
@@ -438,11 +426,6 @@ class FiniteFieldPoly:
             n >>= 1
         return out
 
-    def monic(self):
-        if self.is_zero():
-            raise PreconditionFailed("zero polynomial")
-        return self * pow(self.coeffs[-1], -1, self.p)
-
     def to_text(self, var: str = "u") -> str:
         if self.is_zero():
             return "0"
@@ -501,7 +484,7 @@ def reduce_one_edge(f: PadicPolynomial) -> FiniteFieldPoly:
     return graded_reduction(f * f.field.context.uniformizer ** int(-edge.v0), edge.slope)
 
 
-def graded_reduction(f: PadicPolynomial, slope) -> FiniteFieldPoly:
+def graded_reduction(f: PadicPolynomial, slope: Fraction) -> FiniteFieldPoly:
     """Image of f in R/P = F_p[ubar] for the grading v(c_b) >= m b of slope m.
 
     R holds the polynomials with every coefficient on or above the line
@@ -511,7 +494,7 @@ def graded_reduction(f: PadicPolynomial, slope) -> FiniteFieldPoly:
     """
     field = f.field
     ctx = field.context
-    d = slope_denominator(slope)
+    d = slope.denominator
     digits = [0] * (f.degree // d + 1 if not f.is_zero() else 1)
     for b, c in enumerate(f.coeffs):
         if not field.is_zero(c) and field.valuation(c) == slope * b:

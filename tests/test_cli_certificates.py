@@ -42,6 +42,13 @@ def test_exit_codes(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "isotropy", "--prime", "3", "1,-1")
     assert code == 0
+    # --seed is taken only by the commands whose certificates record it
+    code, _, _ = run_cli(capsys, "predicate", "--prime", "3", "--gamma", "2", "--seed", "1", "1/t")
+    assert code == 1
+    for argv in (("symbol", "--prime", "3", "--seed", "1", "t - 1", "t - 3"),
+                 ("predicate", "--prime", "3", "--full-construction", "1/t")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
 def test_internal_errors_exit_2(capsys, monkeypatch):

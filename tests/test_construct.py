@@ -1,9 +1,11 @@
 """The auxiliary-polynomial construction and its certified conditions."""
 
 import dataclasses
+import math
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -18,9 +20,11 @@ from padicforms import (
     construct_s,
     corollary_isotropy,
     legendre_symbol,
+    parse_poly,
     prepare,
     verify_conditions,
 )
+from padicforms import construct
 from padicforms.cli import main
 from padicforms.construct import SlopeRing, _place_valuation, _rational_roots, certify_factor
 from padicforms.newton import FiniteFieldPoly, newton_polygon
@@ -98,6 +102,44 @@ def test_case_two_worked_example(c3):
     names = {c.name for c in rep.conditions}
     assert {"sg-over-t", "ts-over-g-factor", "minus-tg-over-s-factor",
             "block-equality", "t-value-equality", "gamma-over-s-factor"} <= names
+    # A is the least integer above the bound read off the margins and g_ij, and A >= v(4) + 1
+    for p, gamma, texts in (
+        (3, 2, ("t^2 - 3", "t^2 - 12")),  # the golden two-factor input
+        (2, 5, ("t^2 - 2", "t^2 + t + 1")),  # the Q_2 two-slope demo input
+        (5, 2, ("t^2 - 250", "t^2 + t + 1")),
+        (7, 3, ("t^2 - 343", "t^2 + 1")),
+    ):
+        ctx = PadicContext(p)
+        fs = [parse_poly(text, ctx) for text in texts]
+        params = prepare(gamma, fs[0] * fs[1], ctx, factors=fs)
+        res = construct_s(params, seed=1)
+        tg = poly([0, 1], ctx) * params.g_norm
+        g_ijs = [gf.poly for b in params.blocks if b.denominator % 2 == 0 for gf in b.factors]
+        s_ijs = [sf for sf in res.s_factors if sf.case == 2]
+        assert len(s_ijs) == len(g_ijs) >= 1
+        for sf, g_ij in zip(s_ijs, g_ijs):
+            p_base = (tg // g_ij) % g_ij
+            edge = newton_polygon(g_ij).single_edge()
+            c0 = p_base.constant_coefficient()
+            bound = max(
+                [Fraction(ctx.v4)]
+                + [Fraction(m["max_v_g"]) + ctx.v4 - Fraction(m["min_v_p_base"])
+                   for m in sf.data["margins"]]
+                + [edge.line_value(b) - ctx.vp(c) for b, c in enumerate(p_base.coeffs) if c]
+                + ([ctx.vp(g_ij.constant_coefficient()) + ctx.v4 - ctx.vp(c0)] if c0 else [])
+            )
+            a = sf.data["A"]
+            assert a - 1 <= bound < a and a >= ctx.v4 + 1
+            assert sf.poly == g_ij + p_base * ctx.uniformizer ** a
+        assert verify_conditions(res).all_hold
+
+
+def test_case_two_checks_its_margins(c3, monkeypatch):
+    """A shift one below the least integer above the bound misses a margin and is refused."""
+    params = prepare(2, poly([-3, 0, 1], c3), c3)
+    monkeypatch.setattr(construct, "math", SimpleNamespace(floor=lambda x: math.floor(x) - 1))
+    with pytest.raises(ConditionFailed, match="misses a margin"):
+        construct_s(params, seed=0)
 
 
 def test_case_one_identities(c3):

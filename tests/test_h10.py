@@ -8,6 +8,7 @@ import pytest
 
 from padicforms import (
     EvenValuation,
+    PadicContext,
     PreconditionFailed,
     RationalFunction,
     anisotropy_at_t,
@@ -35,6 +36,15 @@ def test_find_gamma(contexts):
         validate_gamma(g, ctx)
     with pytest.raises(PreconditionFailed):
         validate_gamma(Fraction(1), contexts[0])
+    # the closed form holds for every uniformizer a p / b with p prime to a b
+    rng = random.Random(15)
+    for p in (2, 3, 5, 7, 11, 101):
+        expected = 5 if p == 2 else min(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        for _ in range(8):
+            a, b = (rng.choice([k for k in range(-60, 61) if k % p]) for _ in range(2))
+            ctx = PadicContext(p, uniformizer=Fraction(a * p, b))
+            g = find_gamma(ctx)
+            assert g == expected and i2_class(g, ctx) == -1
 
 
 def test_build_f_cases(c3):

@@ -10,6 +10,8 @@ from padicforms import (
     FiniteFieldPoly,
     LocalField,
     NotIrreducible,
+    PadicContext,
+    PrecisionExhausted,
     SlopeCollision,
     ZeroEndpoint,
     finite_field_irreducible,
@@ -20,6 +22,7 @@ from padicforms import (
     square_class_at_root_one_edge,
     square_class_rational,
 )
+from padicforms import newton
 from padicforms.newton import min_coefficient_valuation, reduce_one_edge
 
 from conftest import poly
@@ -93,6 +96,46 @@ def test_slope_factorization_random_roundtrip(contexts):
             for x in fac.factors:
                 pg = newton_polygon(x.poly)
                 assert len(pg.edges) == 1 and pg.edges[0].slope == x.slope
+    # several slopes, a leading unit and coefficient valuations -6..20, each split lifted once
+    for p in (2, 3, 5, 7, 101):
+        ctx = PadicContext(p)
+        cases = 0
+        while cases < 8:
+            deg = rng.randint(2, 10)
+            coeffs = [
+                Fraction(rng.randint(-99, 99), rng.randint(1, 99)) * Fraction(p) ** rng.randint(-6, 20)
+                if k in (0, deg) or rng.random() < 0.7 else 0
+                for k in range(deg + 1)
+            ]
+            if coeffs[0] == 0 or coeffs[-1] == 0:
+                continue
+            f = poly(coeffs, ctx)
+            pg = newton_polygon(f)
+            if len(pg.edges) < 2:
+                continue
+            cases += 1
+            digits = rng.randint(0, 120)
+            fac = slope_factorization(f, digits)
+            assert fac.residual_valuation(f) > digits and fac.unit == coeffs[-1]
+            assert [(x.slope, x.degree) for x in fac.factors] == [(e.slope, e.length) for e in pg.edges]
+            for x in fac.factors:
+                assert newton_polygon(x.poly).slopes == (x.slope,)
+
+
+def test_slope_factorization_checks_its_residual(c3, monkeypatch):
+    """Factors off by 3^20 miss a 40-digit residual: PrecisionExhausted, with no retry."""
+    split_all = newton._split_all
+    calls = []
+
+    def off(fm, n):
+        calls.append(fm.degree)
+        *left, last = split_all(fm, n)
+        return left + [last + poly([3 ** 20], c3)]
+
+    monkeypatch.setattr(newton, "_split_all", off)
+    with pytest.raises(PrecisionExhausted, match="residual"):
+        slope_factorization(poly([27, -12, 1], c3), 40)
+    assert calls == [2, 1]  # f split once, then its left part
 
 
 def test_root_valuations_match_slopes(c3):
