@@ -8,7 +8,7 @@ exactly when v_t(x) >= 0.
 Run:  python demos/demo_predicate.py
 """
 
-from padicforms import PadicContext, elliptic_constant_point, predicate_vt_nonneg
+from padicforms import PadicContext, corollary_isotropy, elliptic_constant_point, predicate_vt_nonneg
 from padicforms.parsing import parse_rational_function
 
 ctx = PadicContext(3)
@@ -29,8 +29,9 @@ print()
 print("For x = 0 the witness polynomial g = 1 + t + c t^2 has a certified")
 print("factorization, so the full auxiliary-polynomial construction runs too:")
 x = parse_rational_function("0", ctx)
-verdict, cert = predicate_vt_nonneg(x, ctx, gamma=2, attempt_full_construction=True)
-cor_g, cor_gg = cert.full_construction
+verdict, cert = predicate_vt_nonneg(x, ctx, gamma=2)
+cor_g = corollary_isotropy(2, cert.witness.g, ctx)
+cor_gg = corollary_isotropy(2, cert.witness.g * 2, ctx)
 print(f"  s for g       : {cor_g.construction.s_poly.to_text()}")
 print(f"  s for gamma*g : {cor_gg.construction.s_poly.to_text()}")
 print(f"  both corollary certificates: {cor_g.isotropic}, {cor_gg.isotropic}\n")

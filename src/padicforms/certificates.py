@@ -23,7 +23,7 @@ from .h10 import anisotropy_at_t, build_f, run_predicate_corpus, strip_t, witnes
 from .newton import min_coefficient_valuation, newton_polygon
 from .oracles import isotropic_by_search, within_budget
 from .padics import PadicContext, hilbert_symbol_qp, square_class_rational
-from .parsing import parse_poly, parse_rational_function
+from .parsing import check_exponent, parse_poly, parse_rational_function
 from .polynomials import PadicPolynomial
 from .quadform import DiagonalForm, i2_class, isotropic_over_local, pfister_residue_test
 from .reciprocity import (
@@ -199,7 +199,8 @@ def _v_hensel(a, ctx):
 def _v_construct_identity(a, ctx):
     names = ("a", "b", "q", "r", "c", "h")
     polys = {n: parse_poly(a[n], ctx) for n in names}
-    e = a["e"]
+    e = check_exponent(a["e"])
+    check_exponent(abs(a["pi_exponent"]))
     pi_pow = ctx.uniformizer ** a["pi_exponent"]
     lhs1 = polys["a"] + polys["q"] * polys["b"]
     lhs2 = polys["r"] + polys["h"] * PadicPolynomial.monomial(pi_pow, e, polys["h"].field)
@@ -376,7 +377,7 @@ def _doc_construct_s(doc, ctx):
     if not (g % g0).is_zero():
         problems.append("recorded g factors do not divide g")
 
-    tpoly = PadicPolynomial.from_rationals([0, 1], ctx)
+    tpoly = PadicPolynomial.x(ctx)
     tg = tpoly * g_norm
     gamma_poly = PadicPolynomial.from_rationals([gamma], ctx)
     for sf in s_factors:

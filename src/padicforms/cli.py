@@ -246,7 +246,7 @@ def _construct_assertions(cor, ctx):
     for block in params.blocks:
         for gf in block.factors:
             assertions.append({"kind": "irreducible-certified", "poly": gf.poly.to_text()})
-    tg = PadicPolynomial.from_rationals([0, 1], ctx) * params.g_norm
+    tg = PadicPolynomial.x(ctx) * params.g_norm
     for sf in res.s_factors:
         assertions.append({"kind": "irreducible-certified", "poly": sf.poly.to_text()})
         assertions.append({"kind": "coprime", "f": sf.poly.to_text(), "g": tg.to_text()})

@@ -45,7 +45,7 @@ from .newton import (
     random_irreducible_search,
 )
 from .extensions import hensel_lift
-from .padics import PadicContext, is_prime, is_square_rational
+from .padics import INFINITY, PadicContext, is_prime, is_square_rational
 from .polynomials import PadicPolynomial, integer_vector
 from .quadform import PfisterSlot, at_place, milnor_isotropy, residue_field
 from .reciprocity import legendre_symbol
@@ -67,19 +67,16 @@ class SlopeRing:
     def d(self) -> int:
         return self.slope.denominator
 
+    def _height(self, f: PadicPolynomial):
+        """min over the terms c_b t^b of f of v(c_b) - m b; +infinity for f = 0."""
+        return min((f.field.valuation(c) - self.slope * b
+                    for b, c in enumerate(f.coeffs) if not f.field.is_zero(c)), default=INFINITY)
+
     def in_R(self, f: PadicPolynomial) -> bool:
-        return all(
-            f.field.valuation(c) >= self.slope * b
-            for b, c in enumerate(f.coeffs)
-            if not f.field.is_zero(c)
-        )
+        return self._height(f) >= 0
 
     def in_P(self, f: PadicPolynomial) -> bool:
-        return all(
-            f.field.valuation(c) > self.slope * b
-            for b, c in enumerate(f.coeffs)
-            if not f.field.is_zero(c)
-        )
+        return self._height(f) > 0
 
     def reduction(self, f: PadicPolynomial) -> FiniteFieldPoly:
         """Image in R/P = k[ubar]; terms strictly above the grading vanish."""
@@ -87,20 +84,18 @@ class SlopeRing:
             raise PreconditionFailed("element is not in R")
         return graded_reduction(f, self.slope)
 
-    def lift(self, fbar: FiniteFieldPoly, base: PadicContext) -> PadicPolynomial:
-        """Monomial-wise lift: digit at ubar^j becomes digit pi^(m d j) t^(d j)."""
-        d = self.d
-        pi = self.context.uniformizer
-        coeffs = [Fraction(0)] * (d * fbar.degree + 1 if not fbar.is_zero() else 1)
+    def lift(self, fbar: FiniteFieldPoly) -> PadicPolynomial:
+        """Monomial-wise lift: digit at ubar^j becomes digit u^j (see ``u_pow``)."""
+        out = PadicPolynomial.zero(self.context)
         for j, digit in enumerate(fbar.coeffs):
             if digit:
-                coeffs[d * j] = Fraction(digit) * pi ** int(self.slope * d * j)
-        return PadicPolynomial(coeffs, base)
+                out = out + self.u_pow(j) * digit
+        return out
 
-    def u_pow(self, j: int, base: PadicContext) -> PadicPolynomial:
-        pi = self.context.uniformizer
+    def u_pow(self, j: int) -> PadicPolynomial:
+        """u^j = pi^(m d j) t^(d j), the monomial that reduces to ubar^j."""
         return PadicPolynomial.monomial(
-            pi ** int(self.slope * self.d * j), self.d * j, base
+            self.context.uniformizer ** (self.slope.numerator * j), self.d * j, self.context
         )
 
 
@@ -348,7 +343,6 @@ class ConstructionResult:
 
 def _case_one(params: ConstructionParams, i: int, rng) -> tuple[SFactor, CaseOneTrace]:
     ctx = params.context
-    base = params.g0.field
     block = params.blocks[i]
     m, d, n_i = block.slope, block.denominator, block.degree
     ring = SlopeRing(ctx, m)
@@ -384,10 +378,8 @@ def _case_one(params: ConstructionParams, i: int, rng) -> tuple[SFactor, CaseOne
     rho = xbar.coeffs[cap_g]
 
     n_prime = params.big_n // d
-    a_el = h_i + x_el * PadicPolynomial.monomial(
-        pi ** int(m * params.big_n), params.big_n, base
-    )
-    b_el = h_i * ring.u_pow(n_prime + cap_g, base)
+    a_el = h_i + x_el * ring.u_pow(n_prime)
+    b_el = h_i * ring.u_pow(n_prime + cap_g)
     hbar = ring.reduction(h_i)
     if ring.reduction(a_el) != hbar + FiniteFieldPoly((0,) * (n_prime + cap_g) + (rho,), ctx.p):
         raise ConditionFailed("reduction of a is not hbar + rho ubar^(N'+G)")
@@ -398,12 +390,12 @@ def _case_one(params: ConstructionParams, i: int, rng) -> tuple[SFactor, CaseOne
     cbar, e_prime = found.cbar, found.e_prime
     e = d * e_prime
 
-    q1 = ring.lift(found.qbar1, base)
+    q1 = ring.lift(found.qbar1)
     rbar1 = cbar - hbar * FiniteFieldPoly((0,) * e_prime + (1,), ctx.p)
     if not (rbar1.is_zero() or d * rbar1.degree <= n_i + e - params.big_n):
         raise ConditionFailed("rbar1 degree exceeds the window")
-    r1 = ring.lift(rbar1, base)
-    c_tilde = r1 + h_i * PadicPolynomial.monomial(pi ** int(m * e), e, base)
+    r1 = ring.lift(rbar1)
+    c_tilde = r1 + h_i * ring.u_pow(e_prime)
 
     f_err = a_el + q1 * b_el - c_tilde
     if not ring.in_P(f_err):
@@ -417,7 +409,7 @@ def _case_one(params: ConstructionParams, i: int, rng) -> tuple[SFactor, CaseOne
 
     if c != a_el + q * b_el:
         raise ConditionFailed("c is not a + q b")
-    if c != r + h_i * PadicPolynomial.monomial(pi ** int(m * e), e, base):
+    if c != r + h_i * ring.u_pow(e_prime):
         raise ConditionFailed("c is not r + h_i pi^(m e) t^e")
     if not (r.is_zero() or r.degree <= n_i + e - params.big_n):
         raise ConditionFailed("r degree exceeds the window")
@@ -451,12 +443,13 @@ def _place_valuation(value: PadicPolynomial, modulus: PadicPolynomial, ctx: Padi
     """v(value(alpha)) at a root alpha of the certified irreducible modulus.
 
     The valuation of Q_p extends uniquely to Q_p(alpha), so every root
-    gives the same value, v_p(N(value(alpha))) / deg(modulus).
+    gives the same value, v_p(N(value(alpha))) / deg(modulus).  It is
+    +infinity when the modulus divides value: then the margin it bounds
+    holds for every shift A (in case two, t g/g_ij of degree below
+    deg g_ij is divisible by every other factor).
     """
     field, v, x = at_place(value, modulus, ctx)
-    if v:
-        raise PreconditionFailed("value vanishes at a root of the modulus")
-    return field.valuation(x)
+    return INFINITY if v else field.valuation(x)
 
 
 def _case_two(params: ConstructionParams, i: int) -> list[SFactor]:
@@ -471,7 +464,7 @@ def _case_two(params: ConstructionParams, i: int) -> list[SFactor]:
     block = params.blocks[i]
     pi = ctx.uniformizer
     v4 = ctx.v4
-    tpoly = PadicPolynomial.from_rationals([0, 1], ctx)
+    tpoly = PadicPolynomial.x(ctx)
     out = []
     others_all = [
         gf.poly
@@ -553,7 +546,7 @@ def construct_s(params: ConstructionParams, seed: int = 0) -> ConstructionResult
         s_poly = s_poly * sf.poly
 
     seen = set()
-    tpoly = PadicPolynomial.from_rationals([0, 1], params.context)
+    tpoly = PadicPolynomial.x(params.context)
     tg = tpoly * params.g_norm
     for sf in s_factors:
         key = sf.poly.coeffs
@@ -614,7 +607,7 @@ def verify_conditions(result: ConstructionResult) -> ConditionReport:
     """
     params = result.params
     ctx = params.context
-    tpoly = PadicPolynomial.from_rationals([0, 1], ctx)
+    tpoly = PadicPolynomial.x(ctx)
     conds = []
 
     sg = result.s_poly * params.g_norm
@@ -731,7 +724,7 @@ def corollary_isotropy(gamma, g: PadicPolynomial, ctx: PadicContext, seed: int =
 
     s_factor_list = tuple((sf.poly, 1) for sf in result.s_factors)
     g_factor_list = tuple((gf.poly, 1) for b in params.blocks for gf in b.factors)
-    tpoly = PadicPolynomial.from_rationals([0, 1], ctx)
+    tpoly = PadicPolynomial.x(ctx)
 
     first = milnor_isotropy(
         PfisterSlot(-params.gamma, ()),

@@ -6,10 +6,10 @@ polygon criteria (slope denominator equals the degree, or irreducible
 reduction with matching degree).  Elements are integer coefficient
 vectors in powers of alpha over one positive denominator, in lowest terms,
 and every kernel (products, inverses, norms, lattice coordinates,
-valuations, residues and cuts) runs on those integers.  Products are
-``polynomials.convolve`` reduced by precomputed alpha-power rows; images
-f(alpha) and the resultant's pseudo-remainders come from
-``polynomials.divide``.  Norms are exact resultants Res(q, r) for
+valuations, residues and cuts) runs on those integers.  Products
+(``polynomials.convolve``), images f(alpha) and the resultant's
+pseudo-remainders are all reduced modulo q by ``polynomials.divide``.
+Norms are exact resultants Res(q, r) for
 x = r(alpha), by sub-resultants over Z, and valuations are read off the
 coordinates in an integral basis, normalized so that the base
 uniformizer has valuation 1 (so values lie in (1/e)Z).
@@ -165,7 +165,8 @@ class LocalField:
     uniformizer element has valuation 1/e and the irreducibility evidence
     records which criterion fired.
 
-    Construction certifies q and sets up multiplication only.  The lattice
+    Construction certifies q and keeps it as integers, the one modulus
+    every product and image is reduced by.  The lattice
     structures (the uniformizer element, the integral basis and the
     inverse of its coordinate matrix) and, over Q_2, the square-class
     coordinates and the Hilbert form are built on first use and kept:
@@ -216,17 +217,8 @@ class LocalField:
 
         # q as integers: q = _minimal_ints[0] / _minimal_ints[1]
         self._minimal_ints = integer_vector(minimal_poly.coeffs)
-        # alpha-power reduction rows for alpha^n .. alpha^(2n-2), as integer
-        # rows over one denominator
-        n = self.degree
-        top = [-c for c in minimal_poly.coeffs[:-1]]
-        rows = [tuple(top)]
-        for _ in range(n - 2):
-            prev = rows[-1]
-            shifted = (Fraction(0),) + prev[: n - 1]
-            rows.append(tuple(x + prev[n - 1] * t for x, t in zip(shifted, top)))
-        self._power_rows = _integer_rows(rows)
 
+        n = self.degree
         self._zeros = (0,) * (n - 1)
         self.zero = LocalFieldElement(self, (0,) * n)
         self.one = LocalFieldElement(self, (1,) + self._zeros)
@@ -312,7 +304,7 @@ class LocalField:
         digits move an element by valuation >= k - spread.
         """
         p = self.base_context.p
-        loss = -min(vp_int(c, p) - vp_int(y.den, p) for y in self._integral_basis for c in y.num if c)
+        loss = -min(vp_int(math.gcd(*y.num), p) - vp_int(y.den, p) for y in self._integral_basis)
         return loss, math.ceil(self.degree * max(0, self.slope))
 
     def __eq__(self, other):
@@ -351,7 +343,11 @@ class LocalField:
         """Image of a base-coefficient polynomial, i.e. f(alpha): the remainder of f by q, on integers."""
         if f.field.is_extension:
             raise PreconditionFailed("expected base-field coefficients")
-        _, r, d = divide(*integer_vector(f.coeffs), *self._minimal_ints)
+        return self._reduce(*integer_vector(f.coeffs))
+
+    def _reduce(self, nums, den) -> "LocalFieldElement":
+        """The element (sum_k nums[k] alpha^k) / den: the remainder of the integer list nums by q."""
+        _, r, d = divide(nums, den, *self._minimal_ints)
         return LocalFieldElement(self, r + [0] * (self.degree - len(r)), d)
 
     # -- structure ------------------------------------------------------
@@ -509,15 +505,7 @@ class LocalFieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        field = self.field
-        n = field.degree
-        conv = convolve(self.num, o.num)
-        rows, d = field._power_rows
-        out = [c * d for c in conv[:n]]
-        for c, row in zip(conv[n:], rows):
-            if c:
-                out = [x + c * r for x, r in zip(out, row)]
-        return LocalFieldElement(field, out, self.den * o.den * d)
+        return self.field._reduce(convolve(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -971,7 +959,8 @@ class _DyadicClasses:
             norm = [(s - t) % (1 << k) for s, t in
                     zip(self._mul(x, x, k), self._mul(b, self._mul(y, y, k), k))]
             # skip a norm too deep to read modulo 2^k
-            if any(norm) and min(vp_int(v, 2) for v in norm if v) < k - 4:
+            gap = math.gcd(*norm)
+            if gap and vp_int(gap, 2) < k - 4:
                 yield _mask(self._coords(norm))
 
     def symbol(self, a: LocalFieldElement, b: LocalFieldElement) -> int:

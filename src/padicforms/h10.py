@@ -25,11 +25,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construct import corollary_isotropy
 from .errors import (
     ConditionFailed,
     EvenValuation,
-    FactorizationUncertified,
     PadicFormsError,
     PreconditionFailed,
 )
@@ -204,29 +202,22 @@ class PredicateCertificate:
     v_t_x: object
     report: FReport
     witness: WitnessC | None
-    gamma_polygon: NewtonPolygon | None
     anisotropy: AnisotropyAtT | None
     note: str
-    full_construction: object  # CorollaryResult pair or None
 
 
-def predicate_vt_nonneg(
-    x: RationalFunction,
-    ctx: PadicContext,
-    gamma=None,
-    seed: int = 0,
-    attempt_full_construction: bool = False,
-):
+def predicate_vt_nonneg(x: RationalFunction, ctx: PadicContext, gamma=None, seed: int = 0):
     """Decide v_t(x) >= 0 with a certificate; returns (verdict, certificate).
 
     Positive instances carry the witness constant c together with the
     all-even Newton polygon of g = f h_D^2 (the hypothesis under which the
     isotropy of both forms is certified; gamma g has the same vertex
     degrees).  Negative instances carry the residue analysis at t, valid
-    for every c.  With ``attempt_full_construction`` the full auxiliary
-    polynomial is also built whenever the factorization of g can be
-    certified; instances with uncertifiable factorizations keep the
-    polygon certificate alone.
+    for every c.  The decision draws nothing at random, so ``seed`` is
+    unused; it is accepted for callers that pass one.  The auxiliary
+    polynomial of either form is built by
+    :func:`padicforms.construct.corollary_isotropy` on ``witness.g`` and
+    on gamma times it.
     """
     gamma = Fraction(gamma) if gamma is not None else find_gamma(ctx)
     validate_gamma(gamma, ctx)
@@ -238,26 +229,12 @@ def predicate_vt_nonneg(
             raise ConditionFailed("case analysis: v_t(h) = 0 but v_t(x) < 0")
         witness = choose_c(report.h_num, report.h_den, ctx)
         report = build_f(x, witness.c, ctx)
-        full = None
         note = (
             "witness certificate: all Newton polygon vertices of g = f h_D^2 are"
             " even (gamma g shares the vertex degrees), which certifies both"
             " forms isotropic"
         )
-        if attempt_full_construction:
-            try:
-                full = (
-                    corollary_isotropy(gamma, witness.g, ctx, seed=seed),
-                    corollary_isotropy(gamma, witness.g * gamma, ctx, seed=seed),
-                )
-                note += "; full auxiliary-polynomial construction attached"
-            except FactorizationUncertified as exc:
-                full = None
-                note += f"; full construction unavailable ({exc})"
-        cert = PredicateCertificate(
-            True, gamma, vt_x, report, witness, witness.polygon, None, note, full
-        )
-        return True, cert
+        return True, PredicateCertificate(True, gamma, vt_x, report, witness, None, note)
 
     if report.v_t_h != 1:
         raise ConditionFailed("case analysis: v_t(h) is neither 0 nor 1")
@@ -268,10 +245,7 @@ def predicate_vt_nonneg(
         "for every c, v_t(f) = 1 because v_t(c t^2) = 2 > 1 = v_t(h); the"
         f" residue forms at t certify form {aniso.anisotropic_form} anisotropic"
     )
-    cert = PredicateCertificate(
-        False, gamma, vt_x, report, None, None, aniso, note, None
-    )
-    return False, cert
+    return False, PredicateCertificate(False, gamma, vt_x, report, None, aniso, note)
 
 
 def run_predicate_corpus(ctx: PadicContext, cases: int, seed: int) -> dict:

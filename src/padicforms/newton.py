@@ -107,9 +107,6 @@ def newton_polygon(f: PadicPolynomial) -> NewtonPolygon:
     edges = []
     for (i0, v0), (i1, v1) in zip(hull, hull[1:]):
         edges.append(Edge(i0, v0, i1, v1, Fraction(v1 - v0, i1 - i0), i1 - i0))
-    if not edges:
-        # constant polynomial: degenerate polygon with a single point
-        edges = ()
     return NewtonPolygon(tuple(pts), vertices, tuple(edges))
 
 
@@ -251,7 +248,8 @@ def _two_block_lift(f: PadicPolynomial, r: int, n: int):
     best, stall = -1, 0
     for _ in range(200):
         e = big_f - FiniteFieldPoly(g.coeffs, full) * FiniteFieldPoly(h.coeffs, full)
-        reached = min((vp_int(a, p) for a in e.coeffs if a), default=top)
+        gap = math.gcd(*e.coeffs)
+        reached = vp_int(gap, p) if gap else top
         if reached >= target:
             return (
                 PadicPolynomial([a * scale ** (r - k) for k, a in enumerate(g.coeffs)], field),

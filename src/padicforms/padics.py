@@ -192,14 +192,6 @@ class PadicContext:
     def vp(self, x):
         return vp_rational(x, self.p)
 
-    def unit_part(self, x) -> tuple[int, Fraction]:
-        """Write x = p^v * u with u a p-adic unit; returns (v, u)."""
-        x = Fraction(x)
-        if x == 0:
-            raise PreconditionFailed("0 has no unit part")
-        v, a, b = unit_split(x.numerator, x.denominator, self.p)
-        return v, Fraction(a, b)
-
     def least_nonresidue(self) -> int:
         """Smallest positive quadratic nonresidue mod p (odd p only)."""
         if self.p == 2:

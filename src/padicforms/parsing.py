@@ -6,6 +6,7 @@ Grammar:
     rational := int ('/' uint)?
 
 Parse errors carry the character offset and what was expected there.
+No exponent may exceed ``MAX_EXPONENT`` (see ``check_exponent``).
 Printing a polynomial with ``to_text`` and parsing it back is the
 identity on canonical form (descending powers, reduced fractions).
 """
@@ -17,6 +18,19 @@ from fractions import Fraction
 from .errors import ParseError
 from .padics import PadicContext
 from .polynomials import PadicPolynomial, RationalFunction
+
+# Polynomials are stored densely, so t^(10^6) alone costs seconds and
+# a hundred megabytes; every exponent read from text or from a
+# certificate is held to this cap.
+MAX_EXPONENT = 10_000
+
+
+def check_exponent(k: int, position: int = 0) -> int:
+    """k, or ParseError when k is negative or exceeds ``MAX_EXPONENT``."""
+    if not 0 <= k <= MAX_EXPONENT:
+        raise ParseError(f"exponent {k} is outside 0..{MAX_EXPONENT}", position,
+                         f"an exponent in 0..{MAX_EXPONENT}")
+    return k
 
 
 class _Tokens:
@@ -80,7 +94,8 @@ def _parse_tpart(toks: _Tokens) -> int:
     toks.take("t")
     if toks.peek()[0] == "^":
         toks.take("^")
-        return _parse_uint(toks)
+        position = toks.peek()[2]
+        return check_exponent(_parse_uint(toks), position)
     return 1
 
 

@@ -10,7 +10,7 @@ extension.  Both expose ``context``, ``is_extension``,
 and ``coordinate_margins``.  All arithmetic is exact.  Addition,
 subtraction, scalar multiplication, derivatives, evaluation and shifts
 work over either handle.  Products, division with remainder and gcd
-(and so powers, composition and the squarefree machinery) are over Q_p
+(and so powers and the squarefree machinery) are over Q_p
 only, and raise PreconditionFailed over an extension: they run on
 integer vectors over one common denominator, through :func:`convolve`
 and :func:`divide`, the one integer product and the one integer
@@ -194,22 +194,10 @@ class PadicPolynomial:
         )
 
     def evaluate(self, point):
-        """Horner evaluation; the point may live in a larger field."""
-        pfield = getattr(point, "field", None)
-        if pfield is not None and pfield != self.field:
-            acc = pfield.zero
-            for c in reversed(self.coeffs):
-                acc = acc * point + pfield.coerce(c)
-            return acc
-        acc = self.field.zero
+        """Horner evaluation; the point may live in a larger field, whose arithmetic coerces the coefficients."""
+        acc = getattr(point, "field", self.field).zero
         for c in reversed(self.coeffs):
             acc = acc * point + c
-        return acc
-
-    def compose(self, inner: "PadicPolynomial") -> "PadicPolynomial":
-        acc = PadicPolynomial.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
         return acc
 
     def shift(self, k: int) -> "PadicPolynomial":

@@ -52,15 +52,6 @@ class DiagonalForm:
     def make(cls, entries, field):
         return cls(tuple(field.coerce(a) for a in entries), field)
 
-    @classmethod
-    def pfister(cls, slots, field):
-        """<<s_1, ..., s_n>> = tensor of <1, s_i>, expanded to 2^n entries."""
-        entries = [field.one]
-        for s in slots:
-            s = field.coerce(s)
-            entries = entries + [e * s for e in entries]
-        return cls(tuple(entries), field)
-
     @property
     def dim(self):
         return len(self.entries)
@@ -68,11 +59,6 @@ class DiagonalForm:
     def scaled(self, c):
         c = self.field.coerce(c)
         return DiagonalForm(tuple(e * c for e in self.entries), self.field)
-
-    def perp(self, other: "DiagonalForm") -> "DiagonalForm":
-        if other.field != self.field:
-            raise PreconditionFailed("mixed fields")
-        return DiagonalForm(self.entries + other.entries, self.field)
 
     def discriminant(self):
         d = self.field.one

@@ -23,11 +23,7 @@ from .errors import NotCoprime, NotIrreducible, PadicFormsError, PreconditionFai
 from .extensions import is_square
 from .padics import PadicContext
 from .polynomials import PadicPolynomial
-from .quadform import DiagonalForm, at_place, i2_class, isotropic_over_local, residue_field
-
-
-def _t_poly(ctx: PadicContext) -> PadicPolynomial:
-    return PadicPolynomial.from_rationals([0, 1], ctx)
+from .quadform import at_place, i2_class, residue_field
 
 
 def certify_modulus(q: PadicPolynomial, ctx: PadicContext):
@@ -118,7 +114,7 @@ def constant_symbol_check(c, q: PadicPolynomial, ctx: PadicContext) -> LawCheck:
         raise PreconditionFailed("constant must be nonzero")
     cp = PadicPolynomial.from_rationals([c], ctx)
     lhs = legendre_symbol(cp, q, ctx)
-    base = legendre_symbol(cp, _t_poly(ctx), ctx)
+    base = legendre_symbol(cp, PadicPolynomial.x(ctx), ctx)
     rhs = base ** q.degree
     return LawCheck(
         "constant-rule",
@@ -148,7 +144,7 @@ def check_reciprocity(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext)
         raise PreconditionFailed("reciprocity needs distinct irreducibles")
     lhs = legendre_symbol(p, q, ctx)
     minus_one = PadicPolynomial.from_rationals([-1], ctx)
-    m1t = legendre_symbol(minus_one, _t_poly(ctx), ctx)
+    m1t = legendre_symbol(minus_one, PadicPolynomial.x(ctx), ctx)
     rhs_sym = legendre_symbol(q, p, ctx)
     rhs = m1t ** (p.degree * q.degree) * rhs_sym
     return LawCheck(
@@ -162,18 +158,6 @@ def check_reciprocity(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext)
         },
         lhs == rhs,
     )
-
-
-def symbol_via_isotropy(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext) -> int:
-    """The symbol computed through the 4-dimensional isotropy test.
-
-    <p/q> = +1 iff <1, pi, -p(alpha), -pi p(alpha)> is isotropic over
-    K(alpha); used as a representation cross-check against i2_class.
-    """
-    field, u = _value_at_root(p, q, ctx)
-    pi = field.coerce(ctx.uniformizer)
-    form = DiagonalForm.make([field.one, pi, -u, -(u * pi)], field)
-    return 1 if isotropic_over_local(form) else -1
 
 
 # ---------------------------------------------------------------------------

@@ -156,13 +156,19 @@ def test_json_byte_determinism(capsys):
 
 
 def test_construct_certificate_verifies(capsys, tmp_path):
-    code, doc = run_json(capsys, "construct-s", "--prime", "3", "--gamma", "2", "t^2 - 3")
-    assert code == 0 and doc["result"]["isotropic"]
-    ok, problems = verify_certificate(doc)
-    assert ok, problems
-    path = tmp_path / "cert.json"
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 0
+    for argv in (
+        ("--prime", "3", "--gamma", "2", "t^2 - 3"),
+        # t g/g_ij of lower degree than g_ij vanishes at the other factor's roots: that margin holds for every A
+        ("--prime", "5", "--gamma", "2", "t^6 - 40*t^4 - 280*t^2 + 11200", "--factors", "t^2 - 40;t^4 - 280"),
+    ):
+        code, doc = run_json(capsys, "construct-s", *argv)
+        assert code == 0 and doc["result"]["isotropic"], argv
+        ok, problems = verify_certificate(doc)
+        assert ok, problems
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 0
+        capsys.readouterr()
 
 
 ALL_COMMANDS = [
@@ -260,6 +266,26 @@ def test_verify_rejects_residue_tests_it_cannot_read(slots, tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
     assert time.perf_counter() - start < 1
     assert "recomputation failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exponents", [{"e": 1000000, "pi_exponent": 0}, {"e": 1, "pi_exponent": -1000000},
+                                       {"e": -1, "pi_exponent": 0}],
+                         ids=["t-power", "pi-power", "negative-t-power"])
+def test_verify_rejects_exponents_past_the_cap(exponents, tmp_path, capsys):
+    """A construct-identity assertion of a few hundred bytes once cost seconds and 130 MB before its rejection.
+
+    A negative e was read as e = 0, so c = r + h verified as c = r + h t^-1.
+    """
+    assertion = {"kind": "construct-identity", "a": "1", "b": "1", "q": "0", "r": "0", "c": "1", "h": "1",
+                 **exponents}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(
+        {"schema": "padic-forms/1", "context": _CONTEXT, "assertions": [assertion]}
+    ))
+    start = time.perf_counter()
+    assert main(["verify", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert "is outside 0..10000" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -85,7 +85,7 @@ def test_slope_ring_membership_and_reduction(c3):
     assert ring.in_R(h) and not ring.in_P(h)
     red = ring.reduction(h)
     assert red == FiniteFieldPoly((2, 1, 1), 3)
-    lifted = ring.lift(red, h.field)
+    lifted = ring.lift(red)
     assert ring.reduction(lifted) == red
     assert ring.in_P(h - lifted) or ring.reduction(h - lifted).is_zero()
 
@@ -203,8 +203,7 @@ def test_place_valuation(c3, c5):
             res = sympy.resultant(sym(q), sym(value))
             want = Fraction(sympy.multiplicity(p, res), q.degree)
             assert _place_valuation(value, q, ctx) == want, (p, q.to_text(), value.to_text())
-            with pytest.raises(PreconditionFailed, match="vanishes"):
-                _place_valuation(value * q, q, ctx)
+            assert _place_valuation(value * q, q, ctx) == math.inf  # a vacuous margin
 
     # one certified field per modulus, whichever call built it
     for coeffs in ([-3, 1], [1, 0, 1], [-3, 0, 0, 1]):

@@ -195,6 +195,8 @@ def test_from_poly_is_the_remainder_by_the_modulus(case):
     assert got == K.element(list((f % PadicPolynomial(K.minimal_poly.coeffs, f.field)).coeffs))
     assert list(got.coeffs) == reduce_mod(f.coeffs, K.minimal_poly.coeffs)
     assert math.gcd(got.den, *got.num) == 1 and got.den > 0
+    # Horner at alpha, through the product's reduction, meets the image's reduction
+    assert f.evaluate(K.gen()) == got
 
 
 def test_basis_inverse_on_a_basis_that_is_not_monomial():

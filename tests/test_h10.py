@@ -8,12 +8,14 @@ import pytest
 
 from padicforms import (
     EvenValuation,
+    FactorizationUncertified,
     PadicContext,
     PreconditionFailed,
     RationalFunction,
     anisotropy_at_t,
     build_f,
     choose_c,
+    corollary_isotropy,
     elliptic_constant_point,
     find_gamma,
     predicate_vt_nonneg,
@@ -114,21 +116,18 @@ def test_predicate_worked_examples(c3):
 
 def test_predicate_full_construction_demo(c3):
     # x = 0 gives g = 1 + t + c t^2, a single Eisenstein block
-    v, cert = predicate_vt_nonneg(
-        rf([0, 0], [1], c3), c3, gamma=2, attempt_full_construction=True
-    )
-    assert v and cert.full_construction is not None
-    cor_g, cor_gamma_g = cert.full_construction
-    assert cor_g.isotropic and cor_gamma_g.isotropic
+    v, cert = predicate_vt_nonneg(rf([0, 0], [1], c3), c3, gamma=2)
+    assert v
+    g = cert.witness.g
+    assert corollary_isotropy(2, g, c3).isotropic and corollary_isotropy(2, g * 2, c3).isotropic
 
 
 def test_predicate_full_construction_uncertifiable(c3):
     # x = t makes h_D = 1 + t^4 whose factors cannot be written exactly
-    v, cert = predicate_vt_nonneg(
-        rf([0, 1], [1], c3), c3, gamma=2, attempt_full_construction=True
-    )
-    assert v and cert.full_construction is None
-    assert "unavailable" in cert.note
+    v, cert = predicate_vt_nonneg(rf([0, 1], [1], c3), c3, gamma=2)
+    assert v
+    with pytest.raises(FactorizationUncertified):
+        corollary_isotropy(2, cert.witness.g, c3)
 
 
 def test_predicate_agreement_small(contexts):

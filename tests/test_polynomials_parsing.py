@@ -29,7 +29,7 @@ def test_divmod_gcd_roundtrip(c3):
 def test_compose_evaluate(c3):
     f = poly([1, 2, 1], c3)  # (t+1)^2
     g = poly([0, 0, 1], c3)  # t^2
-    assert f.compose(g) == poly([1, 0, 2, 0, 1], c3)
+    assert f.evaluate(g) == poly([1, 0, 2, 0, 1], c3)  # Horner at a polynomial point composes
     assert f.evaluate(Fraction(3)) == 16
 
 
@@ -57,6 +57,11 @@ def test_parse_examples(c3):
     with pytest.raises(ParseError) as exc:
         parse_poly("t^", c3)
     assert exc.value.position == 2
+    # one exponent cap for every polynomial read from text
+    assert parse_poly("t^10000 + 1", c3).degree == 10000
+    with pytest.raises(ParseError) as exc:
+        parse_poly("1 + t^10001", c3)
+    assert exc.value.position == 6
 
 
 def test_parse_print_roundtrip(c3):

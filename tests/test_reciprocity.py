@@ -17,15 +17,27 @@ from padicforms import (
     legendre_symbol,
     run_law_corpus,
 )
-from padicforms.quadform import residue_field
+from padicforms.quadform import DiagonalForm, isotropic_over_local, residue_field
 from padicforms.reciprocity import (
+    _value_at_root,
     certify_modulus,
     random_certified_irreducible,
     random_coprime_poly,
-    symbol_via_isotropy,
 )
 
 from conftest import poly
+
+
+def symbol_via_isotropy(p, q, ctx) -> int:
+    """The symbol computed through the 4-dimensional isotropy test.
+
+    <p/q> = +1 iff <1, pi, -p(alpha), -pi p(alpha)> is isotropic over
+    K(alpha); a representation cross-check against i2_class.
+    """
+    field, u = _value_at_root(p, q, ctx)
+    pi = field.coerce(ctx.uniformizer)
+    form = DiagonalForm.make([field.one, pi, -u, -(u * pi)], field)
+    return 1 if isotropic_over_local(form) else -1
 
 
 def test_symbol_worked_examples(c3):
