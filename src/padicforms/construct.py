@@ -46,7 +46,7 @@ from .newton import (
 )
 from .extensions import hensel_lift
 from .padics import INFINITY, PadicContext, is_prime, is_square_rational
-from .polynomials import PadicPolynomial, integer_vector
+from .polynomials import PadicPolynomial
 from .quadform import PfisterSlot, at_place, milnor_isotropy, residue_field
 from .reciprocity import legendre_symbol
 
@@ -68,9 +68,9 @@ class SlopeRing:
         return self.slope.denominator
 
     def _height(self, f: PadicPolynomial):
-        """min over the terms c_b t^b of f of v(c_b) - m b; +infinity for f = 0."""
-        return min((f.field.valuation(c) - self.slope * b
-                    for b, c in enumerate(f.coeffs) if not f.field.is_zero(c)), default=INFINITY)
+        """d times the least v(c_b) - m b over the terms c_b t^b of f, for m = a/d; +infinity for f = 0."""
+        a, d = self.slope.numerator, self.slope.denominator
+        return min((v * d - a * b for b, v in f.valuations()), default=INFINITY)
 
     def in_R(self, f: PadicPolynomial) -> bool:
         return self._height(f) >= 0
@@ -165,7 +165,7 @@ def _rational_roots(f: PadicPolynomial):
     Algebra, 5.10 and 15.6).  Roots come ordered by |a|, then b, the
     positive one first.
     """
-    ints, _ = integer_vector(f.coeffs)
+    ints = f.num
     a0, ad = ints[0], ints[-1]
     if a0 == 0:
         raise PreconditionFailed("zero constant term")
@@ -180,7 +180,7 @@ def _rational_roots(f: PadicPolynomial):
     while ell ** k <= bound:
         k += 1
     ctx = PadicContext(ell, precision_digits=max(k, 8))  # a context's cap is at least 2 v(4) + 4
-    f_ell = PadicPolynomial(f.coeffs, ctx)
+    f_ell = PadicPolynomial.from_integers(f.num, f.den, ctx)
     roots = []
     for r in range(ell):
         if sum(c * r ** i for i, c in enumerate(ints)) % ell:
@@ -500,16 +500,15 @@ def _case_two(params: ConstructionParams, i: int) -> list[SFactor]:
         p0 = p_base.constant_coefficient()
         if p0 != 0:
             bound = max(bound, ctx.vp(g_ij.constant_coefficient()) + v4 - ctx.vp(p0))
-        for beta, c in enumerate(p_base.coeffs):
-            if c != 0:
-                bound = max(bound, edge.line_value(beta) - ctx.vp(c))
+        for beta, v in p_base.valuations():
+            bound = max(bound, edge.line_value(beta) - v)
         a0 = math.floor(bound) + 1
 
         # a0 > bound meets every margin at once, since v(pi) = 1 in every K(alpha)
         p_ij = p_base * pi ** a0
         c0 = p_ij.constant_coefficient()
         margins_met = (
-            all(ctx.vp(c) > edge.line_value(b) for b, c in enumerate(p_ij.coeffs) if c != 0)
+            all(v > edge.line_value(b) for b, v in p_ij.valuations())
             and (c0 == 0 or ctx.vp(c0) > ctx.vp(g_ij.constant_coefficient()) + v4)
             and all(_place_valuation(p_ij, o, ctx) > v_g[o] + v4 for o in others)
         )
@@ -549,10 +548,9 @@ def construct_s(params: ConstructionParams, seed: int = 0) -> ConstructionResult
     tpoly = PadicPolynomial.x(params.context)
     tg = tpoly * params.g_norm
     for sf in s_factors:
-        key = sf.poly.coeffs
-        if key in seen:
+        if sf.poly in seen:
             raise ConditionFailed("duplicate s factor")
-        seen.add(key)
+        seen.add(sf.poly)
         if sf.poly.gcd(tg).degree != 0:
             raise ConditionFailed("s factor not coprime to t g")
 

@@ -75,7 +75,7 @@ from .padics import (
     square_class_rational,
     vp_int,
 )
-from .polynomials import PadicPolynomial, convolve, divide, integer_vector
+from .polynomials import PadicPolynomial, convolve, divide
 
 
 def _trim(a) -> list:
@@ -149,9 +149,8 @@ def _inverse(rows):
 
 def _integer_rows(rows):
     """Rows of rationals as integer rows over one common denominator: (rows, d)."""
-    width = len(rows[0])
-    flat, d = integer_vector([Fraction(c) for row in rows for c in row])
-    return [tuple(flat[i:i + width]) for i in range(0, len(flat), width)], d
+    d = math.lcm(*(c.denominator for row in rows for c in row))
+    return [tuple(c.numerator * (d // c.denominator) for c in row) for row in rows], d
 
 
 class LocalField:
@@ -214,9 +213,6 @@ class LocalField:
         self.ramification_index = d
         self.residue_degree = self.degree // d
         self._unit_tags = {}  # quadratic character -> square-class unit tag (odd p)
-
-        # q as integers: q = _minimal_ints[0] / _minimal_ints[1]
-        self._minimal_ints = integer_vector(minimal_poly.coeffs)
 
         n = self.degree
         self._zeros = (0,) * (n - 1)
@@ -311,11 +307,11 @@ class LocalField:
         return (
             isinstance(other, LocalField)
             and other.base_context == self.base_context
-            and other.minimal_poly.coeffs == self.minimal_poly.coeffs
+            and other.minimal_poly == self.minimal_poly
         )
 
     def __hash__(self):
-        return hash((self.base_context, self.minimal_poly.coeffs))
+        return hash((self.base_context, self.minimal_poly))
 
     def __repr__(self):
         return (
@@ -329,8 +325,8 @@ class LocalField:
         cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(cs) > self.degree:
             raise PreconditionFailed("too many coefficients")
-        nums, d = integer_vector(cs)
-        return LocalFieldElement(self, nums + [0] * (self.degree - len(cs)), d)
+        f = PadicPolynomial(cs, self.base_context)
+        return LocalFieldElement(self, f.num + (0,) * (self.degree - len(f.num)), f.den)
 
     def embed(self, x) -> "LocalFieldElement":
         """The rational x (an int or a Fraction) as an element."""
@@ -343,11 +339,12 @@ class LocalField:
         """Image of a base-coefficient polynomial, i.e. f(alpha): the remainder of f by q, on integers."""
         if f.field.is_extension:
             raise PreconditionFailed("expected base-field coefficients")
-        return self._reduce(*integer_vector(f.coeffs))
+        return self._reduce(f.num, f.den)
 
     def _reduce(self, nums, den) -> "LocalFieldElement":
         """The element (sum_k nums[k] alpha^k) / den: the remainder of the integer list nums by q."""
-        _, r, d = divide(nums, den, *self._minimal_ints)
+        q = self.minimal_poly
+        _, r, d = divide(nums, den, q.num, q.den)
         return LocalFieldElement(self, r + [0] * (self.degree - len(r)), d)
 
     # -- structure ------------------------------------------------------
@@ -552,10 +549,9 @@ class LocalFieldElement:
         q = field.minimal_poly
         # u * r = 1 modulo the irreducible q for the integer vector r = den * x,
         # so 1/x = den * u
-        _, u = PadicPolynomial([Fraction(c) for c in self.num], q.field).half_egcd(q)
-        nums, d = integer_vector(u.coeffs)
-        nums += [0] * (field.degree - len(nums))
-        return LocalFieldElement(field, [c * self.den for c in nums], d)
+        _, u = PadicPolynomial.from_integers(self.num, 1, q.field).half_egcd(q)
+        nums = u.num + (0,) * (field.degree - len(u.num))
+        return LocalFieldElement(field, [c * self.den for c in nums], u.den)
 
     def norm(self) -> Fraction:
         """Field norm down to Q_p: N(r(alpha)) = Res(q, r), q the monic minimal polynomial.
@@ -564,11 +560,11 @@ class LocalFieldElement:
         Res(q, r) = Res(Q, N) / (D^(deg N) den^n).
         """
         field = self.field
-        q, dq = field._minimal_ints
+        q = field.minimal_poly
         m = len(_trim(self.num)) - 1
         if m < 0:
             return Fraction(0)
-        return Fraction(_resultant(q, self.num), dq ** m * self.den ** field.degree)
+        return Fraction(_resultant(q.num, self.num), q.den ** m * self.den ** field.degree)
 
     @property
     def valuation(self):
@@ -1030,9 +1026,8 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
             f"digit target {digits} exceeds context precision {ctx.precision_digits}"
         )
     a = field.coerce(a)
-    for c in f.coeffs:
-        if field.valuation(c) < 0:
-            raise PreconditionFailed("coefficients must lie in the valuation ring")
+    if any(v < 0 for _, v in f.valuations()):
+        raise PreconditionFailed("coefficients must lie in the valuation ring")
     if field.valuation(a) < 0:
         raise PreconditionFailed("starting point must lie in the valuation ring")
 

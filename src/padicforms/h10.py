@@ -36,7 +36,7 @@ from .newton import NewtonPolygon, newton_polygon
 from .padics import INFINITY, PadicContext
 from .polynomials import PadicPolynomial, RationalFunction
 from .quadform import DiagonalForm, i2_class, isotropic_over_local
-from .reciprocity import random_poly
+from .reciprocity import check_case_count, random_poly
 
 
 def find_gamma(ctx: PadicContext) -> Fraction:
@@ -113,9 +113,7 @@ def choose_c(h_num: PadicPolynomial, h_den: PadicPolynomial, ctx: PadicContext) 
     h_num, h_den = strip_t(h_num, h_den)
     if h_den.degree - h_num.degree < -2:
         raise PreconditionFailed("v_infinity(h) must be >= -2")
-    spread = max(
-        abs(ctx.vp(c)) for c in (h_num * h_den).coeffs + (h_den * h_den).coeffs if c != 0
-    )
+    spread = max(abs(v) for f in (h_num * h_den, h_den * h_den) for _, v in f.valuations())
     max_j = 2 * int(spread) + 2 * (h_den.degree + 2) + ctx.v4 + 8
     for j in range(1, max_j + 1):
         c = ctx.uniformizer ** (-j)
@@ -255,8 +253,7 @@ def run_predicate_corpus(ctx: PadicContext, cases: int, seed: int) -> dict:
     all-even polygon, every false instance a c-independent residue
     certificate; any disagreement or missing certificate is a failure.
     """
-    if cases < 0:
-        raise PreconditionFailed(f"the number of cases must be >= 0, got {cases}")
+    check_case_count(cases)
     rng = random.Random(seed)
     gamma = find_gamma(ctx)
     passes, failures = 0, []

@@ -37,7 +37,7 @@ from .errors import (
     SlopeCollision,
     ZeroEndpoint,
 )
-from .padics import INFINITY, rational_mod_pk, vp_int
+from .padics import INFINITY, int_mod_pk, vp_int
 from .polynomials import PadicPolynomial, convolve
 
 
@@ -93,11 +93,7 @@ def newton_polygon(f: PadicPolynomial) -> NewtonPolygon:
     """Newton polygon of f; requires a_0 a_d != 0."""
     if f.is_zero() or f.field.is_zero(f.constant_coefficient()):
         raise ZeroEndpoint("newton_polygon needs a_0 != 0 and f != 0")
-    pts = [
-        (i, f.field.valuation(c))
-        for i, c in enumerate(f.coeffs)
-        if not f.field.is_zero(c)
-    ]
+    pts = f.valuations()
     hull = []
     for pt in pts:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) <= 0:
@@ -155,7 +151,7 @@ class SlopeFactorization:
 def min_coefficient_valuation(f: PadicPolynomial):
     if f.is_zero():
         return INFINITY
-    return min(f.field.valuation(c) for c in f.coeffs)
+    return min(v for _, v in f.valuations())
 
 
 def _block_loss(r: int, d: int, m) -> int:
@@ -186,6 +182,13 @@ def _exact_shift(a, pk: int) -> list:
             raise ConditionFailed("Hensel correction is not divisible by the cofactor shift")
         out.append(q)
     return out
+
+
+def _scaled(nums, den: int, p: int, c: int, top: int, field) -> PadicPolynomial:
+    """sum_k nums[k] p^(c (top - k)) t^k / den, for k <= top: p^(c top) times the polynomial at p^(-c) t."""
+    if c >= 0:
+        return PadicPolynomial.from_integers([a * p ** (c * (top - k)) for k, a in enumerate(nums)], den, field)
+    return PadicPolynomial.from_integers([a * p ** (-c * k) for k, a in enumerate(nums)], den * p ** (-c * top), field)
 
 
 def _two_block_lift(f: PadicPolynomial, r: int, n: int):
@@ -224,11 +227,10 @@ def _two_block_lift(f: PadicPolynomial, r: int, n: int):
     c = -math.ceil(m)
     loss = _block_loss(r, d, m)
     target = n + loss
-    scale = Fraction(p) ** c
-    big_f = [a * scale ** (k - d) for k, a in enumerate(f.coeffs)]
+    big_f = _scaled(f.num, f.den, p, -c, d, field)
 
     # the polygon split and its cofactor, from F at the precision they need
-    low = [ctx.cut(a, loss + r + 2) for a in big_f]
+    low = [ctx.cut(a, loss + r + 2) for a in big_f.coeffs]
     g0 = PadicPolynomial(low[: r + 1], field) * (1 / low[r])
     h0 = PadicPolynomial(low[r:], field)
     one, s = g0.half_egcd(h0)
@@ -236,14 +238,13 @@ def _two_block_lift(f: PadicPolynomial, r: int, n: int):
         raise PrecisionExhausted("block approximations are not coprime")
     t = (one - s * g0) // h0
     sigma = max(
-        [math.ceil((-c - m) * (d - 1))] + [-ctx.vp(a) for a in t.coeffs if a]
+        [math.ceil((-c - m) * (d - 1))] + [-v for _, v in t.valuations()]
     )
     top = target + 2 * sigma + 2
     shift, full = p ** sigma, p ** top
-    big_f = FiniteFieldPoly([rational_mod_pk(a, p, top) for a in big_f], full)
-    g = FiniteFieldPoly([rational_mod_pk(a, p, top) for a in g0.coeffs], full)
-    h = FiniteFieldPoly([rational_mod_pk(a, p, top) for a in h0.coeffs], full)
-    t = FiniteFieldPoly([rational_mod_pk(a * Fraction(p) ** sigma, p, top) for a in t.coeffs], full)
+    big_f, g, h = (FiniteFieldPoly([int_mod_pk(a, x.den, p, top) for a in x.num], full)
+                   for x in (big_f, g0, h0))
+    t = FiniteFieldPoly([int_mod_pk(a * shift, t.den, p, top) for a in t.num], full)
 
     best, stall = -1, 0
     for _ in range(200):
@@ -251,10 +252,7 @@ def _two_block_lift(f: PadicPolynomial, r: int, n: int):
         gap = math.gcd(*e.coeffs)
         reached = vp_int(gap, p) if gap else top
         if reached >= target:
-            return (
-                PadicPolynomial([a * scale ** (r - k) for k, a in enumerate(g.coeffs)], field),
-                PadicPolynomial([a * scale ** (d - r - k) for k, a in enumerate(h.coeffs)], field),
-            )
+            return _scaled(g.coeffs, 1, p, c, r, field), _scaled(h.coeffs, 1, p, c, d - r, field)
         if reached <= best:
             stall += 1
             if stall >= 3:
@@ -490,14 +488,13 @@ def graded_reduction(f: PadicPolynomial, slope: Fraction) -> FiniteFieldPoly:
     to res(c pi^(-m b)) ubar^(b/d); terms above it vanish.  f must lie in
     R; the caller checks that.
     """
-    field = f.field
-    ctx = field.context
-    d = slope.denominator
+    ctx = f.field.context
+    a, d = slope.numerator, slope.denominator
     digits = [0] * (f.degree // d + 1 if not f.is_zero() else 1)
-    for b, c in enumerate(f.coeffs):
-        if not field.is_zero(c) and field.valuation(c) == slope * b:
+    for b, v in f.valuations():
+        if v * d == a * b:
             # on the grading line v = m b integrality forces d | b
-            digits[b // d] = ctx.residue(c, int(slope * b))[0]
+            digits[b // d] = ctx.residue(f[b], v)[0]
     return FiniteFieldPoly(digits, ctx.p)
 
 

@@ -13,6 +13,7 @@ case formulas; an independent residue-search oracle lives in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,8 +86,9 @@ def vp_int(n: int, p: int) -> int:
 
 def vp_rational(x, p: int):
     """p-adic order of a rational; +infinity for 0."""
-    x = Fraction(x)
-    if x == 0:
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    if not x:
         return INFINITY
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
@@ -183,6 +185,11 @@ class PadicContext:
             raise ValueError(f"uniformizer {self.uniformizer} has valuation != 1")
         if self.precision_digits < 2 * self.v4 + 4:
             raise ValueError("precision_digits below 2*v(4) + 4")
+
+    @functools.cached_property
+    def minus_uniformizer(self) -> Fraction:
+        """-pi, the second argument of every i2 class."""
+        return -self.uniformizer
 
     @property
     def v4(self) -> int:

@@ -7,45 +7,76 @@ Q_p's handle, with elements carried as `Fraction`, and
 extension.  Both expose ``context``, ``is_extension``,
 ``ramification_index``, ``zero``, ``one``, ``coerce``, ``inv``,
 ``is_zero``, ``valuation``, ``norm``, ``truncate``, ``residue``, ``cut``
-and ``coordinate_margins``.  All arithmetic is exact.  Addition,
-subtraction, scalar multiplication, derivatives, evaluation and shifts
-work over either handle.  Products, division with remainder and gcd
-(and so powers and the squarefree machinery) are over Q_p
-only, and raise PreconditionFailed over an extension: they run on
-integer vectors over one common denominator, through :func:`convolve`
-and :func:`divide`, the one integer product and the one integer
-division in the package, which the extension and finite-field kernels
-call too.
+and ``coordinate_margins``.  All arithmetic is exact.
+
+A polynomial over Q_p is one integer numerator vector over one positive
+denominator (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6),
+and every Q_p kernel runs on those integers; products and division go
+through :func:`convolve` and :func:`divide`, the one integer product and
+the one integer division in the package, which the extension and
+finite-field kernels call too.  Over an extension the same storage holds
+K elements over the denominator 1: sums, scalar products, derivatives,
+evaluation and shifts use K's arithmetic, while products, division and
+gcd (and so powers and the squarefree machinery) raise PreconditionFailed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import PreconditionFailed
-from .padics import INFINITY, PadicContext
+from .padics import INFINITY, PadicContext, vp_int
 
 
 class PadicPolynomial:
     """A polynomial in t over Q_p or an extension, stored exactly.
 
-    Products and division need Q_p coefficients (see the module docstring).
+    ``num`` and ``den`` are the storage: over Q_p, the coefficient of t^k
+    is num[k] / den with integers num[k], den > 0 and
+    gcd(den, *num) = 1, so equal polynomials have equal storage; over an
+    extension num[k] is the K element itself and den = 1.  ``coeffs`` is
+    a read-only view, lowest-terms Fractions over Q_p (built on first use)
+    and the K elements over K.  Products and division need Q_p
+    coefficients (see the module docstring).
 
     Invariant: the last stored coefficient is nonzero unless the
-    polynomial is zero (empty coefficient tuple).
+    polynomial is zero (empty ``num``).
     """
 
-    __slots__ = ("coeffs", "field")
+    __slots__ = ("num", "den", "field", "_coeffs", "_hash")
 
     def __init__(self, coeffs, field):
         cs = [field.coerce(c) for c in coeffs]
-        while cs and field.is_zero(cs[-1]):
-            cs.pop()
-        self.coeffs = tuple(cs)
-        self.field = field
+        if field.is_extension:
+            self._store(cs, 1, field)
+        else:
+            den = math.lcm(*(c.denominator for c in cs))
+            self._store([c.numerator * (den // c.denominator) for c in cs], den, field)
+
+    def _store(self, num: list, den: int, field):
+        """Keep num / den, trimmed and in lowest terms."""
+        while num and field.is_zero(num[-1]):
+            num.pop()
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        self.num, self.den, self.field = tuple(num), den, field
+        self._coeffs = self.num if field.is_extension else None
+        self._hash = None
 
     # -- construction -------------------------------------------------
+
+    @classmethod
+    def from_integers(cls, num, den: int, field) -> "PadicPolynomial":
+        """sum_k num[k] t^k / den, for integers num[k] and den > 0 (over K: K elements and den = 1)."""
+        out = object.__new__(cls)
+        out._store(list(num), den, field)
+        return out
 
     @classmethod
     def from_rationals(cls, coeffs, context: PadicContext):
@@ -70,18 +101,26 @@ class PadicPolynomial:
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients, constant term first: Fractions over Q_p, K elements over K."""
+        if self._coeffs is None:
+            d = self.den
+            self._coeffs = tuple(Fraction(c, d) for c in self.num)
+        return self._coeffs
+
+    @property
     def degree(self):
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def __getitem__(self, k):
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self.num):
             return self.coeffs[k]
         return self.field.zero
 
@@ -94,53 +133,66 @@ class PadicPolynomial:
         return self[0]
 
     def is_monic(self):
-        return not self.is_zero() and self.leading_coefficient() == self.field.one
+        return bool(self.num) and self.num[-1] == (self.field.one if self.field.is_extension else self.den)
 
     def ord_t(self):
         """Order of vanishing at t = 0; +infinity for the zero polynomial."""
         if self.is_zero():
             return INFINITY
-        for k, c in enumerate(self.coeffs):
-            if not self.field.is_zero(c):
-                return k
-        raise AssertionError("unreachable")
+        return next(k for k, c in enumerate(self.num) if not self.field.is_zero(c))
+
+    def valuations(self) -> list:
+        """(k, v(c_k)) for each nonzero coefficient c_k; over Q_p by ``vp_int`` on num and den."""
+        field = self.field
+        if field.is_extension:
+            return [(k, field.valuation(c)) for k, c in enumerate(self.num) if not field.is_zero(c)]
+        p = field.p
+        vd = vp_int(self.den, p)
+        return [(k, vp_int(c, p) - vd) for k, c in enumerate(self.num) if c]
 
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other):
         if isinstance(other, PadicPolynomial):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed coefficient fields")
             return other
         return PadicPolynomial((self.field.coerce(other),), self.field)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op coefficient by coefficient, on the numerators over one common denominator."""
         other = self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PadicPolynomial([self[k] + other[k] for k in range(n)], self.field)
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if da != db:
+            g = math.gcd(da, db)
+            a, b, da = [c * (db // g) for c in a], [c * (da // g) for c in b], da * (db // g)
+        zero = self.field.zero if self.field.is_extension else 0
+        return PadicPolynomial.from_integers([op(x, y) for x, y in zip_longest(a, b, fillvalue=zero)], da, self.field)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PadicPolynomial([self[k] - other[k] for k in range(n)], self.field)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __neg__(self):
-        return PadicPolynomial([-c for c in self.coeffs], self.field)
+        return PadicPolynomial.from_integers([-c for c in self.num], self.den, self.field)
 
     def __mul__(self, other):
+        field = self.field
         if not isinstance(other, PadicPolynomial):
-            c = self.field.coerce(other)
-            return PadicPolynomial([a * c for a in self.coeffs], self.field)
+            c = field.coerce(other)
+            n, d = (c, 1) if field.is_extension else (c.numerator, c.denominator)
+            return PadicPolynomial.from_integers([a * n for a in self.num], self.den * d, field)
         other = self._check(other)
-        if self.field.is_extension:
+        if field.is_extension:
             raise PreconditionFailed("polynomial products implemented over Q_p coefficients")
-        (a, da), (b, db) = integer_vector(self.coeffs), integer_vector(other.coeffs)
-        return PadicPolynomial([Fraction(c, da * db) for c in convolve(a, b)], self.field)
+        return PadicPolynomial.from_integers(convolve(self.num, other.num), self.den * other.den, field)
 
     __rmul__ = __mul__
 
@@ -158,14 +210,18 @@ class PadicPolynomial:
 
     def __divmod__(self, other):
         other = self._check(other)
-        if self.field.is_extension:
+        field = self.field
+        if field.is_extension:
             raise PreconditionFailed("polynomial division implemented over Q_p coefficients")
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        b, db = integer_vector(other.coeffs)
-        quot, r, d = divide(*integer_vector(self.coeffs), b, db)
-        q = [Fraction(top * db, den * b[-1]) for top, den in quot]
-        return PadicPolynomial(q, self.field), PadicPolynomial([Fraction(c, d) for c in r], self.field)
+        b, db = other.num, other.den
+        quot, r, d = divide(self.num, self.den, b, db)
+        # q_k = top db / (den lc(b)), and each den divides d
+        m = db if b[-1] > 0 else -db
+        q = [top * (d // den) * m for top, den in quot]
+        return (PadicPolynomial.from_integers(q, d * abs(b[-1]), field),
+                PadicPolynomial.from_integers(r, d, field))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -181,37 +237,55 @@ class PadicPolynomial:
                 other = self._check(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return (self.num == other.num and self.den == other.den
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
-        return hash((self.coeffs, self.field))
+        if self._hash is None:
+            self._hash = hash((self.num, self.den, self.field.context.p))
+        return self._hash
 
     # -- calculus and evaluation ----------------------------------------
 
     def derivative(self):
-        return PadicPolynomial(
-            [k * c for k, c in enumerate(self.coeffs)][1:], self.field
-        )
+        num = self.num
+        return PadicPolynomial.from_integers([k * num[k] for k in range(1, len(num))], self.den, self.field)
 
     def evaluate(self, point):
-        """Horner evaluation; the point may live in a larger field, whose arithmetic coerces the coefficients."""
-        acc = getattr(point, "field", self.field).zero
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        """Horner evaluation; the point may live in a larger field, whose arithmetic coerces the coefficients.
+
+        Over Q_p at a rational u / w the homogenized Horner sum
+        sum_k num[k] u^k w^(deg - k) runs on integers, over den w^deg.
+        """
+        if self.field.is_extension or not isinstance(point, (int, Fraction)):
+            acc = getattr(point, "field", self.field).zero
+            for c in reversed(self.coeffs):
+                acc = acc * point + c
+            return acc
+        u, w = point.numerator, point.denominator
+        acc, wk = 0, 1
+        for c in reversed(self.num):
+            acc = acc * u + c * wk
+            wk *= w
+        return Fraction(acc, self.den * w ** max(self.degree, 0))
 
     def shift(self, k: int) -> "PadicPolynomial":
         """Multiply by t^k (k >= 0), or divide exactly by t^-k."""
         if k >= 0:
-            return PadicPolynomial((self.field.zero,) * k + self.coeffs, self.field)
+            zero = self.field.zero if self.field.is_extension else 0
+            return PadicPolynomial.from_integers((zero,) * k + self.num, self.den, self.field)
         if self.ord_t() < -k:
             raise PreconditionFailed("shift would truncate nonzero terms")
-        return PadicPolynomial(self.coeffs[-k:], self.field)
+        return PadicPolynomial.from_integers(self.num[-k:], self.den, self.field)
 
     def monic(self) -> "PadicPolynomial":
         if self.is_zero():
             raise PreconditionFailed("zero polynomial cannot be made monic")
-        return self * self.field.inv(self.leading_coefficient())
+        if self.field.is_extension:
+            return self * self.field.inv(self.num[-1])
+        lc = self.num[-1]
+        return PadicPolynomial.from_integers(
+            self.num if lc > 0 else [-c for c in self.num], abs(lc), self.field)
 
     # -- gcd and squarefree machinery -----------------------------------
 
@@ -290,36 +364,29 @@ class PadicPolynomial:
         if self.is_zero():
             return "0"
         parts = []
+        den = self.den
         for k in range(self.degree, -1, -1):
-            c = self[k]
-            if self.field.is_zero(c):
+            n = self.num[k]
+            if not n:
                 continue
-            neg = c < 0
-            mag = -c if neg else c
+            g = math.gcd(n, den)
+            mag = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
             if k == 0:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "t" if k == 1 else f"t^{k}"
             else:
                 body = f"{mag}*t" if k == 1 else f"{mag}*t^{k}"
             if not parts:
-                parts.append(("-" if neg else "") + body)
+                parts.append(("-" if n < 0 else "") + body)
             else:
-                parts.append(("- " if neg else "+ ") + body)
+                parts.append(("- " if n < 0 else "+ ") + body)
         return " ".join(parts)
 
     def __repr__(self):
         if self.field.is_extension:
             return f"PadicPolynomial(deg {self.degree} over {self.field!r})"
         return f"PadicPolynomial({self.to_text()!r} over Q_{self.field.p})"
-
-
-def integer_vector(coeffs):
-    """The numerators of Fraction coefficients over their lcm d, and d."""
-    d = 1
-    for c in coeffs:
-        d = math.lcm(d, c.denominator)
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def convolve(a, b) -> list:

@@ -121,7 +121,7 @@ def i2_class(u, field) -> int:
     in Q_p, the symbol is the norm projection (N(u), -pi)_{Q_p}.
     """
     ctx = field.context
-    return hilbert_symbol_qp(field.norm(u), -ctx.uniformizer, ctx)
+    return hilbert_symbol_qp(field.norm(u), ctx.minus_uniformizer, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def at_place(f: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext):
     field = residue_field(q, ctx)
     if f.is_zero():
         raise PreconditionFailed("the zero polynomial has no order at a place")
-    root = -q.constant_coefficient() if q.degree == 1 else None
+    root = Fraction(-q.num[0], q.den) if q.degree == 1 else None
     v = 0
     while True:
         u = field.from_poly(f) if root is None else f.evaluate(root)
@@ -315,9 +315,8 @@ def milnor_isotropy(x: PfisterSlot, y: PfisterSlot, ctx: PadicContext) -> Milnor
     x_poly, y_poly = x.value(ctx), y.value(ctx)
     places, seen = [], set()
     for poly, _ in x.factors + y.factors:
-        key = poly.coeffs
-        if key not in seen:
-            seen.add(key)
+        if poly not in seen:
+            seen.add(poly)
             places.append(poly)
     tests = []
     failing = None

@@ -232,13 +232,24 @@ def random_coprime_poly(rng, ctx, q: PadicPolynomial, max_deg: int = 3) -> Padic
 # the symbol laws that run_law_corpus checks
 LAWS = ("check-mult", "check-recip", "constant", "pi-invariance", "square-criterion")
 
+# verify reruns every corpus a certificate names, at about 0.35 ms a case,
+# so every case count read from a command line or a certificate is capped
+MAX_CASES = 10_000
+
+
+def check_case_count(cases: int) -> None:
+    """PreconditionFailed when the case count is negative or exceeds ``MAX_CASES``."""
+    if cases < 0:
+        raise PreconditionFailed(f"the number of cases must be >= 0, got {cases}")
+    if cases > MAX_CASES:
+        raise PreconditionFailed(f"the number of cases must be at most {MAX_CASES}, got {cases}")
+
 
 def run_law_corpus(ctx: PadicContext, law: str, cases: int, seed: int):
     """Run a seeded corpus of one symbol law; returns a summary dict."""
     if law not in LAWS:
         raise PreconditionFailed(f"unknown law {law!r}")
-    if cases < 0:
-        raise PreconditionFailed(f"the number of cases must be >= 0, got {cases}")
+    check_case_count(cases)
     rng = random.Random(seed)
     passes, failures = 0, []
     for k in range(cases):

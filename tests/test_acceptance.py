@@ -12,12 +12,9 @@ import sys
 import time
 from fractions import Fraction
 
-import pytest
-
 from padicforms import (
     PadicContext,
     PadicPolynomial,
-    RationalFunction,
     construct_s,
     corollary_isotropy,
     elliptic_constant_point,

@@ -10,6 +10,7 @@ from padicforms import PadicContext, cli, run_law_corpus
 from padicforms.certificates import verify_certificate
 from padicforms.cli import main
 from padicforms.errors import PreconditionFailed
+from padicforms.reciprocity import MAX_CASES
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +101,24 @@ def test_corpus_negative_cases_exit_2(capsys):
         assert err == "error: the number of cases must be >= 0, got -1\n"
         code, doc = run_json(capsys, "corpus", "--prime", "3", "--cases", "0", law)
         assert code == 0 and doc["result"]["cases"] == doc["result"]["passes"] == 0
+
+
+def test_case_counts_above_the_cap_are_refused(capsys, tmp_path):
+    over = MAX_CASES + 1
+    for law in ("predicate", "check-recip"):
+        code, out, err = run_cli(capsys, "corpus", "--prime", "3", "--cases", str(over), law)
+        assert code == 2 and out == ""
+        assert err == f"error: the number of cases must be at most {MAX_CASES}, got {over}\n"
+        doc = {"schema": "padic-forms/1", "command": "corpus", "context": _CONTEXT, "assertions": [
+            {"kind": "law-corpus", "law": law, "cases": over, "passes": over, "seed": 1}]}
+        start = time.perf_counter()
+        ok, problems = verify_certificate(doc)
+        assert time.perf_counter() - start < 1.0
+        assert not ok and problems == [f"assertion 0 (law-corpus): recomputation failed: the number"
+                                       f" of cases must be at most {MAX_CASES}, got {over}"]
+        path = tmp_path / f"{law}.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "verify", str(path))[0] == 1
 
 
 def test_unknown_law_rejected_even_with_no_cases():

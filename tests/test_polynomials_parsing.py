@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicforms import PadicPolynomial, ParseError, RationalFunction
+from padicforms import ParseError, RationalFunction
 from padicforms.parsing import parse_poly, parse_rational_function, parse_rational_scalar
 
 from conftest import poly

@@ -9,7 +9,6 @@ from padicforms import (
     NotCoprime,
     NotIrreducible,
     check_multiplicativity,
-    check_pi_power_invariance,
     check_reciprocity,
     constant_symbol_check,
     explicit_square_criterion,
