@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import (
     BadDecomposition,
@@ -331,21 +332,61 @@ def _split_all(fm: PadicPolynomial, n: int):
 # ---------------------------------------------------------------------------
 
 
+def _divmod(a, b, m: int):
+    """Quotient and remainder of a by b over Z/mZ, as lists reduced mod m (r trimmed).
+
+    a and b are integer lists, constant term first; b is trimmed and its
+    top coefficient must be a unit mod m.  Reduction is lazy: only the
+    coefficient about to be cancelled is reduced, and the rest once at
+    the end, so no entry grows by more than deg(a) m^2.
+    """
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    try:
+        inv = pow(b[-1], -1, m)
+    except ValueError:
+        raise PreconditionFailed(f"leading coefficient {b[-1] % m} is not a unit mod {m}") from None
+    r, body = list(a), b[:-1]
+    n = len(body)
+    q = [0] * max(0, len(r) - n)
+    for k in range(len(r) - n - 1, -1, -1):
+        c = q[k] = r.pop() * inv % m
+        if c:
+            for j, y in enumerate(body):
+                r[k + j] -= c * y
+    return q, _reduced(r, m)
+
+
+def _gcd(a, b, m: int):
+    """A gcd of a and b over F_m by remainders alone, not made monic."""
+    while b:
+        a, b = b, _divmod(a, b, m)[1]
+    return a
+
+
+def _reduced(r, m: int) -> list:
+    """r reduced mod m, without trailing zeros."""
+    r = [x % m for x in r]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 class FiniteFieldPoly:
     """Polynomial over Z/pZ, coefficients in [0, p).
 
     ``p`` is the prime of the residue field F_p, or a prime power p^K
     when _two_block_lift runs Hensel lifting modulo p^K: there every
-    divisor is monic, the one case where ``divmod`` needs no inverse mod p.
+    divisor is monic, and a divisor whose top coefficient is not a unit
+    raises PreconditionFailed.  Division, ``gcd`` and ``pow_mod`` run on
+    integer lists through one kernel with lazy reduction (``_divmod``)
+    and wrap one FiniteFieldPoly at the end.
     """
 
     __slots__ = ("coeffs", "p")
 
     def __init__(self, coeffs, p: int):
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_reduced(coeffs, p))
         self.p = p
 
     @property
@@ -369,12 +410,10 @@ class FiniteFieldPoly:
         return hash((self.coeffs, self.p))
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FiniteFieldPoly([self[k] + other[k] for k in range(n)], self.p)
+        return FiniteFieldPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)], self.p)
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FiniteFieldPoly([self[k] - other[k] for k in range(n)], self.p)
+        return FiniteFieldPoly([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)], self.p)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -382,45 +421,29 @@ class FiniteFieldPoly:
         return FiniteFieldPoly(convolve(self.coeffs, other.coeffs), self.p)
 
     def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError
-        p = self.p
-        inv = pow(other.coeffs[-1], -1, p)
-        r = list(self.coeffs)
-        q = [0] * max(0, len(r) - len(other.coeffs) + 1)
-        while len(r) >= len(other.coeffs) and r:
-            c = r[-1] * inv % p
-            k = len(r) - len(other.coeffs)
-            q[k] = c
-            for j, b in enumerate(other.coeffs):
-                r[k + j] = (r[k + j] - c * b) % p
-            while r and r[-1] == 0:
-                r.pop()
-        return FiniteFieldPoly(q, p), FiniteFieldPoly(r, p)
+        q, r = _divmod(self.coeffs, other.coeffs, self.p)
+        return FiniteFieldPoly(q, self.p), FiniteFieldPoly(r, self.p)
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return FiniteFieldPoly(_divmod(self.coeffs, other.coeffs, self.p)[1], self.p)
 
     def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        return FiniteFieldPoly(_divmod(self.coeffs, other.coeffs, self.p)[0], self.p)
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a * pow(a.coeffs[-1], -1, self.p)
+        a = _gcd(self.coeffs, other.coeffs, self.p)
+        return FiniteFieldPoly(_divmod(a, a[-1:], self.p)[0] if a else a, self.p)  # a / lc(a)
 
     def pow_mod(self, n: int, mod: "FiniteFieldPoly"):
-        out = FiniteFieldPoly((1,), self.p)
-        base = self % mod
+        b, p = mod.coeffs, self.p
+        out, base = None, _divmod(self.coeffs, b, p)[1]
         while n:
             if n & 1:
-                out = (out * base) % mod
-            base = (base * base) % mod
+                out = base if out is None else _divmod(convolve(out, base), b, p)[1]
             n >>= 1
-        return out
+            if n:
+                base = _divmod(convolve(base, base), b, p)[1]
+        return FiniteFieldPoly([1] if out is None else out, p)
 
     def to_text(self, var: str = "u") -> str:
         if self.is_zero():
@@ -447,18 +470,20 @@ def finite_field_irreducible(g: FiniteFieldPoly) -> bool:
 
     A reducible g of degree n has an irreducible factor of some degree
     k <= n/2, which divides gcd(g, x^(p^k) - x); the test stops at the
-    first such k.  M. Ben-Or, "Probabilistic algorithms in finite
+    first such k.  Each k costs one ``pow_mod`` with exponent p and one
+    ``gcd``, both on integer lists through the lazy-reduction kernel, so
+    no step is O(p).  M. Ben-Or, "Probabilistic algorithms in finite
     fields" (1981); S. Gao and D. Panario, "Tests and constructions of
     irreducible polynomials over finite fields" (1997).
     """
-    n = g.degree
+    n, p = g.degree, g.p
     if n <= 0:
         return False
-    x = FiniteFieldPoly((0, 1), g.p)
+    x = FiniteFieldPoly((0, 1), p)
     h = x % g
     for _ in range(n // 2):
-        h = h.pow_mod(g.p, g)
-        if g.gcd(h - x).degree > 0:
+        h = h.pow_mod(p, g)
+        if len(_gcd(g.coeffs, (h - x).coeffs, p)) > 1:
             return False
     return True
 

@@ -245,6 +245,21 @@ def test_window_candidates_against_sympy(p, monkeypatch):
         assert finite_field_irreducible(g) == _sympy_irreducible(g), g
 
 
+@pytest.mark.parametrize("p, a16, b16, a8, b8, c8", [(10007, 1, 30, 1, 5, 27), (2**61 - 1, 1, 6, 1, 9, 14)])
+def test_cliff_irreducible_large_p(p, a16, b16, a8, b8, c8):
+    """Degree 16 at a large p, where any step of Ben-Or's test that is O(p) would not finish.
+
+    t^16 + a16 t + b16 is irreducible; (t^8 + a8 t + b8)(t^8 + a8 t + c8) is
+    a product of two irreducibles (both checked with sympy when the inputs
+    were chosen), so the test runs through every k <= 8 before it answers.
+    """
+    def trinomial(n, a, b):
+        return FiniteFieldPoly([b, a] + [0] * (n - 2) + [1], p)
+
+    assert finite_field_irreducible(trinomial(16, a16, b16))
+    assert not finite_field_irreducible(trinomial(8, a8, b8) * trinomial(8, a8, c8))
+
+
 def _assemble(a, g, z, big_n, ctx):
     deg_g = g.degree if not g.is_zero() else 0
     deg_z = z.degree
