@@ -108,6 +108,8 @@ def _v_legendre(a, ctx):
 def _v_law(a, ctx):
     law = a["law"]
     inputs = a["inputs"]
+    if not isinstance(a["values"], dict):
+        raise TypeError(f"law values must be a JSON object, not {type(a['values']).__name__}")
     if law == "multiplicativity":
         res = check_multiplicativity(
             parse_poly(inputs["p"], ctx), parse_poly(inputs["r"], ctx),

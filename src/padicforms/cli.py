@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import certificates as cert
 from .construct import corollary_isotropy
-from .errors import PadicFormsError, ParseError
+from .errors import PadicFormsError, ParseError, PreconditionFailed
 from .h10 import elliptic_constant_point, predicate_vt_nonneg, run_predicate_corpus
 from .newton import newton_polygon, slope_factorization
 from .oracles import hilbert_by_search, isotropic_by_search, within_budget
@@ -56,9 +56,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _context(args) -> PadicContext:
-    uniformizer = (
-        Fraction(args.prime) if args.uniformizer is None else Fraction(args.uniformizer)
-    )
+    try:
+        uniformizer = None if args.uniformizer is None else Fraction(args.uniformizer)
+    except ZeroDivisionError:
+        raise PreconditionFailed(f"uniformizer {args.uniformizer!r} has a zero denominator") from None
     return PadicContext(args.prime, args.precision, uniformizer)
 
 

@@ -1,9 +1,10 @@
 """Recursive-descent parser for polynomial and rational-function text.
 
-Grammar:
-    poly     := term (('+'|'-') term)*
+Grammar (whitespace may stand between any two tokens):
+    poly     := ('+'|'-')? term (('+'|'-') term)*
     term     := rational ('*'? 't' ('^' uint)?)? | 't' ('^' uint)?
-    rational := int ('/' uint)?
+    rational := uint ('/' uint)?
+    uint     := decimal digits
 
 Parse errors carry the character offset and what was expected there.
 No exponent may exceed ``MAX_EXPONENT`` (see ``check_exponent``).
@@ -13,6 +14,8 @@ identity on canonical form (descending powers, reduced fractions).
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -33,116 +36,76 @@ def check_exponent(k: int, position: int = 0) -> int:
     return k
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("eof", None, self.pos)
-        ch = self.text[self.pos]
-        if ch.isdigit():
-            end = self.pos
-            while end < len(self.text) and self.text[end].isdigit():
-                end += 1
-            return ("number", int(self.text[self.pos : end]), self.pos)
-        if ch in "+-*/^()":
-            return (ch, ch, self.pos)
-        if ch == "t":
-            return ("t", ch, self.pos)
-        return ("bad", ch, self.pos)
-
-    def take(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(
-                f"expected {kind} at offset {tok[2]}", tok[2], expected=kind
-            )
-        if tok[0] == "number":
-            end = self.pos
-            while end < len(self.text) and self.text[end].isdigit():
-                end += 1
-            self.pos = end
-        elif tok[0] != "eof":
-            self.pos += 1
-        return tok
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\S))")
 
 
-def _parse_uint(toks: _Tokens) -> int:
-    return toks.take("number")[1]
+def _tokenize(text: str) -> list:
+    """(kind, value, offset) per token: "number", one of ``+-*/^()t`` or "bad"; then "eof"."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        digits, ch = m.groups()
+        if digits is not None:
+            toks.append(("number", int(digits), m.start(1)))
+        else:
+            toks.append((ch if ch in "+-*/^()t" else "bad", ch, m.start(2)))
+    toks.append(("eof", None, len(text)))
+    return toks
 
 
-def _parse_rational(toks: _Tokens, sign: int) -> Fraction:
-    num = sign * _parse_uint(toks)
-    if toks.peek()[0] == "/":
-        toks.take("/")
-        tok = toks.peek()
-        den = _parse_uint(toks)
-        if den == 0:
-            raise ParseError(f"zero denominator at offset {tok[2]}", tok[2], "nonzero uint")
-        return Fraction(num, den)
-    return Fraction(num)
+def _uint(toks: list, i: int) -> int:
+    kind, value, offset = toks[i]
+    if kind != "number":
+        raise ParseError(f"expected number at offset {offset}", offset, "number")
+    return value
 
 
-def _parse_tpart(toks: _Tokens) -> int:
-    toks.take("t")
-    if toks.peek()[0] == "^":
-        toks.take("^")
-        position = toks.peek()[2]
-        return check_exponent(_parse_uint(toks), position)
-    return 1
-
-
-def _parse_term(toks: _Tokens, sign: int):
-    tok = toks.peek()
-    if tok[0] == "number":
-        coeff = _parse_rational(toks, sign)
-        nxt = toks.peek()
-        if nxt[0] == "*":
-            toks.take("*")
-            return coeff, _parse_tpart(toks)
-        if nxt[0] == "t":
-            return coeff, _parse_tpart(toks)
-        return coeff, 0
-    if tok[0] == "t":
-        return Fraction(sign), _parse_tpart(toks)
-    raise ParseError(
-        f"expected a number or 't' at offset {tok[2]}", tok[2], "number or t"
-    )
+def _term(toks: list, i: int, sign: int):
+    """The term at toks[i] as (next index, exponent, numerator, denominator)."""
+    kind, value, offset = toks[i]
+    num, den = sign, 1
+    if kind == "number":
+        num *= value
+        i += 1
+        if toks[i][0] == "/":
+            den = _uint(toks, i + 1)
+            if den == 0:
+                offset = toks[i + 1][2]
+                raise ParseError(f"zero denominator at offset {offset}", offset, "nonzero uint")
+            i += 2
+        if toks[i][0] == "*":
+            i += 1
+            if toks[i][0] != "t":
+                offset = toks[i][2]
+                raise ParseError(f"expected t at offset {offset}", offset, "t")
+        elif toks[i][0] != "t":
+            return i, 0, num, den
+    elif kind != "t":
+        raise ParseError(f"expected a number or 't' at offset {offset}", offset, "number or t")
+    if toks[i + 1][0] != "^":
+        return i + 1, 1, num, den
+    return i + 3, check_exponent(_uint(toks, i + 2), toks[i + 2][2]), num, den
 
 
 def parse_poly(text: str, context: PadicContext) -> PadicPolynomial:
     """Parse polynomial text into an exact PadicPolynomial."""
-    toks = _Tokens(text)
-    coeffs: dict[int, Fraction] = {}
-    sign = 1
-    tok = toks.peek()
-    if tok[0] in ("+", "-"):
-        toks.take(tok[0])
-        sign = -1 if tok[0] == "-" else 1
-    c, k = _parse_term(toks, sign)
-    coeffs[k] = coeffs.get(k, Fraction(0)) + c
+    toks = _tokenize(text)
+    sign = -1 if toks[0][0] == "-" else 1
+    i = 1 if toks[0][0] in ("+", "-") else 0
+    terms = []
     while True:
-        tok = toks.peek()
-        if tok[0] == "eof":
+        i, k, num, den = _term(toks, i, sign)
+        terms.append((k, num, den))
+        kind, _, offset = toks[i]
+        if kind == "eof":
             break
-        if tok[0] not in ("+", "-"):
-            raise ParseError(
-                f"expected '+' or '-' at offset {tok[2]}", tok[2], "+ or -"
-            )
-        toks.take(tok[0])
-        c, k = _parse_term(toks, -1 if tok[0] == "-" else 1)
-        coeffs[k] = coeffs.get(k, Fraction(0)) + c
-    deg = max(coeffs) if coeffs else 0
-    return PadicPolynomial.from_rationals(
-        [coeffs.get(k, Fraction(0)) for k in range(deg + 1)], context
-    )
+        if kind not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-' at offset {offset}", offset, "+ or -")
+        sign, i = (-1 if kind == "-" else 1), i + 1
+    lcm = math.lcm(*(den for _, _, den in terms))
+    nums = [0] * (max(k for k, _, _ in terms) + 1)
+    for k, num, den in terms:
+        nums[k] += num * (lcm // den)
+    return PadicPolynomial.from_integers(nums, lcm, context)
 
 
 def parse_rational_scalar(text: str, context: PadicContext) -> Fraction:
@@ -155,11 +118,16 @@ def parse_rational_scalar(text: str, context: PadicContext) -> Fraction:
 
 def parse_rational_function(text: str, context: PadicContext) -> RationalFunction:
     """Parse "num", "num/den" or "(num)/(den)" as an exact quotient."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected rational function text, got {type(text).__name__}")
     text = text.strip()
     if ")/(" in text:
         left, right = text.split(")/(", 1)
         num = parse_poly(left.lstrip().removeprefix("("), context)
         den = parse_poly(right.rstrip().removesuffix(")"), context)
+        if den.is_zero():
+            offset = len(left) + 3
+            raise ParseError(f"zero denominator at offset {offset}", offset, "nonzero poly")
         return RationalFunction(num, den)
     try:
         return RationalFunction(parse_poly(text, context), PadicPolynomial.one(context))

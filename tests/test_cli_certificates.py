@@ -221,6 +221,18 @@ def test_every_command_certificate_reverifies(capsys, tmp_path):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["predicate", "--prime", "3", "(t)/(0)"],
+     ["hilbert", "--prime", "3", "--uniformizer", "1/0", "1", "1"]],
+    ids=["rational-function", "uniformizer"],
+)
+def test_zero_denominators_are_input_errors(argv, capsys):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "zero denominator" in err
+    assert "internal error" not in err
+
+
 def test_verify_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -251,11 +263,20 @@ _CONTEXT = {"prime": 3, "uniformizer": "3/1", "precision": 64}
             {"kind": ["hilbert-base"], "a": "2/1", "b": "2/1", "value": 1}]},
         {"schema": "padic-forms/1", "command": ["construct-s"], "context": _CONTEXT,
          "assertions": []},
+        {"schema": "padic-forms/1", "command": "check-recip", "context": _CONTEXT, "assertions": [
+            {"kind": "law", "law": "reciprocity", "inputs": {"p": "t - 1", "q": "t - 3"},
+             "values": [1], "holds": True}]},
+        {"schema": "padic-forms/1", "command": "predicate", "context": _CONTEXT, "assertions": [
+            {"kind": "anisotropy-at-t", "f": 5, "gamma": "2/1", "v_t_f": -1,
+             "leading_coefficient": "1/1", "anisotropic_form": True}]},
+        {"schema": "padic-forms/1", "command": "predicate", "context": _CONTEXT, "assertions": [
+            {"kind": "predicate-witness", "x": ["t"], "c": "1/1", "g": "t"}]},
     ],
     ids=["not-an-object", "assertions-not-a-list", "assertion-not-an-object",
          "payload-number-not-a-string", "payload-list-not-a-string",
          "digits-string-not-a-number", "poly-number-not-a-string", "kind-list-not-a-string",
-         "command-list-not-a-string"],
+         "command-list-not-a-string", "law-values-list-not-an-object",
+         "rational-function-number-not-a-string", "rational-function-list-not-a-string"],
 )
 def test_verify_rejects_misshapen_documents(doc, tmp_path, capsys):
     path = tmp_path / "cert.json"

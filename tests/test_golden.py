@@ -53,3 +53,40 @@ def test_golden_certificate(name, capsys):
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert got_code == code
     assert verify_certificate(json.loads(out)) == (True, [])
+
+
+# wrongly typed stand-ins for any field, which a verifier must reject, never crash on:
+# one per JSON type, plus a negative number; each more costs tier-1 about a second
+MUTANTS = [None, -1, 2.5, "x", [1], {}]
+
+
+def _slots(node):
+    """(container, key) for every value below node: dict members and list items, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in list(items):
+        yield node, key
+        yield from _slots(value)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_golden_field_mutations_never_crash_the_verifier(path, tmp_path, capsys):
+    """Each field replaced by each mutant: verify returns (bool, list), and the CLI exits 0 or 1.
+
+    The CLI builds its argument parser on every call, so it re-reads only every 29th
+    mutant; 29 is prime to the number of mutants, so each mutant reaches it.
+    """
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    mutated = tmp_path / path.name
+    count = 0
+    for node, key in _slots(doc):
+        original = node[key]
+        for value in MUTANTS:
+            node[key] = value
+            ok, problems = verify_certificate(doc)
+            assert isinstance(ok, bool) and isinstance(problems, list), (key, value)
+            count += 1
+            if count % 29 == 0:
+                mutated.write_text(json.dumps(doc), encoding="utf-8")
+                assert main(["verify", str(mutated)]) in (0, 1), (key, value)
+        node[key] = original
+    capsys.readouterr()

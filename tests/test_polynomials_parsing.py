@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from padicforms import ParseError, RationalFunction
+from padicforms import ParseError, PadicPolynomial, RationalFunction
 from padicforms.parsing import parse_poly, parse_rational_function, parse_rational_scalar
 
 from conftest import poly
@@ -78,6 +79,7 @@ def test_parse_variants(c3):
     assert parse_poly("-t^2 + 1", c3) == poly([1, 0, -1], c3)
     assert parse_poly("2t", c3) == poly([0, 2], c3)
     assert parse_poly("2*t^3", c3) == poly([0, 0, 0, 2], c3)
+    assert parse_poly("\u0663t + 1", c3) == poly([1, 3], c3)  # a decimal digit of any script
     with pytest.raises(ParseError):
         parse_poly("t + + 1", c3)
     with pytest.raises(ParseError):
@@ -96,3 +98,72 @@ def test_parse_rational_function(c3):
     assert parse_rational_scalar("-5/7", c3) == Fraction(-5, 7)
     with pytest.raises(ParseError):
         parse_rational_scalar("t + 1", c3)
+
+
+# one malformed input per error site of the parser: (text, message, position, expected)
+MALFORMED = [
+    ("", "expected a number or 't' at offset 0", 0, "number or t"),
+    ("t + + 1", "expected a number or 't' at offset 4", 4, "number or t"),
+    ("-", "expected a number or 't' at offset 1", 1, "number or t"),
+    ("x + 1", "expected a number or 't' at offset 0", 0, "number or t"),
+    ("1/t", "expected number at offset 2", 2, "number"),
+    ("3 / ", "expected number at offset 4", 4, "number"),
+    ("t^", "expected number at offset 2", 2, "number"),
+    ("t ^ x", "expected number at offset 4", 4, "number"),
+    ("t^\u00b2", "expected number at offset 2", 2, "number"),  # a superscript is no decimal digit
+    ("2*3", "expected t at offset 2", 2, "t"),
+    ("2 *", "expected t at offset 3", 3, "t"),
+    ("t t", "expected '+' or '-' at offset 2", 2, "+ or -"),
+    ("2t^3 4", "expected '+' or '-' at offset 5", 5, "+ or -"),
+    ("1)", "expected '+' or '-' at offset 1", 1, "+ or -"),
+    ("1/0", "zero denominator at offset 2", 2, "nonzero uint"),
+    ("t + 5/ 00", "zero denominator at offset 7", 7, "nonzero uint"),
+    ("1 + t^10001", "exponent 10001 is outside 0..10000", 6, "an exponent in 0..10000"),
+]
+
+
+@pytest.mark.parametrize("text, message, position, expected", MALFORMED)
+def test_parse_error_sites(c3, text, message, position, expected):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, c3)
+    assert (str(exc.value), exc.value.position, exc.value.expected) == (message, position, expected)
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _poly_texts(draw):
+    """(text, reference): printed terms with varied spacing, implicit products,
+    a leading '+' and repeated powers, and the Fraction list they sum to."""
+    terms = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(-40, 40), st.integers(1, 12)),
+                          min_size=1, max_size=8))
+    coeffs = [Fraction(0)] * 7
+    pieces = []
+    for j, (k, num, den) in enumerate(terms):
+        coeffs[k] += Fraction(num, den)
+        if num < 0:
+            pieces.append("-")
+        elif j or draw(st.booleans()):
+            pieces.append("+")
+        pieces.append(draw(_SPACE))
+        tpart = "" if k == 0 else "t" if k == 1 and draw(st.booleans()) else (
+            f"t{draw(_SPACE)}^{draw(_SPACE)}{k}")
+        if tpart and abs(num) == 1 and den == 1 and draw(st.booleans()):
+            pieces.append(tpart)
+        else:
+            pieces.append(str(abs(num)))
+            if den != 1 or draw(st.booleans()):
+                pieces.append(f"{draw(_SPACE)}/{draw(_SPACE)}{den}")
+            if tpart:
+                pieces.append(draw(st.sampled_from(["", " ", "*", " * "])) + tpart)
+        pieces.append(draw(_SPACE))
+    return "".join(pieces), coeffs
+
+
+@given(case=_poly_texts())
+def test_parse_matches_a_fraction_reference(c3, case):
+    text, coeffs = case
+    got = parse_poly(text, c3)
+    want = PadicPolynomial.from_rationals(coeffs, c3)
+    assert (got.num, got.den) == (want.num, want.den), text
