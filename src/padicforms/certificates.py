@@ -126,6 +126,8 @@ def _v_law(a, ctx):
     else:
         return [f"unknown law {law!r}"]
     problems = []
+    if a["values"].keys() != res.values.keys():
+        problems.append(f"{law}: values name {sorted(a['values'])}, recomputed {sorted(res.values)}")
     for key, recorded in a["values"].items():
         if key in res.values and res.values[key] != recorded:
             problems.append(f"{law}: value {key} recomputes to {res.values[key]}, recorded {recorded}")
@@ -223,10 +225,10 @@ def _v_symbol_condition(a, ctx):
         value2 = legendre_symbol(parse_poly(a["p2"], ctx), parse_poly(a["q2"], ctx), ctx)
         if value2 != a["rhs"]:
             problems.append(f"condition {a['name']}: rhs recomputes to {value2}")
-        if (value == value2) != a["holds"]:
-            problems.append(f"condition {a['name']}: equality flag mismatches")
     elif value != a["rhs"]:
         problems.append(f"condition {a['name']}: expected {a['rhs']}")
+    if (value == a["rhs"]) != a["holds"]:  # the recorded rhs, checked above
+        problems.append(f"condition {a['name']}: equality flag mismatches")
     return problems
 
 
@@ -284,6 +286,8 @@ def _v_elliptic(a, ctx):
 
 
 def _v_isotropy_local(a, ctx):
+    if not isinstance(a["entries"], list) or not a["entries"]:
+        raise ValueError("isotropy-local entries must be a non-empty list")
     entries = [parse_rat(e) for e in a["entries"]]
     verdict = isotropic_over_local(DiagonalForm.make(entries, ctx))
     problems = []

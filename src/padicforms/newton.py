@@ -23,6 +23,7 @@ irreducible polynomial goes through it or through rational linear factors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +41,8 @@ from .errors import (
 )
 from .padics import INFINITY, int_mod_pk, vp_int
 from .polynomials import PadicPolynomial, convolve
+
+_IRREDUCIBLE_CACHE_SIZE = 1024  # Ben-Or verdicts kept by finite_field_irreducible
 
 
 @dataclass(frozen=True)
@@ -474,9 +477,17 @@ def finite_field_irreducible(g: FiniteFieldPoly) -> bool:
     ``gcd``, both on integer lists through the lazy-reduction kernel, so
     no step is O(p).  M. Ben-Or, "Probabilistic algorithms in finite
     fields" (1981); S. Gao and D. Panario, "Tests and constructions of
-    irreducible polynomials over finite fields" (1997).
+    irreducible polynomials over finite fields" (1997).  Verdicts are
+    memoised for the process in ``_ben_or``, an LRU cache of
+    ``_IRREDUCIBLE_CACHE_SIZE`` entries keyed by the pair (g.coeffs, g.p).
     """
-    n, p = g.degree, g.p
+    return _ben_or(g.coeffs, g.p)
+
+
+@functools.lru_cache(maxsize=_IRREDUCIBLE_CACHE_SIZE)
+def _ben_or(coeffs: tuple, p: int) -> bool:
+    g = FiniteFieldPoly(coeffs, p)
+    n = g.degree
     if n <= 0:
         return False
     x = FiniteFieldPoly((0, 1), p)
@@ -597,8 +608,8 @@ def random_irreducible_search(
     escalating from the smallest value making deg cbar >= N' + deg bbar,
     24 times at most, with up to 400 samples for each e'.
     Rejection sampling is seeded and deterministic; prime-polynomial
-    density makes termination overwhelmingly likely, and every returned
-    polynomial is re-certified by :func:`finite_field_irreducible`.
+    density makes termination overwhelmingly likely.  The field built on
+    the returned cbar reads back :func:`finite_field_irreducible`'s memo.
     """
     p = hbar.p
     shift = n_prime + cap_g

@@ -3,6 +3,7 @@
 import copy
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from padicforms.certificates import verify_certificate
 from padicforms.cli import main
 from padicforms.errors import PreconditionFailed
 from padicforms.reciprocity import MAX_CASES
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -374,6 +377,37 @@ def test_fault_injection(construct_doc, capsys):
 
     for mut in (flip_result_s, flip_assertion_poly, flip_symbol, flip_residue):
         assert not _mutate_and_verify(doc, mut), mut.__name__
+
+
+def _flip_sg_over_t_holds(doc):
+    for a in doc["assertions"]:
+        if a.get("name") == "sg-over-t":
+            a["holds"] = not a["holds"]
+
+
+def _empty_law_values(doc):
+    doc["assertions"][0]["values"] = {}
+
+
+def _empty_isotropy_entries(doc):
+    doc["assertions"][0]["entries"] = []
+
+
+@pytest.mark.parametrize("golden, tamper", [
+    ("construct-s", _flip_sg_over_t_holds),
+    ("check-mult", _empty_law_values),
+    ("isotropy", _empty_isotropy_entries),
+], ids=["symbol-condition-holds", "law-values", "isotropy-local-entries"])
+def test_verify_rejects_tampered_fields(golden, tamper, tmp_path, capsys):
+    """A field a verifier once left unread: the symbol-condition flag without p2,
+    the keys of a law's values, and an isotropy-local form with no entries."""
+    doc = json.loads((GOLDEN / f"{golden}.json").read_text(encoding="utf-8"))
+    tamper(doc)
+    assert not verify_certificate(doc)[0]
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    capsys.readouterr()
 
 
 def test_positionals_with_a_leading_minus(capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicforms import FiniteFieldPoly, PreconditionFailed, finite_field_irreducible
+from padicforms import FiniteFieldPoly, PreconditionFailed, finite_field_irreducible, newton
 
 PRIMES = (2, 3, 5, 10007)
 
@@ -169,3 +169,18 @@ def test_irreducible_count_is_gauss_count(p, top):
             for c in range(2, p):
                 assert finite_field_irreducible(g * c) is verdict, (g, c)
         assert count == gauss_count(p, n), (p, n)
+
+
+@pytest.mark.parametrize("p, top", [(2, 10), (3, 6), (5, 4)])
+def test_memoised_verdict_is_ben_or(p, top):
+    """On every monic polynomial of the count above, the memoised verdict is the
+    uncached test's, and the memo never holds more than its bound."""
+    memo = newton._ben_or
+    for n in range(1, top + 1):
+        for low in itertools.product(range(p), repeat=n):
+            g = FiniteFieldPoly(low + (1,), p)
+            assert finite_field_irreducible(g) is memo.__wrapped__(g.coeffs, p), g
+            info = memo.cache_info()
+            assert info.currsize <= info.maxsize == newton._IRREDUCIBLE_CACHE_SIZE
+    if sum(p ** n for n in range(1, top + 1)) >= memo.cache_info().maxsize:
+        assert memo.cache_info().currsize == memo.cache_info().maxsize

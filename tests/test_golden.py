@@ -4,7 +4,8 @@ Each case's stdout is compared byte for byte with ``tests/golden/<name>.json``
 and its exit code with the one recorded below.  The cases are the README
 examples (all but ``verify``) plus symbols over linear, unramified,
 ramified and p = 2 moduli, a p = 2 reciprocity check and a two-factor
-construction whose second factor reaches the case-two valuation margin.  A change that
+construction whose second factor reaches the case-two valuation margin, and a case-one
+construction whose residue polynomial comes from the window search.  A change that
 alters a verdict, a certificate byte or an exit code fails here, and so does
 a verifier that no longer accepts a golden certificate.
 """
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from padicforms import newton
 from padicforms.certificates import verify_certificate
 from padicforms.cli import main
 
@@ -35,6 +37,7 @@ CASES = {
          "--factors", "t^2 - 3;t^2 - 12"],
         0,
     ),
+    "construct-s-case-one": (["construct-s", "--prime", "3", "--gamma", "2", "t^2 + 1"], 0),
     "predicate": (["predicate", "--prime", "3", "--gamma", "2", "1/t"], 1),
     "elliptic-point": (["elliptic-point", "--prime", "3", "3", "--digits", "40"], 0),
     "corpus": (["corpus", "--prime", "2", "--seed", "7", "--cases", "100", "check-recip"], 0),
@@ -53,6 +56,23 @@ def test_golden_certificate(name, capsys):
     assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert got_code == code
     assert verify_certificate(json.loads(out)) == (True, [])
+
+
+def test_construct_goldens_do_not_depend_on_the_ben_or_memo(capsys):
+    """The construct-s goldens, each from a cold memo and from one warmed by other constructions."""
+    names = ("construct-s", "construct-s-two-factors", "construct-s-case-one")
+    for warm in (False, True):
+        for name in names:
+            newton._ben_or.cache_clear()
+            if warm:
+                for other in names:
+                    for seed in ("1", "2", "3"):
+                        main(CASES[other][0] + ["--seed", seed, "--json"])
+                assert newton._ben_or.cache_info().currsize > 0
+            argv, code = CASES[name]
+            capsys.readouterr()
+            assert main(argv + ["--json"]) == code
+            assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
 # wrongly typed stand-ins for any field, which a verifier must reject, never crash on:
