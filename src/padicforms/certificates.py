@@ -163,16 +163,11 @@ def _v_even_vertices(a, ctx):
     return []
 
 
-def _negative_digits(digits) -> list:
-    """A negative digit target makes every residual check vacuous."""
-    return [f"digit target {digits} is negative"] if digits < 0 else []
-
-
 def _v_slope_factorization(a, ctx):
     poly = parse_poly(a["poly"], ctx)
     unit = parse_rat(a["unit"])
     product = PadicPolynomial.from_rationals([unit], ctx)
-    problems = _negative_digits(a["digits"])
+    problems = []
     for text, slope in a["factors"]:
         factor = parse_poly(text, ctx)
         product = product * factor
@@ -190,7 +185,7 @@ def _v_hensel(a, ctx):
     root = parse_rat(a["root"])
     start = parse_rat(a["start"])
     digits = a["digits"]
-    problems = _negative_digits(digits)
+    problems = []
     if not ctx.vp(poly.evaluate(root)) > digits:
         problems.append("residual valuation at the recorded root is not above the digit target")
     dstart = poly.derivative().evaluate(start)
@@ -279,10 +274,9 @@ def _v_elliptic(a, ctx):
     y = parse_rat(a["y"])
     x = parse_rat(a["x"])
     residual = ctx.vp(x ** 3 - x - y ** 2) if x ** 3 - x - y ** 2 != 0 else None
-    problems = _negative_digits(a["digits"])
     if residual is not None and not residual > a["digits"]:
-        problems.append(f"v(x^3 - x - y^2) = {residual} is not above {a['digits']}")
-    return problems
+        return [f"v(x^3 - x - y^2) = {residual} is not above {a['digits']}"]
+    return []
 
 
 def _v_isotropy_local(a, ctx):
@@ -421,22 +415,44 @@ def _doc_construct_s(doc, ctx):
 
 _DOC_VERIFIERS = {"construct-s": _doc_construct_s}
 
+# the CLI subcommands that emit a certificate: a document naming any other command is rejected
+COMMANDS = frozenset({"newton", "slopes", "squareclass", "hilbert", "symbol", "check-mult", "check-recip",
+                      "isotropy", "construct-s", "predicate", "elliptic-point", "corpus"})
+_DIGIT_TARGETS = frozenset({"slope-factorization", "hensel", "elliptic-point"})  # lifts, with result.digits
+
+
+def _digit_target(a, result) -> list:
+    """An int (not a bool), not negative (that makes residual checks vacuous), and the result's."""
+    digits = a["digits"]
+    if type(digits) is not int:
+        raise TypeError(f"digit target {digits!r} is not an integer")
+    if digits < 0:
+        return [f"digit target {digits} is negative"]
+    recorded = result.get("digits") if isinstance(result, dict) else None
+    if type(recorded) is not int or recorded != digits:
+        return [f"digit target {digits} differs from the result's {recorded!r}"]
+    return []
+
 
 def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     """Recompute every assertion of a certificate document.
 
     Returns (ok, problems); ok is True only when the schema matches, the
-    context reconstructs, every assertion's recorded outputs agree with
-    fresh computations from its recorded inputs, and any command-level
-    consistency checks tying the assertions to the result pass.
+    command is one of ``COMMANDS``, the context reconstructs, every lift
+    assertion's digit target is the result's, every assertion's recorded
+    outputs agree with fresh computations from its recorded inputs, and
+    any command-level consistency checks tying the assertions to the
+    result pass.
     """
     problems: list[str] = []
     if not isinstance(doc, dict):
         return False, ["the document is not a JSON object"]
     if doc.get("schema") != SCHEMA:
         return False, [f"unknown schema {doc.get('schema')!r}"]
-    if not isinstance(doc.get("command", ""), str):
-        return False, [f"command {doc['command']!r} is not a string"]
+    command = doc.get("command")
+    known = isinstance(command, str) and command in COMMANDS
+    if not known:
+        problems.append(f"unknown command {command!r}")
     try:
         ctx = context_from_block(doc["context"])
     except Exception as exc:
@@ -451,12 +467,13 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
             problems.append(f"assertion {k}: unknown kind {kind!r}")
             continue
         try:
-            problems.extend(f"assertion {k} ({kind}): {msg}" for msg in fn(a, ctx))
+            found = _digit_target(a, doc.get("result")) if kind in _DIGIT_TARGETS else []
+            problems.extend(f"assertion {k} ({kind}): {msg}" for msg in found or fn(a, ctx))
         except PadicFormsError as exc:
             problems.append(f"assertion {k} ({kind}): recomputation failed: {exc}")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             problems.append(f"assertion {k} ({kind}): malformed payload: {exc!r}")
-    doc_fn = _DOC_VERIFIERS.get(doc.get("command"))
+    doc_fn = _DOC_VERIFIERS.get(command) if known else None
     if doc_fn is not None:
         try:
             problems.extend(f"document: {msg}" for msg in doc_fn(doc, ctx))

@@ -6,7 +6,7 @@ polygon criteria (slope denominator equals the degree, or irreducible
 reduction with matching degree).  Elements are integer coefficient
 vectors in powers of alpha over one positive denominator, in lowest terms,
 and every kernel (products, inverses, norms, lattice coordinates,
-valuations, residues and cuts) runs on those integers.  Products
+valuations, residues and truncations) runs on those integers.  Products
 (``polynomials.convolve``), images f(alpha) and the resultant's
 pseudo-remainders are all reduced modulo q by ``polynomials.divide``.
 Norms are exact resultants Res(q, r) for
@@ -14,7 +14,7 @@ x = r(alpha), by sub-resultants over Z, and valuations are read off the
 coordinates in an integral basis, normalized so that the base
 uniformizer has valuation 1 (so values lie in (1/e)Z).
 Residue digits and truncations are read through the field handle's
-``residue`` and ``cut``.
+``residue`` and ``truncate``.
 
 Squareness and Hilbert symbols over extensions are decided exactly.  Write
 x = pi_K^w u with u a unit, q = p^f, and chi for the quadratic character
@@ -60,6 +60,11 @@ from .errors import (
 )
 from .newton import (
     FiniteFieldPoly,
+    _add,
+    _exact_shift,
+    _mul_mod,
+    _newton_budget,
+    _sub,
     finite_field_irreducible,
     newton_polygon,
     reduce_one_edge,
@@ -67,7 +72,6 @@ from .newton import (
 from .padics import (
     INFINITY,
     PadicContext,
-    cut_int,
     hilbert_symbol_qp,
     int_mod_pk,
     is_square_rational,
@@ -284,24 +288,25 @@ class LocalField:
             digits = list(r.coeffs) + [0] * (self.residue_degree - len(r.coeffs))
         return digits
 
-    def cut(self, x, k: int) -> "LocalFieldElement":
-        """The valuation-shifted cut of each coefficient of x in powers of alpha (see ``PadicContext.cut``)."""
-        x, p = self.coerce(x), self.base_context.p
-        parts = [cut_int(c, x.den, p, k) for c in x.num]
-        d = max(dd for _, dd in parts)
-        return LocalFieldElement(self, [c * (d // dd) for c, dd in parts], d)
-
     @functools.cached_property
-    def coordinate_margins(self) -> tuple:
-        """(loss, spread) between valuations and alpha-coordinates.
+    def integer_frame(self) -> tuple:
+        """(c, q, loss, rows, d): the integer arithmetic modulo p^k of ``hensel_lift``.
 
-        An element of valuation >= V has coordinates of valuation
-        >= V - loss, loss read off the integral basis; coordinates cut at k
-        digits move an element by valuation >= k - spread.
+        alpha' = p^c alpha, with c = max(0, ceil(slope)), is integral, and
+        its minimal polynomial p^(c n) q(t / p^c) is the integer list q,
+        whose top coefficient is a unit.  Every x in O_K has p^loss x in
+        Z_p[alpha'] (loss read off the integral basis), and an element with
+        alpha'-coordinates y has the lattice coordinates rows y / d.
         """
-        p = self.base_context.p
-        loss = -min(vp_int(math.gcd(*y.num), p) - vp_int(y.den, p) for y in self._integral_basis)
-        return loss, math.ceil(self.degree * max(0, self.slope))
+        p, n = self.base_context.p, self.degree
+        c = max(0, math.ceil(self.slope))
+        q = self.minimal_poly
+        pd = p ** vp_int(q.den, p)
+        loss = -min(vp_int(a, p) - c * i - vp_int(y.den, p)
+                    for y in self._integral_basis for i, a in enumerate(y.num) if a)
+        rows, d = self._basis_inverse
+        return (c, [a * p ** (c * (n - i)) // pd for i, a in enumerate(q.num)], loss,
+                [[a * p ** (c * i) for i, a in enumerate(row)] for row in rows], d)
 
     def __eq__(self, other):
         return (
@@ -1001,19 +1006,24 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
     """Refine a to a root of f by Newton iteration at doubling precision.
 
     Requires v(f(a)) > 2 v(f'(a)) and p-integral coefficients.  The one
-    exact inverse is s = 1/f'(a); each later step first refines s to
-    s (2 - f'(b) s), which squares its relative error, so s keeps pace
-    with b (von zur Gathen and Gerhard, Modern Computer Algebra, 9.4).
-    After each step b and s are truncated (coordinate by coordinate over
-    an extension) to 2 ceil(v(f(b))) + 2 digits, which keeps the quadratic
-    convergence, and never beyond digits + v(f'(a)) + 2, which is all the
-    root needs.  Iteration stops once v(f(b)) - v(f'(a)), the valuation of
-    b minus the true root, puts every coordinate of b within p^(digits + 1)
-    of the root's; so the reported root is the true root reduced modulo
-    p^(digits + 1), whatever path led there.  v(f(root)) > digits and
-    v(root - a) > v(f'(a)) are checked exactly on the reported root.  A
-    root whose alpha-coordinates are not p-integral has no such
-    representative and raises PreconditionFailed.
+    exact inverse is s = 1/f'(a).  The loop runs on integers modulo p^k in
+    the field's ``integer_frame`` (Q_p's is one coordinate): b on the
+    fixed scale p^loss, s on p^(loss + ceil(v(f'(a)))), each product one
+    ``convolve`` and one ``newton._divmod`` by the integral minimal
+    polynomial modulo p^k, each rescaling an exact division.  A step
+    refines s to s (2 - f'(b) s), squaring its relative error so that s
+    keeps pace with b, then b to b - f(b) s (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 9.4); the slack v(f(b)) - 2 v(f'(a)) at
+    least doubles, and k is the digits that bound promises the next b,
+    plus the scales.  The stop test, v(f(b)) - v(f'(a)) >= digits + 1 +
+    loss, reads f(b) exactly modulo p^K: it puts every coordinate of b
+    within p^(digits + 1) of the root's.  Steps the bound says cannot pass
+    skip it, but only a measured pass ends the loop, so the reported root
+    is the true root reduced modulo p^(digits + 1) whatever the path.  Past
+    ``newton._newton_budget`` steps from the starting slack to the stop,
+    PrecisionExhausted.  v(f(root)) > digits and v(root - a) > v(f'(a))
+    are checked exactly on the reported root; a root whose
+    alpha-coordinates are not p-integral raises PreconditionFailed.
     """
     field = f.field
     ctx = field.context
@@ -1032,37 +1042,14 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
         raise PreconditionFailed("starting point must lie in the valuation ring")
 
     deriv = f.derivative()
-    fa = f.evaluate(a)
     fpa = deriv.evaluate(a)
-    v_fa = field.valuation(fa)
-    v_fpa = field.valuation(fpa)
-    if v_fa is INFINITY:
-        slack = INFINITY
-    else:
-        if v_fpa is INFINITY:
-            raise PreconditionFailed("f'(a) = 0 at a non-root")
-        slack = v_fa - 2 * v_fpa
-    if slack is not INFINITY and slack <= 0:
+    v_fa, v_fpa = field.valuation(f.evaluate(a)), field.valuation(fpa)
+    if v_fa is not INFINITY and v_fpa is INFINITY:
+        raise PreconditionFailed("f'(a) = 0 at a non-root")
+    slack = INFINITY if v_fa is INFINITY else v_fa - 2 * v_fpa
+    if slack <= 0:
         raise PreconditionFailed(f"Hensel slack {slack} is not positive")
-
-    b = a
-    if v_fa is not INFINITY:
-        loss, spread = field.coordinate_margins
-        stop = digits + 1 + loss + v_fpa
-        cap = math.ceil(stop) + 1
-        s = field.inv(fpa)  # 1/f'(b), carried along with b
-        for _ in range(4 * digits + 16):
-            fb = f.evaluate(b)
-            v_fb = field.valuation(fb)
-            if v_fb >= stop:
-                break
-            k = min(cap, 2 * math.ceil(v_fb) + 2) + spread
-            # a Newton step for 1/f'(b) squares the relative error of s,
-            # which then keeps pace with the error of b
-            s = field.cut(s * (2 - deriv.evaluate(b) * s), k)
-            b = field.cut(b - fb * s, k)
-        else:
-            raise PrecisionExhausted("Newton iteration did not reach the digit target")
+    b = a if v_fa is INFINITY else _newton_root(f, deriv, a, field.inv(fpa), v_fa, v_fpa, digits)
 
     try:
         truncated = field.truncate(b, digits + 1)
@@ -1075,9 +1062,62 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
     residual = field.valuation(f.evaluate(root))
     if not residual > digits:
         raise PrecisionExhausted("truncated root lost the residual margin")
-    if v_fa is not INFINITY:
-        vdiff = field.valuation(root - a)
-        if not vdiff > v_fpa:
-            raise PrecisionExhausted("root moved outside the Hensel ball")
+    if v_fa is not INFINITY and not field.valuation(root - a) > v_fpa:
+        raise PrecisionExhausted("root moved outside the Hensel ball")
     return HenselWitness(truncated, slack, residual, digits, a)
 
+
+def _newton_root(f, deriv, a, s, v_fa, v_fpa, digits):
+    """hensel_lift's loop from a, with s = 1/f'(a); valuations in units of 1/e, so all integers."""
+    field = f.field
+    p, e = field.context.p, field.ramification_index
+    c, q, loss, rows, d = field.integer_frame
+    nu, delta = int(e * v_fa), int(e * v_fpa)
+    sigma, stop = -(-delta // e), e * (digits + 1 + loss) + delta
+    margin, vd = (f.degree + 2) * loss + sigma + 2, vp_int(d, p)
+    top = -(-stop // e) + vd + margin
+    # v(f(b)) >= stop iff the lattice numerators of p^loss f(b) lie in these powers of p
+    need = stop + e * (vd + loss)
+    depths = [p ** -((j % e - need) // e) for j in range(len(rows))]
+
+    def element(x, scale):
+        """p^scale x in alpha'-coordinates: integers, reduced modulo p^top when not already."""
+        num, den = (x.num, x.den) if field.is_extension else ((x.numerator,), x.denominator)
+        return [y * p ** (scale - c * i) if den == 1 and scale >= c * i else
+                int_mod_pk(y * p ** max(scale - c * i, 0), den * p ** max(c * i - scale, 0), p, top)
+                for i, y in enumerate(num)]
+
+    def poly(g):
+        """The coefficient vectors of g on the scale p^loss (over Q_p, loss = 0)."""
+        if field.is_extension:
+            return [element(x, loss) for x in g.num]
+        return [[x if g.den == 1 else int_mod_pk(x, g.den, p, top)] for x in g.num]
+
+    def mul(x, y, m, pk):
+        """x y / pk modulo m, and modulo q over an extension."""
+        r = _mul_mod(x, y, q, m) if q else [x[0] * y[0] % m]
+        return r if pk == 1 else _exact_shift(r, pk)
+
+    def horner(coeffs, m):
+        acc = coeffs[-1]
+        for x in reversed(coeffs[:-1]):
+            acc = _add(mul(acc, b, m, pb), x)
+        return acc
+
+    fs, ds = poly(f), poly(deriv)
+    b, s, pb, ps = element(a, loss), element(s, loss + sigma), p ** loss, p ** (loss + sigma)
+    for _ in range(_newton_budget(nu - 2 * delta, stop - 2 * delta)):
+        final = nu >= stop
+        m = p ** (top if final else min(top, -((2 * delta - 2 * nu) // e) + margin))
+        fb = horner(fs, m)
+        if final and all(sum(map(operator.mul, row, fb)) % depth == 0 for row, depth in zip(rows, depths)):
+            break
+        s = mul(s, _sub([2 * pb], mul(horner(ds, m), s, m, ps)), m, pb)
+        b = _sub(b, mul(fb, s, m, ps))
+        nu = 2 * nu - 2 * delta
+    else:
+        raise PrecisionExhausted("Newton iteration did not reach the digit target")
+    if not field.is_extension:
+        return Fraction(b[0])
+    nums = [y * p ** (c * i) for i, y in enumerate(b)]
+    return LocalFieldElement(field, nums + [0] * (field.degree - len(nums)), p ** loss)

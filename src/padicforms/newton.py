@@ -178,12 +178,41 @@ def _split_loss(vertices) -> int:
     )
 
 
+_TRANSIENT_STEPS = 6  # see _newton_budget
+
+
+def _newton_budget(start, target) -> int:
+    """The termination rule of both lifts: the steps allowed from ``start`` to ``target`` digits.
+
+    One step per doubling of start up to target, plus _TRANSIENT_STEPS: a
+    lift's first steps can lose digits (5, 2, 4, 4, 6, 10, ... on the p = 7
+    input of tests/test_newton.py), and its seeded sweep needs at most 3.
+    """
+    steps = _TRANSIENT_STEPS
+    while start < target:
+        start, steps = 2 * start, steps + 1
+    return steps
+
+
+def _add(a, b) -> list:
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _sub(a, b) -> list:
+    return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _mul_mod(a, b, g, m: int) -> list:
+    """a b modulo the integer list g (top coefficient a unit mod m) and m, trimmed."""
+    return _divmod(convolve(a, b), g, m)[1]
+
+
 def _exact_shift(a, pk: int) -> list:
     out = []
     for c in a:
         q, rem = divmod(c, pk)
         if rem:
-            raise ConditionFailed("Hensel correction is not divisible by the cofactor shift")
+            raise ConditionFailed("Newton correction is not divisible by its p-power scale")
         out.append(q)
     return out
 
@@ -203,24 +232,27 @@ def _two_block_lift(f: PadicPolynomial, r: int, n: int):
     to n + _block_loss(r, deg f, m) digits.
 
     With m the last slope and c = -ceil(m), F(x) = p^(-c d) f(p^c x) is
-    monic with integral roots, so F and its factors G, H are carried as
-    integer coefficients modulo p^K: denominators prime to p are scaled
-    out once.  The start is the polygon split G = F[0..r] / F_r,
-    H = F[r..d].  One ``half_egcd`` of it, at the precision of that
-    split, gives t = 1/H modulo G; t is kept as T = p^sigma t, where the
-    shift sigma >= ceil((ceil(m) - m)(d - 1)) bounds the denominators of
-    every t along the way (it is read off the Newton polygon).  Each step
-    is quadratic Hensel lifting (von zur Gathen and Gerhard, Modern
-    Computer Algebra, section 15.4):
+    monic with integral roots, so F and its factors G, H are integer lists
+    modulo p^K, K = target + 2 sigma + 2: denominators prime to p are
+    scaled out once.  The start is the polygon split G = F[0..r] / F_r,
+    H = F[r..d].  One ``half_egcd`` of it, at the precision of that split,
+    gives t = 1/H modulo G, carried on the fixed scale T = p^sigma t, where
+    sigma >= ceil((ceil(m) - m)(d - 1)) bounds the denominators of every t
+    along the way (it is read off the Newton polygon).  Each step is
+    quadratic Hensel lifting (von zur Gathen and Gerhard, Modern Computer
+    Algebra, section 15.4):
 
         E = F - G H,  dG = E t mod G,  dH = (E - H dG) div G,
         t <- t + t (1 - t H) mod G   for the new G and H,
 
-    at twice the precision E has reached.  The lift stops once
-    v(F - G H) >= n + _block_loss, which puts G and H within
+    each product one ``convolve`` and one ``_divmod`` by G modulo p^k, k
+    twice the digits E has reached (the divisions by p^sigma are exact).
+    The stop test reads v(F - G H) exactly, modulo p^K, every step, and
+    passes at target = n + _block_loss, which puts G and H within
     p^(n + |c| d) of the true factors (v(Res(G, H)) digits are lost from
     the residual to the factors), and g and h, scaled back, within p^n;
-    the caller re-checks the product residual exactly.
+    the caller re-checks the product residual exactly.  Past
+    ``_newton_budget(1, target)`` steps the lift raises PrecisionExhausted.
     """
     field = f.field
     if field.is_extension:
@@ -246,31 +278,22 @@ def _two_block_lift(f: PadicPolynomial, r: int, n: int):
     )
     top = target + 2 * sigma + 2
     shift, full = p ** sigma, p ** top
-    big_f, g, h = (FiniteFieldPoly([int_mod_pk(a, x.den, p, top) for a in x.num], full)
-                   for x in (big_f, g0, h0))
-    t = FiniteFieldPoly([int_mod_pk(a * shift, t.den, p, top) for a in t.num], full)
+    big_f, g, h = ([int_mod_pk(a, x.den, p, top) for a in x.num] for x in (big_f, g0, h0))
+    t = [int_mod_pk(a * shift, t.den, p, top) for a in t.num]
 
-    best, stall = -1, 0
-    for _ in range(200):
-        e = big_f - FiniteFieldPoly(g.coeffs, full) * FiniteFieldPoly(h.coeffs, full)
-        gap = math.gcd(*e.coeffs)
-        reached = vp_int(gap, p) if gap else top
+    for _ in range(_newton_budget(1, target)):
+        e = _reduced(_sub(big_f, convolve(g, h)), full)
+        reached = vp_int(math.gcd(*e), p) if e else top
         if reached >= target:
-            return _scaled(g.coeffs, 1, p, c, r, field), _scaled(h.coeffs, 1, p, c, d - r, field)
-        if reached <= best:
-            stall += 1
-            if stall >= 3:
-                raise PrecisionExhausted(f"two-block lifting stalled at {reached} digits")
-        else:
-            best, stall = reached, 0
+            return _scaled(g, 1, p, c, r, field), _scaled(h, 1, p, c, d - r, field)
         mod = p ** min(top, 2 * reached + 2 * sigma + d + 2)
-        e, g, h, t = (FiniteFieldPoly(x.coeffs, mod) for x in (e, g, h, t))
-        dg = FiniteFieldPoly(_exact_shift((e * t % g).coeffs, shift), mod)
-        h = h + (e - h * dg) // g
-        g = g + dg
-        dt = t * (FiniteFieldPoly((shift,), mod) - t * h % g) % g
-        t = t + FiniteFieldPoly(_exact_shift(dt.coeffs, shift), mod)
-    raise PrecisionExhausted("two-block lifting did not reach the digit target")
+        e, g, h, t = (_reduced(x, mod) for x in (e, g, h, t))
+        dg = _exact_shift(_mul_mod(e, t, g, mod), shift)
+        h = _reduced(_add(h, _divmod(_sub(e, convolve(h, dg)), g, mod)[0]), mod)
+        g = _reduced(_add(g, dg), mod)
+        dt = _mul_mod(t, _sub([shift], _mul_mod(t, h, g, mod)), g, mod)
+        t = _reduced(_add(t, _exact_shift(dt, shift)), mod)
+    raise PrecisionExhausted(f"two-block lifting reached {reached} of {target} digits")
 
 
 def slope_factorization(f: PadicPolynomial, digits: int) -> SlopeFactorization:
@@ -378,12 +401,9 @@ def _reduced(r, m: int) -> list:
 class FiniteFieldPoly:
     """Polynomial over Z/pZ, coefficients in [0, p).
 
-    ``p`` is the prime of the residue field F_p, or a prime power p^K
-    when _two_block_lift runs Hensel lifting modulo p^K: there every
-    divisor is monic, and a divisor whose top coefficient is not a unit
-    raises PreconditionFailed.  Division, ``gcd`` and ``pow_mod`` run on
-    integer lists through one kernel with lazy reduction (``_divmod``)
-    and wrap one FiniteFieldPoly at the end.
+    Division, ``gcd`` and ``pow_mod`` run on integer lists through one
+    kernel with lazy reduction (``_divmod``) and wrap one FiniteFieldPoly
+    at the end.
     """
 
     __slots__ = ("coeffs", "p")

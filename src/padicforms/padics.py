@@ -169,8 +169,8 @@ class PadicContext:
 
     is_extension = False
     ramification_index = 1
-    # (loss, spread) between valuations and coordinates; see LocalField.coordinate_margins
-    coordinate_margins = (0, 0)
+    # hensel_lift's integer frame: one coordinate, no modulus; see LocalField.integer_frame
+    integer_frame = (0, None, 0, ((1,),), 1)
     zero = Fraction(0)
     one = Fraction(1)
 

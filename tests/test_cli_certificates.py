@@ -1,5 +1,6 @@
 """CLI behavior, JSON certificates, re-verification, fault injection."""
 
+import argparse
 import copy
 import json
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from padicforms import PadicContext, cli, run_law_corpus
-from padicforms.certificates import verify_certificate
+from padicforms.certificates import COMMANDS, verify_certificate
 from padicforms.cli import main
 from padicforms.errors import PreconditionFailed
 from padicforms.reciprocity import MAX_CASES
@@ -408,6 +409,46 @@ def test_verify_rejects_tampered_fields(golden, tamper, tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["verify", str(path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("golden", ["slopes", "elliptic-point"])
+def test_verify_rejects_lift_digit_targets(golden, tmp_path, capsys):
+    """A lift assertion's digits is a non-negative int, not a bool, equal to result.digits."""
+    doc = json.loads((GOLDEN / f"{golden}.json").read_text(encoding="utf-8"))
+    assert doc["result"]["digits"] == 40 and verify_certificate(doc) == (True, [])
+    path = tmp_path / "tampered.json"
+    for slot in [a for a in doc["assertions"] if "digits" in a] + [doc["result"]]:
+        for value in (True, 2.5, 0, 41, -1, "40", None):
+            slot["digits"] = value
+            assert not verify_certificate(doc)[0], (slot, value)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == 1
+        slot["digits"] = 40
+    capsys.readouterr()
+
+
+def test_verify_rejects_unknown_commands(tmp_path, capsys):
+    """The command names the document check, so it must be a certificate-emitting subcommand."""
+    doc = json.loads((GOLDEN / "construct-s.json").read_text(encoding="utf-8"))
+    doc["result"]["s"] = "t^2 + 1"
+    assert not verify_certificate(doc)[0]
+    doc["command"] = "x"
+    assert verify_certificate(doc) == (False, ["unknown command 'x'"])
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    for golden in sorted(GOLDEN.glob("*.json")):
+        doc = json.loads(golden.read_text(encoding="utf-8"))
+        doc["command"] = "verify"
+        assert not verify_certificate(doc)[0], golden.name
+        del doc["command"]
+        assert not verify_certificate(doc)[0], golden.name
+    capsys.readouterr()
+
+
+def test_certificate_commands_are_the_cli_subcommands():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert COMMANDS == set(sub.choices) - {"verify"}
 
 
 def test_positionals_with_a_leading_minus(capsys):

@@ -7,7 +7,7 @@ integral basis is not made of alpha-monomials.  Each kernel is compared with a r
 no code with it: a Fraction convolution and division for the product and
 for ``from_poly``, a Fraction linear solve for the inverse and the lattice
 coordinates, sympy's resultant for the norm, and ``rational_mod_pk`` on
-the ``coeffs`` view for the cut and the residue.
+the ``coeffs`` view for the residue and for the cut of a base-field coefficient.
 """
 
 import math
@@ -161,9 +161,9 @@ def test_norm_against_sympy_and_valuation_against_norm(case):
 def test_cut_and_residue_against_rational_mod_pk(case, k):
     K, x = case
     p, e = K.base_context.p, K.ramification_index
-    assert list(K.cut(x, k).coeffs) == [naive_cut(c, k, p) for c in x.coeffs]
+    for c in x.coeffs:
+        assert CONTEXTS[p].cut(c, k) == naive_cut(c, k, p)
     c = x.coeffs[0]
-    assert CONTEXTS[p].cut(c, k) == naive_cut(c, k, p)
     w = x.w()
     for j in range(w - 2 * e, w + 1):
         # the residue of the integral element x pi_K^(-j), read off its lattice coordinates

@@ -41,14 +41,14 @@ def _cut(root, p, k):
 
 
 # every digit target up to 40 (where the stopping rule decides the last
-# digit), then two larger ones
-DIGITS = list(range(1, 41)) + [64, 100]
+# digit), then two larger ones; target 0 is compared with a 40-digit lift
+DIGITS = list(range(0, 41)) + [64, 100]
 
 
-def _assert_canonical(f, a, p):
-    for digits in DIGITS:
+def _assert_canonical(f, a, p, targets=DIGITS):
+    for digits in targets:
         low = hensel_lift(f, a, digits)
-        high = hensel_lift(f, a, 2 * digits)
+        high = hensel_lift(f, a, 2 * digits or 40)
         assert low.approximate_root == _cut(high.approximate_root, p, digits + 1), digits
         assert low.residual_valuation > digits
 
@@ -80,6 +80,55 @@ def test_hensel_root_canonical_over_extensions(p, minimal):
         d = K.embed(rng.randint(1, 5)) + pi * rng.randint(-5, 5)
         _assert_canonical(PadicPolynomial([a * b + d * p, -(a + b), K.one], K), a, p)
 
+
+# v(f'(a)) = 1 or 2: s = 1/f'(a) is carried on the scale p^v(f'(a)).  The
+# root is reported modulo p^(digits + 1), so targets below v(f'(a)) can
+# leave the Hensel ball; they start at v(f'(a)) - 1 here
+@pytest.mark.parametrize("p,coeffs,a,v", [
+    (2, [-17, 0, 1], 1, 1),  # sqrt 17 from 1
+    (2, [-68, 0, 1], 2, 2),  # 2 sqrt 17 from 2
+    (3, [4 + 27, -5, 1], 1, 1),  # (x - 1)(x - 4) + 27 from 1
+    (3, [10 + 3 ** 5, -11, 1], 1, 2),  # (x - 1)(x - 10) + 3^5 from 1
+])
+def test_hensel_root_canonical_when_the_derivative_is_not_a_unit(p, coeffs, a, v):
+    ctx = PadicContext(p, precision_digits=200)
+    f = poly(coeffs, ctx)
+    assert ctx.vp(f.derivative().evaluate(Fraction(a))) == v
+    _assert_canonical(f, Fraction(a), p, DIGITS[v - 1:])
+
+
+# f = (x - a)(x - a - h) + d h^3, so v(f'(a)) = v(h): 1/e for h = pi_K over
+# Q_3(sqrt 3) and Q_2(sqrt 2), and 3/2 for h = alpha over Q_3(sqrt 27),
+# whose deep integral basis also puts b on the scale p^1
+@pytest.mark.parametrize("p,minimal,step,v", [
+    (3, [-3, 0, 1], "pi", Fraction(1, 2)),
+    (2, [-2, 0, 1], "pi", Fraction(1, 2)),
+    (3, [-27, 0, 1], "alpha", Fraction(3, 2)),
+])
+def test_hensel_root_canonical_when_the_derivative_has_fractional_valuation(p, minimal, step, v):
+    rng = random.Random(f"hensel-ramified-{p}-{minimal}")
+    ctx = PadicContext(p, precision_digits=200)
+    K = residue_field(poly(minimal, ctx), ctx)
+    h = K.uniformizer_elt if step == "pi" else K.gen()
+    for _ in range(2):
+        a = K.embed(rng.randint(0, 5)) + h * rng.randint(-5, 5)
+        d = K.embed(rng.randint(1, 5)) + h * rng.randint(-5, 5)
+        f = PadicPolynomial([a * (a + h) + d * h ** 3, -(a + a + h), K.one], K)
+        assert K.valuation(f.derivative().evaluate(a)) == v
+        _assert_canonical(f, a, p)
+
+
+def test_hensel_lift_from_a_root():
+    """A starting point that is already a root is reported cut to digits + 1, with infinite slack."""
+    ctx = PadicContext(3, precision_digits=200)
+    K = residue_field(poly([1, 0, 1], ctx), ctx)
+    i = K.gen()
+    for f, a in [(poly([14, -9, 1], ctx), Fraction(2)),  # (x - 2)(x - 7)
+                 (PadicPolynomial([K.embed(2) * i, -(i + 2), K.one], K), i)]:  # (x - i)(x - 2)
+        _assert_canonical(f, a, 3)
+        w = hensel_lift(f, a, 10)
+        assert w.slack == float("inf") and w.residual_valuation > 10
+        assert f.field.coerce(w.approximate_root) == a
 
 
 def test_one_inverse_per_hensel_lift(monkeypatch):

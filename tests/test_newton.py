@@ -24,6 +24,7 @@ from padicforms import (
 )
 from padicforms import newton
 from padicforms.newton import min_coefficient_valuation, reduce_one_edge
+from padicforms.parsing import parse_poly
 
 from conftest import poly
 
@@ -386,3 +387,70 @@ def test_slope_factorization_degree_eight(contexts):
             f = poly(coeffs, ctx)
             fac = slope_factorization(f, 50)
             assert fac.residual_valuation(f) > 50
+
+
+# Two degree-13 inputs whose split between close slopes loses digits for
+# three steps (5, 2, 4, 4, 6, 10, ... at p = 7) before the quadratic phase:
+# the termination rule must let such a transient pass.
+STALL_INPUTS = {
+    7: "10/597849*t^13 + 1438511137512729/292*t^11 - 381759/25*t^10 - 915/701092*t^9"
+       " - 44/2100875*t^8 - 7203/32*t^6 - 48/4963*t^4 - 316/588245*t^2 - 13176688/479*t"
+       " - 686132379821/260",
+    101: "-8/7*t^13 + 21409675572507424692562819/11*t^12 - 31/8*t^11 - 4058355639/16*t^10"
+         " + 678189785810197164107429772659/55*t^9 - 45978968529504892481859645604*t^8"
+         " - 43/3737*t^7 + 17942212135299972911715749802262977015/2*t^5"
+         " - 20780020181002857119/41*t^4 + 220712110521/8*t^2"
+         " + 341427984129986825360343903/25*t + 19/142814",
+}
+
+
+def _assert_slope_factors(f, digits):
+    fac = slope_factorization(f, digits)
+    assert fac.residual_valuation(f) > digits
+    polygon = newton_polygon(f)
+    assert [(x.slope, x.degree) for x in fac.factors] == [(e.slope, e.length) for e in polygon.edges]
+    for x in fac.factors:
+        assert newton_polygon(x.poly).slopes == (x.slope,)
+
+
+@pytest.mark.parametrize("p,slopes", [
+    (7, [Fraction(-17, 2), Fraction(1, 6), Fraction(1, 5)]),
+    (101, [Fraction(1, 7), Fraction(1, 6)]),
+])
+def test_cliff_two_block_lift_through_a_transient(p, slopes):
+    f = parse_poly(STALL_INPUTS[p], PadicContext(p))
+    assert list(newton_polygon(f).slopes) == slopes
+    for digits in (0, 10, 40, 400):
+        _assert_slope_factors(f, digits)
+
+
+def slope_sweep(seed: int, count: int):
+    """Seeded inputs for slope_factorization: (f, digits) with p in {2, 3, 5, 7, 11, 101},
+    degrees 4-14, coefficient valuations -6..20 and digit targets 0-200."""
+    rng = random.Random(seed)
+    while count:
+        p = rng.choice([2, 3, 5, 7, 11, 101])
+        deg = rng.randint(4, 14)
+        coeffs = [
+            Fraction(rng.randint(-99, 99), rng.randint(1, 99)) * Fraction(p) ** rng.randint(-6, 20)
+            if k in (0, deg) or rng.random() < 0.7 else 0
+            for k in range(deg + 1)
+        ]
+        if coeffs[0] and coeffs[-1]:
+            count -= 1
+            yield poly(coeffs, PadicContext(p)), rng.randint(0, 200)
+
+
+def test_slope_sweep():
+    """Every sweep input factors, one edge per factor (by hand: python tests/test_newton.py 3000)."""
+    for f, digits in slope_sweep(2021, 60):
+        _assert_slope_factors(f, digits)
+
+
+if __name__ == "__main__":
+    import sys
+
+    count = int(sys.argv[1]) if len(sys.argv) > 1 else 3000
+    for f, digits in slope_sweep(2021, count):
+        _assert_slope_factors(f, digits)
+    print(f"{count} inputs factored")
