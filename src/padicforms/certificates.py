@@ -415,9 +415,26 @@ def _doc_construct_s(doc, ctx):
 
 _DOC_VERIFIERS = {"construct-s": _doc_construct_s}
 
-# the CLI subcommands that emit a certificate: a document naming any other command is rejected
-COMMANDS = frozenset({"newton", "slopes", "squareclass", "hilbert", "symbol", "check-mult", "check-recip",
-                      "isotropy", "construct-s", "predicate", "elliptic-point", "corpus"})
+# the assertion kinds each certificate-emitting CLI subcommand writes. A document naming another
+# command, or carrying a kind its command does not write, is rejected; so a document that keeps
+# construct-s's assertions cannot be relabelled to skip its document check. A document stripped
+# down to kinds another command also writes is still checked only assertion by assertion.
+_COMMAND_KINDS = {
+    "newton": {"newton-polygon"},
+    "slopes": {"slope-factorization"},
+    "squareclass": {"square-class"},
+    "hilbert": {"hilbert-base"},
+    "symbol": {"legendre", "irreducible-certified", "coprime"},
+    "check-mult": {"law"},
+    "check-recip": {"law"},
+    "isotropy": {"isotropy-local"},
+    "construct-s": {"even-vertices", "irreducible-certified", "coprime", "construct-identity",
+                    "symbol-condition", "residue-test"},
+    "predicate": {"gamma-valid", "predicate-witness", "anisotropy-at-t"},
+    "elliptic-point": {"elliptic-point", "hensel"},
+    "corpus": {"law-corpus"},
+}
+COMMANDS = frozenset(_COMMAND_KINDS)
 _DIGIT_TARGETS = frozenset({"slope-factorization", "hensel", "elliptic-point"})  # lifts, with result.digits
 
 
@@ -438,7 +455,8 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     """Recompute every assertion of a certificate document.
 
     Returns (ok, problems); ok is True only when the schema matches, the
-    command is one of ``COMMANDS``, the context reconstructs, every lift
+    command is one of ``COMMANDS`` and writes every assertion kind the
+    document carries, the context reconstructs, every lift
     assertion's digit target is the result's, every assertion's recorded
     outputs agree with fresh computations from its recorded inputs, and
     any command-level consistency checks tying the assertions to the
@@ -466,6 +484,8 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
         if fn is None:
             problems.append(f"assertion {k}: unknown kind {kind!r}")
             continue
+        if known and kind not in _COMMAND_KINDS[command]:
+            problems.append(f"assertion {k}: {command} writes no {kind} assertion")
         try:
             found = _digit_target(a, doc.get("result")) if kind in _DIGIT_TARGETS else []
             problems.extend(f"assertion {k} ({kind}): {msg}" for msg in found or fn(a, ctx))

@@ -1019,9 +1019,10 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
     loss, reads f(b) exactly modulo p^K: it puts every coordinate of b
     within p^(digits + 1) of the root's.  Steps the bound says cannot pass
     skip it, but only a measured pass ends the loop, so the reported root
-    is the true root reduced modulo p^(digits + 1) whatever the path.  Past
-    ``newton._newton_budget`` steps from the starting slack to the stop,
-    PrecisionExhausted.  v(f(root)) > digits and v(root - a) > v(f'(a))
+    is the true root reduced modulo p^(digits + 1) whatever the path.  A
+    loop that has not passed after one step per doubling of the slack up
+    to the stop and one measuring iteration (``newton._newton_budget``)
+    raises PrecisionExhausted.  v(f(root)) > digits and v(root - a) > v(f'(a))
     are checked exactly on the reported root; a root whose
     alpha-coordinates are not p-integral raises PreconditionFailed.
     """

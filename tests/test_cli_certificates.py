@@ -428,7 +428,7 @@ def test_verify_rejects_lift_digit_targets(golden, tmp_path, capsys):
 
 
 def test_verify_rejects_unknown_commands(tmp_path, capsys):
-    """The command names the document check, so it must be a certificate-emitting subcommand."""
+    """The command names the document check, so it must be a subcommand that writes the document's kinds."""
     doc = json.loads((GOLDEN / "construct-s.json").read_text(encoding="utf-8"))
     doc["result"]["s"] = "t^2 + 1"
     assert not verify_certificate(doc)[0]
@@ -437,10 +437,18 @@ def test_verify_rejects_unknown_commands(tmp_path, capsys):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["verify", str(path)]) == 1
+    for command in sorted(COMMANDS - {"construct-s"}):
+        doc["command"] = command
+        assert not verify_certificate(doc)[0], command
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == 1, command
     for golden in sorted(GOLDEN.glob("*.json")):
         doc = json.loads(golden.read_text(encoding="utf-8"))
-        doc["command"] = "verify"
-        assert not verify_certificate(doc)[0], golden.name
+        # check-mult and check-recip both write one law assertion, which names its own law
+        twins = {"check-mult", "check-recip"} if doc["command"] in ("check-mult", "check-recip") else set()
+        for command in sorted(COMMANDS - {doc["command"]} - twins) + ["verify"]:
+            doc["command"] = command
+            assert not verify_certificate(doc)[0], (golden.name, command)
         del doc["command"]
         assert not verify_certificate(doc)[0], golden.name
     capsys.readouterr()
