@@ -19,25 +19,19 @@ from fractions import Fraction
 from . import certificates as cert
 from .construct import corollary_isotropy
 from .errors import PadicFormsError, ParseError, PreconditionFailed
-from .h10 import elliptic_constant_point, predicate_vt_nonneg, run_predicate_corpus
+from .h10 import elliptic_constant_point, predicate_vt_nonneg
 from .newton import newton_polygon, slope_factorization
-from .oracles import hilbert_by_search, isotropic_by_search, within_budget
+from .oracles import hilbert_by_search, within_budget
 from .padics import PadicContext, hilbert_symbol_qp, square_class_rational
 from .parsing import parse_poly, parse_rational_function, parse_rational_scalar
 from .polynomials import PadicPolynomial, RationalFunction
 from .quadform import DiagonalForm, isotropic_over_local
 from .reciprocity import (
     LAWS,
-    certify_modulus,
     check_multiplicativity,
     check_reciprocity,
     legendre_symbol,
-    run_law_corpus,
 )
-
-
-# what hilbert and isotropy report when p is too large for the residue-search cross-check
-_SKIPPED = "skipped: budget"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,9 +68,10 @@ def _seeded(sub):
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
 
 
-def _emit(args, command, ctx, result, assertions, human_lines, seed=None):
+def _emit(args, command, ctx, assertions, human_lines, seed=None, **given):
+    """Print the certificate, whose result the assertions give, or the human-readable lines."""
+    doc = cert.make_certificate(command, ctx, assertions, seed=seed, **given)
     if args.json:
-        doc = cert.make_certificate(command, ctx, result, assertions, seed=seed)
         sys.stdout.write(cert.dump_certificate(doc))
     else:
         for line in human_lines:
@@ -89,22 +84,13 @@ def _cmd_newton(args):
     polygon = newton_polygon(poly)
     vertices = [[i, cert.rat_str(v)] for i, v in polygon.vertices]
     slopes = [cert.rat_str(e.slope) for e in polygon.edges]
-    result = {
-        "poly": poly.to_text(),
-        "points": [[i, cert.rat_str(v)] for i, v in polygon.points],
-        "vertices": vertices,
-        "edges": [
-            {"slope": cert.rat_str(e.slope), "length": e.length} for e in polygon.edges
-        ],
-        "all_vertices_even": polygon.all_vertices_even(),
-    }
     assertions = [
         {"kind": "newton-polygon", "poly": poly.to_text(), "vertices": vertices, "slopes": slopes}
     ]
     human = [f"Newton polygon of {poly.to_text()} over Q_{ctx.p}:"]
     human += [f"  vertex at degree {i}, height {v}" for i, v in polygon.vertices]
     human += [f"  edge of slope {e.slope}, length {e.length}" for e in polygon.edges]
-    _emit(args, "newton", ctx, result, assertions, human)
+    _emit(args, "newton", ctx, assertions, human)
     return 0
 
 
@@ -113,27 +99,11 @@ def _cmd_slopes(args):
     poly = parse_poly(args.poly, ctx)
     fac = slope_factorization(poly, args.digits)
     factors = [[f.poly.to_text(), cert.rat_str(f.slope)] for f in fac.factors]
-    result = {
-        "poly": poly.to_text(),
-        "unit": cert.rat_str(fac.unit),
-        "digits": args.digits,
-        "factors": [
-            {"poly": t, "slope": s, "degree": f.degree, "denominator": f.denominator}
-            for (t, s), f in zip(factors, fac.factors)
-        ],
-    }
-    assertions = [
-        {
-            "kind": "slope-factorization",
-            "poly": poly.to_text(),
-            "unit": cert.rat_str(fac.unit),
-            "digits": args.digits,
-            "factors": factors,
-        }
-    ]
+    assertions = [{"kind": "slope-factorization", "poly": poly.to_text(), "unit": cert.rat_str(fac.unit),
+                   "digits": args.digits, "factors": factors}]
     human = [f"slope factorization of {poly.to_text()} (residual digits > {args.digits}):"]
     human += [f"  slope {f.slope}: {f.poly.to_text()}" for f in fac.factors]
-    _emit(args, "slopes", ctx, result, assertions, human)
+    _emit(args, "slopes", ctx, assertions, human)
     return 0
 
 
@@ -141,157 +111,95 @@ def _cmd_squareclass(args):
     ctx = _context(args)
     x = parse_rational_scalar(args.value, ctx)
     rep = square_class_rational(x, ctx)
-    result = {"x": cert.rat_str(x), "representative": cert.rat_str(rep)}
     assertions = [
         {"kind": "square-class", "x": cert.rat_str(x), "representative": cert.rat_str(rep)}
     ]
-    _emit(args, "squareclass", ctx, result, assertions, [f"square class of {x} in Q_{ctx.p}: {rep}"])
+    _emit(args, "squareclass", ctx, assertions, [f"square class of {x} in Q_{ctx.p}: {rep}"])
     return 0
 
 
 def _cmd_hilbert(args):
     ctx = _context(args)
-    a = parse_rational_scalar(args.a, ctx)
-    b = parse_rational_scalar(args.b, ctx)
+    a, b = parse_rational_scalar(args.a, ctx), parse_rational_scalar(args.b, ctx)
     value = hilbert_symbol_qp(a, b, ctx)
-    oracle = _SKIPPED
-    if within_budget(ctx):
-        oracle = hilbert_by_search(a, b, ctx)
-        if value != oracle:
-            raise PadicFormsError(f"formula {value} disagrees with search oracle {oracle}")
-    result = {"a": cert.rat_str(a), "b": cert.rat_str(b), "value": value, "oracle": oracle}
+    oracle = hilbert_by_search(a, b, ctx) if within_budget(ctx) else value
+    if value != oracle:
+        raise PadicFormsError(f"formula {value} disagrees with search oracle {oracle}")
     assertions = [
         {"kind": "hilbert-base", "a": cert.rat_str(a), "b": cert.rat_str(b), "value": value}
     ]
-    _emit(args, "hilbert", ctx, result, assertions, [f"({a}, {b})_{ctx.p} = {value:+d}"])
+    _emit(args, "hilbert", ctx, assertions, [f"({a}, {b})_{ctx.p} = {value:+d}"])
     return 0
 
 
 def _cmd_symbol(args):
     ctx = _context(args)
-    p = parse_poly(args.p, ctx)
-    q = parse_poly(args.q, ctx)
+    p, q = parse_poly(args.p, ctx), parse_poly(args.q, ctx)
     value = legendre_symbol(p, q, ctx)
-    field, evidence = certify_modulus(q, ctx)
-    result = {"p": p.to_text(), "q": q.to_text(), "value": value, "modulus_evidence": evidence}
-    if field.is_extension:
-        result["field"] = {
-            "ramification_index": field.ramification_index,
-            "residue_degree": field.residue_degree,
-            "uniformizer_coefficients": [cert.rat_str(c) for c in field.uniformizer_elt.coeffs],
-        }
     assertions = [
         {"kind": "legendre", "p": p.to_text(), "q": q.to_text(), "value": value},
         {"kind": "irreducible-certified", "poly": q.to_text()},
         {"kind": "coprime", "f": p.to_text(), "g": q.to_text()},
     ]
-    _emit(args, "symbol", ctx, result, assertions, [f"<{p.to_text()} / {q.to_text()}> = {value:+d}"])
+    _emit(args, "symbol", ctx, assertions, [f"<{p.to_text()} / {q.to_text()}> = {value:+d}"])
     return 0
 
 
 def _law_command(args, runner, law_name, inputs):
     ctx = _context(args)
     res = runner(ctx)
-    result = {"law": law_name, "inputs": res.inputs, "values": res.values, "holds": res.holds}
     assertions = [
         {"kind": "law", "law": law_name, "inputs": res.inputs, "values": res.values, "holds": res.holds}
     ]
     human = [f"{law_name}: {'holds' if res.holds else 'FAILS'}", f"  values: {res.values}"]
-    _emit(args, inputs, ctx, result, assertions, human)
+    _emit(args, inputs, ctx, assertions, human)
     return 0 if res.holds else 1
 
 
 def _cmd_check_mult(args):
-    def run(ctx):
-        return check_multiplicativity(
-            parse_poly(args.p, ctx), parse_poly(args.r, ctx), parse_poly(args.q, ctx), ctx
-        )
-
-    return _law_command(args, run, "multiplicativity", "check-mult")
+    return _law_command(args, lambda ctx: check_multiplicativity(
+        parse_poly(args.p, ctx), parse_poly(args.r, ctx), parse_poly(args.q, ctx), ctx),
+        "multiplicativity", "check-mult")
 
 
 def _cmd_check_recip(args):
-    def run(ctx):
-        return check_reciprocity(parse_poly(args.p, ctx), parse_poly(args.q, ctx), ctx)
-
-    return _law_command(args, run, "reciprocity", "check-recip")
+    return _law_command(args, lambda ctx: check_reciprocity(
+        parse_poly(args.p, ctx), parse_poly(args.q, ctx), ctx), "reciprocity", "check-recip")
 
 
 def _cmd_isotropy(args):
+    """The certificate's result runs the residue-search cross-check within the budget."""
     ctx = _context(args)
     entries = [parse_rational_scalar(e, ctx) for e in args.entries.split(",")]
     verdict = isotropic_over_local(DiagonalForm.make(entries, ctx))
-    witness = _SKIPPED
-    if within_budget(ctx):
-        oracle, witness = isotropic_by_search(entries, ctx)
-        if verdict != oracle:
-            raise PadicFormsError(f"criterion {verdict} disagrees with search oracle {oracle}")
-    result = {
-        "entries": [cert.rat_str(e) for e in entries],
-        "isotropic": verdict,
-        "oracle_witness": witness,
-    }
     assertions = [
         {"kind": "isotropy-local", "entries": [cert.rat_str(e) for e in entries], "isotropic": verdict}
     ]
     text = "isotropic" if verdict else "anisotropic"
-    _emit(args, "isotropy", ctx, result, assertions, [f"<{args.entries}> over Q_{ctx.p}: {text}"])
+    _emit(args, "isotropy", ctx, assertions, [f"<{args.entries}> over Q_{ctx.p}: {text}"])
     return 0 if verdict else 1
 
 
 def _construct_assertions(cor, ctx):
-    assertions = []
-    res = cor.construction
-    params = res.params
-    assertions.append({"kind": "even-vertices", "poly": params.g_input.to_text()})
-    for block in params.blocks:
-        for gf in block.factors:
-            assertions.append({"kind": "irreducible-certified", "poly": gf.poly.to_text()})
-    tg = PadicPolynomial.x(ctx) * params.g_norm
+    res, params = cor.construction, cor.construction.params
+    g_factors = [gf.poly.to_text() for block in params.blocks for gf in block.factors]
+    tg = (PadicPolynomial.x(ctx) * params.g_norm).to_text()
+    assertions = [{"kind": "even-vertices", "poly": params.g_input.to_text()}]
+    assertions += [{"kind": "irreducible-certified", "poly": text} for text in g_factors]
     for sf in res.s_factors:
         assertions.append({"kind": "irreducible-certified", "poly": sf.poly.to_text()})
-        assertions.append({"kind": "coprime", "f": sf.poly.to_text(), "g": tg.to_text()})
-    for trace in res.traces.values():
-        assertions.append(
-            {
-                "kind": "construct-identity",
-                "a": trace.a.to_text(),
-                "b": trace.b.to_text(),
-                "q": trace.q.to_text(),
-                "r": trace.r.to_text(),
-                "c": trace.c.to_text(),
-                "h": trace.h.to_text(),
-                "e": trace.e,
-                "pi_exponent": int(trace.slope * trace.e),
-            }
-        )
+        assertions.append({"kind": "coprime", "f": sf.poly.to_text(), "g": tg})
+    for tr in res.traces.values():
+        texts = {name: getattr(tr, name).to_text() for name in ("a", "b", "q", "r", "c", "h")}
+        assertions.append({"kind": "construct-identity", **texts, "e": tr.e, "pi_exponent": int(tr.slope * tr.e)})
     for c in cor.conditions.conditions:
-        entry = {
-            "kind": "symbol-condition",
-            "name": c.name,
-            "p": c.p.to_text(),
-            "q": c.q.to_text(),
-            "lhs": c.lhs,
-            "rhs": c.rhs,
-            "holds": c.holds,
-        }
-        if c.rhs_p is not None:
-            entry["p2"] = c.rhs_p.to_text()
-            entry["q2"] = c.rhs_q.to_text()
-        assertions.append(entry)
-    for verdict_obj in (cor.milnor_first, cor.milnor_second):
-        slot_x, slot_y = verdict_obj.slots
-        for test in verdict_obj.tests:
-            assertions.append(
-                {
-                    "kind": "residue-test",
-                    "x": slot_x.to_text(),
-                    "y": slot_y.to_text(),
-                    "place": test.place.to_text(),
-                    "symbol": test.symbol_value,
-                    "is_zero": test.is_zero,
-                }
-            )
+        rhs_texts = {} if c.rhs_p is None else {"p2": c.rhs_p.to_text(), "q2": c.rhs_q.to_text()}
+        assertions.append({"kind": "symbol-condition", "name": c.name, "p": c.p.to_text(), "q": c.q.to_text(),
+                           "lhs": c.lhs, "rhs": c.rhs, "holds": c.holds, **rhs_texts})
+    for verdict in (cor.milnor_first, cor.milnor_second):
+        x, y = (slot.to_text() for slot in verdict.slots)
+        assertions += [{"kind": "residue-test", "x": x, "y": y, "place": test.place.to_text(),
+                        "symbol": test.symbol_value, "is_zero": test.is_zero} for test in verdict.tests]
     return assertions
 
 
@@ -299,32 +207,18 @@ def _cmd_construct_s(args):
     ctx = _context(args)
     g = parse_poly(args.g, ctx)
     gamma = parse_rational_scalar(args.gamma, ctx)
-    factors = None
-    if args.factors:
-        factors = [parse_poly(t, ctx) for t in args.factors.split(";")]
+    factors = [parse_poly(t, ctx) for t in args.factors.split(";")] if args.factors else None
     cor = corollary_isotropy(gamma, g, ctx, seed=args.seed, factors=factors)
-    result = {
-        "gamma": cert.rat_str(gamma),
-        "g": g.to_text(),
-        "isotropic": cor.isotropic,
-        "note": cor.note,
-    }
     human = [f"gamma = {gamma}, g = {g.to_text()}: {cor.note}"]
-    assertions = []
+    assertions, samples = [], None
     if cor.construction is not None:
-        params = cor.construction.params
-        result["s"] = cor.construction.s_poly.to_text()
-        result["s_factors"] = [sf.poly.to_text() for sf in cor.construction.s_factors]
-        result["g_factors"] = [
-            gf.poly.to_text() for b in params.blocks for gf in b.factors
-        ]
-        result["epsilon"] = cert.rat_str(params.epsilon)
-        result["metrics"] = cor.construction.metrics
         assertions = _construct_assertions(cor, ctx)
+        samples = cor.construction.metrics["samples"]
         human.append(f"s = {cor.construction.s_poly.to_text()}")
         human.append(f"metrics: {cor.construction.metrics}")
         human.append(f"conditions verified: {len(cor.conditions.conditions)}, all hold: {cor.conditions.all_hold}")
-    _emit(args, "construct-s", ctx, result, assertions, human, seed=args.seed)
+    _emit(args, "construct-s", ctx, assertions, human, seed=args.seed,
+          gamma=cert.rat_str(gamma), g=g.to_text(), samples=samples)
     return 0 if cor.isotropic else 1
 
 
@@ -333,42 +227,21 @@ def _cmd_predicate(args):
     x = parse_rational_function(args.x, ctx)
     gamma = parse_rational_scalar(args.gamma, ctx) if args.gamma else None
     verdict, pcert = predicate_vt_nonneg(x, ctx, gamma=gamma, seed=args.seed)
-    result = {
-        "x": x.to_text(),
-        "verdict": verdict,
-        "v_t_x": "inf" if pcert.v_t_x == float("inf") else str(pcert.v_t_x),
-        "gamma": cert.rat_str(pcert.gamma),
-        "note": pcert.note,
-    }
     assertions = [{"kind": "gamma-valid", "gamma": cert.rat_str(pcert.gamma)}]
     human = [f"v_t({x.to_text()}) >= 0: {verdict}"]
     if verdict:
-        result["witness_c"] = cert.rat_str(pcert.witness.c)
-        assertions.append(
-            {
-                "kind": "predicate-witness",
-                "x": x.to_text(),
-                "c": cert.rat_str(pcert.witness.c),
-                "g": pcert.witness.g.to_text(),
-            }
-        )
-        human.append(f"witness c = {pcert.witness.c}; all polygon vertices even")
+        w = pcert.witness
+        assertions.append({"kind": "predicate-witness", "x": x.to_text(), "c": cert.rat_str(w.c),
+                           "g": w.g.to_text()})
+        human.append(f"witness c = {w.c}; all polygon vertices even")
     else:
-        h = pcert.report
-        assertions.append(
-            {
-                "kind": "anisotropy-at-t",
-                "f": RationalFunction(h.h_num, h.h_den).to_text(),
-                "gamma": cert.rat_str(pcert.gamma),
-                "v_t_f": pcert.anisotropy.v_t_f,
-                "leading_coefficient": cert.rat_str(pcert.anisotropy.leading_coefficient),
-                "anisotropic_form": pcert.anisotropy.anisotropic_form,
-            }
-        )
-        human.append(
-            f"form {pcert.anisotropy.anisotropic_form} anisotropic at t for every c"
-        )
-    _emit(args, "predicate", ctx, result, assertions, human, seed=args.seed)
+        h, aniso = pcert.report, pcert.anisotropy
+        assertions.append({"kind": "anisotropy-at-t", "f": RationalFunction(h.h_num, h.h_den).to_text(),
+                           "gamma": cert.rat_str(pcert.gamma), "v_t_f": aniso.v_t_f,
+                           "leading_coefficient": cert.rat_str(aniso.leading_coefficient),
+                           "anisotropic_form": aniso.anisotropic_form})
+        human.append(f"form {aniso.anisotropic_form} anisotropic at t for every c")
+    _emit(args, "predicate", ctx, assertions, human, seed=args.seed, x=x.to_text())
     return 0 if verdict else 1
 
 
@@ -376,53 +249,25 @@ def _cmd_elliptic(args):
     ctx = _context(args)
     y = parse_rational_scalar(args.y, ctx)
     x, witness = elliptic_constant_point(y, ctx, args.digits)
-    result = {
-        "y": cert.rat_str(y),
-        "x": cert.rat_str(Fraction(x)),
-        "digits": witness.digits,
-        "slack": "inf" if witness.slack == float("inf") else str(witness.slack),
-    }
-    y2 = y * y
-    cubic = f"t^3 - t - {y2.numerator}/{y2.denominator}" if y2 != 0 else "t^3 - t"
-    assertions = [
-        {"kind": "elliptic-point", "y": cert.rat_str(y), "x": cert.rat_str(Fraction(x)), "digits": witness.digits},
-        {
-            "kind": "hensel",
-            "poly": cubic,
-            "start": "0/1",
-            "root": cert.rat_str(Fraction(x)),
-            "digits": witness.digits,
-        },
-    ]
-    _emit(args, "elliptic-point", ctx, result, assertions,
+    root, digits = cert.rat_str(Fraction(x)), witness.digits
+    assertions = [{"kind": "elliptic-point", "y": cert.rat_str(y), "x": root, "digits": digits},
+                  {"kind": "hensel", "poly": cert.elliptic_cubic(y), "start": "0/1", "root": root, "digits": digits}]
+    _emit(args, "elliptic-point", ctx, assertions,
           [f"x = {x} (mod p^{witness.digits + 1}) solves x^3 - x = {y}^2"])
     return 0
 
 
 def _cmd_corpus(args):
     ctx = _context(args)
-    if args.law == "predicate":
-        summary = run_predicate_corpus(ctx, args.cases, args.seed)
-    else:
-        summary = run_law_corpus(ctx, args.law, args.cases, args.seed)
-    ok = summary["passes"] == summary["cases"]
-    assertions = [
-        {
-            "kind": "law-corpus",
-            "law": args.law,
-            "cases": summary["cases"],
-            "passes": summary["passes"],
-            "seed": args.seed,
-        }
-    ]
-    human = [
-        f"{args.law} corpus over Q_{ctx.p}, seed {args.seed}:"
-        f" {summary['passes']}/{summary['cases']} passed"
-    ]
+    summary = cert.corpus_summary(ctx, args.law, args.cases, args.seed)
+    assertions = [{"kind": "law-corpus", "law": args.law, "cases": summary["cases"],
+                   "passes": summary["passes"], "seed": args.seed}]
+    human = [f"{args.law} corpus over Q_{ctx.p}, seed {args.seed}:"
+             f" {summary['passes']}/{summary['cases']} passed"]
     if summary["failures"]:
         human += [f"  failure: {f}" for f in summary["failures"][:5]]
-    _emit(args, "corpus", ctx, summary, assertions, human, seed=args.seed)
-    return 0 if ok else 1
+    _emit(args, "corpus", ctx, assertions, human, seed=args.seed)
+    return 0 if summary["passes"] == summary["cases"] else 1
 
 
 def _cmd_verify(args):

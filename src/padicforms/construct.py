@@ -222,6 +222,12 @@ def _auto_factor(g0: PadicPolynomial):
     return factors
 
 
+def leading_unit(g: PadicPolynomial, ctx: PadicContext) -> Fraction:
+    """epsilon: g's leading coefficient divided by its power of the uniformizer."""
+    lc = g.leading_coefficient()
+    return Fraction(lc) * ctx.uniformizer ** (-ctx.vp(lc))
+
+
 def prepare(gamma, g: PadicPolynomial, ctx: PadicContext, factors=None) -> ConstructionParams:
     """Validate and normalize inputs for the construction.
 
@@ -242,9 +248,7 @@ def prepare(gamma, g: PadicPolynomial, ctx: PadicContext, factors=None) -> Const
     if odd:
         raise OddVertex(f"Newton polygon vertices of odd degree: {odd}")
 
-    lc = g.leading_coefficient()
-    v_lc = ctx.vp(lc)
-    epsilon = Fraction(lc) * ctx.uniformizer ** (-v_lc)
+    epsilon = leading_unit(g, ctx)
     g0 = g.squarefree_odd_part()
     g_norm = g0 * epsilon
 
@@ -696,6 +700,22 @@ class CorollaryResult:
     milnor_second: object
 
 
+# a constructed corollary's note, by whether every residue test vanished
+WITT_NOTES = {True: "both Pfister forms vanish in W(K(t)); in the Witt ring the 8-dimensional form"
+                    " equals a 4-dimensional one, so it is isotropic",
+              False: "residue analysis failed to certify both forms"}
+
+
+def degenerate_note(gamma: Fraction, g: PadicPolynomial, ctx: PadicContext):
+    """The note of a corollary that needs no construction (g constant, or gamma a square), else None."""
+    if g.degree == 0:
+        return ("degenerate g in K*: s = g; <1,pi><1,tg><1,-ts> contains the hyperbolic plane"
+                " <tg, -tg> and <1,pi><1,-gamma><1,-s> has no residues away from K")
+    if is_square_rational(gamma, ctx):
+        return "gamma is a square: the form contains <1, -1> and is isotropic"
+    return None
+
+
 def corollary_isotropy(gamma, g: PadicPolynomial, ctx: PadicContext, seed: int = 0, factors=None) -> CorollaryResult:
     """Certify that <1,pi><1,-gamma,-t,-g> is isotropic over K(t).
 
@@ -705,15 +725,8 @@ def corollary_isotropy(gamma, g: PadicPolynomial, ctx: PadicContext, seed: int =
     4-dimensional one and so isotropic by dimension count.
     """
     gamma = Fraction(gamma)
-    if g.degree == 0:
-        note = (
-            "degenerate g in K*: s = g; <1,pi><1,tg><1,-ts> contains the"
-            " hyperbolic plane <tg, -tg> and <1,pi><1,-gamma><1,-s> has no"
-            " residues away from K"
-        )
-        return CorollaryResult(True, note, None, None, None, None)
-    if is_square_rational(gamma, ctx):
-        note = "gamma is a square: the form contains <1, -1> and is isotropic"
+    note = degenerate_note(gamma, g, ctx)
+    if note is not None:
         return CorollaryResult(True, note, None, None, None, None)
 
     params = prepare(gamma, g, ctx, factors=factors)
@@ -735,10 +748,4 @@ def corollary_isotropy(gamma, g: PadicPolynomial, ctx: PadicContext, seed: int =
         ctx,
     )
     ok = first.isotropic and second.isotropic
-    note = (
-        "both Pfister forms vanish in W(K(t)); in the Witt ring the"
-        " 8-dimensional form equals a 4-dimensional one, so it is isotropic"
-        if ok
-        else "residue analysis failed to certify both forms"
-    )
-    return CorollaryResult(ok, note, result, conditions, first, second)
+    return CorollaryResult(ok, WITT_NOTES[ok], result, conditions, first, second)

@@ -992,7 +992,9 @@ class HenselWitness:
     extension the tuple of its coordinates in powers of alpha, each reduced
     modulo p^(digits + 1).  ``slack`` is v(f(a)) - 2 v(f'(a)) at the
     certified starting point, and ``residual_valuation`` is v(f(root)) at
-    the reported root, which exceeds ``digits``.
+    the reported root, which exceeds ``digits``.  The true root is in the Hensel
+    ball v(x - a) > v(f'(a)), so at the reported precision the root r has
+    v(r - a) > v(f'(a)) or v(r - a) >= digits + 1.
     """
 
     approximate_root: object
@@ -1022,8 +1024,8 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
     is the true root reduced modulo p^(digits + 1) whatever the path.  A
     loop that has not passed after one step per doubling of the slack up
     to the stop and one measuring iteration (``newton._newton_budget``)
-    raises PrecisionExhausted.  v(f(root)) > digits and v(root - a) > v(f'(a))
-    are checked exactly on the reported root; a root whose
+    raises PrecisionExhausted.  v(f(root)) > digits and the Hensel ball (see
+    HenselWitness) are checked exactly on the reported root; a root whose
     alpha-coordinates are not p-integral raises PreconditionFailed.
     """
     field = f.field
@@ -1063,7 +1065,7 @@ def hensel_lift(f: PadicPolynomial, a, digits: int | None = None) -> HenselWitne
     residual = field.valuation(f.evaluate(root))
     if not residual > digits:
         raise PrecisionExhausted("truncated root lost the residual margin")
-    if v_fa is not INFINITY and not field.valuation(root - a) > v_fpa:
+    if v_fa is not INFINITY and not ((moved := field.valuation(root - a)) > v_fpa or moved >= digits + 1):
         raise PrecisionExhausted("root moved outside the Hensel ball")
     return HenselWitness(truncated, slack, residual, digits, a)
 

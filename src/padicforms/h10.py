@@ -204,6 +204,12 @@ class PredicateCertificate:
     note: str
 
 
+WITNESS_NOTE = ("witness certificate: all Newton polygon vertices of g = f h_D^2 are even"
+                " (gamma g shares the vertex degrees), which certifies both forms isotropic")
+ANISOTROPY_NOTE = ("for every c, v_t(f) = 1 because v_t(c t^2) = 2 > 1 = v_t(h);"
+                   " the residue forms at t certify form {} anisotropic")
+
+
 def predicate_vt_nonneg(x: RationalFunction, ctx: PadicContext, gamma=None, seed: int = 0):
     """Decide v_t(x) >= 0 with a certificate; returns (verdict, certificate).
 
@@ -227,22 +233,14 @@ def predicate_vt_nonneg(x: RationalFunction, ctx: PadicContext, gamma=None, seed
             raise ConditionFailed("case analysis: v_t(h) = 0 but v_t(x) < 0")
         witness = choose_c(report.h_num, report.h_den, ctx)
         report = build_f(x, witness.c, ctx)
-        note = (
-            "witness certificate: all Newton polygon vertices of g = f h_D^2 are"
-            " even (gamma g shares the vertex degrees), which certifies both"
-            " forms isotropic"
-        )
-        return True, PredicateCertificate(True, gamma, vt_x, report, witness, None, note)
+        return True, PredicateCertificate(True, gamma, vt_x, report, witness, None, WITNESS_NOTE)
 
     if report.v_t_h != 1:
         raise ConditionFailed("case analysis: v_t(h) is neither 0 nor 1")
     if vt_x is INFINITY or vt_x > -1:
         raise ConditionFailed("case analysis: v_t(h) = 1 but v_t(x) > -1")
     aniso = anisotropy_at_t(RationalFunction(report.h_num, report.h_den), gamma, ctx)
-    note = (
-        "for every c, v_t(f) = 1 because v_t(c t^2) = 2 > 1 = v_t(h); the"
-        f" residue forms at t certify form {aniso.anisotropic_form} anisotropic"
-    )
+    note = ANISOTROPY_NOTE.format(aniso.anisotropic_form)
     return False, PredicateCertificate(False, gamma, vt_x, report, None, aniso, note)
 
 

@@ -428,7 +428,7 @@ def test_verify_rejects_lift_digit_targets(golden, tmp_path, capsys):
 
 
 def test_verify_rejects_unknown_commands(tmp_path, capsys):
-    """The command names the document check, so it must be a subcommand that writes the document's kinds."""
+    """The command names the function that derives the result, so it must write the document's kinds."""
     doc = json.loads((GOLDEN / "construct-s.json").read_text(encoding="utf-8"))
     doc["result"]["s"] = "t^2 + 1"
     assert not verify_certificate(doc)[0]
@@ -480,3 +480,103 @@ def test_oracle_cross_check_budget(capsys):
     assert code == 0 and doc["result"]["oracle_witness"] == "skipped: budget"
     code, doc = run_json(capsys, "hilbert", "--prime", "7", "3", "7")
     assert doc["result"]["oracle"] == doc["result"]["value"] == -1
+
+
+def _rename_conditions(assertions):
+    return [{**a, "name": a["name"] + "-renamed"} if a["kind"] == "symbol-condition" else a for a in assertions]
+
+
+# name -> (golden, result fields set, edit of the assertion list); each verified while the result went unchecked
+TAMPERINGS = {
+    "hilbert-value": ("hilbert", {"value": 1}, None),
+    "hilbert-value-no-assertions": ("hilbert", {"value": 1}, lambda assertions: []),
+    "predicate-verdict": ("predicate", {"verdict": True}, None),
+    "predicate-verdict-no-assertions": ("predicate", {"verdict": True}, lambda assertions: []),
+    "construct-s-not-isotropic": ("construct-s", {"isotropic": False}, None),
+    "construct-s-condition-names": ("construct-s", {}, _rename_conditions),
+    "symbol-value-without-legendre": (
+        "symbol", {"value": 1}, lambda assertions: [a for a in assertions if a["kind"] != "legendre"]),
+    "elliptic-point-slack": ("elliptic-point", {"slack": "3"}, None),
+    "isotropy-oracle-witness": ("isotropy", {"oracle_witness": "skipped: budget"}, None),
+    "corpus-failures": ("corpus", {"failures": [{"case": 0}]}, None),
+    "newton-all-vertices-even": ("newton", {"all_vertices_even": False}, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERINGS))
+def test_verify_derives_the_result(name, tmp_path, capsys):
+    """A result that its assertions do not give is rejected, whatever the assertions are."""
+    golden, fields, edit = TAMPERINGS[name]
+    doc = json.loads((GOLDEN / f"{golden}.json").read_text(encoding="utf-8"))
+    doc["result"].update(fields)
+    if edit is not None:
+        doc["assertions"] = edit(doc["assertions"])
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    assert "certificate REJECTED" in capsys.readouterr().err
+
+
+def test_results_compare_as_canonical_json():
+    """true is not 1, and -1.0 is not -1, although Python's == says they are."""
+    for golden, field, value in (("slopes", "digits", 40.0), ("hilbert", "value", -1.0),
+                                 ("newton", "all_vertices_even", 1)):
+        doc = json.loads((GOLDEN / f"{golden}.json").read_text(encoding="utf-8"))
+        assert doc["result"][field] == value
+        doc["result"][field] = value
+        ok, problems = verify_certificate(doc)
+        assert not ok and problems[0].startswith(f"result.{field}: recorded "), problems
+
+
+def test_predicate_is_tied_to_its_input(capsys):
+    """The anisotropy is about the h that result.x gives, and the witness is about result.x."""
+    _, negative = run_json(capsys, "predicate", "--prime", "3", "--gamma", "2", "1/t")
+    _, other = run_json(capsys, "predicate", "--prime", "3", "--gamma", "2", "1/t^3")
+    assert verify_certificate(negative)[0] and verify_certificate(other)[0]
+    swapped = copy.deepcopy(negative)
+    swapped["result"]["x"], swapped["result"]["v_t_x"] = other["result"]["x"], other["result"]["v_t_x"]
+    assert not verify_certificate(swapped)[0]
+    swapped = copy.deepcopy(negative)
+    swapped["assertions"][1] = other["assertions"][1]
+    assert not verify_certificate(swapped)[0]
+    _, positive = run_json(capsys, "predicate", "--prime", "3", "--gamma", "2", "t")
+    _, other = run_json(capsys, "predicate", "--prime", "3", "--gamma", "2", "t^2")
+    assert verify_certificate(positive)[0] and verify_certificate(other)[0]
+    swapped = copy.deepcopy(positive)
+    swapped["assertions"][1] = other["assertions"][1]
+    assert not verify_certificate(swapped)[0]
+    both = copy.deepcopy(negative)
+    both["result"].update(verdict=True, witness_c="1/1", note=positive["result"]["note"])
+    both["assertions"].append(positive["assertions"][1] | {"x": negative["result"]["x"]})
+    assert not verify_certificate(both)[0]
+
+
+def test_symbol_condition_names_are_closed():
+    """A name is one of the seven verify_conditions writes, and each family sits at its factors."""
+    doc = json.loads((GOLDEN / "construct-s-two-factors.json").read_text(encoding="utf-8"))
+    conditions = [a for a in doc["assertions"] if a["kind"] == "symbol-condition"]
+    assert verify_certificate(doc) == (True, [])
+    for a, b in ((0, 1), (1, 3), (3, 5)):  # two families' members swap names
+        conditions[a]["name"], conditions[b]["name"] = conditions[b]["name"], conditions[a]["name"]
+        assert not verify_certificate(doc)[0], (a, b)
+        conditions[a]["name"], conditions[b]["name"] = conditions[b]["name"], conditions[a]["name"]
+    original = conditions[0]["name"]
+    conditions[0]["name"] = "sg-over-s"
+    ok, problems = verify_certificate(doc)
+    assert not ok and "unknown condition 'sg-over-s'" in problems[0]
+    conditions[0]["name"] = original
+    doc["assertions"].remove(conditions[-1])  # the last factor's gamma-over-s-factor
+    assert not verify_certificate(doc)[0]
+
+
+def test_corpus_seed_is_the_documents_integer():
+    """random.Random takes "x", None or True, so the law-corpus seed must be the document's int."""
+    doc = json.loads((GOLDEN / "corpus.json").read_text(encoding="utf-8"))
+    assert doc["seed"] == doc["assertions"][0]["seed"] == 7 and verify_certificate(doc)[0]
+    for value in ("x", None, True, 8):
+        doc["assertions"][0]["seed"] = value
+        assert not verify_certificate(doc)[0], value
+    doc["assertions"][0]["seed"] = 7
+    for value in ("7", 7.0, 8, None):
+        doc["seed"] = value
+        assert not verify_certificate(doc)[0], value
