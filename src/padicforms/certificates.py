@@ -28,6 +28,7 @@ from .h10 import (
     WITNESS_NOTE,
     anisotropy_at_t,
     build_f,
+    build_h,
     run_predicate_corpus,
     strip_t,
     witness_g,
@@ -49,8 +50,10 @@ from .reciprocity import (
 )
 
 SCHEMA = "padic-forms/1"
-# the one parse of each polynomial text of a document, shared by its assertions and its result
-_parse = functools.lru_cache(maxsize=64)(parse_poly)
+# text -> polynomial: the one parse of each polynomial text of the document being handled,
+# shared by its assertions and its result; _per_document empties it when the document is done.
+# An entry serves only the context object it was parsed under, so it never changes a result.
+_parsed: dict = {}
 
 
 def rat_str(x) -> str:
@@ -66,21 +69,40 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(int(num), int(den) if den else 1)
 
 
+def _parse(text: str, ctx: PadicContext) -> PadicPolynomial:
+    poly = _parsed.get(text)
+    if poly is None or poly.field is not ctx:
+        poly = _parsed[text] = parse_poly(text, ctx)
+    return poly
+
+
 def context_block(ctx: PadicContext) -> dict:
-    return {"prime": ctx.p, "uniformizer": rat_str(ctx.uniformizer), "precision": ctx.precision_digits}
+    return {
+        "prime": ctx.p,
+        "uniformizer": rat_str(ctx.uniformizer),
+        "precision": ctx.precision_digits,
+    }
 
 
 def context_from_block(block: dict) -> PadicContext:
-    return _context(block["prime"], block.get("precision", 64), block["uniformizer"])
-
-
-@functools.lru_cache(maxsize=16, typed=True)  # a context is immutable, and building one checks p is prime
-def _context(prime, precision, uniformizer) -> PadicContext:
-    return PadicContext(prime, precision, parse_rat(uniformizer))
+    return PadicContext(
+        block["prime"],
+        block.get("precision", 64),
+        parse_rat(block["uniformizer"]),
+    )
 
 
 def dump_certificate(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _same(a, b) -> bool:
+    """Equal as canonical JSON: Python's == takes true for 1 and 1.0 for 1, this does not."""
+    if type(a) is dict:
+        return type(b) is dict and a.keys() == b.keys() and all([_same(v, b[k]) for k, v in a.items()])
+    if type(a) in (list, tuple):
+        return type(b) in (list, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +112,7 @@ def dump_certificate(doc: dict) -> str:
 
 def _v_hilbert(a, ctx):
     value = hilbert_symbol_qp(parse_rat(a["a"]), parse_rat(a["b"]), ctx)
-    if value != a["value"]:
+    if not _same(value, a["value"]):
         return [f"hilbert({a['a']},{a['b']}) recomputes to {value}, recorded {a['value']}"]
     return []
 
@@ -99,7 +121,7 @@ def _v_legendre(a, ctx):
     p = _parse(a["p"], ctx)
     q = _parse(a["q"], ctx)
     value = legendre_symbol(p, q, ctx)
-    if value != a["value"]:
+    if not _same(value, a["value"]):
         return [f"<{a['p']}/{a['q']}> recomputes to {value}, recorded {a['value']}"]
     return []
 
@@ -110,11 +132,16 @@ def _v_law(a, ctx):
     if not isinstance(a["values"], dict):
         raise TypeError(f"law values must be a JSON object, not {type(a['values']).__name__}")
     if law == "multiplicativity":
-        res = check_multiplicativity(*(_parse(inputs[n], ctx) for n in "prq"), ctx)
+        res = check_multiplicativity(
+            _parse(inputs["p"], ctx), _parse(inputs["r"], ctx),
+            _parse(inputs["q"], ctx), ctx,
+        )
     elif law == "constant-rule":
         res = constant_symbol_check(parse_rat(inputs["c"]), _parse(inputs["q"], ctx), ctx)
     elif law == "pi-power-invariance":
-        res = check_pi_power_invariance(_parse(inputs["p"], ctx), _parse(inputs["q"], ctx), ctx)
+        res = check_pi_power_invariance(
+            _parse(inputs["p"], ctx), _parse(inputs["q"], ctx), ctx
+        )
     elif law == "reciprocity":
         res = check_reciprocity(_parse(inputs["p"], ctx), _parse(inputs["q"], ctx), ctx)
     else:
@@ -123,9 +150,9 @@ def _v_law(a, ctx):
     if a["values"].keys() != res.values.keys():
         problems.append(f"{law}: values name {sorted(a['values'])}, recomputed {sorted(res.values)}")
     for key, recorded in a["values"].items():
-        if key in res.values and res.values[key] != recorded:
+        if key in res.values and not _same(res.values[key], recorded):
             problems.append(f"{law}: value {key} recomputes to {res.values[key]}, recorded {recorded}")
-    if res.holds != a["holds"]:
+    if not _same(res.holds, a["holds"]):
         problems.append(f"{law}: holds recomputes to {res.holds}, recorded {a['holds']}")
     return problems
 
@@ -211,15 +238,15 @@ def _v_symbol_condition(a, ctx):
         return [f"unknown condition {a['name']!r}"]
     value = legendre_symbol(_parse(a["p"], ctx), _parse(a["q"], ctx), ctx)
     problems = []
-    if value != a["lhs"]:
+    if not _same(value, a["lhs"]):
         problems.append(f"condition {a['name']}: symbol recomputes to {value}, recorded {a['lhs']}")
     if "p2" in a:
         value2 = legendre_symbol(_parse(a["p2"], ctx), _parse(a["q2"], ctx), ctx)
-        if value2 != a["rhs"]:
+        if not _same(value2, a["rhs"]):
             problems.append(f"condition {a['name']}: rhs recomputes to {value2}")
-    elif value != a["rhs"]:
+    elif not _same(value, a["rhs"]):
         problems.append(f"condition {a['name']}: expected {a['rhs']}")
-    if (value == a["rhs"]) != a["holds"]:  # the recorded rhs, checked above
+    if not _same(value == a["rhs"], a["holds"]):  # the recorded rhs, checked above
         problems.append(f"condition {a['name']}: equality flag mismatches")
     return problems
 
@@ -229,9 +256,9 @@ def _v_residue_test(a, ctx):
         _parse(a["x"], ctx), _parse(a["y"], ctx), _parse(a["place"], ctx), ctx
     )
     problems = []
-    if test.symbol_value != a["symbol"]:
+    if not _same(test.symbol_value, a["symbol"]):
         problems.append(f"residue symbol at {a['place']} recomputes to {test.symbol_value}")
-    if test.is_zero != a["is_zero"]:
+    if not _same(test.is_zero, a["is_zero"]):
         problems.append(f"residue vanishing at {a['place']} recomputes to {test.is_zero}")
     return problems
 
@@ -258,11 +285,11 @@ def _v_anisotropy_at_t(a, ctx):
     f = parse_rational_function(a["f"], ctx)
     res = anisotropy_at_t(f, parse_rat(a["gamma"]), ctx)
     problems = []
-    if res.v_t_f != a["v_t_f"]:
+    if not _same(res.v_t_f, a["v_t_f"]):
         problems.append(f"v_t(f) recomputes to {res.v_t_f}")
     if rat_str(res.leading_coefficient) != a["leading_coefficient"]:
         problems.append("leading t-coefficient recomputes differently")
-    if res.anisotropic_form != a["anisotropic_form"]:
+    if not _same(res.anisotropic_form, a["anisotropic_form"]):
         problems.append(f"anisotropic form recomputes to {res.anisotropic_form}")
     return problems
 
@@ -281,7 +308,7 @@ def _v_isotropy_local(a, ctx):
         raise ValueError("isotropy-local entries must be a non-empty list")
     entries = [parse_rat(e) for e in a["entries"]]
     verdict = isotropic_over_local(DiagonalForm.make(entries, ctx))
-    if verdict != a["isotropic"]:
+    if not _same(verdict, a["isotropic"]):
         return [f"isotropy recomputes to {verdict}"]
     return []
 
@@ -306,7 +333,7 @@ def _v_law_corpus(a, ctx):
     if type(a["cases"]) is not int or type(a["seed"]) is not int:  # random.Random takes "x" or None
         raise TypeError(f"cases {a['cases']!r} and seed {a['seed']!r} must be integers")
     summary = corpus_summary(ctx, a["law"], a["cases"], a["seed"])
-    if summary["passes"] != a["passes"]:
+    if not _same(summary["passes"], a["passes"]):
         return [f"corpus recomputes to {summary['passes']} passes, recorded {a['passes']}"]
     return []
 
@@ -359,7 +386,7 @@ def _one(assertions, kind):
 
 @functools.lru_cache(maxsize=1)
 def corpus_summary(ctx: PadicContext, law: str, cases: int, seed: int) -> dict:
-    """A seeded corpus run, once for a document's assertion and once more for its result."""
+    """A seeded corpus run, once for a document's assertion and its result (see _per_document)."""
     return run_predicate_corpus(ctx, cases, seed) if law == "predicate" else run_law_corpus(ctx, law, cases, seed)
 
 
@@ -390,7 +417,7 @@ def _r_squareclass(assertions, ctx, seed):
 def _r_hilbert(assertions, ctx, seed):
     """The CLI cross-checks the value by residue search within the budget, so the oracle is the value."""
     a = _one(assertions, "hilbert-base")
-    value = int(a["value"])
+    value = a["value"]
     return {"a": a["a"], "b": a["b"], "value": value, "oracle": value if within_budget(ctx) else _SKIPPED}
 
 
@@ -400,7 +427,7 @@ def _r_symbol(assertions, ctx, seed):
             {"kind": "irreducible-certified", "poly": a["q"]}, {"kind": "coprime", "f": a["p"], "g": a["q"]}]:
         raise ValueError("the irreducible and coprime assertions are not about the symbol's q and p")
     field, evidence = certify_modulus(_parse(a["q"], ctx), ctx)
-    result = {"p": a["p"], "q": a["q"], "value": int(a["value"]), "modulus_evidence": evidence}
+    result = {"p": a["p"], "q": a["q"], "value": a["value"], "modulus_evidence": evidence}
     if field.is_extension:
         result["field"] = {"ramification_index": field.ramification_index, "residue_degree": field.residue_degree,
                            "uniformizer_coefficients": [rat_str(c) for c in field.uniformizer_elt.coeffs]}
@@ -413,14 +440,14 @@ def _r_law(law, *names):
         if a["law"] != law:
             raise ValueError(f"the law assertion is {a['law']!r}, not {law!r}")
         return {"law": law, "inputs": {n: a["inputs"][n] for n in names},
-                "values": {k: int(v) for k, v in a["values"].items()}, "holds": bool(a["holds"])}
+                "values": a["values"], "holds": a["holds"]}
     return derive
 
 
 def _r_isotropy(assertions, ctx, seed):
     """The residue-search cross-check runs here, once for the CLI and once for ``verify``."""
     a = _one(assertions, "isotropy-local")
-    verdict, witness = bool(a["isotropic"]), _SKIPPED
+    verdict, witness = a["isotropic"], _SKIPPED
     if within_budget(ctx):
         oracle, witness = isotropic_by_search([parse_rat(e) for e in a["entries"]], ctx)
         if oracle != verdict:
@@ -511,8 +538,8 @@ def _r_predicate(assertions, ctx, seed, x):
         if a["x"] != result["x"] or any(a["kind"] == "anisotropy-at-t" for a in assertions):
             raise ValueError("the witness is not about x, or the document also carries the anisotropy")
         return {**result, "verdict": True, "note": WITNESS_NOTE, "witness_c": a["c"]}
-    a, h = _one(assertions, "anisotropy-at-t"), build_f(x, 0, ctx)
-    if a["f"] != RationalFunction(h.h_num, h.h_den).to_text() or a["gamma"] != result["gamma"]:
+    a = _one(assertions, "anisotropy-at-t")
+    if a["f"] != RationalFunction(*build_h(x)).to_text() or a["gamma"] != result["gamma"]:
         raise ValueError("the anisotropy is not about the h that x gives, or not at the document's gamma")
     return {**result, "verdict": False, "note": ANISOTROPY_NOTE.format(a["anisotropic_form"])}
 
@@ -562,6 +589,19 @@ _TABLE = {
 COMMANDS = frozenset(_TABLE)
 
 
+def _per_document(fn):
+    """fn handles one document; the parse and corpus memos serve that document only."""
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _parsed.clear()
+            corpus_summary.cache_clear()
+    return scoped
+
+
+@_per_document
 def make_certificate(command: str, ctx: PadicContext, assertions: list, seed=None, **given) -> dict:
     """A certificate document whose result is derived from its assertions, as ``verify`` derives it."""
     doc = {"schema": SCHEMA, "command": command, "context": context_block(ctx),
@@ -582,15 +622,7 @@ def _given(result, paths) -> dict:
     return given
 
 
-def _same(a, b) -> bool:
-    """Equal as canonical JSON: Python's == takes true for 1 and 1.0 for 1, this does not."""
-    if type(a) is dict:
-        return type(b) is dict and a.keys() == b.keys() and all([_same(v, b[k]) for k, v in a.items()])
-    if type(a) in (list, tuple):
-        return type(b) in (list, tuple) and len(a) == len(b) and all(map(_same, a, b))
-    return type(a) is type(b) and a == b
-
-
+@_per_document
 def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     """Recompute every assertion of a certificate document, then its result.
 

@@ -99,8 +99,15 @@ def _cmd_slopes(args):
     poly = parse_poly(args.poly, ctx)
     fac = slope_factorization(poly, args.digits)
     factors = [[f.poly.to_text(), cert.rat_str(f.slope)] for f in fac.factors]
-    assertions = [{"kind": "slope-factorization", "poly": poly.to_text(), "unit": cert.rat_str(fac.unit),
-                   "digits": args.digits, "factors": factors}]
+    assertions = [
+        {
+            "kind": "slope-factorization",
+            "poly": poly.to_text(),
+            "unit": cert.rat_str(fac.unit),
+            "digits": args.digits,
+            "factors": factors,
+        }
+    ]
     human = [f"slope factorization of {poly.to_text()} (residual digits > {args.digits}):"]
     human += [f"  slope {f.slope}: {f.poly.to_text()}" for f in fac.factors]
     _emit(args, "slopes", ctx, assertions, human)
@@ -120,11 +127,13 @@ def _cmd_squareclass(args):
 
 def _cmd_hilbert(args):
     ctx = _context(args)
-    a, b = parse_rational_scalar(args.a, ctx), parse_rational_scalar(args.b, ctx)
+    a = parse_rational_scalar(args.a, ctx)
+    b = parse_rational_scalar(args.b, ctx)
     value = hilbert_symbol_qp(a, b, ctx)
-    oracle = hilbert_by_search(a, b, ctx) if within_budget(ctx) else value
-    if value != oracle:
-        raise PadicFormsError(f"formula {value} disagrees with search oracle {oracle}")
+    if within_budget(ctx):
+        oracle = hilbert_by_search(a, b, ctx)
+        if value != oracle:
+            raise PadicFormsError(f"formula {value} disagrees with search oracle {oracle}")
     assertions = [
         {"kind": "hilbert-base", "a": cert.rat_str(a), "b": cert.rat_str(b), "value": value}
     ]
@@ -134,7 +143,8 @@ def _cmd_hilbert(args):
 
 def _cmd_symbol(args):
     ctx = _context(args)
-    p, q = parse_poly(args.p, ctx), parse_poly(args.q, ctx)
+    p = parse_poly(args.p, ctx)
+    q = parse_poly(args.q, ctx)
     value = legendre_symbol(p, q, ctx)
     assertions = [
         {"kind": "legendre", "p": p.to_text(), "q": q.to_text(), "value": value},
@@ -157,14 +167,19 @@ def _law_command(args, runner, law_name, inputs):
 
 
 def _cmd_check_mult(args):
-    return _law_command(args, lambda ctx: check_multiplicativity(
-        parse_poly(args.p, ctx), parse_poly(args.r, ctx), parse_poly(args.q, ctx), ctx),
-        "multiplicativity", "check-mult")
+    def run(ctx):
+        return check_multiplicativity(
+            parse_poly(args.p, ctx), parse_poly(args.r, ctx), parse_poly(args.q, ctx), ctx
+        )
+
+    return _law_command(args, run, "multiplicativity", "check-mult")
 
 
 def _cmd_check_recip(args):
-    return _law_command(args, lambda ctx: check_reciprocity(
-        parse_poly(args.p, ctx), parse_poly(args.q, ctx), ctx), "reciprocity", "check-recip")
+    def run(ctx):
+        return check_reciprocity(parse_poly(args.p, ctx), parse_poly(args.q, ctx), ctx)
+
+    return _law_command(args, run, "reciprocity", "check-recip")
 
 
 def _cmd_isotropy(args):
@@ -181,25 +196,58 @@ def _cmd_isotropy(args):
 
 
 def _construct_assertions(cor, ctx):
-    res, params = cor.construction, cor.construction.params
-    g_factors = [gf.poly.to_text() for block in params.blocks for gf in block.factors]
-    tg = (PadicPolynomial.x(ctx) * params.g_norm).to_text()
-    assertions = [{"kind": "even-vertices", "poly": params.g_input.to_text()}]
-    assertions += [{"kind": "irreducible-certified", "poly": text} for text in g_factors]
+    assertions = []
+    res = cor.construction
+    params = res.params
+    assertions.append({"kind": "even-vertices", "poly": params.g_input.to_text()})
+    for block in params.blocks:
+        for gf in block.factors:
+            assertions.append({"kind": "irreducible-certified", "poly": gf.poly.to_text()})
+    tg = PadicPolynomial.x(ctx) * params.g_norm
     for sf in res.s_factors:
         assertions.append({"kind": "irreducible-certified", "poly": sf.poly.to_text()})
-        assertions.append({"kind": "coprime", "f": sf.poly.to_text(), "g": tg})
-    for tr in res.traces.values():
-        texts = {name: getattr(tr, name).to_text() for name in ("a", "b", "q", "r", "c", "h")}
-        assertions.append({"kind": "construct-identity", **texts, "e": tr.e, "pi_exponent": int(tr.slope * tr.e)})
+        assertions.append({"kind": "coprime", "f": sf.poly.to_text(), "g": tg.to_text()})
+    for trace in res.traces.values():
+        assertions.append(
+            {
+                "kind": "construct-identity",
+                "a": trace.a.to_text(),
+                "b": trace.b.to_text(),
+                "q": trace.q.to_text(),
+                "r": trace.r.to_text(),
+                "c": trace.c.to_text(),
+                "h": trace.h.to_text(),
+                "e": trace.e,
+                "pi_exponent": int(trace.slope * trace.e),
+            }
+        )
     for c in cor.conditions.conditions:
-        rhs_texts = {} if c.rhs_p is None else {"p2": c.rhs_p.to_text(), "q2": c.rhs_q.to_text()}
-        assertions.append({"kind": "symbol-condition", "name": c.name, "p": c.p.to_text(), "q": c.q.to_text(),
-                           "lhs": c.lhs, "rhs": c.rhs, "holds": c.holds, **rhs_texts})
-    for verdict in (cor.milnor_first, cor.milnor_second):
-        x, y = (slot.to_text() for slot in verdict.slots)
-        assertions += [{"kind": "residue-test", "x": x, "y": y, "place": test.place.to_text(),
-                        "symbol": test.symbol_value, "is_zero": test.is_zero} for test in verdict.tests]
+        entry = {
+            "kind": "symbol-condition",
+            "name": c.name,
+            "p": c.p.to_text(),
+            "q": c.q.to_text(),
+            "lhs": c.lhs,
+            "rhs": c.rhs,
+            "holds": c.holds,
+        }
+        if c.rhs_p is not None:
+            entry["p2"] = c.rhs_p.to_text()
+            entry["q2"] = c.rhs_q.to_text()
+        assertions.append(entry)
+    for verdict_obj in (cor.milnor_first, cor.milnor_second):
+        slot_x, slot_y = verdict_obj.slots
+        for test in verdict_obj.tests:
+            assertions.append(
+                {
+                    "kind": "residue-test",
+                    "x": slot_x.to_text(),
+                    "y": slot_y.to_text(),
+                    "place": test.place.to_text(),
+                    "symbol": test.symbol_value,
+                    "is_zero": test.is_zero,
+                }
+            )
     return assertions
 
 
@@ -207,13 +255,16 @@ def _cmd_construct_s(args):
     ctx = _context(args)
     g = parse_poly(args.g, ctx)
     gamma = parse_rational_scalar(args.gamma, ctx)
-    factors = [parse_poly(t, ctx) for t in args.factors.split(";")] if args.factors else None
+    factors = None
+    if args.factors:
+        factors = [parse_poly(t, ctx) for t in args.factors.split(";")]
     cor = corollary_isotropy(gamma, g, ctx, seed=args.seed, factors=factors)
     human = [f"gamma = {gamma}, g = {g.to_text()}: {cor.note}"]
-    assertions, samples = [], None
+    assertions = []
+    samples = None
     if cor.construction is not None:
-        assertions = _construct_assertions(cor, ctx)
         samples = cor.construction.metrics["samples"]
+        assertions = _construct_assertions(cor, ctx)
         human.append(f"s = {cor.construction.s_poly.to_text()}")
         human.append(f"metrics: {cor.construction.metrics}")
         human.append(f"conditions verified: {len(cor.conditions.conditions)}, all hold: {cor.conditions.all_hold}")
@@ -230,17 +281,30 @@ def _cmd_predicate(args):
     assertions = [{"kind": "gamma-valid", "gamma": cert.rat_str(pcert.gamma)}]
     human = [f"v_t({x.to_text()}) >= 0: {verdict}"]
     if verdict:
-        w = pcert.witness
-        assertions.append({"kind": "predicate-witness", "x": x.to_text(), "c": cert.rat_str(w.c),
-                           "g": w.g.to_text()})
-        human.append(f"witness c = {w.c}; all polygon vertices even")
+        assertions.append(
+            {
+                "kind": "predicate-witness",
+                "x": x.to_text(),
+                "c": cert.rat_str(pcert.witness.c),
+                "g": pcert.witness.g.to_text(),
+            }
+        )
+        human.append(f"witness c = {pcert.witness.c}; all polygon vertices even")
     else:
-        h, aniso = pcert.report, pcert.anisotropy
-        assertions.append({"kind": "anisotropy-at-t", "f": RationalFunction(h.h_num, h.h_den).to_text(),
-                           "gamma": cert.rat_str(pcert.gamma), "v_t_f": aniso.v_t_f,
-                           "leading_coefficient": cert.rat_str(aniso.leading_coefficient),
-                           "anisotropic_form": aniso.anisotropic_form})
-        human.append(f"form {aniso.anisotropic_form} anisotropic at t for every c")
+        h = pcert.report
+        assertions.append(
+            {
+                "kind": "anisotropy-at-t",
+                "f": RationalFunction(h.h_num, h.h_den).to_text(),
+                "gamma": cert.rat_str(pcert.gamma),
+                "v_t_f": pcert.anisotropy.v_t_f,
+                "leading_coefficient": cert.rat_str(pcert.anisotropy.leading_coefficient),
+                "anisotropic_form": pcert.anisotropy.anisotropic_form,
+            }
+        )
+        human.append(
+            f"form {pcert.anisotropy.anisotropic_form} anisotropic at t for every c"
+        )
     _emit(args, "predicate", ctx, assertions, human, seed=args.seed, x=x.to_text())
     return 0 if verdict else 1
 
@@ -249,9 +313,16 @@ def _cmd_elliptic(args):
     ctx = _context(args)
     y = parse_rational_scalar(args.y, ctx)
     x, witness = elliptic_constant_point(y, ctx, args.digits)
-    root, digits = cert.rat_str(Fraction(x)), witness.digits
-    assertions = [{"kind": "elliptic-point", "y": cert.rat_str(y), "x": root, "digits": digits},
-                  {"kind": "hensel", "poly": cert.elliptic_cubic(y), "start": "0/1", "root": root, "digits": digits}]
+    assertions = [
+        {"kind": "elliptic-point", "y": cert.rat_str(y), "x": cert.rat_str(Fraction(x)), "digits": witness.digits},
+        {
+            "kind": "hensel",
+            "poly": cert.elliptic_cubic(y),
+            "start": "0/1",
+            "root": cert.rat_str(Fraction(x)),
+            "digits": witness.digits,
+        },
+    ]
     _emit(args, "elliptic-point", ctx, assertions,
           [f"x = {x} (mod p^{witness.digits + 1}) solves x^3 - x = {y}^2"])
     return 0
@@ -260,14 +331,24 @@ def _cmd_elliptic(args):
 def _cmd_corpus(args):
     ctx = _context(args)
     summary = cert.corpus_summary(ctx, args.law, args.cases, args.seed)
-    assertions = [{"kind": "law-corpus", "law": args.law, "cases": summary["cases"],
-                   "passes": summary["passes"], "seed": args.seed}]
-    human = [f"{args.law} corpus over Q_{ctx.p}, seed {args.seed}:"
-             f" {summary['passes']}/{summary['cases']} passed"]
+    ok = summary["passes"] == summary["cases"]
+    assertions = [
+        {
+            "kind": "law-corpus",
+            "law": args.law,
+            "cases": summary["cases"],
+            "passes": summary["passes"],
+            "seed": args.seed,
+        }
+    ]
+    human = [
+        f"{args.law} corpus over Q_{ctx.p}, seed {args.seed}:"
+        f" {summary['passes']}/{summary['cases']} passed"
+    ]
     if summary["failures"]:
         human += [f"  failure: {f}" for f in summary["failures"][:5]]
     _emit(args, "corpus", ctx, assertions, human, seed=args.seed)
-    return 0 if summary["passes"] == summary["cases"] else 1
+    return 0 if ok else 1
 
 
 def _cmd_verify(args):

@@ -72,6 +72,13 @@ class FReport:
     v_inf_h: object
 
 
+def build_h(x: RationalFunction):
+    """h = (1 + t + t^2 x^3)/(1 + t x^3) as (numerator, denominator), cleared by d^3 for x = n/d."""
+    n, d = x.num, x.den
+    d3, n3t = d * d * d, (n * n * n).shift(1)
+    return d3 + d3.shift(1) + n3t.shift(1), d3 + n3t
+
+
 def build_f(x: RationalFunction, c, ctx: PadicContext) -> FReport:
     """Assemble f = (1 + t + t^2 x^3)/(1 + t x^3) + c t^2 exactly.
 
@@ -79,11 +86,7 @@ def build_f(x: RationalFunction, c, ctx: PadicContext) -> FReport:
     force 3 v_t(x) = -1.  Orders at t and infinity are reported exactly.
     """
     base = x.field
-    one = PadicPolynomial.one(base)
-    tpoly = PadicPolynomial.x(base)
-    n, d = x.num, x.den
-    h_num = d ** 3 * (one + tpoly) + n ** 3 * tpoly ** 2
-    h_den = d ** 3 + n ** 3 * tpoly
+    h_num, h_den = build_h(x)
     if h_den.is_zero() or h_num.is_zero():
         raise PadicFormsError("degenerate h; unreachable for x in Q_p(t)")
     h = RationalFunction(h_num, h_den)

@@ -526,6 +526,17 @@ def test_results_compare_as_canonical_json():
         doc["result"][field] = value
         ok, problems = verify_certificate(doc)
         assert not ok and problems[0].startswith(f"result.{field}: recorded "), problems
+    # the same values in an assertion, alone or with the result field the derivation copies from it
+    for golden, field, value in (("hilbert", "value", -1.0), ("symbol-ramified-p3", "value", 1.0),
+                                 ("symbol-ramified-p3", "value", True), ("isotropy", "isotropic", 0),
+                                 ("check-recip", "holds", 1)):
+        doc = json.loads((GOLDEN / f"{golden}.json").read_text(encoding="utf-8"))
+        assert doc["result"][field] == value, (golden, field)
+        claim = next(a for a in doc["assertions"] if field in a)
+        claim[field] = value
+        assert not verify_certificate(doc)[0], (golden, field, value)
+        doc["result"][field] = value
+        assert not verify_certificate(doc)[0], (golden, field, value)
 
 
 def test_predicate_is_tied_to_its_input(capsys):
