@@ -1,12 +1,13 @@
 """Certificate serialization and re-verification.
 
 Every verdict the package emits can be saved as a JSON document under the
-schema "padic-forms/1" and re-verified later: each recorded assertion
-carries its inputs and claimed outputs, and :func:`verify_certificate`
-recomputes the outputs from the inputs with the library itself.  Each
-command's result block is then derived from its assertions by the one
-function the CLI builds it with, so a tampered input, symbol value,
-witness or result field breaks at least one recomputation.
+schema "padic-forms/1" and re-verified later.  An assertion is its inputs
+plus what one builder per kind computes from them (:func:`assertion`):
+the CLI writes each assertion with it, and :func:`verify_certificate`
+rebuilds each from its recorded inputs.  Each command's result block is
+then derived from its assertions by the one function the CLI builds it
+with, so a tampered input, symbol value, witness or result field breaks
+at least one recomputation.
 
 Serialization rules: rationals appear as strings "num/den", polynomials
 as their canonical grammar text, symbols as the integers +-1.  Documents
@@ -22,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .construct import WITT_NOTES, certify_factor, degenerate_note, leading_unit
-from .errors import PadicFormsError
+from .errors import ConditionFailed, NotCoprime, OddVertex, PadicFormsError, PreconditionFailed
 from .h10 import (
     ANISOTROPY_NOTE,
     WITNESS_NOTE,
@@ -35,16 +36,14 @@ from .h10 import (
 )
 from .newton import min_coefficient_valuation, newton_polygon
 from .oracles import isotropic_by_search, within_budget
-from .padics import PadicContext, hilbert_symbol_qp, square_class_rational
+from .padics import PadicContext, hilbert_symbol_qp, square_class_rational, vp_int
 from .parsing import check_exponent, parse_poly, parse_rational_function
 from .polynomials import PadicPolynomial, RationalFunction
 from .quadform import DiagonalForm, i2_class, isotropic_over_local, pfister_residue_test
 from .reciprocity import (
     certify_modulus,
     check_multiplicativity,
-    check_pi_power_invariance,
     check_reciprocity,
-    constant_symbol_check,
     legendre_symbol,
     run_law_corpus,
 )
@@ -99,275 +98,231 @@ def dump_certificate(doc: dict) -> str:
 def _same(a, b) -> bool:
     """Equal as canonical JSON: Python's == takes true for 1 and 1.0 for 1, this does not."""
     if type(a) is dict:
-        return type(b) is dict and a.keys() == b.keys() and all([_same(v, b[k]) for k, v in a.items()])
+        if type(b) is not dict or a.keys() != b.keys():
+            return False
+        for k, v in a.items():  # a rebuilt assertion holds the recorded inputs themselves: no call for those
+            if v is not b[k] and not _same(v, b[k]):
+                return False
+        return True
     if type(a) in (list, tuple):
         return type(b) in (list, tuple) and len(a) == len(b) and all(map(_same, a, b))
     return type(a) is type(b) and a == b
 
 
 # ---------------------------------------------------------------------------
-# assertion verifiers: recompute claimed outputs from recorded inputs
+# assertions: one builder per kind, which the CLI writes with and verify rebuilds with
 # ---------------------------------------------------------------------------
 
 
-def _v_hilbert(a, ctx):
-    value = hilbert_symbol_qp(parse_rat(a["a"]), parse_rat(a["b"]), ctx)
-    if not _same(value, a["value"]):
-        return [f"hilbert({a['a']},{a['b']}) recomputes to {value}, recorded {a['value']}"]
-    return []
+def _int(value, name: str) -> int:
+    """value, when it is a JSON integer: echoed back, true would pass for 1."""
+    if type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not an integer")
+    return value
 
 
-def _v_legendre(a, ctx):
-    p = _parse(a["p"], ctx)
-    q = _parse(a["q"], ctx)
-    value = legendre_symbol(p, q, ctx)
-    if not _same(value, a["value"]):
-        return [f"<{a['p']}/{a['q']}> recomputes to {value}, recorded {a['value']}"]
-    return []
+def _digits(digits) -> None:
+    if _int(digits, "digit target") < 0:
+        raise PreconditionFailed(f"digit target {digits} is negative")
 
 
-def _v_law(a, ctx):
-    law = a["law"]
-    inputs = a["inputs"]
-    if not isinstance(a["values"], dict):
-        raise TypeError(f"law values must be a JSON object, not {type(a['values']).__name__}")
-    if law == "multiplicativity":
-        res = check_multiplicativity(
-            _parse(inputs["p"], ctx), _parse(inputs["r"], ctx),
-            _parse(inputs["q"], ctx), ctx,
-        )
-    elif law == "constant-rule":
-        res = constant_symbol_check(parse_rat(inputs["c"]), _parse(inputs["q"], ctx), ctx)
-    elif law == "pi-power-invariance":
-        res = check_pi_power_invariance(
-            _parse(inputs["p"], ctx), _parse(inputs["q"], ctx), ctx
-        )
-    elif law == "reciprocity":
-        res = check_reciprocity(_parse(inputs["p"], ctx), _parse(inputs["q"], ctx), ctx)
-    else:
-        return [f"unknown law {law!r}"]
-    problems = []
-    if a["values"].keys() != res.values.keys():
-        problems.append(f"{law}: values name {sorted(a['values'])}, recomputed {sorted(res.values)}")
-    for key, recorded in a["values"].items():
-        if key in res.values and not _same(res.values[key], recorded):
-            problems.append(f"{law}: value {key} recomputes to {res.values[key]}, recorded {recorded}")
-    if not _same(res.holds, a["holds"]):
-        problems.append(f"{law}: holds recomputes to {res.holds}, recorded {a['holds']}")
-    return problems
+def _hilbert(ctx, a, b):
+    return {"value": hilbert_symbol_qp(parse_rat(a), parse_rat(b), ctx)}
 
 
-def _v_square_class(a, ctx):
-    rep = square_class_rational(parse_rat(a["x"]), ctx)
-    if rat_str(rep) != a["representative"]:
-        return [f"square_class({a['x']}) recomputes to {rat_str(rep)}"]
-    return []
+def _legendre(ctx, p, q):
+    return {"value": legendre_symbol(_parse(p, ctx), _parse(q, ctx), ctx)}
 
 
-def _v_newton(a, ctx):
-    poly = _parse(a["poly"], ctx)
-    polygon = newton_polygon(poly)
-    vertices = [[i, rat_str(v)] for i, v in polygon.vertices]
-    slopes = [rat_str(e.slope) for e in polygon.edges]
-    problems = []
-    if vertices != a["vertices"]:
-        problems.append(f"vertices recompute to {vertices}")
-    if slopes != a["slopes"]:
-        problems.append(f"slopes recompute to {slopes}")
-    return problems
+# the laws check-mult and check-recip check, with the polynomials each reads
+_LAWS = {"multiplicativity": (check_multiplicativity, ("p", "r", "q")),
+         "reciprocity": (check_reciprocity, ("p", "q"))}
 
 
-def _v_even_vertices(a, ctx):
-    polygon = newton_polygon(_parse(a["poly"], ctx))
+def _law(ctx, law, inputs):
+    """The law's values and verdict, and its inputs as the check reads them: the canonical texts."""
+    if law not in _LAWS:
+        raise ValueError(f"unknown law {law!r}")
+    check, names = _LAWS[law]
+    res = check(*[_parse(inputs[n], ctx) for n in names], ctx)
+    return {"inputs": res.inputs, "values": res.values, "holds": res.holds}
+
+
+def _square_class(ctx, x):
+    return {"representative": rat_str(square_class_rational(parse_rat(x), ctx))}
+
+
+def _newton(ctx, poly):
+    polygon = newton_polygon(_parse(poly, ctx))
+    return {"vertices": [[i, rat_str(v)] for i, v in polygon.vertices],
+            "slopes": [rat_str(e.slope) for e in polygon.edges]}
+
+
+def _even_vertices(ctx, poly):
+    polygon = newton_polygon(_parse(poly, ctx))
     if not polygon.all_vertices_even():
-        return [f"polygon of {a['poly']} has odd-degree vertices {polygon.odd_vertices()}"]
-    return []
+        raise OddVertex(f"polygon of {poly} has odd-degree vertices {polygon.odd_vertices()}")
+    return {}
 
 
-def _v_slope_factorization(a, ctx):
-    poly = _parse(a["poly"], ctx)
-    unit = parse_rat(a["unit"])
-    product = PadicPolynomial.from_rationals([unit], ctx)
-    problems = []
-    for text, slope in a["factors"]:
+def _slope_factorization(ctx, poly, unit, digits, factors):
+    """unit times the factors, each of one edge of its recorded slope, is poly to more than digits digits."""
+    _digits(digits)
+    product = PadicPolynomial.from_rationals([parse_rat(unit)], ctx)
+    for text, slope in factors:
         factor = _parse(text, ctx)
         product = product * factor
-        edge = newton_polygon(factor).single_edge()
-        if rat_str(edge.slope) != slope:
-            problems.append(f"factor {text} has slope {rat_str(edge.slope)}, recorded {slope}")
-    residual = min_coefficient_valuation(product - poly)
-    if not residual > a["digits"]:
-        problems.append(f"product residual valuation {residual} not above {a['digits']}")
-    return problems
+        edge = rat_str(newton_polygon(factor).single_edge().slope)
+        if edge != slope:
+            raise ConditionFailed(f"factor {text} has slope {edge}, not {slope!r}")
+    residual = min_coefficient_valuation(product - _parse(poly, ctx))
+    if not residual > digits:
+        raise ConditionFailed(f"product residual valuation {residual} is not above {digits}")
+    return {}
 
 
-def _v_hensel(a, ctx):
-    poly = _parse(a["poly"], ctx)
-    root = parse_rat(a["root"])
-    start = parse_rat(a["start"])
-    digits = a["digits"]
-    problems = []
-    if not ctx.vp(poly.evaluate(root)) > digits:
-        problems.append("residual valuation at the recorded root is not above the digit target")
-    dstart = poly.derivative().evaluate(start)
-    if dstart != 0 and poly.evaluate(start) != 0:
-        moved = ctx.vp(root - start)  # the ball, at the reported precision (see HenselWitness)
+def _hensel(ctx, poly, start, root, digits):
+    """root is a root of poly to more than digits digits, in the Hensel ball around start."""
+    _digits(digits)
+    f, x, a = _parse(poly, ctx), parse_rat(root), parse_rat(start)
+    if not ctx.vp(f.evaluate(x)) > digits:
+        raise ConditionFailed("residual valuation at the recorded root is not above the digit target")
+    dstart = f.derivative().evaluate(a)
+    if dstart != 0 and f.evaluate(a) != 0:
+        moved = ctx.vp(x - a)  # the ball, at the reported precision (see HenselWitness)
         if not (moved > ctx.vp(dstart) or moved >= digits + 1):
-            problems.append("recorded root left the Hensel ball around the starting point")
-    return problems
+            raise ConditionFailed("the recorded root left the Hensel ball around the starting point")
+    return {}
 
 
-def _v_construct_identity(a, ctx):
-    names = ("a", "b", "q", "r", "c", "h")
-    polys = {n: _parse(a[n], ctx) for n in names}
-    e = check_exponent(a["e"])
-    check_exponent(abs(a["pi_exponent"]))
-    pi_pow = ctx.uniformizer ** a["pi_exponent"]
-    lhs1 = polys["a"] + polys["q"] * polys["b"]
-    lhs2 = polys["r"] + polys["h"] * PadicPolynomial.monomial(pi_pow, e, polys["h"].field)
-    problems = []
-    if lhs1 != polys["c"]:
-        problems.append("identity c = a + q b fails")
-    if lhs2 != polys["c"]:
-        problems.append("identity c = r + pi^(m e) t^e h fails")
-    return problems
+def _construct_identity(ctx, a, b, q, r, c, h, e, pi_exponent):
+    """c = a + q b = r + pi^pi_exponent t^e h: the ring construction of one case-one factor of s."""
+    check_exponent(_int(e, "e"))
+    check_exponent(abs(_int(pi_exponent, "pi_exponent")))
+    a, b, q, r, c, h = [_parse(x, ctx) for x in (a, b, q, r, c, h)]
+    if a + q * b != c:
+        raise ConditionFailed("identity c = a + q b fails")
+    if r + h * PadicPolynomial.monomial(ctx.uniformizer ** pi_exponent, e, ctx) != c:
+        raise ConditionFailed("identity c = r + pi^(m e) t^e h fails")
+    return {}
 
 
-def _v_symbol_condition(a, ctx):
-    if a["name"] not in _CONDITIONS:
-        return [f"unknown condition {a['name']!r}"]
-    value = legendre_symbol(_parse(a["p"], ctx), _parse(a["q"], ctx), ctx)
-    problems = []
-    if not _same(value, a["lhs"]):
-        problems.append(f"condition {a['name']}: symbol recomputes to {value}, recorded {a['lhs']}")
-    if "p2" in a:
-        value2 = legendre_symbol(_parse(a["p2"], ctx), _parse(a["q2"], ctx), ctx)
-        if not _same(value2, a["rhs"]):
-            problems.append(f"condition {a['name']}: rhs recomputes to {value2}")
-    elif not _same(value, a["rhs"]):
-        problems.append(f"condition {a['name']}: expected {a['rhs']}")
-    if not _same(value == a["rhs"], a["holds"]):  # the recorded rhs, checked above
-        problems.append(f"condition {a['name']}: equality flag mismatches")
-    return problems
+# the seven symbol-condition families construct.verify_conditions writes; the first four
+# are the conditions the construction needs, each <p/q> = 1
+_CONDITIONS = ("sg-over-t", "ts-over-g-factor", "minus-tg-over-s-factor", "gamma-over-s-factor",
+               "block-equality", "t-value-equality", "product-property")
 
 
-def _v_residue_test(a, ctx):
-    test = pfister_residue_test(
-        _parse(a["x"], ctx), _parse(a["y"], ctx), _parse(a["place"], ctx), ctx
-    )
-    problems = []
-    if not _same(test.symbol_value, a["symbol"]):
-        problems.append(f"residue symbol at {a['place']} recomputes to {test.symbol_value}")
-    if not _same(test.is_zero, a["is_zero"]):
-        problems.append(f"residue vanishing at {a['place']} recomputes to {test.is_zero}")
-    return problems
+def _symbol_condition(ctx, name, p, q, rhs, p2=None, q2=None):
+    """<p/q> against rhs: rhs is <p2/q2> when they are given, else a constant that <p/q> must equal."""
+    if name not in _CONDITIONS:
+        raise ValueError(f"unknown condition {name!r}")
+    lhs = legendre_symbol(_parse(p, ctx), _parse(q, ctx), ctx)
+    value = lhs if p2 is q2 is None else legendre_symbol(_parse(p2, ctx), _parse(q2, ctx), ctx)
+    if not _same(value, rhs):
+        raise ConditionFailed(f"condition {name}: the right-hand side is {value}, not {rhs!r}")
+    return {"lhs": lhs, "holds": lhs == rhs}
 
 
-def _v_gamma_valid(a, ctx):
-    if i2_class(parse_rat(a["gamma"]), ctx) != -1:
-        return [f"gamma {a['gamma']} does not give an anisotropic binary Pfister form"]
-    return []
+def _residue_test(ctx, x, y, place):
+    test = pfister_residue_test(_parse(x, ctx), _parse(y, ctx), _parse(place, ctx), ctx)
+    return {"symbol": test.symbol_value, "is_zero": test.is_zero}
 
 
-def _v_predicate_witness(a, ctx):
-    c = parse_rat(a["c"])
-    report = build_f(parse_rational_function(a["x"], ctx), c, ctx)
-    g = witness_g(*strip_t(report.h_num, report.h_den), c)
-    problems = []
-    if g.to_text() != a["g"]:
-        problems.append("g recomputes differently from the recorded polynomial")
+def _gamma_valid(ctx, gamma):
+    if i2_class(parse_rat(gamma), ctx) != -1:
+        raise ConditionFailed(f"gamma {gamma} does not give an anisotropic binary Pfister form")
+    return {}
+
+
+def _predicate_witness(ctx, x, c):
+    """The polynomial g that x and c give, whose polygon has only even vertices."""
+    value = parse_rat(c)
+    report = build_f(parse_rational_function(x, ctx), value, ctx)
+    g = witness_g(*strip_t(report.h_num, report.h_den), value)
     if not newton_polygon(g).all_vertices_even():
-        problems.append("recorded witness c does not give an all-even polygon")
-    return problems
+        raise OddVertex(f"the witness c = {c} does not give an all-even polygon")
+    return {"g": g.to_text()}
 
 
-def _v_anisotropy_at_t(a, ctx):
-    f = parse_rational_function(a["f"], ctx)
-    res = anisotropy_at_t(f, parse_rat(a["gamma"]), ctx)
-    problems = []
-    if not _same(res.v_t_f, a["v_t_f"]):
-        problems.append(f"v_t(f) recomputes to {res.v_t_f}")
-    if rat_str(res.leading_coefficient) != a["leading_coefficient"]:
-        problems.append("leading t-coefficient recomputes differently")
-    if not _same(res.anisotropic_form, a["anisotropic_form"]):
-        problems.append(f"anisotropic form recomputes to {res.anisotropic_form}")
-    return problems
+def _anisotropy_at_t(ctx, f, gamma):
+    res = anisotropy_at_t(parse_rational_function(f, ctx), parse_rat(gamma), ctx)
+    return {"v_t_f": res.v_t_f, "leading_coefficient": rat_str(res.leading_coefficient),
+            "anisotropic_form": res.anisotropic_form}
 
 
-def _v_elliptic(a, ctx):
-    y = parse_rat(a["y"])
-    x = parse_rat(a["x"])
-    residual = ctx.vp(x ** 3 - x - y ** 2)  # infinite at an exact root
-    if not residual > a["digits"]:
-        return [f"v(x^3 - x - y^2) = {residual} is not above {a['digits']}"]
-    return []
+def _elliptic_point(ctx, y, x, digits):
+    """The hensel assertion proves v(x^3 - x - y^2) > digits: _r_elliptic ties it to this point."""
+    _digits(digits)
+    return {}
 
 
-def _v_isotropy_local(a, ctx):
-    if not isinstance(a["entries"], list) or not a["entries"]:
+def _isotropy_local(ctx, entries):
+    if not isinstance(entries, list) or not entries:
         raise ValueError("isotropy-local entries must be a non-empty list")
-    entries = [parse_rat(e) for e in a["entries"]]
-    verdict = isotropic_over_local(DiagonalForm.make(entries, ctx))
-    if not _same(verdict, a["isotropic"]):
-        return [f"isotropy recomputes to {verdict}"]
-    return []
+    return {"isotropic": isotropic_over_local(DiagonalForm.make([parse_rat(e) for e in entries], ctx))}
 
 
-def _v_irreducible(a, ctx):
-    try:
-        certify_factor(_parse(a["poly"], ctx))
-    except PadicFormsError as exc:
-        return [f"irreducibility of {a['poly']} no longer certifies: {exc}"]
-    return []
+def _irreducible(ctx, poly):
+    certify_factor(_parse(poly, ctx))
+    return {}
 
 
-def _v_coprime(a, ctx):
-    f = _parse(a["f"], ctx)
-    g = _parse(a["g"], ctx)
-    if f.gcd(g).degree != 0:
-        return [f"{a['f']} and {a['g']} are not coprime"]
-    return []
+def _coprime(ctx, f, g):
+    if _parse(f, ctx).gcd(_parse(g, ctx)).degree != 0:
+        raise NotCoprime(f"{f} and {g} are not coprime")
+    return {}
 
 
-def _v_law_corpus(a, ctx):
-    if type(a["cases"]) is not int or type(a["seed"]) is not int:  # random.Random takes "x" or None
-        raise TypeError(f"cases {a['cases']!r} and seed {a['seed']!r} must be integers")
-    summary = corpus_summary(ctx, a["law"], a["cases"], a["seed"])
-    if not _same(summary["passes"], a["passes"]):
-        return [f"corpus recomputes to {summary['passes']} passes, recorded {a['passes']}"]
-    return []
+def _law_corpus(ctx, law, cases, seed):
+    return {"passes": corpus_summary(ctx, law, _int(cases, "cases"), _int(seed, "seed"))["passes"]}
 
 
-def _lift(verify):
-    """A lift's verifier, run on a digit target that is an int (not a bool) and not negative."""
-    def checked(a, ctx):
-        if type(a["digits"]) is not int:
-            raise TypeError(f"digit target {a['digits']!r} is not an integer")
-        return [f"digit target {a['digits']} is negative"] if a["digits"] < 0 else verify(a, ctx)
-    return checked
-
-
-_VERIFIERS = {
-    "hilbert-base": _v_hilbert,
-    "legendre": _v_legendre,
-    "law": _v_law,
-    "square-class": _v_square_class,
-    "newton-polygon": _v_newton,
-    "even-vertices": _v_even_vertices,
-    "slope-factorization": _lift(_v_slope_factorization),
-    "hensel": _lift(_v_hensel),
-    "construct-identity": _v_construct_identity,
-    "symbol-condition": _v_symbol_condition,
-    "residue-test": _v_residue_test,
-    "gamma-valid": _v_gamma_valid,
-    "predicate-witness": _v_predicate_witness,
-    "anisotropy-at-t": _v_anisotropy_at_t,
-    "elliptic-point": _lift(_v_elliptic),
-    "isotropy-local": _v_isotropy_local,
-    "irreducible-certified": _v_irreducible,
-    "coprime": _v_coprime,
-    "law-corpus": _v_law_corpus,
+# one entry per assertion kind: its builder and its input fields.  The assertion is the
+# inputs, echoed, and the fields the builder computes from them; a builder that checks a
+# property computes no field and raises when the property fails.
+_Kind = namedtuple("_Kind", "build inputs")
+_KINDS = {
+    "hilbert-base": _Kind(_hilbert, ("a", "b")),
+    "legendre": _Kind(_legendre, ("p", "q")),
+    "law": _Kind(_law, ("law", "inputs")),
+    "square-class": _Kind(_square_class, ("x",)),
+    "newton-polygon": _Kind(_newton, ("poly",)),
+    "even-vertices": _Kind(_even_vertices, ("poly",)),
+    "slope-factorization": _Kind(_slope_factorization, ("poly", "unit", "digits", "factors")),
+    "hensel": _Kind(_hensel, ("poly", "start", "root", "digits")),
+    "construct-identity": _Kind(_construct_identity, ("a", "b", "q", "r", "c", "h", "e", "pi_exponent")),
+    "symbol-condition": _Kind(_symbol_condition, ("name", "p", "q", "rhs", "p2", "q2")),
+    "residue-test": _Kind(_residue_test, ("x", "y", "place")),
+    "gamma-valid": _Kind(_gamma_valid, ("gamma",)),
+    "predicate-witness": _Kind(_predicate_witness, ("x", "c")),
+    "anisotropy-at-t": _Kind(_anisotropy_at_t, ("f", "gamma")),
+    "elliptic-point": _Kind(_elliptic_point, ("y", "x", "digits")),
+    "isotropy-local": _Kind(_isotropy_local, ("entries",)),
+    "irreducible-certified": _Kind(_irreducible, ("poly",)),
+    "coprime": _Kind(_coprime, ("f", "g")),
+    "law-corpus": _Kind(_law_corpus, ("law", "cases", "seed")),
 }
+
+
+def assertion(kind: str, ctx: PadicContext, **inputs) -> dict:
+    """The assertion of this kind at these inputs, as the CLI writes it and ``verify`` rebuilds it.
+
+    A computed field replaces the input of its name: law's inputs are the texts
+    the check read.
+    """
+    return {"kind": kind, **inputs, **_KINDS[kind].build(ctx, **inputs)}
+
+
+def _diff(where: str, recorded: dict, derived: dict) -> list[str]:
+    """One line per key that only one side has, or whose values differ as canonical JSON."""
+    return [f"{where}.{key}: recorded {_json(recorded, key)}, derived {_json(derived, key)}"
+            for key in sorted(derived.keys() | recorded.keys())
+            if key not in recorded or key not in derived or not _same(derived[key], recorded[key])]
+
+
+def _json(block: dict, key) -> str:
+    return json.dumps(block[key], sort_keys=True) if key in block else "(absent)"
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +389,12 @@ def _r_symbol(assertions, ctx, seed):
     return result
 
 
-def _r_law(law, *names):
+def _r_law(law):
     def derive(assertions, ctx, seed):
         a = _one(assertions, "law")
         if a["law"] != law:
             raise ValueError(f"the law assertion is {a['law']!r}, not {law!r}")
-        return {"law": law, "inputs": {n: a["inputs"][n] for n in names},
-                "values": a["values"], "holds": a["holds"]}
+        return {"law": law, "inputs": a["inputs"], "values": a["values"], "holds": a["holds"]}
     return derive
 
 
@@ -455,12 +409,6 @@ def _r_isotropy(assertions, ctx, seed):
     return {"entries": a["entries"], "isotropic": verdict, "oracle_witness": witness}
 
 
-# the seven symbol-condition families construct.verify_conditions writes; the first four
-# are the conditions the construction needs, each <p/q> = 1
-_CONDITIONS = ("sg-over-t", "ts-over-g-factor", "minus-tg-over-s-factor", "gamma-over-s-factor",
-               "block-equality", "t-value-equality", "product-property")
-
-
 def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     """construct-s's result: g and gamma, then what the construction's assertions record.
 
@@ -468,8 +416,9 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     document carries no assertion.  Otherwise the assertions must be those the CLI writes
     for the polynomials they name: s's factors are the coprime assertions' f, g's factors
     the other certified irreducibles, and s = epsilon * prod(s's factors).  Each condition
-    family is at the result's polynomials, once per factor, and the residue tests are the
-    two Pfister forms' at their places; the verdict is that every test vanishes.
+    family is at the result's polynomials, once per factor, each case-one factor of s has
+    its ring identity, and the residue tests are the two Pfister forms' at their places;
+    the verdict is that every test vanishes.
     """
     gamma, g = parse_rat(gamma), _parse(g, ctx)
     result = {"gamma": rat_str(gamma), "g": g.to_text()}
@@ -511,9 +460,20 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
             raise ValueError(f"the {name} conditions are not at the result's polynomials, one per factor")
     if any(a["name"] == "product-property" and a["q"] not in g_texts for a in conditions):
         raise ValueError("a product-property condition is at no factor of g")
-    if any(a["name"] in _CONDITIONS[:4] and (type(a["rhs"]) is not int or a["rhs"] != 1 or a["holds"] is not True)
-           for a in conditions):
+    if any(a["name"] in _CONDITIONS[:4] and not (a["rhs"] == 1 and a["holds"]) for a in conditions):
         raise ValueError("a condition the construction needs does not hold with right-hand side 1")
+    # s's factors are certified irreducible, so each has one edge, of slope (v(a_d) - v(a_0)) / d.  One
+    # of odd denominator is case one (construct._case_one): c pi^(-m deg c) for its ring identity's c,
+    # with m = pi_exponent / e; case two has no identity
+    case_one = [sf for sf in s_factors
+                if Fraction(vp_int(sf.num[-1], ctx.p) - vp_int(sf.num[0], ctx.p), sf.degree).denominator % 2]
+    scaled = []
+    for a in (a for a in assertions if a["kind"] == "construct-identity"):
+        c = _parse(a["c"], ctx)
+        k = Fraction(-a["pi_exponent"] * c.degree, a["e"])
+        scaled.append(c * ctx.uniformizer ** k.numerator if k.denominator == 1 else None)
+    if scaled != case_one:
+        raise ValueError("the ring identities are not one per case-one factor of s, at that factor")
 
     first = (PadicPolynomial.from_rationals([-gamma], ctx).to_text(), (-s).to_text())  # <1,pi><1,-gamma><1,-s>
     second = (tg.to_text(), (-ts).to_text())  # <1,pi><1,tg><1,-ts>
@@ -576,8 +536,8 @@ _TABLE = {
     "squareclass": _Command({"square-class"}, _r_squareclass),
     "hilbert": _Command({"hilbert-base"}, _r_hilbert),
     "symbol": _Command({"legendre", "irreducible-certified", "coprime"}, _r_symbol),
-    "check-mult": _Command({"law"}, _r_law("multiplicativity", "p", "r", "q")),
-    "check-recip": _Command({"law"}, _r_law("reciprocity", "p", "q")),
+    "check-mult": _Command({"law"}, _r_law("multiplicativity")),
+    "check-recip": _Command({"law"}, _r_law("reciprocity")),
     "isotropy": _Command({"isotropy-local"}, _r_isotropy),
     "construct-s": _Command({"even-vertices", "irreducible-certified", "coprime", "construct-identity",
                              "symbol-condition", "residue-test"}, _r_construct_s,
@@ -628,10 +588,11 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
 
     Returns (ok, problems); ok is True only when the schema matches, the
     command is one of ``COMMANDS`` and writes every assertion kind the
-    document carries, the context reconstructs, every assertion's recorded
-    outputs agree with fresh computations from its recorded inputs, and the
-    result block, derived from the assertions by the function the CLI uses,
-    is the recorded one as canonical JSON (so ``true`` is not ``1``).
+    document carries, the context reconstructs, every assertion, rebuilt
+    from its recorded inputs by the builder the CLI writes it with, is the
+    recorded one, and so is the result block, derived from the assertions
+    by the function the CLI uses.  Both compare as canonical JSON, so
+    ``true`` is not ``1`` and an unknown key is a difference.
     """
     problems: list[str] = []
     if not isinstance(doc, dict):
@@ -653,18 +614,22 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
         return False, ["assertions must be a list of JSON objects"]
     for k, a in enumerate(assertions):
         kind = a.get("kind")
-        fn = _VERIFIERS.get(kind) if isinstance(kind, str) else None
-        if fn is None:
+        spec = _KINDS.get(kind) if isinstance(kind, str) else None
+        if spec is None:
             problems.append(f"assertion {k}: unknown kind {kind!r}")
             continue
         if entry is not None and kind not in entry.kinds:
             problems.append(f"assertion {k}: {command} writes no {kind} assertion")
-        try:
-            problems.extend(f"assertion {k} ({kind}): {msg}" for msg in fn(a, ctx))
+        try:  # a recorded null is an absent input, as symbol-condition's p2 and q2 may be
+            rebuilt = assertion(kind, ctx, **{n: a[n] for n in spec.inputs if a.get(n) is not None})
         except PadicFormsError as exc:
             problems.append(f"assertion {k} ({kind}): recomputation failed: {exc}")
+            continue
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             problems.append(f"assertion {k} ({kind}): malformed payload: {exc!r}")
+            continue
+        if not _same(rebuilt, a):
+            problems += _diff(f"assertion {k} ({kind})", a, rebuilt)
     if problems:  # a result derived from assertions that do not verify proves nothing
         return False, problems
     recorded = doc.get("result")
@@ -676,12 +641,7 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
         return False, ["result: not a JSON object"]
     if _same(derived, recorded):
         return True, []
-    for key in sorted(derived.keys() | recorded.keys()):
-        if key not in recorded or key not in derived or not _same(derived[key], recorded[key]):
-            texts = [json.dumps(block[key], sort_keys=True) if key in block else "(absent)"
-                     for block in (recorded, derived)]
-            problems.append(f"result.{key}: recorded {texts[0]}, derived {texts[1]}")
-    return False, problems
+    return False, _diff("result", recorded, derived)
 
 
 def verify_certificate_file(path: str) -> tuple[bool, list[str]]:

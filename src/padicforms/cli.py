@@ -5,7 +5,8 @@ Subcommands cover every public operation; all take --prime, --precision,
 corpus) take --seed, which their certificates record.  Exit codes: 0 for
 success and true verdicts, 1 for false verdicts, 2 for usage or
 computation errors, internal faults included.  With --json the output is
-a certificate document (schema padic-forms/1) whose assertions re-verify
+a certificate document (schema padic-forms/1) whose assertions, each
+written by its kind's builder (``certificates.assertion``), re-verify
 through the ``verify`` subcommand; identical arguments and seed produce
 byte-identical JSON.
 """
@@ -20,18 +21,12 @@ from . import certificates as cert
 from .construct import corollary_isotropy
 from .errors import PadicFormsError, ParseError, PreconditionFailed
 from .h10 import elliptic_constant_point, predicate_vt_nonneg
-from .newton import newton_polygon, slope_factorization
+from .newton import slope_factorization
 from .oracles import hilbert_by_search, within_budget
-from .padics import PadicContext, hilbert_symbol_qp, square_class_rational
+from .padics import PadicContext
 from .parsing import parse_poly, parse_rational_function, parse_rational_scalar
 from .polynomials import PadicPolynomial, RationalFunction
-from .quadform import DiagonalForm, isotropic_over_local
-from .reciprocity import (
-    LAWS,
-    check_multiplicativity,
-    check_reciprocity,
-    legendre_symbol,
-)
+from .reciprocity import LAWS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,17 +75,13 @@ def _emit(args, command, ctx, assertions, human_lines, seed=None, **given):
 
 def _cmd_newton(args):
     ctx = _context(args)
-    poly = parse_poly(args.poly, ctx)
-    polygon = newton_polygon(poly)
-    vertices = [[i, cert.rat_str(v)] for i, v in polygon.vertices]
-    slopes = [cert.rat_str(e.slope) for e in polygon.edges]
-    assertions = [
-        {"kind": "newton-polygon", "poly": poly.to_text(), "vertices": vertices, "slopes": slopes}
-    ]
-    human = [f"Newton polygon of {poly.to_text()} over Q_{ctx.p}:"]
-    human += [f"  vertex at degree {i}, height {v}" for i, v in polygon.vertices]
-    human += [f"  edge of slope {e.slope}, length {e.length}" for e in polygon.edges]
-    _emit(args, "newton", ctx, assertions, human)
+    claim = cert.assertion("newton-polygon", ctx, poly=parse_poly(args.poly, ctx).to_text())
+    vertices = [(i, cert.parse_rat(v)) for i, v in claim["vertices"]]
+    human = [f"Newton polygon of {claim['poly']} over Q_{ctx.p}:"]
+    human += [f"  vertex at degree {i}, height {v}" for i, v in vertices]
+    human += [f"  edge of slope {cert.parse_rat(m)}, length {j - i}"
+              for m, (i, _), (j, _) in zip(claim["slopes"], vertices, vertices[1:])]
+    _emit(args, "newton", ctx, [claim], human)
     return 0
 
 
@@ -98,30 +89,20 @@ def _cmd_slopes(args):
     ctx = _context(args)
     poly = parse_poly(args.poly, ctx)
     fac = slope_factorization(poly, args.digits)
-    factors = [[f.poly.to_text(), cert.rat_str(f.slope)] for f in fac.factors]
-    assertions = [
-        {
-            "kind": "slope-factorization",
-            "poly": poly.to_text(),
-            "unit": cert.rat_str(fac.unit),
-            "digits": args.digits,
-            "factors": factors,
-        }
-    ]
-    human = [f"slope factorization of {poly.to_text()} (residual digits > {args.digits}):"]
-    human += [f"  slope {f.slope}: {f.poly.to_text()}" for f in fac.factors]
-    _emit(args, "slopes", ctx, assertions, human)
+    claim = cert.assertion("slope-factorization", ctx, poly=poly.to_text(), unit=cert.rat_str(fac.unit),
+                           digits=args.digits, factors=[[f.poly.to_text(), cert.rat_str(f.slope)] for f in fac.factors])
+    human = [f"slope factorization of {claim['poly']} (residual digits > {args.digits}):"]
+    human += [f"  slope {cert.parse_rat(slope)}: {text}" for text, slope in claim["factors"]]
+    _emit(args, "slopes", ctx, [claim], human)
     return 0
 
 
 def _cmd_squareclass(args):
     ctx = _context(args)
     x = parse_rational_scalar(args.value, ctx)
-    rep = square_class_rational(x, ctx)
-    assertions = [
-        {"kind": "square-class", "x": cert.rat_str(x), "representative": cert.rat_str(rep)}
-    ]
-    _emit(args, "squareclass", ctx, assertions, [f"square class of {x} in Q_{ctx.p}: {rep}"])
+    claim = cert.assertion("square-class", ctx, x=cert.rat_str(x))
+    rep = cert.parse_rat(claim["representative"])
+    _emit(args, "squareclass", ctx, [claim], [f"square class of {x} in Q_{ctx.p}: {rep}"])
     return 0
 
 
@@ -129,126 +110,73 @@ def _cmd_hilbert(args):
     ctx = _context(args)
     a = parse_rational_scalar(args.a, ctx)
     b = parse_rational_scalar(args.b, ctx)
-    value = hilbert_symbol_qp(a, b, ctx)
+    claim = cert.assertion("hilbert-base", ctx, a=cert.rat_str(a), b=cert.rat_str(b))
+    value = claim["value"]
     if within_budget(ctx):
         oracle = hilbert_by_search(a, b, ctx)
         if value != oracle:
             raise PadicFormsError(f"formula {value} disagrees with search oracle {oracle}")
-    assertions = [
-        {"kind": "hilbert-base", "a": cert.rat_str(a), "b": cert.rat_str(b), "value": value}
-    ]
-    _emit(args, "hilbert", ctx, assertions, [f"({a}, {b})_{ctx.p} = {value:+d}"])
+    _emit(args, "hilbert", ctx, [claim], [f"({a}, {b})_{ctx.p} = {value:+d}"])
     return 0
 
 
 def _cmd_symbol(args):
     ctx = _context(args)
-    p = parse_poly(args.p, ctx)
-    q = parse_poly(args.q, ctx)
-    value = legendre_symbol(p, q, ctx)
-    assertions = [
-        {"kind": "legendre", "p": p.to_text(), "q": q.to_text(), "value": value},
-        {"kind": "irreducible-certified", "poly": q.to_text()},
-        {"kind": "coprime", "f": p.to_text(), "g": q.to_text()},
-    ]
-    _emit(args, "symbol", ctx, assertions, [f"<{p.to_text()} / {q.to_text()}> = {value:+d}"])
+    p = parse_poly(args.p, ctx).to_text()
+    q = parse_poly(args.q, ctx).to_text()
+    claims = [cert.assertion("legendre", ctx, p=p, q=q), cert.assertion("irreducible-certified", ctx, poly=q),
+              cert.assertion("coprime", ctx, f=p, g=q)]
+    _emit(args, "symbol", ctx, claims, [f"<{p} / {q}> = {claims[0]['value']:+d}"])
     return 0
 
 
-def _law_command(args, runner, law_name, inputs):
+def _law_command(args, command, law, *names):
+    """The law's polynomials are parsed, in the order given, by the law assertion's builder."""
     ctx = _context(args)
-    res = runner(ctx)
-    assertions = [
-        {"kind": "law", "law": law_name, "inputs": res.inputs, "values": res.values, "holds": res.holds}
-    ]
-    human = [f"{law_name}: {'holds' if res.holds else 'FAILS'}", f"  values: {res.values}"]
-    _emit(args, inputs, ctx, assertions, human)
-    return 0 if res.holds else 1
+    claim = cert.assertion("law", ctx, law=law, inputs={n: getattr(args, n) for n in names})
+    holds = claim["holds"]
+    _emit(args, command, ctx, [claim], [f"{law}: {'holds' if holds else 'FAILS'}", f"  values: {claim['values']}"])
+    return 0 if holds else 1
 
 
 def _cmd_check_mult(args):
-    def run(ctx):
-        return check_multiplicativity(
-            parse_poly(args.p, ctx), parse_poly(args.r, ctx), parse_poly(args.q, ctx), ctx
-        )
-
-    return _law_command(args, run, "multiplicativity", "check-mult")
+    return _law_command(args, "check-mult", "multiplicativity", "p", "r", "q")
 
 
 def _cmd_check_recip(args):
-    def run(ctx):
-        return check_reciprocity(parse_poly(args.p, ctx), parse_poly(args.q, ctx), ctx)
-
-    return _law_command(args, run, "reciprocity", "check-recip")
+    return _law_command(args, "check-recip", "reciprocity", "p", "q")
 
 
 def _cmd_isotropy(args):
     """The certificate's result runs the residue-search cross-check within the budget."""
     ctx = _context(args)
-    entries = [parse_rational_scalar(e, ctx) for e in args.entries.split(",")]
-    verdict = isotropic_over_local(DiagonalForm.make(entries, ctx))
-    assertions = [
-        {"kind": "isotropy-local", "entries": [cert.rat_str(e) for e in entries], "isotropic": verdict}
-    ]
+    entries = [cert.rat_str(parse_rational_scalar(e, ctx)) for e in args.entries.split(",")]
+    claim = cert.assertion("isotropy-local", ctx, entries=entries)
+    verdict = claim["isotropic"]
     text = "isotropic" if verdict else "anisotropic"
-    _emit(args, "isotropy", ctx, assertions, [f"<{args.entries}> over Q_{ctx.p}: {text}"])
+    _emit(args, "isotropy", ctx, [claim], [f"<{args.entries}> over Q_{ctx.p}: {text}"])
     return 0 if verdict else 1
 
 
 def _construct_assertions(cor, ctx):
-    assertions = []
     res = cor.construction
     params = res.params
-    assertions.append({"kind": "even-vertices", "poly": params.g_input.to_text()})
-    for block in params.blocks:
-        for gf in block.factors:
-            assertions.append({"kind": "irreducible-certified", "poly": gf.poly.to_text()})
-    tg = PadicPolynomial.x(ctx) * params.g_norm
+    tg = (PadicPolynomial.x(ctx) * params.g_norm).to_text()
+    claims = [cert.assertion("even-vertices", ctx, poly=params.g_input.to_text())]
+    claims += [cert.assertion("irreducible-certified", ctx, poly=gf.poly.to_text())
+               for block in params.blocks for gf in block.factors]
     for sf in res.s_factors:
-        assertions.append({"kind": "irreducible-certified", "poly": sf.poly.to_text()})
-        assertions.append({"kind": "coprime", "f": sf.poly.to_text(), "g": tg.to_text()})
-    for trace in res.traces.values():
-        assertions.append(
-            {
-                "kind": "construct-identity",
-                "a": trace.a.to_text(),
-                "b": trace.b.to_text(),
-                "q": trace.q.to_text(),
-                "r": trace.r.to_text(),
-                "c": trace.c.to_text(),
-                "h": trace.h.to_text(),
-                "e": trace.e,
-                "pi_exponent": int(trace.slope * trace.e),
-            }
-        )
+        claims += [cert.assertion("irreducible-certified", ctx, poly=sf.poly.to_text()),
+                   cert.assertion("coprime", ctx, f=sf.poly.to_text(), g=tg)]
+    claims += [cert.assertion("construct-identity", ctx, **{n: getattr(trace, n).to_text() for n in "abqrch"},
+                              e=trace.e, pi_exponent=int(trace.slope * trace.e)) for trace in res.traces.values()]
     for c in cor.conditions.conditions:
-        entry = {
-            "kind": "symbol-condition",
-            "name": c.name,
-            "p": c.p.to_text(),
-            "q": c.q.to_text(),
-            "lhs": c.lhs,
-            "rhs": c.rhs,
-            "holds": c.holds,
-        }
-        if c.rhs_p is not None:
-            entry["p2"] = c.rhs_p.to_text()
-            entry["q2"] = c.rhs_q.to_text()
-        assertions.append(entry)
-    for verdict_obj in (cor.milnor_first, cor.milnor_second):
-        slot_x, slot_y = verdict_obj.slots
-        for test in verdict_obj.tests:
-            assertions.append(
-                {
-                    "kind": "residue-test",
-                    "x": slot_x.to_text(),
-                    "y": slot_y.to_text(),
-                    "place": test.place.to_text(),
-                    "symbol": test.symbol_value,
-                    "is_zero": test.is_zero,
-                }
-            )
-    return assertions
+        rhs = {"rhs": c.rhs} if c.rhs_p is None else {"rhs": c.rhs, "p2": c.rhs_p.to_text(), "q2": c.rhs_q.to_text()}
+        claims.append(cert.assertion("symbol-condition", ctx, name=c.name, p=c.p.to_text(), q=c.q.to_text(), **rhs))
+    for milnor in (cor.milnor_first, cor.milnor_second):
+        x, y = (slot.to_text() for slot in milnor.slots)
+        claims += [cert.assertion("residue-test", ctx, x=x, y=y, place=test.place.to_text()) for test in milnor.tests]
+    return claims
 
 
 def _cmd_construct_s(args):
@@ -265,9 +193,10 @@ def _cmd_construct_s(args):
     if cor.construction is not None:
         samples = cor.construction.metrics["samples"]
         assertions = _construct_assertions(cor, ctx)
+        conditions = [a for a in assertions if a["kind"] == "symbol-condition"]
         human.append(f"s = {cor.construction.s_poly.to_text()}")
         human.append(f"metrics: {cor.construction.metrics}")
-        human.append(f"conditions verified: {len(cor.conditions.conditions)}, all hold: {cor.conditions.all_hold}")
+        human.append(f"conditions verified: {len(conditions)}, all hold: {all(a['holds'] for a in conditions)}")
     _emit(args, "construct-s", ctx, assertions, human, seed=args.seed,
           gamma=cert.rat_str(gamma), g=g.to_text(), samples=samples)
     return 0 if cor.isotropic else 1
@@ -278,34 +207,18 @@ def _cmd_predicate(args):
     x = parse_rational_function(args.x, ctx)
     gamma = parse_rational_scalar(args.gamma, ctx) if args.gamma else None
     verdict, pcert = predicate_vt_nonneg(x, ctx, gamma=gamma, seed=args.seed)
-    assertions = [{"kind": "gamma-valid", "gamma": cert.rat_str(pcert.gamma)}]
+    gamma = cert.rat_str(pcert.gamma)
+    claims = [cert.assertion("gamma-valid", ctx, gamma=gamma)]
     human = [f"v_t({x.to_text()}) >= 0: {verdict}"]
     if verdict:
-        assertions.append(
-            {
-                "kind": "predicate-witness",
-                "x": x.to_text(),
-                "c": cert.rat_str(pcert.witness.c),
-                "g": pcert.witness.g.to_text(),
-            }
-        )
+        claims.append(cert.assertion("predicate-witness", ctx, x=x.to_text(), c=cert.rat_str(pcert.witness.c)))
         human.append(f"witness c = {pcert.witness.c}; all polygon vertices even")
     else:
         h = pcert.report
-        assertions.append(
-            {
-                "kind": "anisotropy-at-t",
-                "f": RationalFunction(h.h_num, h.h_den).to_text(),
-                "gamma": cert.rat_str(pcert.gamma),
-                "v_t_f": pcert.anisotropy.v_t_f,
-                "leading_coefficient": cert.rat_str(pcert.anisotropy.leading_coefficient),
-                "anisotropic_form": pcert.anisotropy.anisotropic_form,
-            }
-        )
-        human.append(
-            f"form {pcert.anisotropy.anisotropic_form} anisotropic at t for every c"
-        )
-    _emit(args, "predicate", ctx, assertions, human, seed=args.seed, x=x.to_text())
+        claims.append(cert.assertion("anisotropy-at-t", ctx, f=RationalFunction(h.h_num, h.h_den).to_text(),
+                                     gamma=gamma))
+        human.append(f"form {claims[1]['anisotropic_form']} anisotropic at t for every c")
+    _emit(args, "predicate", ctx, claims, human, seed=args.seed, x=x.to_text())
     return 0 if verdict else 1
 
 
@@ -313,42 +226,22 @@ def _cmd_elliptic(args):
     ctx = _context(args)
     y = parse_rational_scalar(args.y, ctx)
     x, witness = elliptic_constant_point(y, ctx, args.digits)
-    assertions = [
-        {"kind": "elliptic-point", "y": cert.rat_str(y), "x": cert.rat_str(Fraction(x)), "digits": witness.digits},
-        {
-            "kind": "hensel",
-            "poly": cert.elliptic_cubic(y),
-            "start": "0/1",
-            "root": cert.rat_str(Fraction(x)),
-            "digits": witness.digits,
-        },
-    ]
-    _emit(args, "elliptic-point", ctx, assertions,
-          [f"x = {x} (mod p^{witness.digits + 1}) solves x^3 - x = {y}^2"])
+    root = cert.rat_str(Fraction(x))
+    claims = [cert.assertion("elliptic-point", ctx, y=cert.rat_str(y), x=root, digits=witness.digits),
+              cert.assertion("hensel", ctx, poly=cert.elliptic_cubic(y), start="0/1", root=root,
+                             digits=witness.digits)]
+    _emit(args, "elliptic-point", ctx, claims, [f"x = {x} (mod p^{witness.digits + 1}) solves x^3 - x = {y}^2"])
     return 0
 
 
 def _cmd_corpus(args):
     ctx = _context(args)
+    claim = cert.assertion("law-corpus", ctx, law=args.law, cases=args.cases, seed=args.seed)
     summary = cert.corpus_summary(ctx, args.law, args.cases, args.seed)
-    ok = summary["passes"] == summary["cases"]
-    assertions = [
-        {
-            "kind": "law-corpus",
-            "law": args.law,
-            "cases": summary["cases"],
-            "passes": summary["passes"],
-            "seed": args.seed,
-        }
-    ]
-    human = [
-        f"{args.law} corpus over Q_{ctx.p}, seed {args.seed}:"
-        f" {summary['passes']}/{summary['cases']} passed"
-    ]
-    if summary["failures"]:
-        human += [f"  failure: {f}" for f in summary["failures"][:5]]
-    _emit(args, "corpus", ctx, assertions, human, seed=args.seed)
-    return 0 if ok else 1
+    human = [f"{args.law} corpus over Q_{ctx.p}, seed {args.seed}: {claim['passes']}/{summary['cases']} passed"]
+    human += [f"  failure: {f}" for f in summary["failures"][:5]]
+    _emit(args, "corpus", ctx, [claim], human, seed=args.seed)
+    return 0 if claim["passes"] == summary["cases"] else 1
 
 
 def _cmd_verify(args):

@@ -44,7 +44,6 @@ from .newton import (
     newton_polygon,
     random_irreducible_search,
 )
-from .extensions import hensel_lift
 from .padics import INFINITY, PadicContext, is_prime, is_square_rational
 from .polynomials import PadicPolynomial
 from .quadform import PfisterSlot, at_place, milnor_isotropy, residue_field
@@ -160,7 +159,8 @@ def _rational_roots(f: PadicPolynomial):
     With F = a_d f integral, each root is a/b with a | a_0 and b | a_d.
     For the least prime l dividing neither a_d nor disc(F), F mod l is
     squarefree, so every root modulo l is simple: each is lifted by
-    Hensel to l^k > 2 |a_0 a_d|, recovered by rational reconstruction and
+    Newton's iteration on integers modulo l^k > 2 |a_0 a_d|, where F' is a
+    unit at every step, recovered by rational reconstruction and
     confirmed exactly (von zur Gathen and Gerhard, Modern Computer
     Algebra, 5.10 and 15.6).  Roots come ordered by |a|, then b, the
     positive one first.
@@ -169,9 +169,9 @@ def _rational_roots(f: PadicPolynomial):
     a0, ad = ints[0], ints[-1]
     if a0 == 0:
         raise PreconditionFailed("zero constant term")
+    derivative = [i * c for i, c in enumerate(ints)][1:]
     ell = 2
-    while ad % ell == 0 or FiniteFieldPoly(ints, ell).gcd(
-            FiniteFieldPoly([k * c for k, c in enumerate(ints)][1:], ell)).degree:
+    while ad % ell == 0 or FiniteFieldPoly(ints, ell).gcd(FiniteFieldPoly(derivative, ell)).degree:
         ell += 1
         while not is_prime(ell):
             ell += 1
@@ -179,14 +179,22 @@ def _rational_roots(f: PadicPolynomial):
     k = 1
     while ell ** k <= bound:
         k += 1
-    ctx = PadicContext(ell, precision_digits=max(k, 8))  # a context's cap is at least 2 v(4) + 4
-    f_ell = PadicPolynomial.from_integers(f.num, f.den, ctx)
+    m = ell ** k
+
+    def mod_m(coeffs, x):  # Horner's rule modulo l^k
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % m
+        return acc
+
     roots = []
     for r in range(ell):
-        if sum(c * r ** i for i, c in enumerate(ints)) % ell:
+        if mod_m(ints, r) % ell:
             continue
-        lift = hensel_lift(f_ell, r, k - 1).approximate_root
-        a, b = _reconstruct(lift, ell ** k, abs(a0))
+        root = r
+        while residual := mod_m(ints, root):
+            root = (root - residual * pow(mod_m(derivative, root), -1, m)) % m
+        a, b = _reconstruct(root, m, abs(a0))
         if 0 < b <= abs(ad) and math.gcd(a, b) == 1 and not sum(
                 c * a ** i * b ** (len(ints) - 1 - i) for i, c in enumerate(ints)):
             roots.append(Fraction(a, b))

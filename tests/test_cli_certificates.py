@@ -1,14 +1,16 @@
 """CLI behavior, JSON certificates, re-verification, fault injection."""
 
 import argparse
+import ast
 import copy
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from padicforms import PadicContext, cli, run_law_corpus
+from padicforms import PadicContext, cli, newton_polygon, parse_poly, run_law_corpus
 from padicforms.certificates import COMMANDS, verify_certificate
 from padicforms.cli import main
 from padicforms.errors import PreconditionFailed
@@ -591,3 +593,55 @@ def test_corpus_seed_is_the_documents_integer():
     for value in ("7", 7.0, 8, None):
         doc["seed"] = value
         assert not verify_certificate(doc)[0], value
+
+
+def _assertion_literals(source: str) -> list:
+    """Lines of the dict literals and dict(...) calls with a "kind" key."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Dict) and any(isinstance(k, ast.Constant) and k.value == "kind" for k in n.keys)
+                  or isinstance(n, ast.Call) and any(k.arg == "kind" for k in n.keywords))
+
+
+def test_the_scan_finds_an_assertion_literal():
+    source = 'a = [{"kind": "hensel"}, dict(kind="coprime"), {"k": 1}]\nb = {\n"kind": 0}\n'
+    assert _assertion_literals(source) == [1, 1, 2]
+
+
+def test_cli_writes_every_assertion_with_its_builder():
+    """The CLI holds no assertion literal: each assertion comes from certificates.assertion."""
+    assert _assertion_literals(Path(cli.__file__).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("golden, slopes, identities", [
+    ("construct-s-case-one", ["0"], 1), ("construct-s", ["-1/2"], 0), ("construct-s-two-factors", ["-1/2", "-1/2"], 0),
+])
+def test_ring_identities_sit_at_the_case_one_factors(golden, slopes, identities):
+    """An s factor of odd slope denominator carries one identity, whose c times pi^(-m deg c) is that factor."""
+    doc = json.loads((GOLDEN / f"{golden}.json").read_text(encoding="utf-8"))
+    ctx = PadicContext(3)
+    assert [str(newton_polygon(parse_poly(s, ctx)).single_edge().slope) for s in doc["result"]["s_factors"]] == slopes
+    found = [a for a in doc["assertions"] if a["kind"] == "construct-identity"]
+    assert len(found) == identities and verify_certificate(doc) == (True, [])
+    if identities:
+        c = parse_poly(found[0]["c"], ctx)
+        m = Fraction(found[0]["pi_exponent"], found[0]["e"])
+        assert (c * ctx.uniformizer ** int(-m * c.degree)).to_text() == doc["result"]["s_factors"][0]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda assertions: [a for a in assertions if a["kind"] != "construct-identity"],
+    lambda assertions: [{"kind": "construct-identity", "a": "1", "b": "1", "q": "0", "r": "1", "c": "1", "h": "0",
+                         "e": 1, "pi_exponent": 0} if a["kind"] == "construct-identity" else a for a in assertions],
+    lambda assertions: assertions + [a for a in assertions if a["kind"] == "construct-identity"],
+], ids=["removed", "replaced", "doubled"])
+def test_ring_identities_are_tied_to_s(edit, tmp_path, capsys):
+    """An identity that is removed, or true but about no factor of s, or repeated, is rejected."""
+    doc = json.loads((GOLDEN / "construct-s-case-one.json").read_text(encoding="utf-8"))
+    doc["assertions"] = edit(doc["assertions"])
+    ok, problems = verify_certificate(doc)
+    assert not ok and problems == ["result: not derivable from the assertions:"
+                                   " the ring identities are not one per case-one factor of s, at that factor"]
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    capsys.readouterr()

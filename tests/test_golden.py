@@ -75,9 +75,10 @@ def test_construct_goldens_do_not_depend_on_the_ben_or_memo(capsys):
             assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
-# wrongly typed stand-ins for any field, which a verifier must reject, never crash on:
-# one per JSON type, plus a negative number; each more costs tier-1 about a second
-MUTANTS = [None, -1, 2.5, "x", [1], {}]
+# wrongly typed stand-ins for any field, which a verifier must reject, never crash on: one per
+# JSON type, plus a negative number and true, which an echoed input must not let pass for 1;
+# each more costs tier-1 about a second
+MUTANTS = [None, -1, 2.5, "x", [1], {}, True]
 
 # the fields no assertion determines, so verify accepts any value there: (command, path) -> why
 INERT = {
@@ -121,3 +122,14 @@ def test_golden_field_mutations_never_crash_the_verifier(path, tmp_path, capsys)
                 assert main(["verify", str(mutated)]) in (0, 1), (slot, value)
         node[key] = original
     capsys.readouterr()
+
+
+def test_golden_assertions_reject_an_unknown_key():
+    """An assertion is its inputs and what its builder computes from them, so an extra key is a difference."""
+    for path in sorted(GOLDEN.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for k, a in enumerate(doc["assertions"]):
+            a["note"] = "x"
+            ok, problems = verify_certificate(doc)
+            assert not ok and f"assertion {k} ({a['kind']}).note: recorded \"x\", derived (absent)" in problems
+            del a["note"]

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from padicforms import (
+    ConditionFailed,
     PadicContext,
     PadicPolynomial,
     PreconditionFailed,
@@ -22,7 +23,7 @@ from padicforms import (
     newton_polygon,
     slope_factorization,
 )
-from padicforms.certificates import _VERIFIERS
+from padicforms.certificates import assertion
 from padicforms.extensions import LocalFieldElement
 from padicforms.newton import _output_precision, min_coefficient_valuation
 from padicforms.quadform import residue_field
@@ -136,17 +137,18 @@ def test_hensel_ball_at_the_reported_precision():
     """x^2 - 68 from 2 at p = 2: at digits 0 the root 2 sqrt(17) is reported mod 2, as 0.
 
     v(0 - 2) = 1 does not exceed v(f'(2)) = 2, but 0 and 2 agree to the one digit reported,
-    so the lift returns 0 and the verifier accepts it.
+    so the lift returns 0 and the hensel assertion's builder accepts it.
     """
     ctx = PadicContext(2)
     f = poly([-68, 0, 1], ctx)
     assert [hensel_lift(f, 2, digits).approximate_root for digits in range(4)] == [0, 2, 2, 2]
     for digits in range(4):
         root = hensel_lift(f, 2, digits).approximate_root
-        assertion = {"poly": f.to_text(), "start": "2", "root": str(root), "digits": digits}
-        assert _VERIFIERS["hensel"](assertion, ctx) == []
+        inputs = {"poly": f.to_text(), "start": "2", "root": str(root), "digits": digits}
+        assert assertion("hensel", ctx, **inputs) == {"kind": "hensel", **inputs}
     # -2 is the other root, -2 sqrt(17), to 3 digits: outside the ball around 2
-    assert _VERIFIERS["hensel"]({**assertion, "root": "-2"}, ctx) != []
+    with pytest.raises(ConditionFailed, match="left the Hensel ball"):
+        assertion("hensel", ctx, **{**inputs, "root": "-2"})
 
 
 def test_one_inverse_per_hensel_lift(monkeypatch):
