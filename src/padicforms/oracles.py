@@ -4,9 +4,15 @@ These deliberately share no code with the Hilbert-symbol formulas: a
 diagonal form with entries of valuation 0 or 1 has a nontrivial zero over
 Q_p iff it has a primitive zero modulo p^M once M >= v(4) + 3.  Residue
 solutions at such a modulus always carry one coordinate with Hensel
-slack, so the search is conclusive in both directions.  Value sets are
-composed entry by entry with a primitivity flag, which keeps the search
-polynomial in p^M instead of exponential in the dimension.
+slack, so the search is conclusive in both directions.
+
+A set of residues modulo q = p^M is a q-bit integer, bit r set when r is
+in it.  Each entry a gives two masks, of its values a x^2 over all x and
+over units x; the masks of the residues reached by the first k entries,
+with and without a unit coordinate, compose entry by entry.  A sumset
+{r + s mod q} is one shift of one mask per set bit of the sparser mask,
+folded once modulo q, so the search stays polynomial in p^M instead of
+exponential in the dimension.
 """
 
 from __future__ import annotations
@@ -14,12 +20,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConditionFailed, PreconditionFailed
-from .padics import PadicContext, vp_rational
+from .padics import PadicContext, unit_split, vp_rational
 
 
 # largest modulus p^(v(4)+3) that the CLI and the verifier cross-check by
-# residue search, so p <= 7: the search's cost grows like the cube of the
-# modulus, and a 4-dimensional form already takes seconds at p = 17
+# residue search, so p <= 7.  A 4-dimensional form takes 0.04-0.05 ms at
+# p = 3, 0.3-0.4 ms at p = 7, 1.2-1.9 ms at p = 11 and 0.2-0.3 s at p = 31
+# (one core of a shared 2-core x86 machine).  The budget stays at 7^3 because
+# it decides which certificates carry "oracle" and "oracle_witness"
 CROSS_CHECK_BUDGET = 7 ** 3
 
 
@@ -34,13 +42,28 @@ def within_budget(ctx: PadicContext) -> bool:
 
 
 def normalize_entry(a, ctx: PadicContext) -> int:
-    """Integer in the square class of a with valuation in {0, 1}."""
+    """Integer in the square class of a with valuation in {0, 1}: p^(v mod 2) u w for a = p^v u / w."""
     a = Fraction(a)
     if a == 0:
         raise PreconditionFailed("form entries must be nonzero")
-    v = ctx.vp(a)
-    a = a / Fraction(ctx.p) ** (2 * (v // 2))
-    return a.numerator * a.denominator
+    v, u, w = unit_split(a.numerator, a.denominator, ctx.p)
+    return ctx.p ** (v % 2) * u * w
+
+
+def _mask(residues) -> int:
+    return sum(1 << r for r in set(residues))
+
+
+def _sumset(s: int, t: int, q: int) -> int:
+    """The mask of {r + u mod q} for r in mask s and u in mask t."""
+    if s.bit_count() > t.bit_count():
+        s, t = t, s
+    out = 0
+    while s:
+        low = s & -s
+        out |= t << low.bit_length() - 1
+        s ^= low
+    return (out | out >> q) & ((1 << q) - 1)
 
 
 def isotropic_by_search(entries, ctx: PadicContext, modulus_exp: int | None = None):
@@ -54,68 +77,54 @@ def isotropic_by_search(entries, ctx: PadicContext, modulus_exp: int | None = No
     m = modulus_exp if modulus_exp is not None else conclusive_exponent(ctx)
     if m < conclusive_exponent(ctx):
         raise PreconditionFailed(f"modulus exponent {m} is not conclusive")
-    q = ctx.p ** m
-    norm = [normalize_entry(a, ctx) % q for a in entries]
+    p, q = ctx.p, ctx.p ** m
+    norm = [normalize_entry(a, ctx) for a in entries]
+    # x and q - x have the same square and are units together
+    unit_squares = {x * x % q for x in range(q // 2 + 1) if x % p}
+    nonunit_squares = {x * x % q for x in range(0, q // 2 + 1, p)}
 
-    per_any, per_unit = [], []
+    reach_any, reach_prim = [1], [0]
     for a in norm:
-        vals_any, vals_unit = set(), set()
-        for x in range(q):
-            v = a * x * x % q
-            vals_any.add(v)
-            if x % ctx.p:
-                vals_unit.add(v)
-        per_any.append(vals_any)
-        per_unit.append(vals_unit)
+        unit = _mask(a * s % q for s in unit_squares)
+        values = unit | _mask(a * s % q for s in nonunit_squares)
+        reach_prim.append(_sumset(reach_prim[-1], values, q) | _sumset(reach_any[-1], unit, q))
+        reach_any.append(_sumset(reach_any[-1], values, q))
 
-    reach_any = [{0}]
-    reach_prim = [set()]
-    for k in range(len(norm)):
-        nxt_any = {(r + s) % q for r in reach_any[k] for s in per_any[k]}
-        nxt_prim = {(r + s) % q for r in reach_prim[k] for s in per_any[k]}
-        nxt_prim |= {(r + s) % q for r in reach_any[k] for s in per_unit[k]}
-        reach_any.append(nxt_any)
-        reach_prim.append(nxt_prim)
-
-    if 0 not in reach_prim[-1]:
+    if not reach_prim[-1] & 1:
         return False, None
 
-    solution = _recover(norm, q, ctx.p, reach_any, reach_prim, per_any, per_unit)
-    witness = _slack_witness(entries, solution, ctx, m)
-    return True, witness
+    solution = _recover([a % q for a in norm], q, p, reach_any, reach_prim)
+    return True, _slack_witness(norm, solution, p, m)
 
 
-def _recover(norm, q, p, reach_any, reach_prim, per_any, per_unit):
-    """Backtrack a primitive residue solution from the reachability sets."""
+def _recover(norm, q, p, reach_any, reach_prim):
+    """Backtrack a primitive residue solution from the reachability masks."""
     n = len(norm)
     target, need_unit = 0, True
     xs = [0] * n
     for k in range(n - 1, -1, -1):
         a = norm[k]
-        found = False
         for x in range(q):
             rest = (target - a * x * x) % q
             still_need = need_unit and x % p == 0
             pool = reach_prim[k] if still_need else reach_any[k]
-            if rest in pool:
-                xs[k], target, need_unit, found = x, rest, still_need, True
+            if pool >> rest & 1:
+                xs[k], target, need_unit = x, rest, still_need
                 break
-        if not found:  # pragma: no cover - reachability guarantees recovery
-            raise AssertionError("witness recovery failed")
+        else:  # pragma: no cover - reachability guarantees recovery
+            raise ConditionFailed("witness recovery failed")
     if target != 0 or need_unit:
         raise ConditionFailed("search target left unmet")
     return xs
 
 
-def _slack_witness(entries, xs, ctx: PadicContext, m: int):
-    p = ctx.p
-    norm = [Fraction(normalize_entry(a, ctx)) for a in entries]
+def _slack_witness(norm, xs, p: int, m: int):
     value = sum(a * x * x for a, x in zip(norm, xs))
     res_v = vp_rational(value, p)
     best = None
     for k, (a, x) in enumerate(zip(norm, xs)):
         if x % p:
-            grad_v = ctx.vp(2 * a * x)
+            grad_v = vp_rational(2 * a * x, p)
             if res_v > 2 * grad_v and (best is None or grad_v < best[1]):
                 best = (k, grad_v)
     return {

@@ -302,3 +302,18 @@ def test_scalar_input_kinds_agree(prime, minimal_poly, values):
         for y in values:
             got = [answers(kind, x, y) for kind in kinds]
             assert got[0] == got[1] == got[2], (x, y, got)
+
+
+def test_cliff_oracle_at_p31():
+    """The residue search at p = 31 (q = 29,791) decides both verdicts and agrees with the criterion."""
+    ctx = PadicContext(31)
+    nonresidue = Fraction(ctx.least_nonresidue())
+    # (nonresidue, 31)_31 = -1, so <1, -u, -31, 31 u> is the division algebra's norm form
+    for entries, want in (([1, -nonresidue, -31, 31 * nonresidue], False), ([1, -1, 31, nonresidue], True)):
+        entries = [Fraction(e) for e in entries]
+        verdict, witness = isotropic_by_search(entries, ctx)
+        assert verdict is want is isotropic_over_local(DiagonalForm.make(entries, ctx))
+        if want:
+            assert witness["modulus_exponent"] == 3 and witness["slack_coordinate"] is not None
+            xs, norm = witness["solution"], [int(a) for a in witness["normalized_entries"]]
+            assert sum(a * x * x for a, x in zip(norm, xs)) % 31 ** 3 == 0
