@@ -22,31 +22,12 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .construct import WITT_NOTES, certify_factor, degenerate_note, leading_unit
+import padicforms
+
 from .errors import ConditionFailed, NotCoprime, OddVertex, PadicFormsError, PreconditionFailed
-from .h10 import (
-    ANISOTROPY_NOTE,
-    WITNESS_NOTE,
-    anisotropy_at_t,
-    build_f,
-    build_h,
-    run_predicate_corpus,
-    strip_t,
-    witness_g,
-)
-from .newton import min_coefficient_valuation, newton_polygon
-from .oracles import isotropic_by_search, within_budget
 from .padics import PadicContext, hilbert_symbol_qp, square_class_rational, vp_int
 from .parsing import check_exponent, parse_poly, parse_rational_function
 from .polynomials import PadicPolynomial, RationalFunction
-from .quadform import DiagonalForm, i2_class, isotropic_over_local, pfister_residue_test
-from .reciprocity import (
-    certify_modulus,
-    check_multiplicativity,
-    check_reciprocity,
-    legendre_symbol,
-    run_law_corpus,
-)
 
 SCHEMA = "padic-forms/1"
 # text -> polynomial: the one parse of each polynomial text of the document being handled,
@@ -131,12 +112,13 @@ def _hilbert(ctx, a, b):
 
 
 def _legendre(ctx, p, q):
-    return {"value": legendre_symbol(_parse(p, ctx), _parse(q, ctx), ctx)}
+    return {"value": padicforms.reciprocity.legendre_symbol(_parse(p, ctx), _parse(q, ctx), ctx)}
 
 
-# the laws check-mult and check-recip check, with the polynomials each reads
-_LAWS = {"multiplicativity": (check_multiplicativity, ("p", "r", "q")),
-         "reciprocity": (check_reciprocity, ("p", "q"))}
+# the laws check-mult and check-recip check: the reciprocity function that checks each, and the
+# polynomials it reads
+_LAWS = {"multiplicativity": ("check_multiplicativity", ("p", "r", "q")),
+         "reciprocity": ("check_reciprocity", ("p", "q"))}
 
 
 def _law(ctx, law, inputs):
@@ -144,7 +126,7 @@ def _law(ctx, law, inputs):
     if law not in _LAWS:
         raise ValueError(f"unknown law {law!r}")
     check, names = _LAWS[law]
-    res = check(*[_parse(inputs[n], ctx) for n in names], ctx)
+    res = getattr(padicforms.reciprocity, check)(*[_parse(inputs[n], ctx) for n in names], ctx)
     return {"inputs": res.inputs, "values": res.values, "holds": res.holds}
 
 
@@ -153,13 +135,13 @@ def _square_class(ctx, x):
 
 
 def _newton(ctx, poly):
-    polygon = newton_polygon(_parse(poly, ctx))
+    polygon = padicforms.newton.newton_polygon(_parse(poly, ctx))
     return {"vertices": [[i, rat_str(v)] for i, v in polygon.vertices],
             "slopes": [rat_str(e.slope) for e in polygon.edges]}
 
 
 def _even_vertices(ctx, poly):
-    polygon = newton_polygon(_parse(poly, ctx))
+    polygon = padicforms.newton.newton_polygon(_parse(poly, ctx))
     if not polygon.all_vertices_even():
         raise OddVertex(f"polygon of {poly} has odd-degree vertices {polygon.odd_vertices()}")
     return {}
@@ -172,10 +154,10 @@ def _slope_factorization(ctx, poly, unit, digits, factors):
     for text, slope in factors:
         factor = _parse(text, ctx)
         product = product * factor
-        edge = rat_str(newton_polygon(factor).single_edge().slope)
+        edge = rat_str(padicforms.newton.newton_polygon(factor).single_edge().slope)
         if edge != slope:
             raise ConditionFailed(f"factor {text} has slope {edge}, not {slope!r}")
-    residual = min_coefficient_valuation(product - _parse(poly, ctx))
+    residual = padicforms.newton.min_coefficient_valuation(product - _parse(poly, ctx))
     if not residual > digits:
         raise ConditionFailed(f"product residual valuation {residual} is not above {digits}")
     return {}
@@ -217,20 +199,21 @@ def _symbol_condition(ctx, name, p, q, rhs, p2=None, q2=None):
     """<p/q> against rhs: rhs is <p2/q2> when they are given, else a constant that <p/q> must equal."""
     if name not in _CONDITIONS:
         raise ValueError(f"unknown condition {name!r}")
-    lhs = legendre_symbol(_parse(p, ctx), _parse(q, ctx), ctx)
-    value = lhs if p2 is q2 is None else legendre_symbol(_parse(p2, ctx), _parse(q2, ctx), ctx)
+    lhs = padicforms.reciprocity.legendre_symbol(_parse(p, ctx), _parse(q, ctx), ctx)
+    value = lhs if p2 is q2 is None else padicforms.reciprocity.legendre_symbol(
+        _parse(p2, ctx), _parse(q2, ctx), ctx)
     if not _same(value, rhs):
         raise ConditionFailed(f"condition {name}: the right-hand side is {value}, not {rhs!r}")
     return {"lhs": lhs, "holds": lhs == rhs}
 
 
 def _residue_test(ctx, x, y, place):
-    test = pfister_residue_test(_parse(x, ctx), _parse(y, ctx), _parse(place, ctx), ctx)
+    test = padicforms.quadform.pfister_residue_test(_parse(x, ctx), _parse(y, ctx), _parse(place, ctx), ctx)
     return {"symbol": test.symbol_value, "is_zero": test.is_zero}
 
 
 def _gamma_valid(ctx, gamma):
-    if i2_class(parse_rat(gamma), ctx) != -1:
+    if padicforms.quadform.i2_class(parse_rat(gamma), ctx) != -1:
         raise ConditionFailed(f"gamma {gamma} does not give an anisotropic binary Pfister form")
     return {}
 
@@ -238,15 +221,15 @@ def _gamma_valid(ctx, gamma):
 def _predicate_witness(ctx, x, c):
     """The polynomial g that x and c give, whose polygon has only even vertices."""
     value = parse_rat(c)
-    report = build_f(parse_rational_function(x, ctx), value, ctx)
-    g = witness_g(*strip_t(report.h_num, report.h_den), value)
-    if not newton_polygon(g).all_vertices_even():
+    report = padicforms.h10.build_f(parse_rational_function(x, ctx), value, ctx)
+    g = padicforms.h10.witness_g(*padicforms.h10.strip_t(report.h_num, report.h_den), value)
+    if not padicforms.newton.newton_polygon(g).all_vertices_even():
         raise OddVertex(f"the witness c = {c} does not give an all-even polygon")
     return {"g": g.to_text()}
 
 
 def _anisotropy_at_t(ctx, f, gamma):
-    res = anisotropy_at_t(parse_rational_function(f, ctx), parse_rat(gamma), ctx)
+    res = padicforms.h10.anisotropy_at_t(parse_rational_function(f, ctx), parse_rat(gamma), ctx)
     return {"v_t_f": res.v_t_f, "leading_coefficient": rat_str(res.leading_coefficient),
             "anisotropic_form": res.anisotropic_form}
 
@@ -260,11 +243,12 @@ def _elliptic_point(ctx, y, x, digits):
 def _isotropy_local(ctx, entries):
     if not isinstance(entries, list) or not entries:
         raise ValueError("isotropy-local entries must be a non-empty list")
-    return {"isotropic": isotropic_over_local(DiagonalForm.make([parse_rat(e) for e in entries], ctx))}
+    form = padicforms.quadform.DiagonalForm.make([parse_rat(e) for e in entries], ctx)
+    return {"isotropic": padicforms.quadform.isotropic_over_local(form)}
 
 
 def _irreducible(ctx, poly):
-    certify_factor(_parse(poly, ctx))
+    padicforms.construct.certify_factor(_parse(poly, ctx))
     return {}
 
 
@@ -342,12 +326,14 @@ def _one(assertions, kind):
 @functools.lru_cache(maxsize=1)
 def corpus_summary(ctx: PadicContext, law: str, cases: int, seed: int) -> dict:
     """A seeded corpus run, once for a document's assertion and its result (see _per_document)."""
-    return run_predicate_corpus(ctx, cases, seed) if law == "predicate" else run_law_corpus(ctx, law, cases, seed)
+    if law == "predicate":
+        return padicforms.h10.run_predicate_corpus(ctx, cases, seed)
+    return padicforms.reciprocity.run_law_corpus(ctx, law, cases, seed)
 
 
 def _r_newton(assertions, ctx, seed):
     poly = _parse(_one(assertions, "newton-polygon")["poly"], ctx)
-    polygon = newton_polygon(poly)
+    polygon = padicforms.newton.newton_polygon(poly)
     return {
         "poly": poly.to_text(),
         "points": [[i, rat_str(v)] for i, v in polygon.points],
@@ -373,7 +359,8 @@ def _r_hilbert(assertions, ctx, seed):
     """The CLI cross-checks the value by residue search within the budget, so the oracle is the value."""
     a = _one(assertions, "hilbert-base")
     value = a["value"]
-    return {"a": a["a"], "b": a["b"], "value": value, "oracle": value if within_budget(ctx) else _SKIPPED}
+    return {"a": a["a"], "b": a["b"], "value": value,
+            "oracle": value if padicforms.oracles.within_budget(ctx) else _SKIPPED}
 
 
 def _r_symbol(assertions, ctx, seed):
@@ -381,7 +368,7 @@ def _r_symbol(assertions, ctx, seed):
     if [_one(assertions, "irreducible-certified"), _one(assertions, "coprime")] != [
             {"kind": "irreducible-certified", "poly": a["q"]}, {"kind": "coprime", "f": a["p"], "g": a["q"]}]:
         raise ValueError("the irreducible and coprime assertions are not about the symbol's q and p")
-    field, evidence = certify_modulus(_parse(a["q"], ctx), ctx)
+    field, evidence = padicforms.reciprocity.certify_modulus(_parse(a["q"], ctx), ctx)
     result = {"p": a["p"], "q": a["q"], "value": a["value"], "modulus_evidence": evidence}
     if field.is_extension:
         result["field"] = {"ramification_index": field.ramification_index, "residue_degree": field.residue_degree,
@@ -402,8 +389,8 @@ def _r_isotropy(assertions, ctx, seed):
     """The residue-search cross-check runs here, once for the CLI and once for ``verify``."""
     a = _one(assertions, "isotropy-local")
     verdict, witness = a["isotropic"], _SKIPPED
-    if within_budget(ctx):
-        oracle, witness = isotropic_by_search([parse_rat(e) for e in a["entries"]], ctx)
+    if padicforms.oracles.within_budget(ctx):
+        oracle, witness = padicforms.oracles.isotropic_by_search([parse_rat(e) for e in a["entries"]], ctx)
         if oracle != verdict:
             raise PadicFormsError(f"criterion {verdict} disagrees with search oracle {oracle}")
     return {"entries": a["entries"], "isotropic": verdict, "oracle_witness": witness}
@@ -422,7 +409,7 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     """
     gamma, g = parse_rat(gamma), _parse(g, ctx)
     result = {"gamma": rat_str(gamma), "g": g.to_text()}
-    note = degenerate_note(gamma, g, ctx)
+    note = padicforms.construct.degenerate_note(gamma, g, ctx)
     if note is not None:
         if assertions:
             raise ValueError("a corollary that g or gamma decides carries no assertion")
@@ -430,7 +417,7 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     s_texts = [a["f"] for a in assertions if a["kind"] == "coprime"]
     g_texts = [a["poly"] for a in assertions if a["kind"] == "irreducible-certified" and a["poly"] not in s_texts]
     s_factors = [_parse(text, ctx) for text in s_texts]
-    epsilon, t = leading_unit(g, ctx), PadicPolynomial.x(ctx)
+    epsilon, t = padicforms.construct.leading_unit(g, ctx), PadicPolynomial.x(ctx)
     s = math.prod(s_factors, start=PadicPolynomial.from_rationals([epsilon], ctx))
     g0 = math.prod((_parse(text, ctx) for text in g_texts), start=PadicPolynomial.one(ctx))
     g_norm = g0 * epsilon
@@ -482,8 +469,8 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     if [(a["x"], a["y"], a["place"]) for a in tests] != places:
         raise ValueError("the residue tests are not the two Pfister forms' at their places")
     isotropic = all(a["is_zero"] is True for a in tests)
-    return {**result, "isotropic": isotropic, "note": WITT_NOTES[isotropic], "s": s.to_text(),
-            "s_factors": s_texts, "g_factors": g_texts, "epsilon": rat_str(epsilon),
+    return {**result, "isotropic": isotropic, "note": padicforms.construct.WITT_NOTES[isotropic],
+            "s": s.to_text(), "s_factors": s_texts, "g_factors": g_texts, "epsilon": rat_str(epsilon),
             "metrics": {"deg_s": s.degree, "factor_count": len(s_texts), "samples": samples, "seed": seed}}
 
 
@@ -497,11 +484,11 @@ def _r_predicate(assertions, ctx, seed, x):
         a = _one(assertions, "predicate-witness")
         if a["x"] != result["x"] or any(a["kind"] == "anisotropy-at-t" for a in assertions):
             raise ValueError("the witness is not about x, or the document also carries the anisotropy")
-        return {**result, "verdict": True, "note": WITNESS_NOTE, "witness_c": a["c"]}
+        return {**result, "verdict": True, "note": padicforms.h10.WITNESS_NOTE, "witness_c": a["c"]}
     a = _one(assertions, "anisotropy-at-t")
-    if a["f"] != RationalFunction(*build_h(x)).to_text() or a["gamma"] != result["gamma"]:
+    if a["f"] != RationalFunction(*padicforms.h10.build_h(x)).to_text() or a["gamma"] != result["gamma"]:
         raise ValueError("the anisotropy is not about the h that x gives, or not at the document's gamma")
-    return {**result, "verdict": False, "note": ANISOTROPY_NOTE.format(a["anisotropic_form"])}
+    return {**result, "verdict": False, "note": padicforms.h10.ANISOTROPY_NOTE.format(a["anisotropic_form"])}
 
 
 def elliptic_cubic(y: Fraction) -> str:

@@ -17,16 +17,13 @@ import argparse
 import sys
 from fractions import Fraction
 
+import padicforms
+
 from . import certificates as cert
-from .construct import corollary_isotropy
 from .errors import PadicFormsError, ParseError, PreconditionFailed
-from .h10 import elliptic_constant_point, predicate_vt_nonneg
-from .newton import slope_factorization
-from .oracles import hilbert_by_search, within_budget
 from .padics import PadicContext
-from .parsing import parse_poly, parse_rational_function, parse_rational_scalar
+from .parsing import LAWS, parse_poly, parse_rational_function, parse_rational_scalar
 from .polynomials import PadicPolynomial, RationalFunction
-from .reciprocity import LAWS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +85,7 @@ def _cmd_newton(args):
 def _cmd_slopes(args):
     ctx = _context(args)
     poly = parse_poly(args.poly, ctx)
-    fac = slope_factorization(poly, args.digits)
+    fac = padicforms.newton.slope_factorization(poly, args.digits)
     claim = cert.assertion("slope-factorization", ctx, poly=poly.to_text(), unit=cert.rat_str(fac.unit),
                            digits=args.digits, factors=[[f.poly.to_text(), cert.rat_str(f.slope)] for f in fac.factors])
     human = [f"slope factorization of {claim['poly']} (residual digits > {args.digits}):"]
@@ -112,8 +109,8 @@ def _cmd_hilbert(args):
     b = parse_rational_scalar(args.b, ctx)
     claim = cert.assertion("hilbert-base", ctx, a=cert.rat_str(a), b=cert.rat_str(b))
     value = claim["value"]
-    if within_budget(ctx):
-        oracle = hilbert_by_search(a, b, ctx)
+    if padicforms.oracles.within_budget(ctx):
+        oracle = padicforms.oracles.hilbert_by_search(a, b, ctx)
         if value != oracle:
             raise PadicFormsError(f"formula {value} disagrees with search oracle {oracle}")
     _emit(args, "hilbert", ctx, [claim], [f"({a}, {b})_{ctx.p} = {value:+d}"])
@@ -186,7 +183,7 @@ def _cmd_construct_s(args):
     factors = None
     if args.factors:
         factors = [parse_poly(t, ctx) for t in args.factors.split(";")]
-    cor = corollary_isotropy(gamma, g, ctx, seed=args.seed, factors=factors)
+    cor = padicforms.construct.corollary_isotropy(gamma, g, ctx, seed=args.seed, factors=factors)
     human = [f"gamma = {gamma}, g = {g.to_text()}: {cor.note}"]
     assertions = []
     samples = None
@@ -206,7 +203,7 @@ def _cmd_predicate(args):
     ctx = _context(args)
     x = parse_rational_function(args.x, ctx)
     gamma = parse_rational_scalar(args.gamma, ctx) if args.gamma else None
-    verdict, pcert = predicate_vt_nonneg(x, ctx, gamma=gamma, seed=args.seed)
+    verdict, pcert = padicforms.h10.predicate_vt_nonneg(x, ctx, gamma=gamma, seed=args.seed)
     gamma = cert.rat_str(pcert.gamma)
     claims = [cert.assertion("gamma-valid", ctx, gamma=gamma)]
     human = [f"v_t({x.to_text()}) >= 0: {verdict}"]
@@ -225,7 +222,7 @@ def _cmd_predicate(args):
 def _cmd_elliptic(args):
     ctx = _context(args)
     y = parse_rational_scalar(args.y, ctx)
-    x, witness = elliptic_constant_point(y, ctx, args.digits)
+    x, witness = padicforms.h10.elliptic_constant_point(y, ctx, args.digits)
     root = cert.rat_str(Fraction(x))
     claims = [cert.assertion("elliptic-point", ctx, y=cert.rat_str(y), x=root, digits=witness.digits),
               cert.assertion("hensel", ctx, poly=cert.elliptic_cubic(y), start="0/1", root=root,
@@ -245,7 +242,11 @@ def _cmd_corpus(args):
 
 
 def _cmd_verify(args):
-    ok, problems = cert.verify_certificate_file(args.file)
+    try:
+        ok, problems = cert.verify_certificate_file(args.file)
+    except OSError as exc:  # no document to reject: an input error, as a bad argument is
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if ok:
         print(f"{args.file}: certificate verifies")
         return 0

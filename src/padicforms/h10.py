@@ -25,6 +25,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import padicforms
+
 from .errors import (
     ConditionFailed,
     EvenValuation,
@@ -35,8 +37,6 @@ from .extensions import hensel_lift
 from .newton import NewtonPolygon, newton_polygon
 from .padics import INFINITY, PadicContext
 from .polynomials import PadicPolynomial, RationalFunction
-from .quadform import DiagonalForm, i2_class, isotropic_over_local
-from .reciprocity import check_case_count, random_poly
 
 
 def find_gamma(ctx: PadicContext) -> Fraction:
@@ -53,7 +53,7 @@ def find_gamma(ctx: PadicContext) -> Fraction:
 
 
 def validate_gamma(gamma, ctx: PadicContext) -> None:
-    if i2_class(Fraction(gamma), ctx) != -1:
+    if padicforms.quadform.i2_class(Fraction(gamma), ctx) != -1:
         raise PreconditionFailed(
             f"gamma = {gamma} does not make <1,pi><1,-gamma> anisotropic"
         )
@@ -170,18 +170,18 @@ def anisotropy_at_t(f: RationalFunction, gamma, ctx: PadicContext) -> Anisotropy
     fn = f.leading_coefficient_at_t()
     pi = ctx.uniformizer
 
-    phi1 = DiagonalForm.make([-1, -pi, -fn, -pi * fn], ctx)
-    phi2 = DiagonalForm.make([-1, -pi, -gamma * fn, -pi * gamma * fn], ctx)
-    phi1_nonzero = i2_class(-fn, ctx) == -1
-    phi2_nonzero = i2_class(-gamma * fn, ctx) == -1
+    phi1 = padicforms.quadform.DiagonalForm.make([-1, -pi, -fn, -pi * fn], ctx)
+    phi2 = padicforms.quadform.DiagonalForm.make([-1, -pi, -gamma * fn, -pi * gamma * fn], ctx)
+    phi1_nonzero = padicforms.quadform.i2_class(-fn, ctx) == -1
+    phi2_nonzero = padicforms.quadform.i2_class(-gamma * fn, ctx) == -1
     if not (phi1_nonzero or phi2_nonzero):
         raise ConditionFailed("difference class is zero")
     which = 1 if phi1_nonzero else 2
 
-    first_res = DiagonalForm.make([1, pi, -gamma, -pi * gamma], ctx)
+    first_res = padicforms.quadform.DiagonalForm.make([1, pi, -gamma, -pi * gamma], ctx)
     second_res = phi1 if which == 1 else phi2
-    first_aniso = not isotropic_over_local(first_res)
-    second_aniso = not isotropic_over_local(second_res)
+    first_aniso = not padicforms.quadform.isotropic_over_local(first_res)
+    second_aniso = not padicforms.quadform.isotropic_over_local(second_res)
     if not (first_aniso and second_aniso):
         raise ConditionFailed("a residue form is isotropic")
     return AnisotropyAtT(
@@ -254,13 +254,13 @@ def run_predicate_corpus(ctx: PadicContext, cases: int, seed: int) -> dict:
     all-even polygon, every false instance a c-independent residue
     certificate; any disagreement or missing certificate is a failure.
     """
-    check_case_count(cases)
+    padicforms.reciprocity.check_case_count(cases)
     rng = random.Random(seed)
     gamma = find_gamma(ctx)
     passes, failures = 0, []
     for k in range(cases):
-        num = random_poly(rng, ctx, 4)
-        den = random_poly(rng, ctx, 4)
+        num = padicforms.reciprocity.random_poly(rng, ctx, 4)
+        den = padicforms.reciprocity.random_poly(rng, ctx, 4)
         x = RationalFunction(num, den)
         direct = x.ord_t() is INFINITY or x.ord_t() >= 0
         verdict, cert = predicate_vt_nonneg(x, ctx, gamma=gamma)

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
+import padicforms
+
 from .errors import (
     BadDecomposition,
     ConditionFailed,
@@ -578,8 +580,6 @@ def square_class_at_root_one_edge(f, a, g, z, big_n, alpha):
     base field, or an extension square-class tag).  The zero polynomial is
     allowed for g; its degree is treated as 0 in the shape arithmetic.
     """
-    from .extensions import square_class  # late import to avoid a cycle
-
     field = f.field
     if f.degree % 2:
         raise BadDecomposition("f must have even degree")
@@ -608,7 +608,7 @@ def square_class_at_root_one_edge(f, a, g, z, big_n, alpha):
     value = side.evaluate(alpha)
     if point_field.is_zero(value):
         raise BadDecomposition("degenerate evaluation; preconditions violated")
-    return square_class(value, point_field)
+    return padicforms.extensions.square_class(value, point_field)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,9 @@ def check_exponent(k: int, position: int = 0) -> int:
     return k
 
 
+# the symbol laws that reciprocity.run_law_corpus checks: the CLI's corpus choices, with "predicate"
+LAWS = ("check-mult", "check-recip", "constant", "pi-invariance", "square-criterion")
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|(\S))")
 
 

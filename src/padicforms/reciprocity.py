@@ -22,6 +22,7 @@ from fractions import Fraction
 from .errors import NotCoprime, NotIrreducible, PadicFormsError, PreconditionFailed
 from .extensions import is_square
 from .padics import PadicContext
+from .parsing import LAWS
 from .polynomials import PadicPolynomial
 from .quadform import at_place, i2_class, residue_field
 
@@ -228,9 +229,6 @@ def random_coprime_poly(rng, ctx, q: PadicPolynomial, max_deg: int = 3) -> Padic
             return p
     raise PreconditionFailed("could not sample a coprime polynomial")
 
-
-# the symbol laws that run_law_corpus checks
-LAWS = ("check-mult", "check-recip", "constant", "pi-invariance", "square-criterion")
 
 # verify reruns every corpus a certificate names, at about 0.35 ms a case,
 # so every case count read from a command line or a certificate is capped

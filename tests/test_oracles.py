@@ -1,8 +1,9 @@
-"""The residue-search oracle and the Q_p commands against perfbench/checks.py.
+"""The residue-search oracle and the Q_p and Q_p[t] commands against perfbench/checks.py.
 
 ``checks.py`` is the benchmark's independent arithmetic: it imports nothing
-from padicforms, decides the Hilbert symbol by its own residue search and
-4-dimensional isotropy through the quaternion norm form.  It is loaded by
+from padicforms, decides the Hilbert symbol by its own residue search,
+4-dimensional isotropy through the quaternion norm form, and Newton slopes
+by its own lower hull.  It is loaded by
 path, so the test needs no package layout under ``perfbench/``.
 """
 
@@ -112,3 +113,38 @@ def test_qp_commands_against_checks(capsys, p):
         code, result = certified(capsys, "squareclass", p, str(a))
         representative = Fraction(result["representative"])
         assert code == 0 and checks.is_square_qp(a * representative, p), (p, a, representative)
+
+
+def random_poly_text(rng, p):
+    """A polynomial of degree 1-5 whose nonzero coefficients have p-adic valuation 0-4."""
+    terms = []
+    for i in range(rng.randint(1, 5), -1, -1):
+        if i and rng.random() < 0.25 and terms:
+            continue
+        c = rng.randint(1, 40) * p ** rng.randint(0, 4)
+        terms.append(f"{rng.choice('+-')} {c}*t^{i}")
+    return " ".join(terms)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_qp_t_commands_against_checks(capsys, p):
+    """newton's edges and slopes's factors have the slopes checks.py finds, one each.
+
+    Each slopes factor has, by checks.py's hull, the one slope it records, and the
+    factors' degrees add up to the polynomial's.
+    """
+    rng = random.Random(2430 + p)
+    for _ in range(20):
+        text = random_poly_text(rng, p)
+        coeffs = checks.parse_poly_text(text)
+        want = checks.newton_slopes(coeffs, p)
+        code, result = certified(capsys, "newton", p, text)
+        assert code == 0 and [Fraction(e["slope"]) for e in result["edges"]] == want, (p, text)
+
+        code = main(["slopes", "--prime", str(p), "--json", "--digits", "20", "--", text])
+        factors = json.loads(capsys.readouterr().out)["result"]["factors"]
+        slopes = [Fraction(f["slope"]) for f in factors]
+        assert code == 0 and sorted(slopes) == want, (p, text)
+        for f, slope in zip(factors, slopes):
+            assert checks.newton_slopes(checks.parse_poly_text(f["poly"]), p) == [slope], (p, text, f)
+        assert sum(f["degree"] for f in factors) == len(coeffs) - 1, (p, text)
