@@ -385,14 +385,23 @@ def _r_law(law):
     return derive
 
 
-def _r_isotropy(assertions, ctx, seed):
-    """The residue-search cross-check runs here, once for the CLI and once for ``verify``."""
+def _r_isotropy(assertions, ctx, seed, oracle_witness=None):
+    """The cross-check within the budget: a recorded isotropic witness is checked, else the residue search runs.
+
+    The CLI records no witness yet, so it searches; ``verify`` searches for an
+    anisotropic verdict only, and rebuilds a positive one's witness from its solution.
+    """
     a = _one(assertions, "isotropy-local")
     verdict, witness = a["isotropic"], _SKIPPED
     if padicforms.oracles.within_budget(ctx):
-        oracle, witness = padicforms.oracles.isotropic_by_search([parse_rat(e) for e in a["entries"]], ctx)
-        if oracle != verdict:
-            raise PadicFormsError(f"criterion {verdict} disagrees with search oracle {oracle}")
+        entries = [parse_rat(e) for e in a["entries"]]
+        solution = oracle_witness.get("solution") if isinstance(oracle_witness, dict) else None
+        if verdict is True and solution is not None:
+            witness = padicforms.oracles.checked_witness(entries, solution, ctx)
+        else:
+            oracle, witness = padicforms.oracles.isotropic_by_search(entries, ctx)
+            if oracle != verdict:
+                raise PadicFormsError(f"criterion {verdict} disagrees with search oracle {oracle}")
     return {"entries": a["entries"], "isotropic": verdict, "oracle_witness": witness}
 
 
@@ -402,8 +411,10 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     A constant g or a square gamma decides the corollary with no construction, and the
     document carries no assertion.  Otherwise the assertions must be those the CLI writes
     for the polynomials they name: s's factors are the coprime assertions' f, g's factors
-    the other certified irreducibles, and s = epsilon * prod(s's factors).  Each condition
-    family is at the result's polynomials, once per factor, each case-one factor of s has
+    the other certified irreducibles, and s = epsilon * prod(s's factors).  g's slope blocks
+    are its factors grouped by their one edge's slope, and each s factor's slope must be one
+    of theirs.  Each condition family is at the result's polynomials and blocks, once per
+    factor or pair of blocks, each case-one factor of s has
     its ring identity, and the residue tests are the two Pfister forms' at their places;
     the verdict is that every test vanishes.
     """
@@ -431,29 +442,45 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     if [a for a in assertions if a["kind"] in ("even-vertices", "irreducible-certified", "coprime")] != structure:
         raise ValueError("the certified polynomials are not g, its factors, and s's factors against t g")
 
+    def slope(f):  # f is certified irreducible, so it has one edge, of slope (v(a_d) - v(a_0)) / d
+        return Fraction(vp_int(f.num[-1], ctx.p) - vp_int(f.num[0], ctx.p), f.degree)
+
+    blocks = {}  # construct.prepare's slope blocks: g's factors grouped by slope
+    for q in g_texts:
+        blocks.setdefault(slope(_parse(q, ctx)), []).append(q)
+    slopes, s_products = sorted(blocks), dict.fromkeys(blocks, PadicPolynomial.one(ctx))
+    for sf in s_factors:
+        m = slope(sf)
+        if m not in blocks:
+            raise ValueError(f"s factor {sf.to_text()} has slope {m}, the slope of no factor of g")
+        s_products[m] = s_products[m] * sf
+    block_equality, product_property = [], []
+    for m in slopes:
+        s_m = s_products[m].to_text()
+        product = math.prod((_parse(q, ctx) for q in blocks[m]), start=PadicPolynomial.one(ctx))
+        cofactor = (t * (g_norm // product)).to_text()
+        block_equality += [(s_m, q, cofactor, q) for q in blocks[m]]
+        product_property += [(s_m, q, product.to_text(), q) for other in slopes if other != m for q in blocks[other]]
+
     t_text, c_text = t.to_text(), PadicPolynomial.from_rationals([gamma], ctx).to_text()
-    families = {  # the (p, q) of each condition in the order written; block-equality's p is not in the result
-        "sg-over-t": [((s * g_norm).to_text(), t_text)],
-        "ts-over-g-factor": [(ts.to_text(), q) for q in g_texts],
-        "minus-tg-over-s-factor": [((-tg).to_text(), q) for q in s_texts],
-        "gamma-over-s-factor": [(c_text, q) for q in s_texts],
-        "block-equality": [(None, q) for q in g_texts],
-        "t-value-equality": [(q, t_text) for q in s_texts],
+    families = {  # the (p, q, p2, q2) of each condition, in the order construct.verify_conditions writes them
+        "sg-over-t": [((s * g_norm).to_text(), t_text, None, None)],
+        "ts-over-g-factor": [(ts.to_text(), q, None, None) for q in g_texts],
+        "minus-tg-over-s-factor": [((-tg).to_text(), q, None, None) for q in s_texts],
+        "gamma-over-s-factor": [(c_text, q, None, None) for q in s_texts],
+        "block-equality": block_equality,
+        "t-value-equality": [(q, t_text, None, None) for q in s_texts],
+        "product-property": product_property,
     }
     conditions = [a for a in assertions if a["kind"] == "symbol-condition"]
     for name, expected in families.items():
-        found = [(None if name == "block-equality" else a["p"], a["q"]) for a in conditions if a["name"] == name]
-        if found != expected:
+        if [(a["p"], a["q"], a.get("p2"), a.get("q2")) for a in conditions if a["name"] == name] != expected:
             raise ValueError(f"the {name} conditions are not at the result's polynomials, one per factor")
-    if any(a["name"] == "product-property" and a["q"] not in g_texts for a in conditions):
-        raise ValueError("a product-property condition is at no factor of g")
     if any(a["name"] in _CONDITIONS[:4] and not (a["rhs"] == 1 and a["holds"]) for a in conditions):
         raise ValueError("a condition the construction needs does not hold with right-hand side 1")
-    # s's factors are certified irreducible, so each has one edge, of slope (v(a_d) - v(a_0)) / d.  One
-    # of odd denominator is case one (construct._case_one): c pi^(-m deg c) for its ring identity's c,
-    # with m = pi_exponent / e; case two has no identity
-    case_one = [sf for sf in s_factors
-                if Fraction(vp_int(sf.num[-1], ctx.p) - vp_int(sf.num[0], ctx.p), sf.degree).denominator % 2]
+    # a slope of odd denominator is case one (construct._case_one): c pi^(-m deg c) for its ring
+    # identity's c, with m = pi_exponent / e; case two has no identity
+    case_one = [sf for sf in s_factors if slope(sf).denominator % 2]
     scaled = []
     for a in (a for a in assertions if a["kind"] == "construct-identity"):
         c = _parse(a["c"], ctx)
@@ -525,7 +552,7 @@ _TABLE = {
     "symbol": _Command({"legendre", "irreducible-certified", "coprime"}, _r_symbol),
     "check-mult": _Command({"law"}, _r_law("multiplicativity")),
     "check-recip": _Command({"law"}, _r_law("reciprocity")),
-    "isotropy": _Command({"isotropy-local"}, _r_isotropy),
+    "isotropy": _Command({"isotropy-local"}, _r_isotropy, ("oracle_witness",)),
     "construct-s": _Command({"even-vertices", "irreducible-certified", "coprime", "construct-identity",
                              "symbol-condition", "residue-test"}, _r_construct_s,
                             ("gamma", "g", "metrics.samples")),

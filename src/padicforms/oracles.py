@@ -4,7 +4,9 @@ These deliberately share no code with the Hilbert-symbol formulas: a
 diagonal form with entries of valuation 0 or 1 has a nontrivial zero over
 Q_p iff it has a primitive zero modulo p^M once M >= v(4) + 3.  Residue
 solutions at such a modulus always carry one coordinate with Hensel
-slack, so the search is conclusive in both directions.
+slack, so the search is conclusive in both directions.  A positive verdict's
+witness is such a solution: :func:`checked_witness` checks one without
+searching, which is how ``verify`` reads an isotropic certificate.
 
 A set of residues modulo q = p^M is a q-bit integer, bit r set when r is
 in it.  Each entry a gives two masks, of its values a x^2 over all x and
@@ -23,11 +25,12 @@ from .errors import ConditionFailed, PreconditionFailed
 from .padics import PadicContext, unit_split, vp_rational
 
 
-# largest modulus p^(v(4)+3) that the CLI and the verifier cross-check by
-# residue search, so p <= 7.  A 4-dimensional form takes 0.04-0.05 ms at
-# p = 3, 0.3-0.4 ms at p = 7, 1.2-1.9 ms at p = 11 and 0.2-0.3 s at p = 31
-# (one core of a shared 2-core x86 machine).  The budget stays at 7^3 because
-# it decides which certificates carry "oracle" and "oracle_witness"
+# largest modulus p^(v(4)+3) that the CLI cross-checks by residue search, so
+# p <= 7; the verifier searches only for an anisotropic verdict, and checks a
+# positive one's witness.  A 4-dimensional form takes 0.04-0.05 ms at p = 3,
+# 0.3-0.4 ms at p = 7, 1.2-1.9 ms at p = 11 and 0.2-0.3 s at p = 31 (one core
+# of a shared 2-core x86 machine).  The budget stays at 7^3 because it decides
+# which certificates carry "oracle" and "oracle_witness"
 CROSS_CHECK_BUDGET = 7 ** 3
 
 
@@ -116,6 +119,27 @@ def _recover(norm, q, p, reach_any, reach_prim):
     if target != 0 or need_unit:
         raise ConditionFailed("search target left unmet")
     return xs
+
+
+def checked_witness(entries, solution, ctx: PadicContext):
+    """The witness of a positive verdict, rebuilt from its solution alone; raises unless it proves isotropy.
+
+    The solution must be a primitive zero modulo p^M, M = conclusive_exponent(ctx),
+    of the normalized form, with a unit coordinate carrying Hensel slack: Hensel's
+    lemma on that coordinate lifts it to a zero over Q_p, whichever zero it is.
+    """
+    p, m = ctx.p, conclusive_exponent(ctx)
+    q = p ** m
+    norm = [normalize_entry(a, ctx) for a in entries]
+    if type(solution) is not list or len(solution) != len(norm) or any(
+            type(x) is not int or not 0 <= x < q for x in solution):
+        raise ValueError(f"solution {solution!r} is not {len(norm)} residues modulo {q}")
+    if sum(a * x * x for a, x in zip(norm, solution)) % q or all(x % p == 0 for x in solution):
+        raise ConditionFailed(f"solution {solution} is not a primitive zero modulo {q}")
+    witness = _slack_witness(norm, solution, p, m)
+    if witness["slack_coordinate"] is None:
+        raise ConditionFailed(f"no coordinate of {solution} has Hensel slack")
+    return witness
 
 
 def _slack_witness(norm, xs, p: int, m: int):

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from padicforms import PadicContext, cli, newton_polygon, parse_poly, run_law_corpus
-from padicforms.certificates import COMMANDS, verify_certificate
+from padicforms import PadicContext, cli, legendre_symbol, newton_polygon, parse_poly, run_law_corpus
+from padicforms.certificates import COMMANDS, assertion, verify_certificate
 from padicforms.cli import main
 from padicforms.errors import PreconditionFailed
 from padicforms.reciprocity import MAX_CASES
@@ -645,3 +645,33 @@ def test_ring_identities_are_tied_to_s(edit, tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["verify", str(path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, field", [("block-equality", "p"), ("block-equality", "p2"),
+                                         ("product-property", "p"), ("product-property", "p2")])
+def test_block_conditions_sit_at_the_slope_blocks(name, field):
+    """A block condition's p or p2 moved to another factor of the document, its symbols recomputed, is rejected.
+
+    g's slope blocks are its factors grouped by slope, each with the s factors of its slope,
+    so the derivation rebuilds both polynomials of every block-equality and product-property.
+    """
+    doc = json.loads((GOLDEN / "construct-s-two-blocks.json").read_text(encoding="utf-8"))
+    ctx = PadicContext(3)
+    assert verify_certificate(doc) == (True, [])
+    texts = doc["result"]["g_factors"] + doc["result"]["s_factors"]
+    moved = 0
+    for k, a in enumerate(doc["assertions"]):
+        if a.get("name") != name:
+            continue
+        for text in texts:
+            if text in (a[field], a["q"]):
+                continue
+            inputs = {n: a[n] for n in ("name", "p", "q", "p2", "q2")} | {field: text}
+            inputs["rhs"] = legendre_symbol(parse_poly(inputs["p2"], ctx), parse_poly(inputs["q2"], ctx), ctx)
+            doc["assertions"][k] = assertion("symbol-condition", ctx, **inputs)
+            ok, problems = verify_certificate(doc)
+            assert not ok and problems == ["result: not derivable from the assertions: the"
+                                           f" {name} conditions are not at the result's polynomials, one per factor"]
+            doc["assertions"][k] = a
+            moved += 1
+    assert moved >= 4

@@ -3,9 +3,11 @@
 Each case's stdout is compared byte for byte with ``tests/golden/<name>.json``
 and its exit code with the one recorded below.  The cases are the README
 examples (all but ``verify``) plus symbols over linear, unramified,
-ramified and p = 2 moduli, a p = 2 reciprocity check and a two-factor
-construction whose second factor reaches the case-two valuation margin, and a case-one
-construction whose residue polynomial comes from the window search.  A change that
+ramified and p = 2 moduli, a p = 2 reciprocity check, an isotropic form whose
+witness ``verify`` checks without searching, a two-factor
+construction whose second factor reaches the case-two valuation margin, a case-one
+construction whose residue polynomial comes from the window search, and a
+construction over two slope blocks, which carries product-property conditions.  A change that
 alters a verdict, a certificate byte or an exit code fails here, and so does
 a verifier that no longer accepts a golden certificate.
 """
@@ -31,6 +33,7 @@ CASES = {
     "check-mult": (["check-mult", "--prime", "3", "t - 1", "t + 5", "t - 3"], 0),
     "check-recip": (["check-recip", "--prime", "3", "t - 1", "t - 3"], 0),
     "isotropy": (["isotropy", "--prime", "3", "1,-2,-3,6"], 1),
+    "isotropy-isotropic": (["isotropy", "--prime", "7", "1,2,3,5"], 0),
     "construct-s": (["construct-s", "--prime", "3", "--gamma", "2", "t^2 - 3"], 0),
     "construct-s-two-factors": (
         ["construct-s", "--prime", "3", "--gamma", "2", "t^4 - 15*t^2 + 36",
@@ -38,6 +41,10 @@ CASES = {
         0,
     ),
     "construct-s-case-one": (["construct-s", "--prime", "3", "--gamma", "2", "t^2 + 1"], 0),
+    "construct-s-two-blocks": (
+        ["construct-s", "--prime", "3", "--gamma", "2", "t^4 + 4*t^2 + 3", "--factors", "t^2 + 3;t^2 + 1"],
+        0,
+    ),
     "predicate": (["predicate", "--prime", "3", "--gamma", "2", "1/t"], 1),
     "elliptic-point": (["elliptic-point", "--prime", "3", "3", "--digits", "40"], 0),
     "corpus": (["corpus", "--prime", "2", "--seed", "7", "--cases", "100", "check-recip"], 0),

@@ -1,4 +1,4 @@
-"""The residue-search oracle and the Q_p and Q_p[t] commands against perfbench/checks.py.
+"""The residue-search oracle, its witness checker and the Q_p and Q_p[t] commands against perfbench/checks.py.
 
 ``checks.py`` is the benchmark's independent arithmetic: it imports nothing
 from padicforms, decides the Hilbert symbol by its own residue search,
@@ -15,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from padicforms import PadicContext
+from padicforms import PadicContext, oracles
+from padicforms.certificates import verify_certificate
 from padicforms.cli import main
-from padicforms.oracles import conclusive_exponent, hilbert_by_search, isotropic_by_search
+from padicforms.errors import ConditionFailed
+from padicforms.oracles import checked_witness, conclusive_exponent, hilbert_by_search, isotropic_by_search
 
 _SPEC = importlib.util.spec_from_file_location(
     "perfbench_checks", Path(__file__).resolve().parent.parent / "perfbench" / "checks.py")
@@ -39,6 +41,10 @@ def witness_problems(entries, witness, p):
     q = p ** witness["modulus_exponent"]
     norm = [int(a) for a in witness["normalized_entries"]]
     xs = witness["solution"]
+    if witness["modulus_exponent"] != checks.vp(4, p) + 3:
+        return [f"modulus exponent {witness['modulus_exponent']} is not v(4) + 3"]
+    if type(xs) is not list or len(xs) != len(entries) or any(type(x) is not int or not 0 <= x < q for x in xs):
+        return [f"{xs!r} is not {len(entries)} residues modulo {q}"]
     problems = [f"{n} is not in the square class of {e}" for e, n in zip(entries, norm)
                 if checks.vp(n, p) not in (0, 1) or not checks.is_square_qp(e * n, p)]
     value = sum(a * x * x for a, x in zip(norm, xs))
@@ -148,3 +154,95 @@ def test_qp_t_commands_against_checks(capsys, p):
         for f, slope in zip(factors, slopes):
             assert checks.newton_slopes(checks.parse_poly_text(f["poly"]), p) == [slope], (p, text, f)
         assert sum(f["degree"] for f in factors) == len(coeffs) - 1, (p, text)
+
+
+def solutions(witness, p):
+    """The search's solution, itself with one unit coordinate x replaced by q - x, and corrupted copies."""
+    q = p ** witness["modulus_exponent"]
+    xs = witness["solution"]
+    k = next(i for i, x in enumerate(xs) if x % p)
+    yield xs
+    yield xs[:k] + [q - xs[k]] + xs[k + 1:]
+    for j in range(len(xs)):
+        yield xs[:j] + [(xs[j] + 1) % q] + xs[j + 1:]
+        yield xs[:j] + [xs[j] + q] + xs[j + 1:]
+    yield [x * p % q for x in xs]
+    yield [True] + xs[1:]
+    yield xs[:-1]
+
+
+def accepted_by_checks(entries, witness, xs, p):
+    """Is xs, in place of the witness's solution, a zero that checks.py finds no problem with at some coordinate?"""
+    v = checks.vp(sum(int(a) * x * x for a, x in zip(witness["normalized_entries"], xs)), p)
+    return any(witness_problems(entries, {**witness, "solution": xs, "slack_coordinate": k,
+                                          "residual_valuation": "inf" if v is None else str(v)}, p) == []
+               for k in range(len(entries)))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_checked_witness_against_checks(p):
+    """checked_witness accepts exactly the solutions in which checks.py finds a primitive zero with Hensel slack."""
+    rng, ctx = random.Random(2440 + p), PadicContext(p)
+    forms = tried = accepted = 0
+    for _ in range(30):
+        entries = [random_entry(rng, p) for _ in range(rng.choice((3, 4)))]
+        verdict, witness = isotropic_by_search(entries, ctx)
+        if not verdict:
+            continue
+        forms += 1
+        for xs in solutions(witness, p):
+            try:
+                rebuilt = checked_witness(entries, xs, ctx)
+            except (ValueError, ConditionFailed):
+                rebuilt = None
+            assert (rebuilt is not None) == accepted_by_checks(entries, witness, xs, p), (p, entries, xs)
+            if rebuilt is not None:
+                assert rebuilt["solution"] == xs and witness_problems(entries, rebuilt, p) == [], (p, entries, xs)
+                accepted += 1
+            tried += 1
+    # the search's own solution and its q - x copy pass; most corrupted copies fail
+    assert forms >= 10 and accepted >= 2 * forms and tried - accepted >= 5 * forms, (forms, tried, accepted)
+
+
+class Searched(Exception):
+    """The residue search ran."""
+
+
+def test_verify_searches_only_for_an_anisotropic_document(capsys, monkeypatch):
+    """An isotropic certificate's witness is checked without the search; an anisotropic one is searched for.
+
+    The CLI, which has no witness yet, searches for both.
+    """
+    rng, docs = random.Random(2450), []
+    for p in PRIMES:
+        for _ in range(4):
+            entries = [random_entry(rng, p) for _ in range(4)]
+            main(["isotropy", "--prime", str(p), "--json", "--", ",".join(map(str, entries))])
+            docs.append(json.loads(capsys.readouterr().out))
+    golden = Path(__file__).resolve().parent / "golden"
+    docs += [json.loads((golden / f"{name}.json").read_text(encoding="utf-8"))
+             for name in ("isotropy", "isotropy-isotropic")]
+    isotropic = [doc for doc in docs if doc["result"]["isotropic"]]
+    assert 0 < len(isotropic) < len(docs)
+
+    calls = []
+
+    def search(*args, **kwargs):
+        calls.append(args)
+        raise Searched
+
+    monkeypatch.setattr(oracles, "isotropic_by_search", search)
+    for doc in docs:
+        if doc["result"]["isotropic"]:
+            assert verify_certificate(doc) == (True, []), doc
+        else:
+            with pytest.raises(Searched):
+                verify_certificate(doc)
+    assert len(calls) == len(docs) - len(isotropic)
+    doc = docs[-1]  # another zero proves the same: 7^3 - 37 in place of the golden's 37
+    ctx, entries = PadicContext(7), [Fraction(e) for e in doc["result"]["entries"]]
+    assert doc["result"]["oracle_witness"]["solution"] == [37, 0, 1, 0]
+    doc["result"]["oracle_witness"] = checked_witness(entries, [306, 0, 1, 0], ctx)
+    assert verify_certificate(doc) == (True, []) and len(calls) == len(docs) - len(isotropic)
+    assert main(["isotropy", "--prime", "7", "1,2,3,5"]) == 2 and len(calls) == len(docs) - len(isotropic) + 1
+    capsys.readouterr()
