@@ -30,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     ConditionFailed,
@@ -55,8 +56,7 @@ from .reciprocity import legendre_symbol
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlopeRing:
+class SlopeRing(NamedTuple):
     """The ring R (and prime P) attached to one slope m = num/d."""
 
     context: PadicContext
@@ -103,14 +103,12 @@ class SlopeRing:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GFactor:
+class GFactor(NamedTuple):
     poly: PadicPolynomial
     evidence: str
 
 
-@dataclass(frozen=True)
-class SlopeBlock:
+class SlopeBlock(NamedTuple):
     slope: Fraction
     denominator: int
     degree: int
@@ -118,8 +116,7 @@ class SlopeBlock:
     product: PadicPolynomial
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(NamedTuple):
     """Validated inputs: normalized g, certified factors, window integer N."""
 
     context: PadicContext
@@ -314,8 +311,7 @@ def prepare(gamma, g: PadicPolynomial, ctx: PadicContext, factors=None) -> Const
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SFactor:
+class SFactor(NamedTuple):
     poly: PadicPolynomial
     block_index: int
     case: int
@@ -323,8 +319,7 @@ class SFactor:
     data: dict
 
 
-@dataclass(frozen=True)
-class CaseOneTrace:
+class CaseOneTrace(NamedTuple):
     """Exact identities witnessing the ring construction of one s_i."""
 
     a: PadicPolynomial
@@ -337,8 +332,7 @@ class CaseOneTrace:
     slope: Fraction
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     params: ConstructionParams
     s_poly: PadicPolynomial
     s_factors: tuple  # SFactor
@@ -580,8 +574,7 @@ def construct_s(params: ConstructionParams, seed: int = 0) -> ConstructionResult
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolCondition:
+class SymbolCondition(NamedTuple):
     """One symbol identity: <p/q> = rhs, or <p/q> = <rhs_p/rhs_q>."""
 
     name: str
@@ -597,8 +590,7 @@ class SymbolCondition:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     conditions: tuple
 
     @property
@@ -698,7 +690,7 @@ def verify_conditions(result: ConstructionResult) -> ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: perfbench/test_checks.py uses dataclasses.replace
 class CorollaryResult:
     isotropic: bool
     note: str

@@ -51,6 +51,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     ConditionFailed,
@@ -600,8 +601,7 @@ class LocalFieldElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SquareClassTag:
+class SquareClassTag(NamedTuple):
     """Canonical square-class tag for an extension element.
 
     ``parity`` is w(x) mod 2; ``unit_tag`` is a complete invariant of the
@@ -983,7 +983,7 @@ def _mask(bits) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: perfbench/test_checks.py uses dataclasses.replace
 class HenselWitness:
     """Certified refinement of an approximate root.
 

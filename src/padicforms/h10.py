@@ -22,8 +22,8 @@ here.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import padicforms
 
@@ -59,8 +59,7 @@ def validate_gamma(gamma, ctx: PadicContext) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FReport:
+class FReport(NamedTuple):
     """f = h + c t^2 with the exact orders the case analysis uses."""
 
     f: RationalFunction
@@ -94,8 +93,7 @@ def build_f(x: RationalFunction, c, ctx: PadicContext) -> FReport:
     return FReport(f, h_num, h_den, Fraction(c), f.ord_t(), h.ord_t(), h.ord_infinity())
 
 
-@dataclass(frozen=True)
-class WitnessC:
+class WitnessC(NamedTuple):
     c: Fraction
     j: int
     polygon: NewtonPolygon
@@ -138,8 +136,7 @@ def witness_g(h_num: PadicPolynomial, h_den: PadicPolynomial, c) -> PadicPolynom
     return h_num * h_den + PadicPolynomial.monomial(c, 2, h_num.field) * h_den * h_den
 
 
-@dataclass(frozen=True)
-class AnisotropyAtT:
+class AnisotropyAtT(NamedTuple):
     """Residue data at t certifying one of the two forms anisotropic."""
 
     v_t_f: int
@@ -196,8 +193,7 @@ def anisotropy_at_t(f: RationalFunction, gamma, ctx: PadicContext) -> Anisotropy
     )
 
 
-@dataclass(frozen=True)
-class PredicateCertificate:
+class PredicateCertificate(NamedTuple):
     verdict: bool
     gamma: Fraction
     v_t_x: object

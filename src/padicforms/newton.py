@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from typing import NamedTuple
 
 import padicforms
 
@@ -47,8 +47,7 @@ from .polynomials import PadicPolynomial, convolve
 _IRREDUCIBLE_CACHE_SIZE = 1024  # Ben-Or verdicts kept by finite_field_irreducible
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One edge of a Newton polygon, from (i0, v0) to (i1, v1)."""
 
     i0: int
@@ -63,8 +62,7 @@ class Edge:
         return self.v0 + self.slope * (beta - self.i0)
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Lower convex hull data: all points, vertices, and edges.
 
     Vertices include both endpoints; interior points lying on an edge are
@@ -117,16 +115,14 @@ def newton_polygon(f: PadicPolynomial) -> NewtonPolygon:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlopeFactor:
+class SlopeFactor(NamedTuple):
     poly: PadicPolynomial
     slope: Fraction
     degree: int
     denominator: int
 
 
-@dataclass(frozen=True)
-class SlopeFactorization:
+class SlopeFactorization(NamedTuple):
     """f = unit * prod(factors), each factor monic with one edge.
 
     The product matches f with residual coefficient valuations above
@@ -616,8 +612,7 @@ def square_class_at_root_one_edge(f, a, g, z, big_n, alpha):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WindowSearchResult:
+class WindowSearchResult(NamedTuple):
     cbar: FiniteFieldPoly
     qbar1: FiniteFieldPoly
     e_prime: int

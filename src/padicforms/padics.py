@@ -13,9 +13,8 @@ case formulas; an independent residue-search oracle lives in
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+import operator
 from fractions import Fraction
 
 from .errors import PreconditionFailed
@@ -148,14 +147,52 @@ def cut_int(n: int, d: int, p: int, k: int) -> tuple[int, int]:
     return (r * p ** v, 1) if v >= 0 else (r, p ** -v)
 
 
-@dataclass(frozen=True)
-class PadicContext:
+class Immutable:
+    """A value class: immutable, and compared, hashed and printed by its ``_fields``.
+
+    Assignment raises AttributeError; == and hash hold only within one
+    class, and the repr is ``Name(field=value, ...)``.  ``__init__`` checks
+    its arguments, then stores one value per slot through ``_set``.
+    """
+
+    __slots__ = _fields = ()
+
+    def __init_subclass__(cls):
+        cls._values = property(operator.attrgetter(*cls._fields))  # a tuple: two fields or more
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values
+
+
+class PadicContext(Immutable):
     """Fixes the field Q_p: the prime, the uniformizer and a precision cap.
 
     ``uniformizer`` must be a rational of valuation 1; it defaults to p.
     Symbols depend on this choice, so certificates always record it.
     ``precision_digits`` caps truncated output expansions only; all
-    intermediate arithmetic is exact.
+    intermediate arithmetic is exact.  A context is immutable, and equal
+    contexts (same p, precision and uniformizer) are equal and hash alike.
 
     The context is also Q_p's field handle, whose elements are Fractions:
     it implements the protocol of :class:`padicforms.extensions.LocalField`,
@@ -163,9 +200,8 @@ class PadicContext:
     over its extensions.
     """
 
-    p: int
-    precision_digits: int = 64
-    uniformizer: Fraction = field(default=None)  # type: ignore[assignment]
+    _fields = ("p", "precision_digits", "uniformizer")
+    __slots__ = _fields + ("minus_uniformizer",)  # -pi, the second argument of every i2 class
 
     is_extension = False
     ramification_index = 1
@@ -174,22 +210,15 @@ class PadicContext:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.uniformizer is None:
-            object.__setattr__(self, "uniformizer", Fraction(self.p))
-        else:
-            object.__setattr__(self, "uniformizer", Fraction(self.uniformizer))
-        if vp_rational(self.uniformizer, self.p) != 1:
-            raise ValueError(f"uniformizer {self.uniformizer} has valuation != 1")
-        if self.precision_digits < 2 * self.v4 + 4:
+    def __init__(self, p: int, precision_digits: int = 64, uniformizer: Fraction | None = None):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        uniformizer = Fraction(p if uniformizer is None else uniformizer)
+        if vp_rational(uniformizer, p) != 1:
+            raise ValueError(f"uniformizer {uniformizer} has valuation != 1")
+        self._set(p, precision_digits, uniformizer, -uniformizer)
+        if precision_digits < 2 * self.v4 + 4:
             raise ValueError("precision_digits below 2*v(4) + 4")
-
-    @functools.cached_property
-    def minus_uniformizer(self) -> Fraction:
-        """-pi, the second argument of every i2 class."""
-        return -self.uniformizer
 
     @property
     def v4(self) -> int:

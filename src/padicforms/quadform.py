@@ -18,12 +18,12 @@ known factors carried by the form's entries.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PreconditionFailed
 from .extensions import LocalField, hilbert_symbol, is_square
-from .padics import PadicContext, hilbert_symbol_qp
+from .padics import Immutable, PadicContext, hilbert_symbol_qp
 from .polynomials import PadicPolynomial
 
 # recently used residue fields kept by residue_field; a construction or a
@@ -36,17 +36,16 @@ _FIELD_CACHE_SIZE = 32
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
+class DiagonalForm(Immutable):
     """<a_1, ..., a_n> with nonzero entries in Q_p or one extension."""
 
-    entries: tuple
-    field: object  # field handle: a PadicContext (Q_p) or a LocalField
+    __slots__ = _fields = ("entries", "field")  # field: a field handle, a PadicContext (Q_p) or a LocalField
 
-    def __post_init__(self):
-        for a in self.entries:
-            if self.field.is_zero(a):
+    def __init__(self, entries: tuple, field):
+        for a in entries:
+            if field.is_zero(a):
                 raise PreconditionFailed("form entries must be nonzero")
+        self._set(entries, field)
 
     @classmethod
     def make(cls, entries, field):
@@ -129,8 +128,7 @@ def i2_class(u, field) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionFieldForm:
+class FunctionFieldForm(Immutable):
     """Diagonal form over K(t) with polynomial entries.
 
     Orders at a place are read by :func:`at_place`, so residue splits
@@ -139,21 +137,20 @@ class FunctionFieldForm:
     certified factor multiset of each entry.
     """
 
-    entries: tuple  # PadicPolynomial
-    context: PadicContext
+    __slots__ = _fields = ("entries", "context")  # PadicPolynomial entries, over a PadicContext
 
-    def __post_init__(self):
-        for e in self.entries:
+    def __init__(self, entries: tuple, context: PadicContext):
+        for e in entries:
             if e.is_zero():
                 raise PreconditionFailed("form entries must be nonzero")
+        self._set(entries, context)
 
     @property
     def dim(self):
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class ResidueSplit:
+class ResidueSplit(NamedTuple):
     """First and second residue forms of a form at a monic irreducible q."""
 
     place: PadicPolynomial
@@ -243,8 +240,7 @@ def springer_anisotropy(form: FunctionFieldForm, q: PadicPolynomial) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PfisterSlot:
+class PfisterSlot(NamedTuple):
     """A K(t) entry x = unit * prod(factors), with its factors known."""
 
     unit: Fraction
@@ -257,8 +253,7 @@ class PfisterSlot:
         return out
 
 
-@dataclass(frozen=True)
-class ResidueTest:
+class ResidueTest(NamedTuple):
     place: PadicPolynomial
     parity_x: int
     parity_y: int
@@ -294,8 +289,7 @@ def pfister_residue_test(
     return ResidueTest(q, 1, 1, s, s == 1, "zero iff i2(-x_bar y_bar) = +1")
 
 
-@dataclass(frozen=True)
-class MilnorVerdict:
+class MilnorVerdict(NamedTuple):
     isotropic: bool
     verdict: str
     tests: tuple

@@ -83,7 +83,7 @@ def explicit_square_criterion(p: PadicPolynomial, q: PadicPolynomial, ctx: Padic
     return 1 if is_square(xi, field) else -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: perfbench/test_checks.py uses dataclasses.replace
 class LawCheck:
     """One verified symbol identity with all computed values."""
 

@@ -1,6 +1,5 @@
 """The auxiliary-polynomial construction and its certified conditions."""
 
-import dataclasses
 import math
 import random
 import time
@@ -173,10 +172,8 @@ def test_seed_determinism(c3):
 def test_corrupted_s_fails_conditions(c3):
     params = prepare(2, poly([-3, 0, 1], c3), c3)
     res = construct_s(params, seed=0)
-    bad_factor = dataclasses.replace(res.s_factors[0], poly=poly([3, 3, 1], c3))
-    bad = dataclasses.replace(
-        res, s_factors=(bad_factor,), s_poly=poly([3, 3, 1], c3) * params.epsilon
-    )
+    bad_factor = res.s_factors[0]._replace(poly=poly([3, 3, 1], c3))
+    bad = res._replace(s_factors=(bad_factor,), s_poly=poly([3, 3, 1], c3) * params.epsilon)
     with pytest.raises(ConditionFailed):
         verify_conditions(bad)
 

@@ -7,6 +7,7 @@ module-level import added back to any of them shows here as a module in
 the loaded set of a command that does not run it.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -20,7 +21,7 @@ import padicforms
 ROOT = Path(__file__).resolve().parent.parent
 
 # a command run the way ``python -m padicforms.cli`` runs it, in a fresh interpreter: its
-# exit code, then the padicforms submodules loaded when it is done
+# exit code, whether ``dataclasses`` is loaded, then the padicforms submodules loaded when it is done
 CHILD = """
 import contextlib, io, runpy, sys
 sys.argv = ["padicforms", *sys.argv[1:]]
@@ -30,7 +31,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         runpy.run_module("padicforms.cli", run_name="__main__")
     except SystemExit as exc:
         code = exc.code
-print(code, *sorted(name for name in sys.modules if name.startswith("padicforms.")))
+print(code, "dataclasses" in sys.modules, *sorted(name for name in sys.modules if name.startswith("padicforms.")))
 """
 
 # subcommand -> (argv after it, exit code, the submodules it loads); the cli module itself
@@ -61,6 +62,11 @@ LOADS = {
     "verify": ([str(ROOT / "tests" / "golden" / "slopes.json")], 0,
                "certificates errors newton padics parsing polynomials"),
 }
+
+# module -> its one class still built by @dataclass: perfbench/test_checks.py calls dataclasses.replace
+# on these three, so they stay dataclasses; every other record is a NamedTuple or an Immutable
+DATACLASSES = {"reciprocity": "LawCheck", "extensions": "HenselWitness", "construct": "CorollaryResult"}
+
 
 # every name the package exported when it imported all its submodules, by defining module
 EXPORTED = {
@@ -99,11 +105,26 @@ def test_each_command_loads_only_the_modules_it_runs():
     bare = _run("-c", "import sys, padicforms; print(*sorted(n for n in sys.modules if n.startswith('padicforms')))")
     got = {command: proc.communicate()[0].split() for command, proc in procs.items()}
     assert bare.communicate()[0].split() == ["padicforms"]  # __init__ itself needs no submodule
-    want = {command: [str(code), *(f"padicforms.{m}" for m in modules.split())]
+    # only the modules holding a DATACLASSES class import dataclasses
+    want = {command: [str(code), str(bool(DATACLASSES.keys() & modules.split())),
+                      *(f"padicforms.{m}" for m in modules.split())]
             for command, (_, code, modules) in LOADS.items()}
     assert got == want
+    assert {got[command][1] for command in ("slopes", "newton", "hilbert", "squareclass")} == {"False"}
     construction = {"construct", "h10", "quadform", "reciprocity", "extensions"}
     assert not construction & {*LOADS["slopes"][2].split(), *LOADS["squareclass"][2].split()}
+
+
+def test_only_the_records_perfbench_replaces_are_dataclasses():
+    found = {
+        (path.stem, node.name)
+        for path in sorted((ROOT / "src" / "padicforms").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for deco in node.decorator_list
+        if "dataclass" in ast.unparse(deco)
+    }
+    assert found == set(DATACLASSES.items())
 
 
 def test_the_public_surface_is_what_the_package_exported():

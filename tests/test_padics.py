@@ -1,6 +1,8 @@
 """Base-field arithmetic: valuations, squares, square classes, Hilbert symbols."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -24,14 +26,35 @@ from conftest import poly
 
 
 def test_context_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^4 is not prime$"):
         PadicContext(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^uniformizer 9 has valuation != 1$"):
         PadicContext(3, uniformizer=Fraction(9))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^precision_digits below 2\*v\(4\) \+ 4$"):
         PadicContext(2, precision_digits=5)
+    PadicContext(2, precision_digits=8)  # 2 v(4) + 4 = 8 itself is allowed
     ctx = PadicContext(3, uniformizer=Fraction(6))
     assert ctx.vp(ctx.uniformizer) == 1
+    assert ctx.minus_uniformizer == -6
+
+
+def test_context_is_an_immutable_value():
+    """Compared, hashed and printed by (p, precision_digits, uniformizer), as a frozen dataclass was."""
+    ctx = PadicContext(3)
+    assert ctx == PadicContext(3, 64, Fraction(3)) and hash(ctx) == hash(PadicContext(3, 64, Fraction(3)))
+    assert ctx != (3, 64, Fraction(3)) and (3, 64, Fraction(3)) != ctx
+    assert ctx != PadicContext(3, 65) and ctx != PadicContext(3, uniformizer=-3)
+    assert len({ctx, PadicContext(3), PadicContext(5)}) == 2
+    assert repr(ctx) == "PadicContext(p=3, precision_digits=64, uniformizer=Fraction(3, 1))"
+    assert repr(PadicContext(2, 10, Fraction(-2, 3))) == (
+        "PadicContext(p=2, precision_digits=10, uniformizer=Fraction(-2, 3))")
+    for name in ("p", "uniformizer", "minus_uniformizer", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, 5)
+    with pytest.raises(AttributeError):
+        del ctx.p
+    assert (ctx.p, ctx.uniformizer) == (3, 3)
+    assert copy.deepcopy(ctx) == ctx and pickle.loads(pickle.dumps(ctx)) == ctx
 
 
 def _vp_by_division(n, p):

@@ -218,6 +218,28 @@ def test_form_constructors(c3):
     assert isotropic_over_local(perp)  # contains a hyperbolic plane
 
 
+def test_forms_are_immutable_values(c3):
+    """Checked on construction; compared, hashed and printed by their fields, as frozen dataclasses were."""
+    with pytest.raises(PreconditionFailed, match="^form entries must be nonzero$"):
+        DiagonalForm.make([1, 0], c3)
+    with pytest.raises(PreconditionFailed, match="^form entries must be nonzero$"):
+        FunctionFieldForm((poly([1, 1], c3), poly([0], c3)), c3)
+    ctx_repr = "PadicContext(p=3, precision_digits=64, uniformizer=Fraction(3, 1))"
+    form = DiagonalForm.make([1, -2], c3)
+    assert repr(form) == f"DiagonalForm(entries=(Fraction(1, 1), Fraction(-2, 1)), field={ctx_repr})"
+    assert form == DiagonalForm((Fraction(1), Fraction(-2)), PadicContext(3))
+    assert hash(form) == hash(DiagonalForm((Fraction(1), Fraction(-2)), PadicContext(3)))
+    assert form != (form.entries, form.field) and form != DiagonalForm.make([1, -2], PadicContext(5))
+    ff = FunctionFieldForm((poly([1, 1], c3),), c3)
+    assert repr(ff) == f"FunctionFieldForm(entries=(PadicPolynomial('t + 1' over Q_3),), context={ctx_repr})"
+    assert ff == FunctionFieldForm((poly([1, 1], c3),), c3) and ff != form
+    assert hash(ff) == hash(FunctionFieldForm((poly([1, 1], c3),), c3))
+    for value, name in ((form, "entries"), (form, "field"), (ff, "context"), (ff, "dim")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+    assert form.dim == 2 and ff.dim == 1
+
+
 def test_springer(c3):
     tp = poly([0, 1], c3)
     pi, gamma = Fraction(3), Fraction(2)
