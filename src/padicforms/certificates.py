@@ -189,15 +189,9 @@ def _construct_identity(ctx, a, b, q, r, c, h, e, pi_exponent):
     return {}
 
 
-# the seven symbol-condition families construct.verify_conditions writes; the first four
-# are the conditions the construction needs, each <p/q> = 1
-_CONDITIONS = ("sg-over-t", "ts-over-g-factor", "minus-tg-over-s-factor", "gamma-over-s-factor",
-               "block-equality", "t-value-equality", "product-property")
-
-
 def _symbol_condition(ctx, name, p, q, rhs, p2=None, q2=None):
     """<p/q> against rhs: rhs is <p2/q2> when they are given, else a constant that <p/q> must equal."""
-    if name not in _CONDITIONS:
+    if name not in padicforms.construct.CONDITION_FAMILIES:
         raise ValueError(f"unknown condition {name!r}")
     lhs = padicforms.reciprocity.legendre_symbol(_parse(p, ctx), _parse(q, ctx), ctx)
     value = lhs if p2 is q2 is None else padicforms.reciprocity.legendre_symbol(
@@ -413,70 +407,64 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     for the polynomials they name: s's factors are the coprime assertions' f, g's factors
     the other certified irreducibles, and s = epsilon * prod(s's factors).  g's slope blocks
     are its factors grouped by their one edge's slope, and each s factor's slope must be one
-    of theirs.  Each condition family is at the result's polynomials and blocks, once per
-    factor or pair of blocks, each case-one factor of s has
-    its ring identity, and the residue tests are the two Pfister forms' at their places;
-    the verdict is that every test vanishes.
+    of theirs.  Each condition family is at the polynomials construct.symbol_obligations
+    gives for these blocks, each case-one factor of s has its ring identity, and the residue
+    tests are those of construct.pfister_forms at their places; the verdict is that every
+    test vanishes.
     """
+    construct = padicforms.construct
     gamma, g = parse_rat(gamma), _parse(g, ctx)
     result = {"gamma": rat_str(gamma), "g": g.to_text()}
-    note = padicforms.construct.degenerate_note(gamma, g, ctx)
+    note = construct.degenerate_note(gamma, g, ctx)
     if note is not None:
         if assertions:
             raise ValueError("a corollary that g or gamma decides carries no assertion")
         return {**result, "isotropic": True, "note": note}
     s_texts = [a["f"] for a in assertions if a["kind"] == "coprime"]
     g_texts = [a["poly"] for a in assertions if a["kind"] == "irreducible-certified" and a["poly"] not in s_texts]
-    s_factors = [_parse(text, ctx) for text in s_texts]
-    epsilon, t = padicforms.construct.leading_unit(g, ctx), PadicPolynomial.x(ctx)
-    s = math.prod(s_factors, start=PadicPolynomial.from_rationals([epsilon], ctx))
-    g0 = math.prod((_parse(text, ctx) for text in g_texts), start=PadicPolynomial.one(ctx))
-    g_norm = g0 * epsilon
-    tg, ts = t * g_norm, t * s
+    s_factors, g_factors = [_parse(text, ctx) for text in s_texts], [_parse(text, ctx) for text in g_texts]
+    epsilon = construct.leading_unit(g, ctx)
+    forms = construct.pfister_forms(gamma, epsilon, g_factors, s_factors, ctx)
+    slots = [(x.value(ctx), y.value(ctx)) for x, y in forms]  # (-gamma, -s) and (t g, -t s)
+    s, tg = -slots[0][1], slots[1][0]
+    g0 = math.prod(g_factors, start=PadicPolynomial.one(ctx))
     if not s_texts or not g_texts or not (g % g0).is_zero() or any(sf.degree % 2 for sf in s_factors):
         raise ValueError("g and s need factors, g's must divide g, and s's must have even degree")
+    # a factor of g or s is named by the document's text of it; any other polynomial is rendered once
+    texts = dict(zip(g_factors + s_factors, g_texts + s_texts))
+
+    def text(f):
+        out = texts.get(f)
+        if out is None:
+            out = texts[f] = f.to_text()
+        return out
+
     structure = [{"kind": "even-vertices", "poly": result["g"]}]
     structure += [{"kind": "irreducible-certified", "poly": q} for q in g_texts]
     for q in s_texts:
-        structure += [{"kind": "irreducible-certified", "poly": q}, {"kind": "coprime", "f": q, "g": tg.to_text()}]
+        structure += [{"kind": "irreducible-certified", "poly": q}, {"kind": "coprime", "f": q, "g": text(tg)}]
     if [a for a in assertions if a["kind"] in ("even-vertices", "irreducible-certified", "coprime")] != structure:
         raise ValueError("the certified polynomials are not g, its factors, and s's factors against t g")
 
     def slope(f):  # f is certified irreducible, so it has one edge, of slope (v(a_d) - v(a_0)) / d
         return Fraction(vp_int(f.num[-1], ctx.p) - vp_int(f.num[0], ctx.p), f.degree)
 
-    blocks = {}  # construct.prepare's slope blocks: g's factors grouped by slope
-    for q in g_texts:
-        blocks.setdefault(slope(_parse(q, ctx)), []).append(q)
-    slopes, s_products = sorted(blocks), dict.fromkeys(blocks, PadicPolynomial.one(ctx))
+    blocks = {}  # construct.prepare's slope blocks: g's factors and s's factors of each slope
+    for f in g_factors:
+        blocks.setdefault(slope(f), ([], []))[0].append(f)
     for sf in s_factors:
         m = slope(sf)
         if m not in blocks:
             raise ValueError(f"s factor {sf.to_text()} has slope {m}, the slope of no factor of g")
-        s_products[m] = s_products[m] * sf
-    block_equality, product_property = [], []
-    for m in slopes:
-        s_m = s_products[m].to_text()
-        product = math.prod((_parse(q, ctx) for q in blocks[m]), start=PadicPolynomial.one(ctx))
-        cofactor = (t * (g_norm // product)).to_text()
-        block_equality += [(s_m, q, cofactor, q) for q in blocks[m]]
-        product_property += [(s_m, q, product.to_text(), q) for other in slopes if other != m for q in blocks[other]]
-
-    t_text, c_text = t.to_text(), PadicPolynomial.from_rationals([gamma], ctx).to_text()
-    families = {  # the (p, q, p2, q2) of each condition, in the order construct.verify_conditions writes them
-        "sg-over-t": [((s * g_norm).to_text(), t_text, None, None)],
-        "ts-over-g-factor": [(ts.to_text(), q, None, None) for q in g_texts],
-        "minus-tg-over-s-factor": [((-tg).to_text(), q, None, None) for q in s_texts],
-        "gamma-over-s-factor": [(c_text, q, None, None) for q in s_texts],
-        "block-equality": block_equality,
-        "t-value-equality": [(q, t_text, None, None) for q in s_texts],
-        "product-property": product_property,
-    }
+        blocks[m][1].append(sf)
+    obligations = construct.symbol_obligations(gamma, epsilon, [blocks[m] for m in sorted(blocks)], ctx)
+    expected = [(name, *(None if f is None else text(f) for f in polys)) for name, *polys in obligations]
     conditions = [a for a in assertions if a["kind"] == "symbol-condition"]
-    for name, expected in families.items():
-        if [(a["p"], a["q"], a.get("p2"), a.get("q2")) for a in conditions if a["name"] == name] != expected:
+    recorded = [(a["name"], a["p"], a["q"], a.get("p2"), a.get("q2")) for a in conditions]
+    for name in construct.CONDITION_FAMILIES:
+        if [c for c in recorded if c[0] == name] != [c for c in expected if c[0] == name]:
             raise ValueError(f"the {name} conditions are not at the result's polynomials, one per factor")
-    if any(a["name"] in _CONDITIONS[:4] and not (a["rhs"] == 1 and a["holds"]) for a in conditions):
+    if any(construct.CONDITION_FAMILIES[a["name"]] and not (a["rhs"] == 1 and a["holds"]) for a in conditions):
         raise ValueError("a condition the construction needs does not hold with right-hand side 1")
     # a slope of odd denominator is case one (construct._case_one): c pi^(-m deg c) for its ring
     # identity's c, with m = pi_exponent / e; case two has no identity
@@ -489,15 +477,16 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     if scaled != case_one:
         raise ValueError("the ring identities are not one per case-one factor of s, at that factor")
 
-    first = (PadicPolynomial.from_rationals([-gamma], ctx).to_text(), (-s).to_text())  # <1,pi><1,-gamma><1,-s>
-    second = (tg.to_text(), (-ts).to_text())  # <1,pi><1,tg><1,-ts>
-    places = [(*first, q) for q in s_texts] + [(*second, q) for q in [t_text] + g_texts + s_texts]
+    places = []  # each form's residue tests, one per place
+    for (x, y), values in zip(forms, slots):
+        x_text, y_text = map(text, values)
+        places += [(x_text, y_text, text(q)) for q in padicforms.quadform.milnor_places(x, y)]
     tests = [a for a in assertions if a["kind"] == "residue-test"]
     if [(a["x"], a["y"], a["place"]) for a in tests] != places:
         raise ValueError("the residue tests are not the two Pfister forms' at their places")
     isotropic = all(a["is_zero"] is True for a in tests)
-    return {**result, "isotropic": isotropic, "note": padicforms.construct.WITT_NOTES[isotropic],
-            "s": s.to_text(), "s_factors": s_texts, "g_factors": g_texts, "epsilon": rat_str(epsilon),
+    return {**result, "isotropic": isotropic, "note": construct.WITT_NOTES[isotropic],
+            "s": text(s), "s_factors": s_texts, "g_factors": g_texts, "epsilon": rat_str(epsilon),
             "metrics": {"deg_s": s.degree, "factor_count": len(s_texts), "samples": samples, "seed": seed}}
 
 

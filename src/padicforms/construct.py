@@ -21,7 +21,10 @@ unchanged (a valuation margin of v(4), checked exactly in the residue
 field of that factor).
 
 Everything asserted during the construction is re-verified afterwards by
-direct symbol evaluation in :func:`verify_conditions`.
+direct symbol evaluation in :func:`verify_conditions`.  What a certificate
+proves is stated once, here: the symbol conditions in
+:func:`symbol_obligations` and the two Pfister forms in :func:`pfister_forms`,
+which the construction and ``verify`` both read.
 """
 
 from __future__ import annotations
@@ -339,13 +342,6 @@ class ConstructionResult(NamedTuple):
     traces: dict  # block_index -> CaseOneTrace
     metrics: dict
 
-    def block_s_product(self, block_index: int) -> PadicPolynomial:
-        out = PadicPolynomial.one(self.s_poly.field)
-        for sf in self.s_factors:
-            if sf.block_index == block_index:
-                out = out * sf.poly
-        return out
-
 
 def _case_one(params: ConstructionParams, i: int, rng) -> tuple[SFactor, CaseOneTrace]:
     ctx = params.context
@@ -598,90 +594,69 @@ class ConditionReport(NamedTuple):
         return all(c.holds for c in self.conditions)
 
 
-def verify_conditions(result: ConstructionResult) -> ConditionReport:
-    """Evaluate every condition family directly with the symbol.
+# the seven symbol-condition families, by whether the construction needs <p/q> = 1; the other
+# three are the route it derives them by, each <p/q> against a right-hand side.  verify reports
+# the first family, in this order, whose conditions a document does not carry as stated.
+CONDITION_FAMILIES = {"sg-over-t": True, "ts-over-g-factor": True, "minus-tg-over-s-factor": True,
+                      "gamma-over-s-factor": True, "block-equality": False, "t-value-equality": False,
+                      "product-property": False}
 
-    Checks <s g / t> = 1, <t s / g_ij> = 1 and <-t g / s_ij> = 1, the
-    per-block equalities they were derived from, the cross-block product
-    property, and the structural properties of each factor (monic
-    irreducible of the block slope, even degree, coprime to t g).  Raises
-    ConditionFailed naming the first failing symbol.
+
+def symbol_obligations(gamma, epsilon, blocks, ctx: PadicContext) -> list:
+    """The (name, p, q, p2, q2) of every symbol condition, in the order certificates list them.
+
+    blocks holds one (g's factors, s's factors) pair per slope of g, slopes
+    increasing; g = epsilon * prod(g's factors) and s = epsilon * prod(s's
+    factors).  p2 and q2 are None unless the condition is <p/q> = <p2/q2>:
+    the block equalities <s_i/g_ij> = <t g/g_i / g_ij> and the product
+    property <s_i/g_kl> = <g_i/g_kl> for g_kl in another block, where g_i
+    and s_i are block i's products.  A needed family's right-hand side is
+    1, and t-value-equality's is the product of <s_ij/g_kl> over g's factors.
+    """
+    t, one, unit = PadicPolynomial.x(ctx), PadicPolynomial.one(ctx), PadicPolynomial.from_rationals([epsilon], ctx)
+    g_blocks = [math.prod(gs, start=one) for gs, _ in blocks]
+    s_blocks = [math.prod(ss, start=one) for _, ss in blocks]
+    g_norm, s = math.prod(g_blocks, start=unit), math.prod(s_blocks, start=unit)
+    g_factors = [q for gs, _ in blocks for q in gs]
+    s_factors = [q for _, ss in blocks for q in ss]
+    ts, minus_tg = s.shift(1), -g_norm.shift(1)
+    out = [("sg-over-t", s * g_norm, t, None, None)]
+    out += [("ts-over-g-factor", ts, q, None, None) for q in g_factors]
+    out += [("minus-tg-over-s-factor", minus_tg, q, None, None) for q in s_factors]
+    for i, (gs, _) in enumerate(blocks):
+        cofactor = (g_norm // g_blocks[i]).shift(1)
+        out += [("block-equality", s_blocks[i], q, cofactor, q) for q in gs]
+        out += [("product-property", s_blocks[i], q, g_blocks[i], q)
+                for k, (other, _) in enumerate(blocks) if k != i for q in other]
+    constant = PadicPolynomial.from_rationals([gamma], ctx)
+    for q in s_factors:
+        out += [("t-value-equality", q, t, None, None), ("gamma-over-s-factor", constant, q, None, None)]
+    return out
+
+
+def verify_conditions(result: ConstructionResult) -> ConditionReport:
+    """Evaluate every symbol condition of :func:`symbol_obligations` directly with the symbol.
+
+    Raises ConditionFailed naming the first condition the construction
+    needs whose symbol is not 1.
     """
     params = result.params
     ctx = params.context
-    tpoly = PadicPolynomial.x(ctx)
+    blocks = [([gf.poly for gf in block.factors], [sf.poly for sf in result.s_factors if sf.block_index == i])
+              for i, block in enumerate(params.blocks)]
+    g_factors = [q for gs, _ in blocks for q in gs]
     conds = []
-
-    sg = result.s_poly * params.g_norm
-    conds.append(
-        SymbolCondition("sg-over-t", sg, tpoly, legendre_symbol(sg, tpoly, ctx), 1)
-    )
-    ts = tpoly * result.s_poly
-    for block in params.blocks:
-        for gf in block.factors:
-            conds.append(
-                SymbolCondition(
-                    "ts-over-g-factor", ts, gf.poly,
-                    legendre_symbol(ts, gf.poly, ctx), 1,
-                )
-            )
-    minus_tg = -(tpoly * params.g_norm)
-    for sf in result.s_factors:
-        conds.append(
-            SymbolCondition(
-                "minus-tg-over-s-factor", minus_tg, sf.poly,
-                legendre_symbol(minus_tg, sf.poly, ctx), 1,
-            )
-        )
-
-    # derivation route: block equalities and the cross-block product rule
-    for i, block in enumerate(params.blocks):
-        s_i = result.block_s_product(i)
-        cof_i = tpoly * (params.g_norm // block.product)
-        for gf in block.factors:
-            conds.append(
-                SymbolCondition(
-                    "block-equality", s_i, gf.poly,
-                    legendre_symbol(s_i, gf.poly, ctx),
-                    legendre_symbol(cof_i, gf.poly, ctx),
-                    rhs_p=cof_i, rhs_q=gf.poly,
-                )
-            )
-        for kappa, other in enumerate(params.blocks):
-            if kappa == i:
-                continue
-            for gf in other.factors:
-                conds.append(
-                    SymbolCondition(
-                        "product-property", s_i, gf.poly,
-                        legendre_symbol(s_i, gf.poly, ctx),
-                        legendre_symbol(block.product, gf.poly, ctx),
-                        rhs_p=block.product, rhs_q=gf.poly,
-                    )
-                )
-    gamma_poly = PadicPolynomial.from_rationals([params.gamma], ctx)
-    for sf in result.s_factors:
-        rhs = 1
-        for block in params.blocks:
-            for gf in block.factors:
-                rhs *= legendre_symbol(sf.poly, gf.poly, ctx)
-        conds.append(
-            SymbolCondition(
-                "t-value-equality", sf.poly, tpoly,
-                legendre_symbol(sf.poly, tpoly, ctx), rhs,
-            )
-        )
-        conds.append(
-            SymbolCondition(
-                "gamma-over-s-factor", gamma_poly, sf.poly,
-                legendre_symbol(gamma_poly, sf.poly, ctx), 1,
-            )
-        )
-
-    primary = [c for c in conds if c.name in ("sg-over-t", "ts-over-g-factor", "minus-tg-over-s-factor")]
-    for c in primary:
-        if not c.holds:
-            raise ConditionFailed(f"condition {c.name} fails at q = {c.q.to_text()}")
+    for name, p, q, p2, q2 in symbol_obligations(params.gamma, params.epsilon, blocks, ctx):
+        lhs = legendre_symbol(p, q, ctx)
+        if CONDITION_FAMILIES[name] and lhs != 1:
+            raise ConditionFailed(f"condition {name} fails at q = {q.to_text()}")
+        if p2 is not None:
+            rhs = legendre_symbol(p2, q2, ctx)
+        elif CONDITION_FAMILIES[name]:
+            rhs = 1
+        else:  # t-value-equality
+            rhs = math.prod(legendre_symbol(p, g_kl, ctx) for g_kl in g_factors)
+        conds.append(SymbolCondition(name, p, q, lhs, rhs, p2, q2))
     return ConditionReport(tuple(conds))
 
 
@@ -716,6 +691,17 @@ def degenerate_note(gamma: Fraction, g: PadicPolynomial, ctx: PadicContext):
     return None
 
 
+def pfister_forms(gamma, epsilon, g_factors, s_factors, ctx: PadicContext) -> tuple:
+    """The slots (x, y) of the two forms <1,pi><1,x><1,y>: <1,pi><1,-gamma><1,-s> and <1,pi><1,tg><1,-ts>.
+
+    g = epsilon * prod(g_factors) and s = epsilon * prod(s_factors).
+    """
+    t = ((PadicPolynomial.x(ctx), 1),)
+    g_list, s_list = tuple((q, 1) for q in g_factors), tuple((q, 1) for q in s_factors)
+    return ((PfisterSlot(-gamma, ()), PfisterSlot(-epsilon, s_list)),
+            (PfisterSlot(epsilon, t + g_list), PfisterSlot(-epsilon, t + s_list)))
+
+
 def corollary_isotropy(gamma, g: PadicPolynomial, ctx: PadicContext, seed: int = 0, factors=None) -> CorollaryResult:
     """Certify that <1,pi><1,-gamma,-t,-g> is isotropic over K(t).
 
@@ -733,19 +719,8 @@ def corollary_isotropy(gamma, g: PadicPolynomial, ctx: PadicContext, seed: int =
     result = construct_s(params, seed)
     conditions = verify_conditions(result)
 
-    s_factor_list = tuple((sf.poly, 1) for sf in result.s_factors)
-    g_factor_list = tuple((gf.poly, 1) for b in params.blocks for gf in b.factors)
-    tpoly = PadicPolynomial.x(ctx)
-
-    first = milnor_isotropy(
-        PfisterSlot(-params.gamma, ()),
-        PfisterSlot(-params.epsilon, s_factor_list),
-        ctx,
-    )
-    second = milnor_isotropy(
-        PfisterSlot(params.epsilon, ((tpoly, 1),) + g_factor_list),
-        PfisterSlot(-params.epsilon, ((tpoly, 1),) + s_factor_list),
-        ctx,
-    )
+    g_factors = [gf.poly for block in params.blocks for gf in block.factors]
+    first, second = (milnor_isotropy(x, y, ctx) for x, y in pfister_forms(
+        params.gamma, params.epsilon, g_factors, [sf.poly for sf in result.s_factors], ctx))
     ok = first.isotropic and second.isotropic
     return CorollaryResult(ok, WITT_NOTES[ok], result, conditions, first, second)

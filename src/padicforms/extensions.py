@@ -362,8 +362,11 @@ class LocalField:
         if e == 1:
             return self.embed(self.base_context.uniformizer)
         k = (-self.slope).numerator  # v(alpha) = k/e in lowest terms
-        # x*k + y*e = 1 gives v(alpha^x * pi^y) = 1/e
-        x, y = _bezout_int(k, e)
+        # x*k + y*e = 1 gives v(alpha^x * pi^y) = 1/e; x is the inverse of k mod e in (-e/2, e/2]
+        x = pow(k, -1, e)
+        if 2 * x > e:
+            x -= e
+        y = (1 - k * x) // e
         alpha = self.gen()
         out = alpha ** x if x >= 0 else alpha.inverse() ** (-x)
         return out * self.base_context.uniformizer ** y
@@ -428,18 +431,6 @@ class LocalField:
     def _dyadic(self) -> "_DyadicClasses":
         """Square-class coordinates and the Hilbert form (p = 2), built on first use."""
         return _DyadicClasses(self)
-
-
-def _bezout_int(a: int, b: int):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    aa, bb = a, b
-    while bb:
-        q, (aa, bb) = aa // bb, (bb, aa % bb)
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if aa != 1:
-        raise PreconditionFailed("slope numerator and denominator not coprime")
-    return x0, y0
 
 
 class LocalFieldElement:

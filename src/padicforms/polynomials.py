@@ -199,14 +199,15 @@ class PadicPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = PadicPolynomial.one(self.field)
+        out = None  # the product of the powers taken so far, None while it is 1
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:  # no square past the last bit
+                base = base * base
+        return PadicPolynomial.one(self.field) if out is None else out
 
     def __divmod__(self, other):
         other = self._check(other)

@@ -297,6 +297,11 @@ class MilnorVerdict(NamedTuple):
     slots: tuple = ()  # the two slot value polynomials (x, y)
 
 
+def milnor_places(x: PfisterSlot, y: PfisterSlot) -> list:
+    """The places <1,pi><1,x><1,y> can have a second residue at: the slots' factors, each once, in order."""
+    return list(dict.fromkeys(poly for poly, _ in x.factors + y.factors))
+
+
 def milnor_isotropy(x: PfisterSlot, y: PfisterSlot, ctx: PadicContext) -> MilnorVerdict:
     """Decide isotropy of the 8-dimensional form <1,pi><1,x><1,y> over K(t).
 
@@ -307,14 +312,9 @@ def milnor_isotropy(x: PfisterSlot, y: PfisterSlot, ctx: PadicContext) -> Milnor
     the certificate pinpoints the place.
     """
     x_poly, y_poly = x.value(ctx), y.value(ctx)
-    places, seen = [], set()
-    for poly, _ in x.factors + y.factors:
-        if poly not in seen:
-            seen.add(poly)
-            places.append(poly)
     tests = []
     failing = None
-    for q in places:
+    for q in milnor_places(x, y):
         t = pfister_residue_test(x_poly, y_poly, q, ctx)
         tests.append(t)
         if not t.is_zero and failing is None:

@@ -4,13 +4,15 @@ import argparse
 import ast
 import copy
 import json
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from padicforms import PadicContext, cli, legendre_symbol, newton_polygon, parse_poly, run_law_corpus
+from padicforms import (PadicContext, PadicFormsError, PadicPolynomial, cli, construct_s, legendre_symbol,
+                        newton_polygon, parse_poly, prepare, run_law_corpus, verify_conditions)
 from padicforms.certificates import COMMANDS, assertion, verify_certificate
 from padicforms.cli import main
 from padicforms.errors import PreconditionFailed
@@ -675,3 +677,55 @@ def test_block_conditions_sit_at_the_slope_blocks(name, field):
             doc["assertions"][k] = a
             moved += 1
     assert moved >= 4
+
+
+GAMMA = {2: 5, 3: 2, 5: 2}  # (gamma, -p)_p = -1
+
+
+def _construct_inputs(seed):
+    """(p, g, factors): three admissible g at each p in GAMMA, then two two-slope products over Q_3.
+
+    A product is (t^2 + 3a t + 3u)(t^2 + b t + c), of slopes -1/2 and 0, given with its factors.
+    """
+    rng = random.Random(seed)
+    inputs = []
+    for p in GAMMA:
+        ctx, found = PadicContext(p), 0
+        while found < 3:
+            cs = [rng.randint(-9, 9) * p ** rng.choice([0, 0, 1, 2]) for _ in range(rng.choice([2, 4]))] + [1]
+            g = PadicPolynomial.from_rationals(cs, ctx)
+            try:
+                prepare(GAMMA[p], g, ctx)
+            except PadicFormsError:  # odd vertices, g(0) = 0 or an uncertified factorization
+                continue
+            inputs.append((p, g.to_text(), None))
+            found += 1
+    ctx = PadicContext(3)
+    for _ in range(2):
+        b, c = rng.choice([(0, 1), (1, 2), (2, 2)])
+        f1 = PadicPolynomial.from_rationals([3 * rng.choice([1, 2, 4, 5]), 3 * rng.randint(-3, 3), 1], ctx)
+        f2 = PadicPolynomial.from_rationals([c + 3 * rng.randint(-3, 3), b + 3 * rng.randint(-3, 3), 1], ctx)
+        inputs.append((3, (f1 * f2).to_text(), [f1.to_text(), f2.to_text()]))
+    return inputs
+
+
+def test_construct_documents_list_the_conditions_of_their_construction(capsys):
+    """Each CLI document verifies, and its conditions are verify_conditions' of the same construction, in order.
+
+    The CLI groups g's factors into blocks by their Newton polygons (construct.prepare) and
+    verify by the closed-form slope of each factor, so this ties the two beyond the goldens.
+    """
+    two_blocks = 0
+    for p, g, factors in _construct_inputs(28):
+        argv = ["construct-s", "--prime", str(p), "--gamma", str(GAMMA[p]), g]
+        code, doc = run_json(capsys, *argv, *(["--factors", ";".join(factors)] if factors else []))
+        assert code == 0 and verify_certificate(doc) == (True, []), argv
+        ctx = PadicContext(p)
+        params = prepare(GAMMA[p], parse_poly(g, ctx), ctx,
+                         factors=factors and [parse_poly(f, ctx) for f in factors])
+        rendered = [(c.name, c.p.to_text(), c.q.to_text(), c.rhs_p and c.rhs_p.to_text(),
+                     c.rhs_q and c.rhs_q.to_text()) for c in verify_conditions(construct_s(params)).conditions]
+        assert [(a["name"], a["p"], a["q"], a.get("p2"), a.get("q2"))
+                for a in doc["assertions"] if a["kind"] == "symbol-condition"] == rendered, argv
+        two_blocks += len(params.blocks) == 2
+    assert two_blocks >= 2
