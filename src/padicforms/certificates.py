@@ -189,16 +189,17 @@ def _construct_identity(ctx, a, b, q, r, c, h, e, pi_exponent):
     return {}
 
 
-def _symbol_condition(ctx, name, p, q, rhs, p2=None, q2=None):
-    """<p/q> against rhs: rhs is <p2/q2> when they are given, else a constant that <p/q> must equal."""
+def _symbol_condition(ctx, name, p, q, rhs=None, p2=None, q2=None):
+    """<p/q> against rhs: a constant that <p/q> must equal, or <p2/q2>, computed here, when they are given."""
     if name not in padicforms.construct.CONDITION_FAMILIES:
         raise ValueError(f"unknown condition {name!r}")
     lhs = padicforms.reciprocity.legendre_symbol(_parse(p, ctx), _parse(q, ctx), ctx)
-    value = lhs if p2 is q2 is None else padicforms.reciprocity.legendre_symbol(
-        _parse(p2, ctx), _parse(q2, ctx), ctx)
-    if not _same(value, rhs):
-        raise ConditionFailed(f"condition {name}: the right-hand side is {value}, not {rhs!r}")
-    return {"lhs": lhs, "holds": lhs == rhs}
+    if p2 is q2 is None:
+        if not _same(lhs, rhs):
+            raise ConditionFailed(f"condition {name} fails at q = {q}: <p/q> is {lhs}, not {rhs!r}")
+    else:
+        rhs = padicforms.reciprocity.legendre_symbol(_parse(p2, ctx), _parse(q2, ctx), ctx)
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs == rhs}
 
 
 def _residue_test(ctx, x, y, place):
@@ -287,7 +288,7 @@ def assertion(kind: str, ctx: PadicContext, **inputs) -> dict:
     """The assertion of this kind at these inputs, as the CLI writes it and ``verify`` rebuilds it.
 
     A computed field replaces the input of its name: law's inputs are the texts
-    the check read.
+    the check read, and a symbol condition's rhs is <p2/q2> when it has them.
     """
     return {"kind": kind, **inputs, **_KINDS[kind].build(ctx, **inputs)}
 
@@ -399,18 +400,53 @@ def _r_isotropy(assertions, ctx, seed, oracle_witness=None):
     return {"entries": a["entries"], "isotropic": verdict, "oracle_witness": witness}
 
 
+def construct_s_inputs(gamma, g, epsilon, blocks, ctx, text, identities=()) -> tuple:
+    """The (kind, inputs) of every assertion of a construct-s document, in document order, and s.
+
+    The one statement of what such a document asserts: the CLI writes each assertion with
+    :func:`assertion` from its inputs, and ``verify`` compares the document with them.
+    blocks are as construct.symbol_obligations reads them, text names a polynomial, and
+    the ring identities' inputs, given, sit between s's factors and the symbol conditions.
+    """
+    construct = padicforms.construct
+    g_factors, s_factors = [f for gs, _ in blocks for f in gs], [f for _, ss in blocks for f in ss]
+    forms = construct.pfister_forms(gamma, epsilon, g_factors, s_factors, ctx)
+    slots = [(x.value(ctx), y.value(ctx)) for x, y in forms]  # (-gamma, -s) and (t g, -t s)
+    tg = text(slots[1][0])
+    out = [("even-vertices", {"poly": text(g)})]
+    out += [("irreducible-certified", {"poly": text(f)}) for f in g_factors]
+    for f in s_factors:
+        out += [("irreducible-certified", {"poly": text(f)}), ("coprime", {"f": text(f), "g": tg})]
+    out += [("construct-identity", inputs) for inputs in identities]
+    for name, p, q, rhs, p2, q2 in construct.symbol_obligations(gamma, epsilon, blocks, ctx):
+        inputs = {"rhs": rhs} if p2 is None else {"p2": text(p2), "q2": text(q2)}
+        out.append(("symbol-condition", {"name": name, "p": text(p), "q": text(q), **inputs}))
+    for (x, y), values in zip(forms, slots):
+        x_text, y_text = map(text, values)
+        out += [("residue-test", {"x": x_text, "y": y_text, "place": text(q)})
+                for q in padicforms.quadform.milnor_places(x, y)]
+    return out, -slots[0][1]
+
+
+def _parts(entries) -> dict:
+    """(kind, inputs) pairs by what verify reports as one: the certified polynomials, each family, the residue tests."""
+    parts = {}
+    for kind, inputs in entries:
+        part = inputs["name"] if kind == "symbol-condition" else kind if kind == "residue-test" else "certified"
+        parts.setdefault(part, []).append((kind, inputs))
+    return parts
+
+
 def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     """construct-s's result: g and gamma, then what the construction's assertions record.
 
     A constant g or a square gamma decides the corollary with no construction, and the
-    document carries no assertion.  Otherwise the assertions must be those the CLI writes
-    for the polynomials they name: s's factors are the coprime assertions' f, g's factors
-    the other certified irreducibles, and s = epsilon * prod(s's factors).  g's slope blocks
-    are its factors grouped by their one edge's slope, and each s factor's slope must be one
-    of theirs.  Each condition family is at the polynomials construct.symbol_obligations
-    gives for these blocks, each case-one factor of s has its ring identity, and the residue
-    tests are those of construct.pfister_forms at their places; the verdict is that every
-    test vanishes.
+    document carries no assertion.  Otherwise s's factors are the coprime assertions' f,
+    g's factors the other certified irreducibles, and s = epsilon * prod(s's factors).
+    g's slope blocks are its factors grouped by their one edge's slope, and each s factor's
+    slope must be one of theirs.  Every assertion but the ring identities has the inputs
+    construct_s_inputs gives for these blocks, each condition family in order, and each
+    case-one factor of s has its ring identity; the verdict is that every residue test vanishes.
     """
     construct = padicforms.construct
     gamma, g = parse_rat(gamma), _parse(g, ctx)
@@ -423,28 +459,18 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     s_texts = [a["f"] for a in assertions if a["kind"] == "coprime"]
     g_texts = [a["poly"] for a in assertions if a["kind"] == "irreducible-certified" and a["poly"] not in s_texts]
     s_factors, g_factors = [_parse(text, ctx) for text in s_texts], [_parse(text, ctx) for text in g_texts]
-    epsilon = construct.leading_unit(g, ctx)
-    forms = construct.pfister_forms(gamma, epsilon, g_factors, s_factors, ctx)
-    slots = [(x.value(ctx), y.value(ctx)) for x, y in forms]  # (-gamma, -s) and (t g, -t s)
-    s, tg = -slots[0][1], slots[1][0]
     g0 = math.prod(g_factors, start=PadicPolynomial.one(ctx))
     if not s_texts or not g_texts or not (g % g0).is_zero() or any(sf.degree % 2 for sf in s_factors):
         raise ValueError("g and s need factors, g's must divide g, and s's must have even degree")
-    # a factor of g or s is named by the document's text of it; any other polynomial is rendered once
-    texts = dict(zip(g_factors + s_factors, g_texts + s_texts))
+    # a factor of g or s is named by the document's text of it and g by the result's; any other
+    # polynomial is rendered once
+    texts = dict(zip(g_factors + s_factors + [g], g_texts + s_texts + [result["g"]]))
 
     def text(f):
         out = texts.get(f)
         if out is None:
             out = texts[f] = f.to_text()
         return out
-
-    structure = [{"kind": "even-vertices", "poly": result["g"]}]
-    structure += [{"kind": "irreducible-certified", "poly": q} for q in g_texts]
-    for q in s_texts:
-        structure += [{"kind": "irreducible-certified", "poly": q}, {"kind": "coprime", "f": q, "g": text(tg)}]
-    if [a for a in assertions if a["kind"] in ("even-vertices", "irreducible-certified", "coprime")] != structure:
-        raise ValueError("the certified polynomials are not g, its factors, and s's factors against t g")
 
     def slope(f):  # f is certified irreducible, so it has one edge, of slope (v(a_d) - v(a_0)) / d
         return Fraction(vp_int(f.num[-1], ctx.p) - vp_int(f.num[0], ctx.p), f.degree)
@@ -457,15 +483,19 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
         if m not in blocks:
             raise ValueError(f"s factor {sf.to_text()} has slope {m}, the slope of no factor of g")
         blocks[m][1].append(sf)
-    obligations = construct.symbol_obligations(gamma, epsilon, [blocks[m] for m in sorted(blocks)], ctx)
-    expected = [(name, *(None if f is None else text(f) for f in polys)) for name, *polys in obligations]
-    conditions = [a for a in assertions if a["kind"] == "symbol-condition"]
-    recorded = [(a["name"], a["p"], a["q"], a.get("p2"), a.get("q2")) for a in conditions]
-    for name in construct.CONDITION_FAMILIES:
-        if [c for c in recorded if c[0] == name] != [c for c in expected if c[0] == name]:
-            raise ValueError(f"the {name} conditions are not at the result's polynomials, one per factor")
-    if any(construct.CONDITION_FAMILIES[a["name"]] and not (a["rhs"] == 1 and a["holds"]) for a in conditions):
-        raise ValueError("a condition the construction needs does not hold with right-hand side 1")
+    epsilon = construct.leading_unit(g, ctx)
+    entries, s = construct_s_inputs(gamma, g, epsilon, [blocks[m] for m in sorted(blocks)], ctx, text)
+    recorded = _parts((a["kind"], {n: a[n] for n in _KINDS[a["kind"]].inputs
+                                   if n in a and (n != "rhs" or "p2" not in a)})  # with p2, rhs is the builder's
+                      for a in assertions if a["kind"] != "construct-identity")
+    expected = _parts(entries)
+    mismatch = {"certified": "the certified polynomials are not g, its factors, and s's factors against t g",
+                **{name: f"the {name} conditions are not at the result's polynomials, one per factor"
+                   for name in construct.CONDITION_FAMILIES},
+                "residue-test": "the residue tests are not the two Pfister forms' at their places"}
+    for part, message in mismatch.items():
+        if recorded.get(part) != expected.get(part):
+            raise ValueError(message)
     # a slope of odd denominator is case one (construct._case_one): c pi^(-m deg c) for its ring
     # identity's c, with m = pi_exponent / e; case two has no identity
     case_one = [sf for sf in s_factors if slope(sf).denominator % 2]
@@ -476,15 +506,7 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
         scaled.append(c * ctx.uniformizer ** k.numerator if k.denominator == 1 else None)
     if scaled != case_one:
         raise ValueError("the ring identities are not one per case-one factor of s, at that factor")
-
-    places = []  # each form's residue tests, one per place
-    for (x, y), values in zip(forms, slots):
-        x_text, y_text = map(text, values)
-        places += [(x_text, y_text, text(q)) for q in padicforms.quadform.milnor_places(x, y)]
-    tests = [a for a in assertions if a["kind"] == "residue-test"]
-    if [(a["x"], a["y"], a["place"]) for a in tests] != places:
-        raise ValueError("the residue tests are not the two Pfister forms' at their places")
-    isotropic = all(a["is_zero"] is True for a in tests)
+    isotropic = all(a["is_zero"] is True for a in assertions if a["kind"] == "residue-test")
     return {**result, "isotropic": isotropic, "note": construct.WITT_NOTES[isotropic],
             "s": text(s), "s_factors": s_texts, "g_factors": g_texts, "epsilon": rat_str(epsilon),
             "metrics": {"deg_s": s.degree, "factor_count": len(s_texts), "samples": samples, "seed": seed}}

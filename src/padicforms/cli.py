@@ -6,8 +6,9 @@ corpus) take --seed, which their certificates record.  Exit codes: 0 for
 success and true verdicts, 1 for false verdicts, 2 for usage or
 computation errors, internal faults included.  With --json the output is
 a certificate document (schema padic-forms/1) whose assertions, each
-written by its kind's builder (``certificates.assertion``), re-verify
-through the ``verify`` subcommand; identical arguments and seed produce
+written by its kind's builder (``certificates.assertion``), construct-s's
+at the inputs ``certificates.construct_s_inputs`` lists, re-verify through
+the ``verify`` subcommand; identical arguments and seed produce
 byte-identical JSON.
 """
 
@@ -60,14 +61,14 @@ def _seeded(sub):
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
 
 
+def _write(args, doc, human_lines):
+    """Print the certificate document, or the human-readable lines."""
+    sys.stdout.write(cert.dump_certificate(doc) if args.json else "".join(f"{line}\n" for line in human_lines))
+
+
 def _emit(args, command, ctx, assertions, human_lines, seed=None, **given):
     """Print the certificate, whose result the assertions give, or the human-readable lines."""
-    doc = cert.make_certificate(command, ctx, assertions, seed=seed, **given)
-    if args.json:
-        sys.stdout.write(cert.dump_certificate(doc))
-    else:
-        for line in human_lines:
-            print(line)
+    _write(args, cert.make_certificate(command, ctx, assertions, seed=seed, **given), human_lines)
 
 
 def _cmd_newton(args):
@@ -155,48 +156,33 @@ def _cmd_isotropy(args):
     return 0 if verdict else 1
 
 
-def _construct_assertions(cor, ctx):
-    res = cor.construction
-    params = res.params
-    tg = (PadicPolynomial.x(ctx) * params.g_norm).to_text()
-    claims = [cert.assertion("even-vertices", ctx, poly=params.g_input.to_text())]
-    claims += [cert.assertion("irreducible-certified", ctx, poly=gf.poly.to_text())
-               for block in params.blocks for gf in block.factors]
-    for sf in res.s_factors:
-        claims += [cert.assertion("irreducible-certified", ctx, poly=sf.poly.to_text()),
-                   cert.assertion("coprime", ctx, f=sf.poly.to_text(), g=tg)]
-    claims += [cert.assertion("construct-identity", ctx, **{n: getattr(trace, n).to_text() for n in "abqrch"},
-                              e=trace.e, pi_exponent=int(trace.slope * trace.e)) for trace in res.traces.values()]
-    for c in cor.conditions.conditions:
-        rhs = {"rhs": c.rhs} if c.rhs_p is None else {"rhs": c.rhs, "p2": c.rhs_p.to_text(), "q2": c.rhs_q.to_text()}
-        claims.append(cert.assertion("symbol-condition", ctx, name=c.name, p=c.p.to_text(), q=c.q.to_text(), **rhs))
-    for milnor in (cor.milnor_first, cor.milnor_second):
-        x, y = (slot.to_text() for slot in milnor.slots)
-        claims += [cert.assertion("residue-test", ctx, x=x, y=y, place=test.place.to_text()) for test in milnor.tests]
-    return claims
-
-
 def _cmd_construct_s(args):
+    """The construction alone writes the certificate; the human lines and the exit code read its result."""
     ctx = _context(args)
     g = parse_poly(args.g, ctx)
     gamma = parse_rational_scalar(args.gamma, ctx)
     factors = None
     if args.factors:
         factors = [parse_poly(t, ctx) for t in args.factors.split(";")]
-    cor = padicforms.construct.corollary_isotropy(gamma, g, ctx, seed=args.seed, factors=factors)
-    human = [f"gamma = {gamma}, g = {g.to_text()}: {cor.note}"]
-    assertions = []
-    samples = None
-    if cor.construction is not None:
-        samples = cor.construction.metrics["samples"]
-        assertions = _construct_assertions(cor, ctx)
+    construct, assertions, samples = padicforms.construct, [], None
+    if construct.degenerate_note(gamma, g, ctx) is None:
+        res = construct.construct_s(construct.prepare(gamma, g, ctx, factors=factors), args.seed)
+        samples = res.metrics["samples"]
+        identities = [{**{n: getattr(trace, n).to_text() for n in "abqrch"}, "e": trace.e,
+                       "pi_exponent": int(trace.slope * trace.e)} for trace in res.traces.values()]
+        inputs, _ = cert.construct_s_inputs(gamma, g, res.params.epsilon, res.factor_blocks, ctx,
+                                            PadicPolynomial.to_text, identities)
+        assertions = [cert.assertion(kind, ctx, **x) for kind, x in inputs]
+    doc = cert.make_certificate("construct-s", ctx, assertions, seed=args.seed,
+                                gamma=cert.rat_str(gamma), g=g.to_text(), samples=samples)
+    result = doc["result"]
+    human = [f"gamma = {gamma}, g = {g.to_text()}: {result['note']}"]
+    if assertions:
         conditions = [a for a in assertions if a["kind"] == "symbol-condition"]
-        human.append(f"s = {cor.construction.s_poly.to_text()}")
-        human.append(f"metrics: {cor.construction.metrics}")
-        human.append(f"conditions verified: {len(conditions)}, all hold: {all(a['holds'] for a in conditions)}")
-    _emit(args, "construct-s", ctx, assertions, human, seed=args.seed,
-          gamma=cert.rat_str(gamma), g=g.to_text(), samples=samples)
-    return 0 if cor.isotropic else 1
+        human += [f"s = {result['s']}", f"metrics: {result['metrics']}",
+                  f"conditions verified: {len(conditions)}, all hold: {all(a['holds'] for a in conditions)}"]
+    _write(args, doc, human)
+    return 0 if result["isotropic"] else 1
 
 
 def _cmd_predicate(args):

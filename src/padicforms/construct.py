@@ -342,6 +342,12 @@ class ConstructionResult(NamedTuple):
     traces: dict  # block_index -> CaseOneTrace
     metrics: dict
 
+    @property
+    def factor_blocks(self) -> list:
+        """One (g's factors, s's factors) pair per slope block, slopes increasing: what symbol_obligations reads."""
+        return [([gf.poly for gf in block.factors], [sf.poly for sf in self.s_factors if sf.block_index == i])
+                for i, block in enumerate(self.params.blocks)]
+
 
 def _case_one(params: ConstructionParams, i: int, rng) -> tuple[SFactor, CaseOneTrace]:
     ctx = params.context
@@ -603,15 +609,15 @@ CONDITION_FAMILIES = {"sg-over-t": True, "ts-over-g-factor": True, "minus-tg-ove
 
 
 def symbol_obligations(gamma, epsilon, blocks, ctx: PadicContext) -> list:
-    """The (name, p, q, p2, q2) of every symbol condition, in the order certificates list them.
+    """The (name, p, q, rhs, p2, q2) of every symbol condition, in the order certificates list them.
 
     blocks holds one (g's factors, s's factors) pair per slope of g, slopes
     increasing; g = epsilon * prod(g's factors) and s = epsilon * prod(s's
-    factors).  p2 and q2 are None unless the condition is <p/q> = <p2/q2>:
-    the block equalities <s_i/g_ij> = <t g/g_i / g_ij> and the product
+    factors).  A condition is <p/q> = rhs, or <p/q> = <p2/q2> when rhs is
+    None: the block equalities <s_i/g_ij> = <t g/g_i / g_ij> and the product
     property <s_i/g_kl> = <g_i/g_kl> for g_kl in another block, where g_i
-    and s_i are block i's products.  A needed family's right-hand side is
-    1, and t-value-equality's is the product of <s_ij/g_kl> over g's factors.
+    and s_i are block i's products.  A needed family's rhs is 1, and
+    t-value-equality's is the product of <s_ij/g_kl> over g's factors.
     """
     t, one, unit = PadicPolynomial.x(ctx), PadicPolynomial.one(ctx), PadicPolynomial.from_rationals([epsilon], ctx)
     g_blocks = [math.prod(gs, start=one) for gs, _ in blocks]
@@ -620,17 +626,18 @@ def symbol_obligations(gamma, epsilon, blocks, ctx: PadicContext) -> list:
     g_factors = [q for gs, _ in blocks for q in gs]
     s_factors = [q for _, ss in blocks for q in ss]
     ts, minus_tg = s.shift(1), -g_norm.shift(1)
-    out = [("sg-over-t", s * g_norm, t, None, None)]
-    out += [("ts-over-g-factor", ts, q, None, None) for q in g_factors]
-    out += [("minus-tg-over-s-factor", minus_tg, q, None, None) for q in s_factors]
+    out = [("sg-over-t", s * g_norm, t, 1, None, None)]
+    out += [("ts-over-g-factor", ts, q, 1, None, None) for q in g_factors]
+    out += [("minus-tg-over-s-factor", minus_tg, q, 1, None, None) for q in s_factors]
     for i, (gs, _) in enumerate(blocks):
         cofactor = (g_norm // g_blocks[i]).shift(1)
-        out += [("block-equality", s_blocks[i], q, cofactor, q) for q in gs]
-        out += [("product-property", s_blocks[i], q, g_blocks[i], q)
+        out += [("block-equality", s_blocks[i], q, None, cofactor, q) for q in gs]
+        out += [("product-property", s_blocks[i], q, None, g_blocks[i], q)
                 for k, (other, _) in enumerate(blocks) if k != i for q in other]
     constant = PadicPolynomial.from_rationals([gamma], ctx)
     for q in s_factors:
-        out += [("t-value-equality", q, t, None, None), ("gamma-over-s-factor", constant, q, None, None)]
+        t_value = math.prod(legendre_symbol(q, g_kl, ctx) for g_kl in g_factors)
+        out += [("t-value-equality", q, t, t_value, None, None), ("gamma-over-s-factor", constant, q, 1, None, None)]
     return out
 
 
@@ -642,20 +649,13 @@ def verify_conditions(result: ConstructionResult) -> ConditionReport:
     """
     params = result.params
     ctx = params.context
-    blocks = [([gf.poly for gf in block.factors], [sf.poly for sf in result.s_factors if sf.block_index == i])
-              for i, block in enumerate(params.blocks)]
-    g_factors = [q for gs, _ in blocks for q in gs]
     conds = []
-    for name, p, q, p2, q2 in symbol_obligations(params.gamma, params.epsilon, blocks, ctx):
+    for name, p, q, rhs, p2, q2 in symbol_obligations(params.gamma, params.epsilon, result.factor_blocks, ctx):
         lhs = legendre_symbol(p, q, ctx)
         if CONDITION_FAMILIES[name] and lhs != 1:
             raise ConditionFailed(f"condition {name} fails at q = {q.to_text()}")
         if p2 is not None:
             rhs = legendre_symbol(p2, q2, ctx)
-        elif CONDITION_FAMILIES[name]:
-            rhs = 1
-        else:  # t-value-equality
-            rhs = math.prod(legendre_symbol(p, g_kl, ctx) for g_kl in g_factors)
         conds.append(SymbolCondition(name, p, q, lhs, rhs, p2, q2))
     return ConditionReport(tuple(conds))
 

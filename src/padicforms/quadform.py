@@ -294,7 +294,6 @@ class MilnorVerdict(NamedTuple):
     verdict: str
     tests: tuple
     failing_place: PadicPolynomial | None
-    slots: tuple = ()  # the two slot value polynomials (x, y)
 
 
 def milnor_places(x: PfisterSlot, y: PfisterSlot) -> list:
@@ -320,14 +319,6 @@ def milnor_isotropy(x: PfisterSlot, y: PfisterSlot, ctx: PadicContext) -> Milnor
         if not t.is_zero and failing is None:
             failing = q
     if failing is None:
-        return MilnorVerdict(
-            True,
-            "isotropic: all second residue forms vanish, so the class comes from"
-            " W(K) with anisotropic dimension <= 4 < 8",
-            tuple(tests),
-            None,
-            (x_poly, y_poly),
-        )
-    return MilnorVerdict(
-        False, "not decided by this rule", tuple(tests), failing, (x_poly, y_poly)
-    )
+        return MilnorVerdict(True, "isotropic: all second residue forms vanish, so the class comes from"
+                             " W(K) with anisotropic dimension <= 4 < 8", tuple(tests), None)
+    return MilnorVerdict(False, "not decided by this rule", tuple(tests), failing)

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from padicforms import (PadicContext, PadicFormsError, PadicPolynomial, cli, construct_s, legendre_symbol,
-                        newton_polygon, parse_poly, prepare, run_law_corpus, verify_conditions)
+from padicforms import (PadicContext, PadicFormsError, PadicPolynomial, cli, construct, construct_s, legendre_symbol,
+                        newton_polygon, parse_poly, prepare, quadform, reciprocity, run_law_corpus, verify_conditions)
 from padicforms.certificates import COMMANDS, assertion, verify_certificate
 from padicforms.cli import main
 from padicforms.errors import PreconditionFailed
 from padicforms.reciprocity import MAX_CASES
+from test_golden import CASES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -729,3 +730,66 @@ def test_construct_documents_list_the_conditions_of_their_construction(capsys):
                 for a in doc["assertions"] if a["kind"] == "symbol-condition"] == rendered, argv
         two_blocks += len(params.blocks) == 2
     assert two_blocks >= 2
+
+
+def _counted(calls, name, fn):
+    def counting(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counting
+
+
+def test_construct_s_evaluates_each_obligation_once(capsys, monkeypatch):
+    """The CLI evaluates each condition and residue test once, in the builder that writes it.
+
+    Its symbols are the 13 of the builders and the 4 of the t-value products, which both the
+    writer and the result's derivation take; each residue test is one residue-test assertion.
+    """
+    calls = {"symbol": 0, "residue": 0}
+    symbol = _counted(calls, "symbol", reciprocity.legendre_symbol)
+    monkeypatch.setattr(reciprocity, "legendre_symbol", symbol)
+    monkeypatch.setattr(construct, "legendre_symbol", symbol)
+    monkeypatch.setattr(quadform, "pfister_residue_test", _counted(calls, "residue", quadform.pfister_residue_test))
+    code, doc = run_json(capsys, *CASES["construct-s-two-factors"][0])
+    assert code == 0 and doc == json.loads((GOLDEN / "construct-s-two-factors.json").read_text(encoding="utf-8"))
+    assert calls["residue"] == sum(a["kind"] == "residue-test" for a in doc["assertions"]) == 7
+    assert calls["symbol"] <= 21
+
+
+def test_verify_computes_the_t_value_products(monkeypatch):
+    """A t-value-equality's rhs is the product of <s_ij/g_kl> over g's factors, and verify computes it.
+
+    <s_0/g_1> of the two-factor golden is evaluated only in that product, so with its value
+    flipped the document's t-value-equality conditions no longer hold as recorded.
+    """
+    doc = json.loads((GOLDEN / "construct-s-two-factors.json").read_text(encoding="utf-8"))
+    assert verify_certificate(doc) == (True, [])
+    pair, symbol = (doc["result"]["s_factors"][0], doc["result"]["g_factors"][1]), reciprocity.legendre_symbol
+
+    def flipped(p, q, ctx):
+        value = symbol(p, q, ctx)
+        return -value if (p.to_text(), q.to_text()) == pair else value
+
+    monkeypatch.setattr(reciprocity, "legendre_symbol", flipped)
+    monkeypatch.setattr(construct, "legendre_symbol", flipped)
+    assert verify_certificate(doc) == (False, ["result: not derivable from the assertions: the t-value-equality"
+                                               " conditions are not at the result's polynomials, one per factor"])
+
+
+@pytest.mark.parametrize("argv", [CASES[name][0] for name in sorted(CASES) if name.startswith("construct-s")] + [
+    ["construct-s", "--prime", "3", "--gamma", "2", "7"], ["construct-s", "--prime", "3", "--gamma", "1", "t^2 - 3"]])
+def test_construct_s_prints_its_certificates_result(argv, capsys):
+    """Without --json the note, s and metrics are the result block's, and the exit code is its verdict.
+
+    A constant g and a square gamma are decided with no construction, and their documents verify.
+    """
+    code, doc = run_json(capsys, *argv)
+    human_code, out, err = run_cli(capsys, *argv)
+    result, lines = doc["result"], out.splitlines()
+    assert human_code == code == (0 if result["isotropic"] else 1) and err == ""
+    assert verify_certificate(doc) == (True, [])
+    assert lines[0].endswith(f", g = {result['g']}: {result['note']}")
+    if doc["assertions"]:
+        assert lines[1:3] == [f"s = {result['s']}", f"metrics: {result['metrics']}"] and len(lines) == 4
+    else:
+        assert "s" not in result and len(lines) == 1
