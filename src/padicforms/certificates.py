@@ -34,6 +34,8 @@ SCHEMA = "padic-forms/1"
 # shared by its assertions and its result; _per_document empties it when the document is done.
 # An entry serves only the context object it was parsed under, so it never changes a result.
 _parsed: dict = {}
+# (p, q) -> (context, <p/q>): the one evaluation of each symbol of the same document, kept as _parsed is
+_symbols: dict = {}
 
 
 def rat_str(x) -> str:
@@ -54,6 +56,13 @@ def _parse(text: str, ctx: PadicContext) -> PadicPolynomial:
     if poly is None or poly.field is not ctx:
         poly = _parsed[text] = parse_poly(text, ctx)
     return poly
+
+
+def _symbol(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext) -> int:
+    hit = _symbols.get((p, q))
+    if hit is None or hit[0] is not ctx:
+        hit = _symbols[p, q] = (ctx, padicforms.reciprocity.legendre_symbol(p, q, ctx))
+    return hit[1]
 
 
 def context_block(ctx: PadicContext) -> dict:
@@ -112,7 +121,7 @@ def _hilbert(ctx, a, b):
 
 
 def _legendre(ctx, p, q):
-    return {"value": padicforms.reciprocity.legendre_symbol(_parse(p, ctx), _parse(q, ctx), ctx)}
+    return {"value": _symbol(_parse(p, ctx), _parse(q, ctx), ctx)}
 
 
 # the laws check-mult and check-recip check: the reciprocity function that checks each, and the
@@ -193,12 +202,12 @@ def _symbol_condition(ctx, name, p, q, rhs=None, p2=None, q2=None):
     """<p/q> against rhs: a constant that <p/q> must equal, or <p2/q2>, computed here, when they are given."""
     if name not in padicforms.construct.CONDITION_FAMILIES:
         raise ValueError(f"unknown condition {name!r}")
-    lhs = padicforms.reciprocity.legendre_symbol(_parse(p, ctx), _parse(q, ctx), ctx)
+    lhs = _symbol(_parse(p, ctx), _parse(q, ctx), ctx)
     if p2 is q2 is None:
         if not _same(lhs, rhs):
             raise ConditionFailed(f"condition {name} fails at q = {q}: <p/q> is {lhs}, not {rhs!r}")
     else:
-        rhs = padicforms.reciprocity.legendre_symbol(_parse(p2, ctx), _parse(q2, ctx), ctx)
+        rhs = _symbol(_parse(p2, ctx), _parse(q2, ctx), ctx)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs == rhs}
 
 
@@ -418,7 +427,7 @@ def construct_s_inputs(gamma, g, epsilon, blocks, ctx, text, identities=()) -> t
     for f in s_factors:
         out += [("irreducible-certified", {"poly": text(f)}), ("coprime", {"f": text(f), "g": tg})]
     out += [("construct-identity", inputs) for inputs in identities]
-    for name, p, q, rhs, p2, q2 in construct.symbol_obligations(gamma, epsilon, blocks, ctx):
+    for name, p, q, rhs, p2, q2 in construct.symbol_obligations(gamma, epsilon, blocks, ctx, _symbol):
         inputs = {"rhs": rhs} if p2 is None else {"p2": text(p2), "q2": text(q2)}
         out.append(("symbol-condition", {"name": name, "p": text(p), "q": text(q), **inputs}))
     for (x, y), values in zip(forms, slots):
@@ -429,10 +438,14 @@ def construct_s_inputs(gamma, g, epsilon, blocks, ctx, text, identities=()) -> t
 
 
 def _parts(entries) -> dict:
-    """(kind, inputs) pairs by what verify reports as one: the certified polynomials, each family, the residue tests."""
+    """(kind, inputs) pairs by what verify reports as one: the certified polynomials, each family, the residue tests.
+
+    The ring identities are a part of their own, which the document supplies and _r_construct_s checks.
+    """
     parts = {}
     for kind, inputs in entries:
-        part = inputs["name"] if kind == "symbol-condition" else kind if kind == "residue-test" else "certified"
+        part = inputs["name"] if kind == "symbol-condition" else (
+            kind if kind in ("residue-test", "construct-identity") else "certified")
         parts.setdefault(part, []).append((kind, inputs))
     return parts
 
@@ -440,28 +453,35 @@ def _parts(entries) -> dict:
 def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     """construct-s's result: g and gamma, then what the construction's assertions record.
 
-    A constant g or a square gamma decides the corollary with no construction, and the
-    document carries no assertion.  Otherwise s's factors are the coprime assertions' f,
-    g's factors the other certified irreducibles, and s = epsilon * prod(s's factors).
-    g's slope blocks are its factors grouped by their one edge's slope, and each s factor's
-    slope must be one of theirs.  Every assertion but the ring identities has the inputs
-    construct_s_inputs gives for these blocks, each condition family in order, and each
-    case-one factor of s has its ring identity; the verdict is that every residue test vanishes.
+    A constant g, a constant times a square, or a square gamma decides the corollary with no
+    construction, and the document carries no assertion.  Otherwise s's factors are the coprime
+    assertions' f, g's factors the other certified irreducibles, distinct and monic, and g is a
+    constant times their product g0 times a square, so g0 is g's squarefree odd part; s = epsilon
+    * prod(s's factors).  g's slope blocks are its factors grouped by their one edge's slope, and
+    each s factor's slope must be one of theirs.  Each case-one factor of s has its ring identity,
+    and the assertions are exactly the list construct_s_inputs gives for these blocks and
+    identities, in its order; the verdict is that every residue test vanishes.
     """
     construct = padicforms.construct
     gamma, g = parse_rat(gamma), _parse(g, ctx)
     result = {"gamma": rat_str(gamma), "g": g.to_text()}
-    note = construct.degenerate_note(gamma, g, ctx)
-    if note is not None:
-        if assertions:
-            raise ValueError("a corollary that g or gamma decides carries no assertion")
-        return {**result, "isotropic": True, "note": note}
+    if not assertions:
+        note = construct.degenerate_note(gamma, g, ctx)
+        if note is not None:
+            return {**result, "isotropic": True, "note": note}
     s_texts = [a["f"] for a in assertions if a["kind"] == "coprime"]
     g_texts = [a["poly"] for a in assertions if a["kind"] == "irreducible-certified" and a["poly"] not in s_texts]
     s_factors, g_factors = [_parse(text, ctx) for text in s_texts], [_parse(text, ctx) for text in g_texts]
     g0 = math.prod(g_factors, start=PadicPolynomial.one(ctx))
-    if not s_texts or not g_texts or not (g % g0).is_zero() or any(sf.degree % 2 for sf in s_factors):
+    square, rest = divmod(g, g0)
+    if not s_texts or not g_texts or not rest.is_zero() or any(sf.degree % 2 for sf in s_factors):
         raise ValueError("g and s need factors, g's must divide g, and s's must have even degree")
+    # one exact division when g is squarefree; a squarefree decomposition only when g has a square part
+    if len(set(g_factors)) < len(g_factors) or not all(f.is_monic() for f in g_factors) or (
+            square.degree > 0 and any(k % 2 for _, k in square.squarefree_decomposition())):
+        raise ValueError("g is not a constant times a square times its factors, distinct and monic")
+    if construct.degenerate_note(gamma, g, ctx, g0) is not None:
+        raise ValueError("a corollary that g or gamma decides carries no assertion")
     # a factor of g or s is named by the document's text of it and g by the result's; any other
     # polynomial is rendered once
     texts = dict(zip(g_factors + s_factors + [g], g_texts + s_texts + [result["g"]]))
@@ -483,29 +503,31 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
         if m not in blocks:
             raise ValueError(f"s factor {sf.to_text()} has slope {m}, the slope of no factor of g")
         blocks[m][1].append(sf)
-    epsilon = construct.leading_unit(g, ctx)
-    entries, s = construct_s_inputs(gamma, g, epsilon, [blocks[m] for m in sorted(blocks)], ctx, text)
-    recorded = _parts((a["kind"], {n: a[n] for n in _KINDS[a["kind"]].inputs
-                                   if n in a and (n != "rhs" or "p2" not in a)})  # with p2, rhs is the builder's
-                      for a in assertions if a["kind"] != "construct-identity")
-    expected = _parts(entries)
-    mismatch = {"certified": "the certified polynomials are not g, its factors, and s's factors against t g",
-                **{name: f"the {name} conditions are not at the result's polynomials, one per factor"
-                   for name in construct.CONDITION_FAMILIES},
-                "residue-test": "the residue tests are not the two Pfister forms' at their places"}
-    for part, message in mismatch.items():
-        if recorded.get(part) != expected.get(part):
-            raise ValueError(message)
     # a slope of odd denominator is case one (construct._case_one): c pi^(-m deg c) for its ring
     # identity's c, with m = pi_exponent / e; case two has no identity
+    identities = [a for a in assertions if a["kind"] == "construct-identity"]
     case_one = [sf for sf in s_factors if slope(sf).denominator % 2]
     scaled = []
-    for a in (a for a in assertions if a["kind"] == "construct-identity"):
+    for a in identities:
         c = _parse(a["c"], ctx)
         k = Fraction(-a["pi_exponent"] * c.degree, a["e"])
         scaled.append(c * ctx.uniformizer ** k.numerator if k.denominator == 1 else None)
     if scaled != case_one:
         raise ValueError("the ring identities are not one per case-one factor of s, at that factor")
+    epsilon = construct.leading_unit(g, ctx)
+    entries, s = construct_s_inputs(gamma, g, epsilon, [blocks[m] for m in sorted(blocks)], ctx, text,
+                                    [{n: a[n] for n in _KINDS[a["kind"]].inputs} for a in identities])
+    recorded = [(a["kind"], {n: a[n] for n in _KINDS[a["kind"]].inputs
+                             if n in a and (n != "rhs" or "p2" not in a)})  # with p2, rhs is the builder's
+                for a in assertions]
+    if recorded != entries:
+        got, want = _parts(recorded), _parts(entries)
+        mismatch = {"certified": "the certified polynomials are not g, its factors, and s's factors against t g",
+                    **{name: f"the {name} conditions are not at the result's polynomials, one per factor"
+                       for name in construct.CONDITION_FAMILIES},
+                    "residue-test": "the residue tests are not the two Pfister forms' at their places"}
+        raise ValueError(next((message for part, message in mismatch.items() if got.get(part) != want.get(part)),
+                              "the assertions are not in the order construct-s writes them"))
     isotropic = all(a["is_zero"] is True for a in assertions if a["kind"] == "residue-test")
     return {**result, "isotropic": isotropic, "note": construct.WITT_NOTES[isotropic],
             "s": text(s), "s_factors": s_texts, "g_factors": g_texts, "epsilon": rat_str(epsilon),
@@ -575,13 +597,14 @@ COMMANDS = frozenset(_TABLE)
 
 
 def _per_document(fn):
-    """fn handles one document; the parse and corpus memos serve that document only."""
+    """fn handles one document; the parse, symbol and corpus memos serve that document only."""
     @functools.wraps(fn)
     def scoped(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         finally:
             _parsed.clear()
+            _symbols.clear()
             corpus_summary.cache_clear()
     return scoped
 

@@ -165,8 +165,9 @@ def _cmd_construct_s(args):
     if args.factors:
         factors = [parse_poly(t, ctx) for t in args.factors.split(";")]
     construct, assertions, samples = padicforms.construct, [], None
-    if construct.degenerate_note(gamma, g, ctx) is None:
-        res = construct.construct_s(construct.prepare(gamma, g, ctx, factors=factors), args.seed)
+    g0 = g.squarefree_odd_part() if g.degree > 0 else None
+    if construct.degenerate_note(gamma, g, ctx, g0) is None:
+        res = construct.construct_s(construct.prepare(gamma, g, ctx, factors=factors, g0=g0), args.seed)
         samples = res.metrics["samples"]
         identities = [{**{n: getattr(trace, n).to_text() for n in "abqrch"}, "e": trace.e,
                        "pi_exponent": int(trace.slope * trace.e)} for trace in res.traces.values()]

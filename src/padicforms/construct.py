@@ -236,7 +236,7 @@ def leading_unit(g: PadicPolynomial, ctx: PadicContext) -> Fraction:
     return Fraction(lc) * ctx.uniformizer ** (-ctx.vp(lc))
 
 
-def prepare(gamma, g: PadicPolynomial, ctx: PadicContext, factors=None) -> ConstructionParams:
+def prepare(gamma, g: PadicPolynomial, ctx: PadicContext, factors=None, g0=None) -> ConstructionParams:
     """Validate and normalize inputs for the construction.
 
     Checks the even-vertex precondition on the input polygon, replaces g
@@ -244,7 +244,7 @@ def prepare(gamma, g: PadicPolynomial, ctx: PadicContext, factors=None) -> Const
     (both changes preserve the isotropy problem), certifies an
     irreducible factorization (caller-supplied or automatic through
     rational roots plus the polygon criteria) and picks the minimal odd
-    window integer N.
+    window integer N.  g0, g's squarefree odd part, is computed when not given.
     """
     gamma = Fraction(gamma)
     if gamma == 0:
@@ -257,7 +257,7 @@ def prepare(gamma, g: PadicPolynomial, ctx: PadicContext, factors=None) -> Const
         raise OddVertex(f"Newton polygon vertices of odd degree: {odd}")
 
     epsilon = leading_unit(g, ctx)
-    g0 = g.squarefree_odd_part()
+    g0 = g.squarefree_odd_part() if g0 is None else g0
     g_norm = g0 * epsilon
 
     if factors is not None:
@@ -608,7 +608,7 @@ CONDITION_FAMILIES = {"sg-over-t": True, "ts-over-g-factor": True, "minus-tg-ove
                       "product-property": False}
 
 
-def symbol_obligations(gamma, epsilon, blocks, ctx: PadicContext) -> list:
+def symbol_obligations(gamma, epsilon, blocks, ctx: PadicContext, symbol) -> list:
     """The (name, p, q, rhs, p2, q2) of every symbol condition, in the order certificates list them.
 
     blocks holds one (g's factors, s's factors) pair per slope of g, slopes
@@ -617,7 +617,8 @@ def symbol_obligations(gamma, epsilon, blocks, ctx: PadicContext) -> list:
     None: the block equalities <s_i/g_ij> = <t g/g_i / g_ij> and the product
     property <s_i/g_kl> = <g_i/g_kl> for g_kl in another block, where g_i
     and s_i are block i's products.  A needed family's rhs is 1, and
-    t-value-equality's is the product of <s_ij/g_kl> over g's factors.
+    t-value-equality's is the product of <s_ij/g_kl> over g's factors,
+    each symbol(s_ij, g_kl, ctx).
     """
     t, one, unit = PadicPolynomial.x(ctx), PadicPolynomial.one(ctx), PadicPolynomial.from_rationals([epsilon], ctx)
     g_blocks = [math.prod(gs, start=one) for gs, _ in blocks]
@@ -636,7 +637,7 @@ def symbol_obligations(gamma, epsilon, blocks, ctx: PadicContext) -> list:
                 for k, (other, _) in enumerate(blocks) if k != i for q in other]
     constant = PadicPolynomial.from_rationals([gamma], ctx)
     for q in s_factors:
-        t_value = math.prod(legendre_symbol(q, g_kl, ctx) for g_kl in g_factors)
+        t_value = math.prod(symbol(q, g_kl, ctx) for g_kl in g_factors)
         out += [("t-value-equality", q, t, t_value, None, None), ("gamma-over-s-factor", constant, q, 1, None, None)]
     return out
 
@@ -650,7 +651,8 @@ def verify_conditions(result: ConstructionResult) -> ConditionReport:
     params = result.params
     ctx = params.context
     conds = []
-    for name, p, q, rhs, p2, q2 in symbol_obligations(params.gamma, params.epsilon, result.factor_blocks, ctx):
+    for name, p, q, rhs, p2, q2 in symbol_obligations(params.gamma, params.epsilon, result.factor_blocks, ctx,
+                                                      legendre_symbol):
         lhs = legendre_symbol(p, q, ctx)
         if CONDITION_FAMILIES[name] and lhs != 1:
             raise ConditionFailed(f"condition {name} fails at q = {q.to_text()}")
@@ -681,11 +683,21 @@ WITT_NOTES = {True: "both Pfister forms vanish in W(K(t)); in the Witt ring the 
               False: "residue analysis failed to certify both forms"}
 
 
-def degenerate_note(gamma: Fraction, g: PadicPolynomial, ctx: PadicContext):
-    """The note of a corollary that needs no construction (g constant, or gamma a square), else None."""
+def degenerate_note(gamma: Fraction, g: PadicPolynomial, ctx: PadicContext, g0=None):
+    """The note of a corollary that needs no construction, else None.
+
+    None is needed when g is constant, or a constant c times a square (its
+    squarefree odd part g0, computed when not given, is constant: g is c up
+    to a square, and s = c), or when gamma is a square.
+    """
     if g.degree == 0:
         return ("degenerate g in K*: s = g; <1,pi><1,tg><1,-ts> contains the hyperbolic plane"
                 " <tg, -tg> and <1,pi><1,-gamma><1,-s> has no residues away from K")
+    if g.degree > 0 and (g.squarefree_odd_part() if g0 is None else g0).degree == 0:
+        return ("degenerate g = c h^2 with c in K*: s = c; <1,pi><1,tg><1,-ts> contains the hyperbolic plane"
+                " <tc, -tc> and <1,pi><1,-gamma><1,-s> has no residues away from K")
+    if gamma == 0:
+        raise PreconditionFailed("gamma must be nonzero")
     if is_square_rational(gamma, ctx):
         return "gamma is a square: the form contains <1, -1> and is isotropic"
     return None
@@ -711,11 +723,12 @@ def corollary_isotropy(gamma, g: PadicPolynomial, ctx: PadicContext, seed: int =
     4-dimensional one and so isotropic by dimension count.
     """
     gamma = Fraction(gamma)
-    note = degenerate_note(gamma, g, ctx)
+    g0 = g.squarefree_odd_part() if g.degree > 0 else None
+    note = degenerate_note(gamma, g, ctx, g0)
     if note is not None:
         return CorollaryResult(True, note, None, None, None, None)
 
-    params = prepare(gamma, g, ctx, factors=factors)
+    params = prepare(gamma, g, ctx, factors=factors, g0=g0)
     result = construct_s(params, seed)
     conditions = verify_conditions(result)
 

@@ -95,7 +95,7 @@ def _cross(o, a, b):
 
 def newton_polygon(f: PadicPolynomial) -> NewtonPolygon:
     """Newton polygon of f; requires a_0 a_d != 0."""
-    if f.is_zero() or f.field.is_zero(f.constant_coefficient()):
+    if f.is_zero() or f.field.is_zero(f.num[0]):
         raise ZeroEndpoint("newton_polygon needs a_0 != 0 and f != 0")
     pts = f.valuations()
     hull = []

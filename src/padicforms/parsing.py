@@ -1,4 +1,4 @@
-"""Recursive-descent parser for polynomial and rational-function text.
+"""Parser for polynomial and rational-function text.
 
 Grammar (whitespace may stand between any two tokens):
     poly     := ('+'|'-')? term (('+'|'-') term)*
@@ -6,7 +6,10 @@ Grammar (whitespace may stand between any two tokens):
     rational := uint ('/' uint)?
     uint     := decimal digits
 
-Parse errors carry the character offset and what was expected there.
+A polynomial is read one term at a time, each term by one match of a
+compiled pattern in which every part is optional; the first part that is
+missing names the parse error, which carries the character offset and
+what was expected there.
 No exponent may exceed ``MAX_EXPONENT`` (see ``check_exponent``).
 Printing a polynomial with ``to_text`` and parsing it back is the
 identity on canonical form (descending powers, reduced fractions).
@@ -39,76 +42,52 @@ def check_exponent(k: int, position: int = 0) -> int:
 # the symbol laws that reciprocity.run_law_corpus checks: the CLI's corpus choices, with "predicate"
 LAWS = ("check-mult", "check-recip", "constant", "pi-invariance", "square-criterion")
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(\S))")
-
-
-def _tokenize(text: str) -> list:
-    """(kind, value, offset) per token: "number", one of ``+-*/^()t`` or "bad"; then "eof"."""
-    toks = []
-    for m in _TOKEN.finditer(text):
-        digits, ch = m.groups()
-        if digits is not None:
-            toks.append(("number", int(digits), m.start(1)))
-        else:
-            toks.append((ch if ch in "+-*/^()t" else "bad", ch, m.start(2)))
-    toks.append(("eof", None, len(text)))
-    return toks
-
-
-def _uint(toks: list, i: int) -> int:
-    kind, value, offset = toks[i]
-    if kind != "number":
-        raise ParseError(f"expected number at offset {offset}", offset, "number")
-    return value
-
-
-def _term(toks: list, i: int, sign: int):
-    """The term at toks[i] as (next index, exponent, numerator, denominator)."""
-    kind, value, offset = toks[i]
-    num, den = sign, 1
-    if kind == "number":
-        num *= value
-        i += 1
-        if toks[i][0] == "/":
-            den = _uint(toks, i + 1)
-            if den == 0:
-                offset = toks[i + 1][2]
-                raise ParseError(f"zero denominator at offset {offset}", offset, "nonzero uint")
-            i += 2
-        if toks[i][0] == "*":
-            i += 1
-            if toks[i][0] != "t":
-                offset = toks[i][2]
-                raise ParseError(f"expected t at offset {offset}", offset, "t")
-        elif toks[i][0] != "t":
-            return i, 0, num, den
-    elif kind != "t":
-        raise ParseError(f"expected a number or 't' at offset {offset}", offset, "number or t")
-    if toks[i + 1][0] != "^":
-        return i + 1, 1, num, den
-    return i + 3, check_exponent(_uint(toks, i + 2), toks[i + 2][2]), num, den
+# one term, with the sign before it and the whitespace after each part; once its '/' or '^' is
+# there, a missing den or exp is an empty match, which still has an offset
+_TERM = re.compile(r"\s*(?P<sign>(?:[+-]\s*)?)(?:(?P<num>\d+)\s*(?:/\s*(?P<den>\d*)\s*)?(?P<star>\*\s*)?)?"
+                   r"(?:(?P<t>t)\s*(?:\^\s*(?P<exp>\d*)\s*)?)?")
 
 
 def parse_poly(text: str, context: PadicContext) -> PadicPolynomial:
     """Parse polynomial text into an exact PadicPolynomial."""
-    toks = _tokenize(text)
-    sign = -1 if toks[0][0] == "-" else 1
-    i = 1 if toks[0][0] in ("+", "-") else 0
-    terms = []
+    nums, lcm, pos, end = [], 1, 0, len(text)  # the coefficient of t^k is nums[k] / lcm
     while True:
-        i, k, num, den = _term(toks, i, sign)
-        terms.append((k, num, den))
-        kind, _, offset = toks[i]
-        if kind == "eof":
-            break
-        if kind not in ("+", "-"):
-            raise ParseError(f"expected '+' or '-' at offset {offset}", offset, "+ or -")
-        sign, i = (-1 if kind == "-" else 1), i + 1
-    lcm = math.lcm(*(den for _, _, den in terms))
-    nums = [0] * (max(k for k, _, _ in terms) + 1)
-    for k, num, den in terms:
-        nums[k] += num * (lcm // den)
-    return PadicPolynomial.from_integers(nums, lcm, context)
+        m = _TERM.match(text, pos)
+        sign, num, den, star, t, exp = m.groups()
+        if pos and not sign:
+            raise ParseError(f"expected '+' or '-' at offset {pos}", pos, "+ or -")
+        if num is None and t is None:
+            offset = m.end("sign")
+            raise ParseError(f"expected a number or 't' at offset {offset}", offset, "number or t")
+        c = 1 if num is None else int(num)
+        if den is not None:
+            offset = m.start("den")
+            if not den:
+                raise ParseError(f"expected number at offset {offset}", offset, "number")
+            d = int(den)
+            if not d:
+                raise ParseError(f"zero denominator at offset {offset}", offset, "nonzero uint")
+            if lcm % d:
+                scale = d // math.gcd(lcm, d)
+                nums, lcm = [x * scale for x in nums], lcm * scale
+            c *= lcm // d
+        elif lcm != 1:
+            c *= lcm
+        if star and t is None:
+            offset = m.end("star")
+            raise ParseError(f"expected t at offset {offset}", offset, "t")
+        k = 0 if t is None else 1
+        if exp is not None:
+            offset = m.start("exp")
+            if not exp:
+                raise ParseError(f"expected number at offset {offset}", offset, "number")
+            k = check_exponent(int(exp), offset)
+        if k >= len(nums):
+            nums += [0] * (k + 1 - len(nums))
+        nums[k] += -c if sign[:1] == "-" else c
+        pos = m.end()
+        if pos == end:
+            return PadicPolynomial.from_integers(nums, lcm, context)
 
 
 def parse_rational_scalar(text: str, context: PadicContext) -> Fraction:

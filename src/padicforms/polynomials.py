@@ -49,11 +49,11 @@ class PadicPolynomial:
     __slots__ = ("num", "den", "field", "_coeffs", "_hash")
 
     def __init__(self, coeffs, field):
-        cs = [field.coerce(c) for c in coeffs]
         if field.is_extension:
-            self._store(cs, 1, field)
-        else:
-            den = math.lcm(*(c.denominator for c in cs))
+            self._store([field.coerce(c) for c in coeffs], 1, field)
+        else:  # an int is its own numerator over 1: no Fraction for it
+            cs = [c if isinstance(c, int) else field.coerce(c) for c in coeffs]
+            den = math.lcm(*[c.denominator for c in cs])
             self._store([c.numerator * (den // c.denominator) for c in cs], den, field)
 
     def _store(self, num: list, den: int, field):
@@ -80,23 +80,26 @@ class PadicPolynomial:
 
     @classmethod
     def from_rationals(cls, coeffs, context: PadicContext):
-        return cls([Fraction(c) for c in coeffs], context)
+        return cls([c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs], context)
 
     @classmethod
     def zero(cls, field):
-        return cls((), field)
+        return cls.from_integers((), 1, field)
 
     @classmethod
     def one(cls, field):
-        return cls((field.one,), field)
+        return cls.monomial(field.one, 0, field)
 
     @classmethod
     def x(cls, field):
-        return cls((field.zero, field.one), field)
+        return cls.monomial(field.one, 1, field)
 
     @classmethod
     def monomial(cls, c, k, field):
-        return cls((field.zero,) * k + (c,), field)
+        if field.is_extension:
+            return cls((field.zero,) * k + (c,), field)
+        c = c if isinstance(c, int) else field.coerce(c)
+        return cls.from_integers((0,) * k + (c.numerator,), c.denominator, field)
 
     # -- basic queries -------------------------------------------------
 

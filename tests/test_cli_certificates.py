@@ -15,7 +15,7 @@ from padicforms import (PadicContext, PadicFormsError, PadicPolynomial, cli, con
                         newton_polygon, parse_poly, prepare, quadform, reciprocity, run_law_corpus, verify_conditions)
 from padicforms.certificates import COMMANDS, assertion, verify_certificate
 from padicforms.cli import main
-from padicforms.errors import PreconditionFailed
+from padicforms.errors import FactorizationUncertified, PreconditionFailed
 from padicforms.reciprocity import MAX_CASES
 from test_golden import CASES
 
@@ -742,8 +742,8 @@ def _counted(calls, name, fn):
 def test_construct_s_evaluates_each_obligation_once(capsys, monkeypatch):
     """The CLI evaluates each condition and residue test once, in the builder that writes it.
 
-    Its symbols are the 13 of the builders and the 4 of the t-value products, which both the
-    writer and the result's derivation take; each residue test is one residue-test assertion.
+    Its symbols are the 13 of the builders and the 4 of the t-value products, each taken once
+    for the document; each residue test is one residue-test assertion.
     """
     calls = {"symbol": 0, "residue": 0}
     symbol = _counted(calls, "symbol", reciprocity.legendre_symbol)
@@ -753,7 +753,82 @@ def test_construct_s_evaluates_each_obligation_once(capsys, monkeypatch):
     code, doc = run_json(capsys, *CASES["construct-s-two-factors"][0])
     assert code == 0 and doc == json.loads((GOLDEN / "construct-s-two-factors.json").read_text(encoding="utf-8"))
     assert calls["residue"] == sum(a["kind"] == "residue-test" for a in doc["assertions"]) == 7
-    assert calls["symbol"] <= 21
+    assert calls["symbol"] == 17
+
+
+@pytest.mark.parametrize("golden, symbols", [("construct-s-two-factors", 17), ("construct-s-two-blocks", 17),
+                                             ("construct-s", 7), ("construct-s-case-one", 7)])
+def test_each_symbol_is_taken_once_per_document(golden, symbols, capsys, monkeypatch):
+    """The CLI and verify each evaluate every distinct <p/q> of a construct-s document once.
+
+    The builders and the t-value products share one memo, which each document empties; a
+    block product of one factor is that factor, so its symbols are the factor's.
+    """
+    calls = {"symbol": 0}
+    symbol = _counted(calls, "symbol", reciprocity.legendre_symbol)
+    monkeypatch.setattr(reciprocity, "legendre_symbol", symbol)
+    monkeypatch.setattr(construct, "legendre_symbol", symbol)
+    code, doc = run_json(capsys, *CASES[golden][0])
+    assert code == 0 and calls["symbol"] == symbols
+    calls["symbol"] = 0
+    assert verify_certificate(doc) == (True, []) and calls["symbol"] == symbols
+    calls["symbol"] = 0
+    assert verify_certificate(doc) == (True, []) and calls["symbol"] == symbols  # nothing kept between documents
+
+
+def test_verify_ties_g_to_its_factors():
+    """g must be a constant times its factors times a square: a g with a factor the construction never saw is rejected.
+
+    t^4 - 2 t^2 - 3 = (t^2 - 3)(t^2 + 1) keeps the golden's even vertices and its factor t^2 - 3,
+    but the construction refuses it, since t^2 + 1 is no certified factor over Q_3.
+    """
+    doc = json.loads((GOLDEN / "construct-s.json").read_text(encoding="utf-8"))
+    g = "t^4 - 2*t^2 - 3"
+    doc["result"]["g"] = next(a for a in doc["assertions"] if a["kind"] == "even-vertices")["poly"] = g
+    assert verify_certificate(doc) == (False, ["result: not derivable from the assertions:"
+                                               " g is not a constant times a square times its factors, distinct and monic"])
+    with pytest.raises(FactorizationUncertified):
+        construct.corollary_isotropy(2, parse_poly(g, PadicContext(3)), PadicContext(3))
+    # a square part is allowed: g = (t^2 - 3)^3 has the same factor and odd part
+    ctx = PadicContext(3)
+    cubed = parse_poly("t^2 - 3", ctx) ** 3
+    assert construct.degenerate_note(2, cubed, ctx) is None
+    assert prepare(2, cubed, ctx).g0 == parse_poly("t^2 - 3", ctx)
+
+
+@pytest.mark.parametrize("argv", [["--prime", "7", "--gamma", "3", "t^2 + 6*t + 9"],
+                                  ["--prime", "3", "--gamma", "2", "7*t^2 + 14*t + 7"]])
+def test_a_constant_times_a_square_needs_no_construction(argv, capsys):
+    """g = c h^2 is c up to a square: the corollary is degenerate, with no assertion, and verifies."""
+    code, doc = run_json(capsys, "construct-s", *argv)
+    assert code == 0 and doc["assertions"] == [] and doc["result"]["isotropic"] is True
+    assert doc["result"]["note"].startswith("degenerate g = c h^2 with c in K*: s = c;")
+    assert verify_certificate(doc) == (True, [])
+    doc["assertions"] = [assertion("even-vertices", PadicContext(int(argv[1])), poly=doc["result"]["g"])]
+    assert verify_certificate(doc) == (False, ["result: not derivable from the assertions:"
+                                               " g and s need factors, g's must divide g, and s's must have even degree"])
+
+
+def test_gamma_zero_is_refused_before_the_square_test(capsys):
+    assert run_cli(capsys, "construct-s", "--prime", "3", "--gamma", "0", "t^2 - 3") == (
+        2, "", "error: gamma must be nonzero\n")
+
+
+def _move_first(kind, to):
+    def edit(assertions):
+        k = next(k for k, a in enumerate(assertions) if a["kind"] == kind)
+        assertions.insert(to if to >= 0 else len(assertions), assertions.pop(k))
+    return edit
+
+
+@pytest.mark.parametrize("edit", [_move_first("residue-test", 0), _move_first("symbol-condition", -1)],
+                         ids=["residue-test-first", "symbol-condition-last"])
+def test_verify_checks_the_assertion_order(edit):
+    """Every part of a reordered document is right, but the whole list is not in construct-s's order."""
+    doc = json.loads((GOLDEN / "construct-s-two-factors.json").read_text(encoding="utf-8"))
+    edit(doc["assertions"])
+    assert verify_certificate(doc) == (False, ["result: not derivable from the assertions:"
+                                               " the assertions are not in the order construct-s writes them"])
 
 
 def test_verify_computes_the_t_value_products(monkeypatch):

@@ -1,10 +1,11 @@
 """Polynomial arithmetic, rational functions, and the text grammar."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from padicforms import ParseError, PadicPolynomial, RationalFunction
 from padicforms.parsing import parse_poly, parse_rational_function, parse_rational_scalar
@@ -84,6 +85,9 @@ def test_parse_variants(c3):
         parse_poly("t + + 1", c3)
     with pytest.raises(ParseError):
         parse_poly("x + 1", c3)
+    with pytest.raises(ParseError) as exc:
+        parse_poly("2^3", c3)  # a power needs its t
+    assert (exc.value.position, exc.value.expected) == (1, "+ or -")
 
 
 def test_parse_rational_function(c3):
@@ -167,3 +171,28 @@ def test_parse_matches_a_fraction_reference(c3, case):
     got = parse_poly(text, c3)
     want = PadicPolynomial.from_rationals(coeffs, c3)
     assert (got.num, got.den) == (want.num, want.den), text
+
+
+# the grammar's characters, with a stray letter and a decimal digit of another script
+_ALPHABET = "0123456789t+-*/^ \t" + "x" + "\u0663"
+
+
+@given(text=st.text(alphabet=_ALPHABET, max_size=24))
+def test_any_text_parses_or_fails_at_an_offset_inside_it(c3, text):
+    try:
+        got = parse_poly(text, c3)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text), text
+    else:
+        assert isinstance(got, PadicPolynomial)
+
+
+@settings(max_examples=60)
+@given(terms=st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 30)), max_size=7), data=st.data())
+def test_printing_round_trips_whatever_the_spacing(c3, terms, data):
+    """parse_poly(f.to_text()) is f, and whitespace inserted between the text's tokens changes nothing."""
+    f = PadicPolynomial.from_rationals([Fraction(n, d) for n, d in terms], c3)
+    text = f.to_text()
+    assert parse_poly(text, c3) == f
+    spaced = data.draw(_SPACE) + "".join(token + data.draw(_SPACE) for token in re.findall(r"\d+|\S", text))
+    assert parse_poly(spaced, c3) == f, spaced
