@@ -9,9 +9,10 @@ then derived from its assertions by the one function the CLI builds it
 with, so a tampered input, symbol value, witness or result field breaks
 at least one recomputation.
 
-Serialization rules: rationals appear as strings "num/den", polynomials
-as their canonical grammar text, symbols as the integers +-1.  Documents
-are dumped with sorted keys so identical inputs produce identical bytes.
+Serialization rules: rationals are strings "num/den" in lowest terms, polynomials their
+canonical grammar text, symbols the integers +-1; ``verify`` accepts no other spelling, nor
+a context block or top-level key the writer does not write, so equal texts are equal values.
+Documents are dumped with sorted keys so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -30,32 +31,44 @@ from .parsing import check_exponent, parse_poly, parse_rational_function
 from .polynomials import PadicPolynomial, RationalFunction
 
 SCHEMA = "padic-forms/1"
-# text -> polynomial: the one parse of each polynomial text of the document being handled,
-# shared by its assertions and its result; _per_document empties it when the document is done.
-# An entry serves only the context object it was parsed under, so it never changes a result.
+_DOCUMENT_KEYS = frozenset(("schema", "command", "context", "result", "assertions", "seed"))  # make_certificate writes
+# the memos of the document being handled, which its assertions and its result share and _per_document
+# empties when it is done: text -> polynomial, the one parse of each text (an entry serves only the context
+# object it was parsed under, so it never changes a result); polynomial -> its one text; (p, q) -> (context, <p/q>)
 _parsed: dict = {}
-# (p, q) -> (context, <p/q>): the one evaluation of each symbol of the same document, kept as _parsed is
+_texts: dict = {}
 _symbols: dict = {}
 
 
 def rat_str(x) -> str:
-    x = Fraction(x)
+    x = x if type(x) is Fraction else Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rat(s: str) -> Fraction:
-    """Parse "n/d" or "n"; anything but a string is a ValueError."""
-    if not isinstance(s, str):
-        raise ValueError(f"expected a rational string, got {type(s).__name__}")
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    """Parse the "n/d" that rat_str writes; any other spelling, or anything but a string, is a ValueError."""
+    x = Fraction(*map(int, s.split("/", 1))) if isinstance(s, str) else None
+    if x is None or f"{x.numerator}/{x.denominator}" != s:
+        raise ValueError(f"{s!r} is not a rational written n/d in lowest terms")
+    return x
 
 
 def _parse(text: str, ctx: PadicContext) -> PadicPolynomial:
+    """The polynomial of a canonical text; a text its parse does not render back to is a ValueError."""
     poly = _parsed.get(text)
     if poly is None or poly.field is not ctx:
-        poly = _parsed[text] = parse_poly(text, ctx)
+        poly = parse_poly(text, ctx)
+        if _text(poly) != text:
+            raise ValueError(f"polynomial {text!r} is not written {_text(poly)!r}")
+        _parsed[text] = poly
     return poly
+
+
+def _text(poly: PadicPolynomial) -> str:
+    """poly's canonical text, rendered once per document, so never for a polynomial the document spells."""
+    if poly not in _texts:
+        _texts[poly] = poly.to_text()
+    return _texts[poly]
 
 
 def _symbol(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext) -> int:
@@ -66,19 +79,16 @@ def _symbol(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext) -> int:
 
 
 def context_block(ctx: PadicContext) -> dict:
-    return {
-        "prime": ctx.p,
-        "uniformizer": rat_str(ctx.uniformizer),
-        "precision": ctx.precision_digits,
-    }
+    return {"prime": ctx.p, "uniformizer": rat_str(ctx.uniformizer), "precision": ctx.precision_digits}
 
 
 def context_from_block(block: dict) -> PadicContext:
-    return PadicContext(
-        block["prime"],
-        block.get("precision", 64),
-        parse_rat(block["uniformizer"]),
-    )
+    """The context of a block as context_block writes it; any other block is a ValueError."""
+    ctx = PadicContext(_int(block["prime"], "prime"), _int(block["precision"], "precision"),
+                       parse_rat(block["uniformizer"]))
+    if len(block) != 3:  # the three are read as context_block writes them, so a fourth key is the one difference
+        raise ValueError(f"the block is not {json.dumps(context_block(ctx), sort_keys=True)}")
+    return ctx
 
 
 def dump_certificate(doc: dict) -> str:
@@ -336,10 +346,10 @@ def corpus_summary(ctx: PadicContext, law: str, cases: int, seed: int) -> dict:
 
 
 def _r_newton(assertions, ctx, seed):
-    poly = _parse(_one(assertions, "newton-polygon")["poly"], ctx)
-    polygon = padicforms.newton.newton_polygon(poly)
+    text = _one(assertions, "newton-polygon")["poly"]
+    polygon = padicforms.newton.newton_polygon(_parse(text, ctx))
     return {
-        "poly": poly.to_text(),
+        "poly": text,
         "points": [[i, rat_str(v)] for i, v in polygon.points],
         "vertices": [[i, rat_str(v)] for i, v in polygon.vertices],
         "edges": [{"slope": rat_str(e.slope), "length": e.length} for e in polygon.edges],
@@ -409,30 +419,30 @@ def _r_isotropy(assertions, ctx, seed, oracle_witness=None):
     return {"entries": a["entries"], "isotropic": verdict, "oracle_witness": witness}
 
 
-def construct_s_inputs(gamma, g, epsilon, blocks, ctx, text, identities=()) -> tuple:
+def construct_s_inputs(gamma, g, epsilon, blocks, ctx, identities=()) -> tuple:
     """The (kind, inputs) of every assertion of a construct-s document, in document order, and s.
 
     The one statement of what such a document asserts: the CLI writes each assertion with
     :func:`assertion` from its inputs, and ``verify`` compares the document with them.
-    blocks are as construct.symbol_obligations reads them, text names a polynomial, and
-    the ring identities' inputs, given, sit between s's factors and the symbol conditions.
+    blocks are as construct.symbol_obligations reads them, a polynomial is named by its
+    text, and the ring identities' inputs, given, sit between s's factors and the symbol conditions.
     """
     construct = padicforms.construct
     g_factors, s_factors = [f for gs, _ in blocks for f in gs], [f for _, ss in blocks for f in ss]
     forms = construct.pfister_forms(gamma, epsilon, g_factors, s_factors, ctx)
     slots = [(x.value(ctx), y.value(ctx)) for x, y in forms]  # (-gamma, -s) and (t g, -t s)
-    tg = text(slots[1][0])
-    out = [("even-vertices", {"poly": text(g)})]
-    out += [("irreducible-certified", {"poly": text(f)}) for f in g_factors]
+    tg = _text(slots[1][0])
+    out = [("even-vertices", {"poly": _text(g)})]
+    out += [("irreducible-certified", {"poly": _text(f)}) for f in g_factors]
     for f in s_factors:
-        out += [("irreducible-certified", {"poly": text(f)}), ("coprime", {"f": text(f), "g": tg})]
+        out += [("irreducible-certified", {"poly": _text(f)}), ("coprime", {"f": _text(f), "g": tg})]
     out += [("construct-identity", inputs) for inputs in identities]
     for name, p, q, rhs, p2, q2 in construct.symbol_obligations(gamma, epsilon, blocks, ctx, _symbol):
-        inputs = {"rhs": rhs} if p2 is None else {"p2": text(p2), "q2": text(q2)}
-        out.append(("symbol-condition", {"name": name, "p": text(p), "q": text(q), **inputs}))
+        inputs = {"rhs": rhs} if p2 is None else {"p2": _text(p2), "q2": _text(q2)}
+        out.append(("symbol-condition", {"name": name, "p": _text(p), "q": _text(q), **inputs}))
     for (x, y), values in zip(forms, slots):
-        x_text, y_text = map(text, values)
-        out += [("residue-test", {"x": x_text, "y": y_text, "place": text(q)})
+        x_text, y_text = map(_text, values)
+        out += [("residue-test", {"x": x_text, "y": y_text, "place": _text(q)})
                 for q in padicforms.quadform.milnor_places(x, y)]
     return out, -slots[0][1]
 
@@ -463,8 +473,8 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     identities, in its order; the verdict is that every residue test vanishes.
     """
     construct = padicforms.construct
+    result = {"gamma": gamma, "g": g}
     gamma, g = parse_rat(gamma), _parse(g, ctx)
-    result = {"gamma": rat_str(gamma), "g": g.to_text()}
     if not assertions:
         note = construct.degenerate_note(gamma, g, ctx)
         if note is not None:
@@ -482,15 +492,6 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
         raise ValueError("g is not a constant times a square times its factors, distinct and monic")
     if construct.degenerate_note(gamma, g, ctx, g0) is not None:
         raise ValueError("a corollary that g or gamma decides carries no assertion")
-    # a factor of g or s is named by the document's text of it and g by the result's; any other
-    # polynomial is rendered once
-    texts = dict(zip(g_factors + s_factors + [g], g_texts + s_texts + [result["g"]]))
-
-    def text(f):
-        out = texts.get(f)
-        if out is None:
-            out = texts[f] = f.to_text()
-        return out
 
     def slope(f):  # f is certified irreducible, so it has one edge, of slope (v(a_d) - v(a_0)) / d
         return Fraction(vp_int(f.num[-1], ctx.p) - vp_int(f.num[0], ctx.p), f.degree)
@@ -501,7 +502,7 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     for sf in s_factors:
         m = slope(sf)
         if m not in blocks:
-            raise ValueError(f"s factor {sf.to_text()} has slope {m}, the slope of no factor of g")
+            raise ValueError(f"s factor {_text(sf)} has slope {m}, the slope of no factor of g")
         blocks[m][1].append(sf)
     # a slope of odd denominator is case one (construct._case_one): c pi^(-m deg c) for its ring
     # identity's c, with m = pi_exponent / e; case two has no identity
@@ -515,7 +516,7 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
     if scaled != case_one:
         raise ValueError("the ring identities are not one per case-one factor of s, at that factor")
     epsilon = construct.leading_unit(g, ctx)
-    entries, s = construct_s_inputs(gamma, g, epsilon, [blocks[m] for m in sorted(blocks)], ctx, text,
+    entries, s = construct_s_inputs(gamma, g, epsilon, [blocks[m] for m in sorted(blocks)], ctx,
                                     [{n: a[n] for n in _KINDS[a["kind"]].inputs} for a in identities])
     recorded = [(a["kind"], {n: a[n] for n in _KINDS[a["kind"]].inputs
                              if n in a and (n != "rhs" or "p2" not in a)})  # with p2, rhs is the builder's
@@ -530,7 +531,7 @@ def _r_construct_s(assertions, ctx, seed, gamma, g, samples):
                               "the assertions are not in the order construct-s writes them"))
     isotropic = all(a["is_zero"] is True for a in assertions if a["kind"] == "residue-test")
     return {**result, "isotropic": isotropic, "note": construct.WITT_NOTES[isotropic],
-            "s": text(s), "s_factors": s_texts, "g_factors": g_texts, "epsilon": rat_str(epsilon),
+            "s": _text(s), "s_factors": s_texts, "g_factors": g_texts, "epsilon": rat_str(epsilon),
             "metrics": {"deg_s": s.degree, "factor_count": len(s_texts), "samples": samples, "seed": seed}}
 
 
@@ -551,18 +552,13 @@ def _r_predicate(assertions, ctx, seed, x):
     return {**result, "verdict": False, "note": padicforms.h10.ANISOTROPY_NOTE.format(a["anisotropic_form"])}
 
 
-def elliptic_cubic(y: Fraction) -> str:
-    """The text of x^3 - x - y^2, the polynomial the elliptic point lifts a root of."""
-    y2 = y * y
-    return f"t^3 - t - {y2.numerator}/{y2.denominator}" if y2 != 0 else "t^3 - t"
-
-
 def _r_elliptic(assertions, ctx, seed):
     a, h = _one(assertions, "elliptic-point"), _one(assertions, "hensel")
     y = parse_rat(a["y"])
-    if [h["poly"], h["start"], h["root"], h["digits"]] != [elliptic_cubic(y), "0/1", a["x"], a["digits"]]:
+    if [_parse(h["poly"], ctx), h["start"], h["root"], h["digits"]] != [
+            padicforms.h10.elliptic_cubic(y, ctx), "0/1", a["x"], a["digits"]]:
         raise ValueError("the hensel assertion is not the lift of x^3 - x = y^2 from 0 to x")
-    return {"y": rat_str(y), "x": a["x"], "digits": a["digits"], "slack": "inf" if y == 0 else str(2 * ctx.vp(y))}
+    return {"y": a["y"], "x": a["x"], "digits": a["digits"], "slack": "inf" if y == 0 else str(2 * ctx.vp(y))}
 
 
 def _r_corpus(assertions, ctx, seed):
@@ -604,6 +600,7 @@ def _per_document(fn):
             return fn(*args, **kwargs)
         finally:
             _parsed.clear()
+            _texts.clear()
             _symbols.clear()
             corpus_summary.cache_clear()
     return scoped
@@ -636,7 +633,8 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
 
     Returns (ok, problems); ok is True only when the schema matches, the
     command is one of ``COMMANDS`` and writes every assertion kind the
-    document carries, the context reconstructs, every assertion, rebuilt
+    document carries, every top-level key, context block, polynomial and
+    rational is in the one spelling the CLI writes, every assertion, rebuilt
     from its recorded inputs by the builder the CLI writes it with, is the
     recorded one, and so is the result block, derived from the assertions
     by the function the CLI uses.  Both compare as canonical JSON, so
@@ -653,11 +651,12 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
         problems.append(f"unknown command {command!r}")
     if "seed" in doc and type(doc["seed"]) is not int:
         problems.append(f"seed {doc['seed']!r} is not an integer")
+    problems += [f"unknown key {key!r}" for key in sorted(doc.keys() - _DOCUMENT_KEYS)]
     try:
         ctx = context_from_block(doc["context"])
     except Exception as exc:
         return False, [f"invalid context: {exc}"]
-    assertions = doc.get("assertions", [])
+    assertions = doc.get("assertions")
     if not isinstance(assertions, list) or not all(isinstance(a, dict) for a in assertions):
         return False, ["assertions must be a list of JSON objects"]
     for k, a in enumerate(assertions):

@@ -24,7 +24,7 @@ from . import certificates as cert
 from .errors import PadicFormsError, ParseError, PreconditionFailed
 from .padics import PadicContext
 from .parsing import LAWS, parse_poly, parse_rational_function, parse_rational_scalar
-from .polynomials import PadicPolynomial, RationalFunction
+from .polynomials import RationalFunction
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,8 +120,7 @@ def _cmd_hilbert(args):
 
 def _cmd_symbol(args):
     ctx = _context(args)
-    p = parse_poly(args.p, ctx).to_text()
-    q = parse_poly(args.q, ctx).to_text()
+    p, q = (parse_poly(text, ctx).to_text() for text in (args.p, args.q))
     claims = [cert.assertion("legendre", ctx, p=p, q=q), cert.assertion("irreducible-certified", ctx, poly=q),
               cert.assertion("coprime", ctx, f=p, g=q)]
     _emit(args, "symbol", ctx, claims, [f"<{p} / {q}> = {claims[0]['value']:+d}"])
@@ -129,9 +128,9 @@ def _cmd_symbol(args):
 
 
 def _law_command(args, command, law, *names):
-    """The law's polynomials are parsed, in the order given, by the law assertion's builder."""
+    """The law's polynomials are parsed in the order given and recorded in canonical text."""
     ctx = _context(args)
-    claim = cert.assertion("law", ctx, law=law, inputs={n: getattr(args, n) for n in names})
+    claim = cert.assertion("law", ctx, law=law, inputs={n: parse_poly(getattr(args, n), ctx).to_text() for n in names})
     holds = claim["holds"]
     _emit(args, command, ctx, [claim], [f"{law}: {'holds' if holds else 'FAILS'}", f"  values: {claim['values']}"])
     return 0 if holds else 1
@@ -171,13 +170,12 @@ def _cmd_construct_s(args):
         samples = res.metrics["samples"]
         identities = [{**{n: getattr(trace, n).to_text() for n in "abqrch"}, "e": trace.e,
                        "pi_exponent": int(trace.slope * trace.e)} for trace in res.traces.values()]
-        inputs, _ = cert.construct_s_inputs(gamma, g, res.params.epsilon, res.factor_blocks, ctx,
-                                            PadicPolynomial.to_text, identities)
+        inputs, _ = cert.construct_s_inputs(gamma, g, res.params.epsilon, res.factor_blocks, ctx, identities)
         assertions = [cert.assertion(kind, ctx, **x) for kind, x in inputs]
     doc = cert.make_certificate("construct-s", ctx, assertions, seed=args.seed,
                                 gamma=cert.rat_str(gamma), g=g.to_text(), samples=samples)
     result = doc["result"]
-    human = [f"gamma = {gamma}, g = {g.to_text()}: {result['note']}"]
+    human = [f"gamma = {gamma}, g = {result['g']}: {result['note']}"]
     if assertions:
         conditions = [a for a in assertions if a["kind"] == "symbol-condition"]
         human += [f"s = {result['s']}", f"metrics: {result['metrics']}",
@@ -212,8 +210,8 @@ def _cmd_elliptic(args):
     x, witness = padicforms.h10.elliptic_constant_point(y, ctx, args.digits)
     root = cert.rat_str(Fraction(x))
     claims = [cert.assertion("elliptic-point", ctx, y=cert.rat_str(y), x=root, digits=witness.digits),
-              cert.assertion("hensel", ctx, poly=cert.elliptic_cubic(y), start="0/1", root=root,
-                             digits=witness.digits)]
+              cert.assertion("hensel", ctx, poly=padicforms.h10.elliptic_cubic(y, ctx).to_text(), start="0/1",
+                             root=root, digits=witness.digits)]
     _emit(args, "elliptic-point", ctx, claims, [f"x = {x} (mod p^{witness.digits + 1}) solves x^3 - x = {y}^2"])
     return 0
 

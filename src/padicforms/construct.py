@@ -688,16 +688,16 @@ def degenerate_note(gamma: Fraction, g: PadicPolynomial, ctx: PadicContext, g0=N
 
     None is needed when g is constant, or a constant c times a square (its
     squarefree odd part g0, computed when not given, is constant: g is c up
-    to a square, and s = c), or when gamma is a square.
+    to a square, and s = c), or when gamma is a square; gamma = 0 is refused first.
     """
+    if gamma == 0:
+        raise PreconditionFailed("gamma must be nonzero")
     if g.degree == 0:
         return ("degenerate g in K*: s = g; <1,pi><1,tg><1,-ts> contains the hyperbolic plane"
                 " <tg, -tg> and <1,pi><1,-gamma><1,-s> has no residues away from K")
     if g.degree > 0 and (g.squarefree_odd_part() if g0 is None else g0).degree == 0:
         return ("degenerate g = c h^2 with c in K*: s = c; <1,pi><1,tg><1,-ts> contains the hyperbolic plane"
                 " <tc, -tc> and <1,pi><1,-gamma><1,-s> has no residues away from K")
-    if gamma == 0:
-        raise PreconditionFailed("gamma must be nonzero")
     if is_square_rational(gamma, ctx):
         return "gamma is a square: the form contains <1, -1> and is isotropic"
     return None

@@ -279,6 +279,11 @@ def run_predicate_corpus(ctx: PadicContext, cases: int, seed: int) -> dict:
     }
 
 
+def elliptic_cubic(y, ctx: PadicContext) -> PadicPolynomial:
+    """x^3 - x - y^2, whose root near 0 is the x of the point (x, y) on y^2 = x^3 - x."""
+    return PadicPolynomial.from_rationals([-Fraction(y) ** 2, -1, 0, 1], ctx)
+
+
 def elliptic_constant_point(y, ctx: PadicContext, digits: int | None = None):
     """Solve x^3 - x = y^2 by Hensel lifting from x = 0 (needs v(y) > 0).
 
@@ -288,6 +293,5 @@ def elliptic_constant_point(y, ctx: PadicContext, digits: int | None = None):
     y = Fraction(y)
     if y != 0 and ctx.vp(y) <= 0:
         raise PreconditionFailed("v(y) must be positive")
-    f = PadicPolynomial.from_rationals([-y * y, -1, 0, 1], ctx)
-    witness = hensel_lift(f, Fraction(0), digits)
+    witness = hensel_lift(elliptic_cubic(y, ctx), Fraction(0), digits)
     return witness.approximate_root, witness

@@ -4,10 +4,9 @@ Coefficients live in a field given by a field handle.  There are two
 kinds, with one protocol: a :class:`padicforms.padics.PadicContext` is
 Q_p's handle, with elements carried as `Fraction`, and
 :class:`padicforms.extensions.LocalField` is a certified finite
-extension.  Both expose ``context``, ``is_extension``,
-``ramification_index``, ``zero``, ``one``, ``coerce``, ``inv``,
-``is_zero``, ``valuation``, ``norm``, ``truncate``, ``residue``, ``cut``
-and ``coordinate_margins``.  All arithmetic is exact.
+extension.  Both define ``context``, ``is_extension``, ``ramification_index``,
+``zero``, ``one``, ``coerce``, ``inv``, ``is_zero``, ``valuation``, ``norm``,
+``truncate``, ``residue`` and ``integer_frame``.  All arithmetic is exact.
 
 A polynomial over Q_p is one integer numerator vector over one positive
 denominator (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6),

@@ -810,8 +810,21 @@ def test_a_constant_times_a_square_needs_no_construction(argv, capsys):
 
 
 def test_gamma_zero_is_refused_before_the_square_test(capsys):
-    assert run_cli(capsys, "construct-s", "--prime", "3", "--gamma", "0", "t^2 - 3") == (
-        2, "", "error: gamma must be nonzero\n")
+    """The corollary needs gamma in K*: gamma = 0 is refused whatever g is, a constant g or a c h^2 included."""
+    ctx = PadicContext(3)
+    for g in ("t^2 - 3", "5", "t^2 + 6*t + 9"):
+        assert run_cli(capsys, "construct-s", "--prime", "3", "--gamma", "0", g) == (
+            2, "", "error: gamma must be nonzero\n")
+        with pytest.raises(PreconditionFailed, match="gamma must be nonzero"):
+            construct.corollary_isotropy(0, parse_poly(g, ctx), ctx)
+
+
+def test_verify_rejects_a_gamma_zero_document(capsys):
+    """A constant g's document carries no assertion; with gamma 0 its result is not derivable."""
+    code, doc = run_json(capsys, "construct-s", "--prime", "3", "--gamma", "2", "5")
+    assert code == 0 and doc["assertions"] == [] and verify_certificate(doc) == (True, [])
+    doc["result"]["gamma"] = "0/1"
+    assert verify_certificate(doc) == (False, ["result: not derivable from the assertions: gamma must be nonzero"])
 
 
 def _move_first(kind, to):

@@ -9,17 +9,21 @@ construction whose second factor reaches the case-two valuation margin, a case-o
 construction whose residue polynomial comes from the window search, and a
 construction over two slope blocks, which carries product-property conditions.  A change that
 alters a verdict, a certificate byte or an exit code fails here, and so does
-a verifier that no longer accepts a golden certificate.
+a verifier that no longer accepts a golden certificate, or that accepts one
+with a value respelled.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from padicforms import newton
+from padicforms import PadicContext, PadicPolynomial, newton
 from padicforms.certificates import verify_certificate
 from padicforms.cli import main
+from padicforms.errors import ParseError
+from padicforms.parsing import parse_rational_function
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -132,7 +136,10 @@ def test_golden_field_mutations_never_crash_the_verifier(path, tmp_path, capsys)
 
 
 def test_golden_assertions_reject_an_unknown_key():
-    """An assertion is its inputs and what its builder computes from them, so an extra key is a difference."""
+    """An assertion is its inputs and what its builder computes from them, so an extra key is a difference.
+
+    So is one in the context block, which must be the block its context writes, and one at the top level.
+    """
     for path in sorted(GOLDEN.glob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
         for k, a in enumerate(doc["assertions"]):
@@ -140,3 +147,61 @@ def test_golden_assertions_reject_an_unknown_key():
             ok, problems = verify_certificate(doc)
             assert not ok and f"assertion {k} ({a['kind']}).note: recorded \"x\", derived (absent)" in problems
             del a["note"]
+        block = json.dumps(doc["context"], sort_keys=True)
+        doc["context"]["note"] = "x"
+        assert verify_certificate(doc) == (False, [f"invalid context: the block is not {block}"])
+        del doc["context"]["note"]
+        doc["note"] = "x"
+        assert verify_certificate(doc) == (False, ["unknown key 'note'"])
+
+
+@pytest.mark.parametrize("name", ["construct-s", "construct-s-case-one", "construct-s-two-blocks",
+                                  "construct-s-two-factors", "elliptic-point", "newton"])
+def test_verify_renders_each_polynomial_text_once(name, monkeypatch):
+    """verify renders each polynomial the document spells once, to hold its text to the one spelling.
+
+    The derivations look the document's texts up instead of rendering them again, so every text
+    rendered is distinct and one the document holds (s too, which only the result spells).
+    """
+    doc = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    rendered, to_text = [], PadicPolynomial.to_text
+    monkeypatch.setattr(PadicPolynomial, "to_text", lambda f: rendered.append(to_text(f)) or rendered[-1])
+    assert verify_certificate(doc) == (True, [])
+    held = {node[key] for node, key, _ in _slots(doc) if isinstance(node[key], str)}
+    assert rendered and len(set(rendered)) == len(rendered) and set(rendered) <= held
+
+
+_RATIONAL = re.compile(r"(-?\d+)/(\d+)")
+
+
+def _respellings(text: str) -> set:
+    """Other spellings of the polynomial or rational text: spaces dropped, n/1 written n, n/d written 2n/2d."""
+    try:
+        parse_rational_function(text, PadicContext(3))
+    except ParseError:
+        return set()
+    doubled = _RATIONAL.sub(lambda m: f"{2 * int(m[1])}/{2 * int(m[2])}", text)
+    return {text.replace(" ", ""), _RATIONAL.sub(lambda m: m[1] if m[2] == "1" else m[0], text), doubled} - {text}
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_golden_respellings_are_rejected(path):
+    """Each polynomial and rational has one spelling: another spelling of an equal value is rejected.
+
+    Each value is respelled in one place, and then in every place the document holds it, as a
+    writer with another spelling would write it throughout.
+    """
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    everywhere = set()
+    for node, key, slot in _slots(doc):
+        original = node[key]
+        if isinstance(original, str):
+            for respelled in sorted(_respellings(original)):
+                node[key] = respelled
+                assert not verify_certificate(doc)[0], (slot, respelled)
+                everywhere.add((json.dumps(original), json.dumps(respelled)))
+            node[key] = original
+    assert everywhere
+    for original, respelled in sorted(everywhere):
+        assert not verify_certificate(json.loads(text.replace(original, respelled)))[0], (original, respelled)

@@ -24,7 +24,7 @@ from padicforms import (
     newton_polygon,
     slope_factorization,
 )
-from padicforms.certificates import assertion
+from padicforms.certificates import assertion, rat_str
 from padicforms.extensions import LocalFieldElement
 from padicforms.newton import _output_precision, min_coefficient_valuation
 from padicforms.quadform import residue_field
@@ -145,11 +145,11 @@ def test_hensel_ball_at_the_reported_precision():
     assert [hensel_lift(f, 2, digits).approximate_root for digits in range(4)] == [0, 2, 2, 2]
     for digits in range(4):
         root = hensel_lift(f, 2, digits).approximate_root
-        inputs = {"poly": f.to_text(), "start": "2", "root": str(root), "digits": digits}
+        inputs = {"poly": f.to_text(), "start": "2/1", "root": rat_str(root), "digits": digits}
         assert assertion("hensel", ctx, **inputs) == {"kind": "hensel", **inputs}
     # -2 is the other root, -2 sqrt(17), to 3 digits: outside the ball around 2
     with pytest.raises(ConditionFailed, match="left the Hensel ball"):
-        assertion("hensel", ctx, **{**inputs, "root": "-2"})
+        assertion("hensel", ctx, **{**inputs, "root": "-2/1"})
 
 
 def test_one_inverse_per_hensel_lift(monkeypatch):
