@@ -141,12 +141,12 @@ _LAWS = {"multiplicativity": ("check_multiplicativity", ("p", "r", "q")),
 
 
 def _law(ctx, law, inputs):
-    """The law's values and verdict, and its inputs as the check reads them: the canonical texts."""
+    """The law's values and verdict, and its inputs as the check reads them: the canonical texts, echoed."""
     if law not in _LAWS:
         raise ValueError(f"unknown law {law!r}")
     check, names = _LAWS[law]
     res = getattr(padicforms.reciprocity, check)(*[_parse(inputs[n], ctx) for n in names], ctx)
-    return {"inputs": res.inputs, "values": res.values, "holds": res.holds}
+    return {"inputs": {n: inputs[n] for n in names}, "values": res.values, "holds": res.holds}
 
 
 def _square_class(ctx, x):
@@ -569,10 +569,10 @@ def _r_corpus(assertions, ctx, seed):
 
 
 # one entry per certificate-emitting subcommand: every assertion kind it writes, the function
-# that derives its result block, and the result fields that no assertion carries (a dotted
-# path reads a nested one).  The function reads the assertions the result rests on and raises
-# when one is missing, so no command's result stands without its assertions.
-_Command = namedtuple("_Command", "kinds derive inputs", defaults=((),))
+# that derives its result block, the result fields that no assertion carries (a dotted path
+# reads a nested one) and whether it records a seed.  The function reads the assertions the
+# result rests on and raises when one is missing, so no command's result stands without them.
+_Command = namedtuple("_Command", "kinds derive inputs seeded", defaults=((), False))
 _TABLE = {
     "newton": _Command({"newton-polygon"}, _r_newton),
     "slopes": _Command({"slope-factorization"}, _r_slopes),
@@ -584,10 +584,10 @@ _TABLE = {
     "isotropy": _Command({"isotropy-local"}, _r_isotropy, ("oracle_witness",)),
     "construct-s": _Command({"even-vertices", "irreducible-certified", "coprime", "construct-identity",
                              "symbol-condition", "residue-test"}, _r_construct_s,
-                            ("gamma", "g", "metrics.samples")),
-    "predicate": _Command({"gamma-valid", "predicate-witness", "anisotropy-at-t"}, _r_predicate, ("x",)),
+                            ("gamma", "g", "metrics.samples"), True),
+    "predicate": _Command({"gamma-valid", "predicate-witness", "anisotropy-at-t"}, _r_predicate, ("x",), True),
     "elliptic-point": _Command({"elliptic-point", "hensel"}, _r_elliptic),
-    "corpus": _Command({"law-corpus"}, _r_corpus),
+    "corpus": _Command({"law-corpus"}, _r_corpus, seeded=True),
 }
 COMMANDS = frozenset(_TABLE)
 
@@ -633,7 +633,8 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
 
     Returns (ok, problems); ok is True only when the schema matches, the
     command is one of ``COMMANDS`` and writes every assertion kind the
-    document carries, every top-level key, context block, polynomial and
+    document carries, an integer seed is there exactly when the command
+    records one, every top-level key, context block, polynomial and
     rational is in the one spelling the CLI writes, every assertion, rebuilt
     from its recorded inputs by the builder the CLI writes it with, is the
     recorded one, and so is the result block, derived from the assertions
@@ -649,6 +650,8 @@ def verify_certificate(doc: dict) -> tuple[bool, list[str]]:
     entry = _TABLE.get(command) if isinstance(command, str) else None
     if entry is None:
         problems.append(f"unknown command {command!r}")
+    elif entry.seeded != ("seed" in doc):
+        problems.append(f"{command} records {'a' if entry.seeded else 'no'} seed")
     if "seed" in doc and type(doc["seed"]) is not int:
         problems.append(f"seed {doc['seed']!r} is not an integer")
     problems += [f"unknown key {key!r}" for key in sorted(doc.keys() - _DOCUMENT_KEYS)]

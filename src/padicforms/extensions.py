@@ -75,7 +75,6 @@ from .padics import (
     PadicContext,
     hilbert_symbol_qp,
     int_mod_pk,
-    is_square_rational,
     legendre_int,
     square_class_rational,
     vp_int,
@@ -252,6 +251,29 @@ class LocalField:
 
     def norm(self, x):
         return self.coerce(x).norm()
+
+    def is_square(self, x) -> bool:
+        """Exact squareness test in K (see the module docstring)."""
+        x = self.coerce(x)
+        if x.is_zero():
+            raise PreconditionFailed("is_square is undefined at 0")
+        if self.base_context.p == 2:
+            return not any(self._dyadic.coords(x))
+        w = x.w()
+        return w % 2 == 0 and _residue_character(x, w) == 1
+
+    def hilbert_symbol(self, a, b) -> int:
+        """(a, b)_K in {-1, +1}; see :func:`hilbert_symbol` for the three cases."""
+        a, b = self.coerce(a), self.coerce(b)
+        if self.is_zero(a) or self.is_zero(b):
+            raise PreconditionFailed("hilbert symbol needs nonzero arguments")
+        for x, y in ((a, b), (b, a)):
+            r = as_base_rational(y)
+            if r is not None:  # the norm projection
+                return hilbert_symbol_qp(self.norm(x), r, self.base_context)
+        if self.base_context.p == 2:
+            return self._dyadic.symbol(a, b)
+        return _tame_symbol(a, b)
 
     def truncate(self, x, k: int) -> tuple:
         """Coefficients of x in powers of alpha, each reduced modulo p^k.
@@ -636,11 +658,7 @@ def is_square(x, context=None) -> bool:
     ``context`` is a field handle (a PadicContext is Q_p's); it may be
     omitted when x carries its own field.
     """
-    field = _field_for(context, x)
-    x = field.coerce(x)
-    if field.is_extension:
-        return _is_square_ext(x)
-    return is_square_rational(x, field.context)
+    return _field_for(context, x).is_square(x)
 
 
 def square_class(x, context=None):
@@ -696,15 +714,6 @@ def _least_unit_tag(field: LocalField, chi: int) -> tuple:
     return tag
 
 
-def _is_square_ext(x: LocalFieldElement) -> bool:
-    if x.is_zero():
-        raise PreconditionFailed("is_square is undefined at 0")
-    if x.field.base_context.p == 2:
-        return not any(x.field._dyadic.coords(x))
-    w = x.w()
-    return w % 2 == 0 and _residue_character(x, w) == 1
-
-
 def square_class_of(x: LocalFieldElement) -> SquareClassTag:
     """Deterministic tag: w(x) mod 2 and a complete invariant of the unit u = x pi_K^(-w(x)).
 
@@ -732,19 +741,7 @@ def hilbert_symbol(a, b, field=None) -> int:
     coordinates.  ``field`` is a field handle (a PadicContext is Q_p's);
     it may be omitted when an argument carries its field.
     """
-    field = _field_for(field, a, b)
-    a, b = field.coerce(a), field.coerce(b)
-    if field.is_zero(a) or field.is_zero(b):
-        raise PreconditionFailed("hilbert symbol needs nonzero arguments")
-    rb = as_base_rational(b)
-    if rb is not None:
-        return hilbert_symbol_qp(field.norm(a), rb, field.context)
-    ra = as_base_rational(a)
-    if ra is not None:
-        return hilbert_symbol_qp(field.norm(b), ra, field.context)
-    if field.context.p == 2:
-        return field._dyadic.symbol(a, b)
-    return _tame_symbol(a, b)
+    return _field_for(field, a, b).hilbert_symbol(a, b)
 
 
 def _tame_symbol(a: LocalFieldElement, b: LocalFieldElement) -> int:

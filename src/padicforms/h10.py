@@ -33,7 +33,6 @@ from .errors import (
     PadicFormsError,
     PreconditionFailed,
 )
-from .extensions import hensel_lift
 from .newton import NewtonPolygon, newton_polygon
 from .padics import INFINITY, PadicContext
 from .polynomials import PadicPolynomial, RationalFunction
@@ -293,5 +292,5 @@ def elliptic_constant_point(y, ctx: PadicContext, digits: int | None = None):
     y = Fraction(y)
     if y != 0 and ctx.vp(y) <= 0:
         raise PreconditionFailed("v(y) must be positive")
-    witness = hensel_lift(elliptic_cubic(y, ctx), Fraction(0), digits)
+    witness = padicforms.extensions.hensel_lift(elliptic_cubic(y, ctx), Fraction(0), digits)
     return witness.approximate_root, witness

@@ -211,6 +211,9 @@ class PadicContext(Immutable):
     one = Fraction(1)
 
     def __init__(self, p: int, precision_digits: int = 64, uniformizer: Fraction | None = None):
+        for name, value in (("prime", p), ("precision_digits", precision_digits)):
+            if type(value) is not int:  # 3.0 passes is_prime, and a bool is an int to isinstance
+                raise PreconditionFailed(f"{name} {value!r} is not an int")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         uniformizer = Fraction(p if uniformizer is None else uniformizer)
@@ -273,6 +276,12 @@ class PadicContext(Immutable):
         """p^v (u mod p^(k - v)) for c = p^v u: congruent to c modulo p^k, of height about p^k."""
         n, d = cut_int(c.numerator, c.denominator, self.p, k)
         return Fraction(n, d)
+
+    def is_square(self, x) -> bool:
+        return is_square_rational(self.coerce(x), self)
+
+    def hilbert_symbol(self, a, b) -> int:
+        return hilbert_symbol_qp(self.coerce(a), self.coerce(b), self)
 
 
 def _unit_digits(x: Fraction, p: int) -> tuple[int, int]:

@@ -6,7 +6,8 @@ Q_p's handle, with elements carried as `Fraction`, and
 :class:`padicforms.extensions.LocalField` is a certified finite
 extension.  Both define ``context``, ``is_extension``, ``ramification_index``,
 ``zero``, ``one``, ``coerce``, ``inv``, ``is_zero``, ``valuation``, ``norm``,
-``truncate``, ``residue`` and ``integer_frame``.  All arithmetic is exact.
+``truncate``, ``residue``, ``integer_frame``, ``is_square`` and
+``hilbert_symbol``.  All arithmetic is exact.
 
 A polynomial over Q_p is one integer numerator vector over one positive
 denominator (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6),

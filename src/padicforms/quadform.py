@@ -21,8 +21,9 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
+import padicforms
+
 from .errors import PreconditionFailed
-from .extensions import LocalField, hilbert_symbol, is_square
 from .padics import Immutable, PadicContext, hilbert_symbol_qp
 from .polynomials import PadicPolynomial
 
@@ -79,17 +80,14 @@ def isotropic_over_local(form: DiagonalForm) -> bool:
         return False
     if n >= 5:
         return True
-    e = form.entries
+    e, field = form.entries, form.field
     if n == 2:
-        return is_square(-e[0] * e[1], form.field)
+        return field.is_square(-e[0] * e[1])
     if n == 3:
-        return hilbert_symbol(-e[0] * e[2], -e[1] * e[2], form.field) == 1
-    disc = form.discriminant()
-    if not is_square(disc, form.field):
+        return field.hilbert_symbol(-e[0] * e[2], -e[1] * e[2]) == 1
+    if not field.is_square(form.discriminant()):
         return True
-    alpha = e[0] * e[1]
-    beta = e[0] * e[2]
-    return hilbert_symbol(-alpha, -beta, form.field) == 1
+    return field.hilbert_symbol(-e[0] * e[1], -e[0] * e[2]) == 1
 
 
 def witt_zero(form: DiagonalForm) -> bool:
@@ -105,9 +103,9 @@ def witt_zero(form: DiagonalForm) -> bool:
     if n % 2:
         return False
     if n == 2:
-        return is_square(-form.entries[0] * form.entries[1], form.field)
+        return form.field.is_square(-form.entries[0] * form.entries[1])
     if n == 4:
-        return is_square(form.discriminant(), form.field) and isotropic_over_local(form)
+        return form.field.is_square(form.discriminant()) and isotropic_over_local(form)
     raise PreconditionFailed(f"witt_zero not implemented for dimension {n}")
 
 
@@ -162,21 +160,24 @@ class ResidueSplit(NamedTuple):
 def residue_field(q: PadicPolynomial, ctx: PadicContext):
     """K[t]/(q) for a monic irreducible q: Q_p itself when q is linear.
 
-    A modulus of degree 2 or more is certified irreducible by the
-    LocalField construction, which raises NotIrreducible when it cannot.
-    This is the one place that builds K[t]/(q).  The field is memoised on
-    (q, ctx), so every symbol, residue test and factor certificate on a
-    modulus shares one certified field; q's own field is part of its key,
-    so the tower and context checks run for every new pair, and a failed
-    certification is not cached.  A linear modulus gives the context
-    itself, Q_p's handle, and takes none of the cache's slots.
+    A linear modulus gives the context itself, Q_p's handle, and takes none
+    of the cache's slots.  A modulus of degree 2 or more is certified
+    irreducible by the LocalField construction, which raises NotIrreducible
+    when it cannot; only such a modulus loads ``padicforms.extensions``.
+    This is the one place that builds K[t]/(q).  ``_local_field`` memoises
+    the field on (q, ctx), so every symbol, residue test and factor
+    certificate on a modulus shares one certified field; q's own field is
+    part of its key, so the tower and context checks run for every new
+    pair, and a failed certification is not cached.
     """
     if q.degree == 1:
         return ctx
     return _local_field(q, ctx)
 
 
-_local_field = functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)(LocalField)
+@functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
+def _local_field(q: PadicPolynomial, ctx: PadicContext):
+    return padicforms.extensions.LocalField(q, ctx)
 
 
 def at_place(f: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotCoprime, NotIrreducible, PadicFormsError, PreconditionFailed
-from .extensions import is_square
 from .padics import PadicContext
 from .parsing import LAWS
 from .polynomials import PadicPolynomial
@@ -80,7 +79,7 @@ def explicit_square_criterion(p: PadicPolynomial, q: PadicPolynomial, ctx: Padic
     e = field.ramification_index
     w = int(field.valuation(value) * e)
     xi = value ** e * field.coerce((-ctx.uniformizer) ** (-w) * Fraction(-1) ** (e * w))
-    return 1 if is_square(xi, field) else -1
+    return 1 if field.is_square(xi) else -1
 
 
 @dataclass(frozen=True)  # not a NamedTuple: perfbench/test_checks.py uses dataclasses.replace
@@ -88,7 +87,7 @@ class LawCheck:
     """One verified symbol identity with all computed values."""
 
     law: str
-    inputs: dict
+    inputs: dict  # the arguments themselves, polynomials and c a Fraction; run_law_corpus renders a failure's
     values: dict
     holds: bool
 
@@ -102,7 +101,7 @@ def check_multiplicativity(
     sr = legendre_symbol(r, q, ctx)
     return LawCheck(
         "multiplicativity",
-        {"p": p.to_text(), "r": r.to_text(), "q": q.to_text()},
+        {"p": p, "r": r, "q": q},
         {"lhs": lhs, "p_over_q": sp, "r_over_q": sr},
         lhs == sp * sr,
     )
@@ -119,7 +118,7 @@ def constant_symbol_check(c, q: PadicPolynomial, ctx: PadicContext) -> LawCheck:
     rhs = base ** q.degree
     return LawCheck(
         "constant-rule",
-        {"c": str(c), "q": q.to_text()},
+        {"c": c, "q": q},
         {"lhs": lhs, "c_over_t": base, "deg_q": q.degree, "rhs": rhs},
         lhs == rhs,
     )
@@ -134,9 +133,7 @@ def check_pi_power_invariance(p: PadicPolynomial, q: PadicPolynomial, ctx: Padic
         s = legendre_symbol(p * ctx.uniformizer ** n, q, ctx)
         values[f"pi^{n}"] = s
         holds = holds and s == base
-    return LawCheck(
-        "pi-power-invariance", {"p": p.to_text(), "q": q.to_text()}, values, holds
-    )
+    return LawCheck("pi-power-invariance", {"p": p, "q": q}, values, holds)
 
 
 def check_reciprocity(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext) -> LawCheck:
@@ -150,7 +147,7 @@ def check_reciprocity(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext)
     rhs = m1t ** (p.degree * q.degree) * rhs_sym
     return LawCheck(
         "reciprocity",
-        {"p": p.to_text(), "q": q.to_text()},
+        {"p": p, "q": q},
         {
             "p_over_q": lhs,
             "minus_one_over_t": m1t,
@@ -276,14 +273,15 @@ def run_law_corpus(ctx: PadicContext, law: str, cases: int, seed: int):
             s2 = explicit_square_criterion(p, q, ctx)
             res = LawCheck(
                 "square-criterion",
-                {"p": p.to_text(), "q": q.to_text()},
+                {"p": p, "q": q},
                 {"i2": s1, "square_criterion": s2},
                 s1 == s2,
             )
         if res.holds:
             passes += 1
         else:
-            failures.append({"case": k, "inputs": res.inputs, "values": res.values})
+            inputs = {n: str(x) if isinstance(x, Fraction) else x.to_text() for n, x in res.inputs.items()}
+            failures.append({"case": k, "inputs": inputs, "values": res.values})
     return {
         "law": law,
         "prime": ctx.p,

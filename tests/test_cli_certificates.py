@@ -118,7 +118,7 @@ def test_case_counts_above_the_cap_are_refused(capsys, tmp_path):
         code, out, err = run_cli(capsys, "corpus", "--prime", "3", "--cases", str(over), law)
         assert code == 2 and out == ""
         assert err == f"error: the number of cases must be at most {MAX_CASES}, got {over}\n"
-        doc = {"schema": "padic-forms/1", "command": "corpus", "context": _CONTEXT, "assertions": [
+        doc = {"schema": "padic-forms/1", "command": "corpus", "context": _CONTEXT, "seed": 1, "assertions": [
             {"kind": "law-corpus", "law": law, "cases": over, "passes": over, "seed": 1}]}
         start = time.perf_counter()
         ok, problems = verify_certificate(doc)
@@ -133,7 +133,7 @@ def test_case_counts_above_the_cap_are_refused(capsys, tmp_path):
 def test_unknown_law_rejected_even_with_no_cases():
     with pytest.raises(PreconditionFailed, match="unknown law 'bogus'"):
         run_law_corpus(PadicContext(3), "bogus", 0, 1)
-    doc = {"schema": "padic-forms/1", "command": "corpus", "context": _CONTEXT, "assertions": [
+    doc = {"schema": "padic-forms/1", "command": "corpus", "context": _CONTEXT, "seed": 1, "assertions": [
         {"kind": "law-corpus", "law": "bogus", "cases": 0, "passes": 0, "seed": 1}]}
     ok, problems = verify_certificate(doc)
     assert not ok and problems == ["assertion 0 (law-corpus): recomputation failed: unknown law 'bogus'"]
@@ -275,10 +275,10 @@ _CONTEXT = {"prime": 3, "uniformizer": "3/1", "precision": 64}
         {"schema": "padic-forms/1", "command": "check-recip", "context": _CONTEXT, "assertions": [
             {"kind": "law", "law": "reciprocity", "inputs": {"p": "t - 1", "q": "t - 3"},
              "values": [1], "holds": True}]},
-        {"schema": "padic-forms/1", "command": "predicate", "context": _CONTEXT, "assertions": [
+        {"schema": "padic-forms/1", "command": "predicate", "context": _CONTEXT, "seed": 0, "assertions": [
             {"kind": "anisotropy-at-t", "f": 5, "gamma": "2/1", "v_t_f": -1,
              "leading_coefficient": "1/1", "anisotropic_form": True}]},
-        {"schema": "padic-forms/1", "command": "predicate", "context": _CONTEXT, "assertions": [
+        {"schema": "padic-forms/1", "command": "predicate", "context": _CONTEXT, "seed": 0, "assertions": [
             {"kind": "predicate-witness", "x": ["t"], "c": "1/1", "g": "t"}]},
     ],
     ids=["not-an-object", "assertions-not-a-list", "assertion-not-an-object",
@@ -596,6 +596,17 @@ def test_corpus_seed_is_the_documents_integer():
     for value in ("7", 7.0, 8, None):
         doc["seed"] = value
         assert not verify_certificate(doc)[0], value
+
+
+def test_a_seed_is_recorded_exactly_by_the_seeded_commands():
+    """construct-s, predicate and corpus record their seed; no other command has one to record."""
+    symbol = json.loads((GOLDEN / "symbol.json").read_text(encoding="utf-8"))
+    predicate = json.loads((GOLDEN / "predicate.json").read_text(encoding="utf-8"))
+    assert verify_certificate(symbol) == verify_certificate(predicate) == (True, [])
+    symbol["seed"] = 1
+    assert verify_certificate(symbol) == (False, ["symbol records no seed"])
+    del predicate["seed"]
+    assert verify_certificate(predicate) == (False, ["predicate records a seed"])
 
 
 def _assertion_literals(source: str) -> list:

@@ -18,6 +18,7 @@ from padicforms import (
     PreconditionFailed,
     hensel_lift,
     hilbert_symbol,
+    hilbert_symbol_qp,
     is_square,
     is_square_rational,
     square_class,
@@ -199,6 +200,32 @@ def test_hilbert_dispatch_and_rationality(c3):
     assert hilbert_symbol(a, -a) == 1
     with pytest.raises(PreconditionFailed):
         hilbert_symbol(K.zero, K.one)
+
+
+@pytest.mark.parametrize("p, modulus", [(2, [-2, 0, 1]), (3, [1, 0, 1])])
+def test_field_handle_decisions_are_the_public_functions(p, modulus):
+    """One dispatch, by the handle: its is_square and hilbert_symbol are the public functions' values."""
+    ctx = PadicContext(p)
+    K = LocalField(poly(modulus, ctx))
+    rng = random.Random(p)
+    rationals = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 12)) for _ in range(10)]
+    elements = [K.element([rng.randint(-6, 6), rng.randint(1, 6)]) for _ in range(8)] + [K.embed(3), K.embed(-1)]
+    for field, xs in ((ctx, rationals), (K, elements)):
+        for x in xs:
+            assert field.is_square(x) == is_square(x, field)
+        for a, b in itertools.product(xs[:6], repeat=2):
+            assert field.hilbert_symbol(a, b) == hilbert_symbol(a, b, field)
+        with pytest.raises(PreconditionFailed, match="is_square is undefined at 0"):
+            field.is_square(field.zero)
+        with pytest.raises(PreconditionFailed, match="hilbert symbol needs nonzero arguments"):
+            field.hilbert_symbol(field.one, field.zero)
+    for a, b in itertools.product(rationals[:6], repeat=2):
+        assert ctx.is_square(a) == is_square_rational(a, ctx)
+        assert ctx.hilbert_symbol(a, b) == hilbert_symbol_qp(a, b, ctx)
+    # an extension element given with no field is decided in its own field
+    for a, b in zip(elements, rationals):
+        assert is_square(a) == K.is_square(a)
+        assert hilbert_symbol(a, b) == K.hilbert_symbol(a, b) == hilbert_symbol_qp(K.norm(a), b, ctx)
 
 
 def test_hensel_examples(c2, c3):

@@ -1,10 +1,11 @@
 """Each CLI command loads only the modules it runs, and the package's names resolve on first use.
 
 ``padicforms`` binds its public names through a module ``__getattr__``
-(PEP 562), and the CLI, ``certificates``, ``h10`` and ``newton`` reach the
-modules that only some calls need as ``padicforms.<module>.<name>``.  A
-module-level import added back to any of them shows here as a module in
-the loaded set of a command that does not run it.
+(PEP 562), and the CLI, ``certificates``, ``h10``, ``newton`` and
+``quadform`` reach the modules that only some calls need as
+``padicforms.<module>.<name>``.  A module-level import added back to any
+of them shows here as a module in the loaded set of a command that does
+not run it.
 """
 
 import ast
@@ -35,7 +36,8 @@ print(code, "dataclasses" in sys.modules, *sorted(name for name in sys.modules i
 """
 
 # subcommand -> (argv after it, exit code, the submodules it loads); the cli module itself
-# runs as __main__.  slopes and squareclass load no module of the construction
+# runs as __main__.  slopes and squareclass load no module of the construction, and no command
+# whose fields are all Q_p loads extensions
 LOADS = {
     "newton": (["--prime", "3", "t^2+3*t+9", "--json"], 0,
                "certificates errors newton padics parsing polynomials"),
@@ -44,17 +46,17 @@ LOADS = {
     "squareclass": (["--prime", "3", "12", "--json"], 0, "certificates errors padics parsing polynomials"),
     "hilbert": (["--prime", "2", "2", "5", "--json"], 0, "certificates errors oracles padics parsing polynomials"),
     "symbol": (["--prime", "3", "t - 1", "t - 3", "--json"], 0,
-               "certificates construct errors extensions newton padics parsing polynomials quadform reciprocity"),
+               "certificates construct errors newton padics parsing polynomials quadform reciprocity"),
     "check-mult": (["--prime", "3", "t - 1", "t + 5", "t - 3", "--json"], 0,
-                   "certificates errors extensions newton padics parsing polynomials quadform reciprocity"),
+                   "certificates errors padics parsing polynomials quadform reciprocity"),
     "check-recip": (["--prime", "3", "t - 1", "t - 3", "--json"], 0,
-                    "certificates errors extensions newton padics parsing polynomials quadform reciprocity"),
+                    "certificates errors padics parsing polynomials quadform reciprocity"),
     "isotropy": (["--prime", "3", "1,-2,-3,6", "--json"], 1,
-                 "certificates errors extensions newton oracles padics parsing polynomials quadform"),
+                 "certificates errors oracles padics parsing polynomials quadform"),
     "construct-s": (["--prime", "3", "--gamma", "2", "t^2 - 3", "--json"], 0,
                     "certificates construct errors extensions newton padics parsing polynomials quadform reciprocity"),
     "predicate": (["--prime", "3", "--gamma", "2", "1/t", "--json"], 1,
-                  "certificates errors extensions h10 newton padics parsing polynomials quadform"),
+                  "certificates errors h10 newton padics parsing polynomials quadform"),
     "elliptic-point": (["--prime", "3", "3", "--digits", "40", "--json"], 0,
                        "certificates errors extensions h10 newton padics parsing polynomials"),
     "corpus": (["--prime", "2", "--cases", "5", "check-recip", "--json"], 0,
@@ -110,7 +112,9 @@ def test_each_command_loads_only_the_modules_it_runs():
                       *(f"padicforms.{m}" for m in modules.split())]
             for command, (_, code, modules) in LOADS.items()}
     assert got == want
-    assert {got[command][1] for command in ("slopes", "newton", "hilbert", "squareclass")} == {"False"}
+    qp_only = ("newton", "slopes", "squareclass", "hilbert", "isotropy", "predicate")
+    assert {got[command][1] for command in qp_only} == {"False"}
+    assert not [command for command in qp_only if "padicforms.extensions" in got[command]]
     construction = {"construct", "h10", "quadform", "reciprocity", "extensions"}
     assert not construction & {*LOADS["slopes"][2].split(), *LOADS["squareclass"][2].split()}
 

@@ -33,6 +33,11 @@ def test_context_validation():
     with pytest.raises(ValueError, match=r"^precision_digits below 2\*v\(4\) \+ 4$"):
         PadicContext(2, precision_digits=5)
     PadicContext(2, precision_digits=8)  # 2 v(4) + 4 = 8 itself is allowed
+    # a float or a bool is no prime or precision, even when it equals one
+    for args, bad in (((3.0,), "prime 3.0"), ((True,), "prime True"), ((3, 64.5), "precision_digits 64.5"),
+                      ((3, True), "precision_digits True")):
+        with pytest.raises(PreconditionFailed, match=f"^{bad} is not an int$"):
+            PadicContext(*args)
     ctx = PadicContext(3, uniformizer=Fraction(6))
     assert ctx.vp(ctx.uniformizer) == 1
     assert ctx.minus_uniformizer == -6
