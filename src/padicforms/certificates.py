@@ -262,7 +262,7 @@ def _isotropy_local(ctx, entries):
 
 
 def _irreducible(ctx, poly):
-    padicforms.construct.certify_factor(_parse(poly, ctx))
+    padicforms.quadform.certify_factor(_parse(poly, ctx))
     return {}
 
 
@@ -382,11 +382,12 @@ def _r_symbol(assertions, ctx, seed):
     if [_one(assertions, "irreducible-certified"), _one(assertions, "coprime")] != [
             {"kind": "irreducible-certified", "poly": a["q"]}, {"kind": "coprime", "f": a["p"], "g": a["q"]}]:
         raise ValueError("the irreducible and coprime assertions are not about the symbol's q and p")
-    field, evidence = padicforms.reciprocity.certify_modulus(_parse(a["q"], ctx), ctx)
+    place, evidence = padicforms.reciprocity.certify_modulus(_parse(a["q"], ctx), ctx)
     result = {"p": a["p"], "q": a["q"], "value": a["value"], "modulus_evidence": evidence}
-    if field.is_extension:
-        result["field"] = {"ramification_index": field.ramification_index, "residue_degree": field.residue_degree,
-                           "uniformizer_coefficients": [rat_str(c) for c in field.uniformizer_elt.coeffs]}
+    if place is not ctx:  # the uniformizer's coefficients in powers of alpha, padded to deg q
+        pi = [rat_str(c) for c in place.uniformizer.coeffs] + ["0/1"] * place.modulus.degree
+        result["field"] = {"ramification_index": place.ramification_index, "residue_degree": place.residue_degree,
+                           "uniformizer_coefficients": pi[:place.modulus.degree]}
     return result
 
 

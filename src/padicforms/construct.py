@@ -35,13 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (
-    ConditionFailed,
-    FactorizationUncertified,
-    NotIrreducible,
-    OddVertex,
-    PreconditionFailed,
-)
+from .errors import ConditionFailed, OddVertex, PreconditionFailed
 from .newton import (
     FiniteFieldPoly,
     graded_reduction,
@@ -50,7 +44,7 @@ from .newton import (
 )
 from .padics import INFINITY, PadicContext, is_prime, is_square_rational
 from .polynomials import PadicPolynomial
-from .quadform import PfisterSlot, at_place, milnor_isotropy, residue_field
+from .quadform import PfisterSlot, at_place, certify_factor, milnor_isotropy
 from .reciprocity import legendre_symbol
 
 
@@ -130,27 +124,6 @@ class ConstructionParams(NamedTuple):
     g_norm: PadicPolynomial  # epsilon * g0
     blocks: tuple  # SlopeBlock, slopes increasing
     big_n: int
-
-
-def certify_factor(f: PadicPolynomial) -> str:
-    """Irreducibility evidence for a monic factor, or FactorizationUncertified.
-
-    The verdict is the residue field's own certification of f.
-    """
-    if f.degree == 1:
-        return "linear"
-    try:
-        field = residue_field(f.monic(), f.field.context)
-    except NotIrreducible:
-        raise FactorizationUncertified(
-            f"cannot certify irreducibility of {f.to_text()}"
-        ) from None
-    if field.residue_modulus is None:
-        return f"one edge of slope {field.slope} with denominator = degree"
-    return (
-        f"one edge of slope {field.slope}; reduction"
-        f" {field.residue_modulus.to_text()} irreducible with matching degree"
-    )
 
 
 def _rational_roots(f: PadicPolynomial):

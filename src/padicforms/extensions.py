@@ -2,15 +2,15 @@
 
 A :class:`LocalField` is Q_p[t]/(q) for a monic irreducible q whose
 irreducibility is certified at construction by one of the two Newton
-polygon criteria (slope denominator equals the degree, or irreducible
-reduction with matching degree).  Elements are integer coefficient
+polygon criteria (``newton.polygon_irreducible``; the paper's chain reads
+its places through ``quadform.Place`` instead).  Elements are integer coefficient
 vectors in powers of alpha over one positive denominator, in lowest terms,
 and every kernel (products, inverses, norms, lattice coordinates,
 valuations, residues and truncations) runs on those integers.  Products
 (``polynomials.convolve``), images f(alpha) and the resultant's
 pseudo-remainders are all reduced modulo q by ``polynomials.divide``.
 Norms are exact resultants Res(q, r) for
-x = r(alpha), by sub-resultants over Z, and valuations are read off the
+x = r(alpha), by ``polynomials.resultant``'s sub-resultants over Z, and valuations are read off the
 coordinates in an integral basis, normalized so that the base
 uniformizer has valuation 1 (so values lie in (1/e)Z).
 Residue digits and truncations are read through the field handle's
@@ -55,7 +55,6 @@ from typing import NamedTuple
 
 from .errors import (
     ConditionFailed,
-    NotIrreducible,
     PrecisionExhausted,
     PreconditionFailed,
 )
@@ -66,9 +65,8 @@ from .newton import (
     _mul_mod,
     _newton_budget,
     _sub,
-    finite_field_irreducible,
-    newton_polygon,
-    reduce_one_edge,
+    polygon_irreducible,
+    uniformizer_remainder,
 )
 from .padics import (
     INFINITY,
@@ -79,49 +77,7 @@ from .padics import (
     square_class_rational,
     vp_int,
 )
-from .polynomials import PadicPolynomial, convolve, divide
-
-
-def _trim(a) -> list:
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _resultant(a, b) -> int:
-    """Res(a, b) of two integer coefficient lists (constant term first), deg a > deg b.
-
-    The sub-resultant algorithm (Cohen, A Course in Computational Algebraic
-    Number Theory, algorithm 3.3.7): contents are taken out first, each
-    pseudo-remainder is divided exactly by g h^delta, and Res(A, c) =
-    c^(deg A) for a constant c ends the sequence.  The pseudo-remainder
-    lc(b)^(delta + 1) a mod b is lc(b)^(delta + 1) r / d for the remainder
-    r / d of ``divide``, exact since d divides |lc(b)|^(delta + 1).
-    """
-    a, b = _trim(a), _trim(b)
-    if not b:
-        return 0
-    da, db = len(a) - 1, len(b) - 1
-    ca, cb = math.gcd(*a), math.gcd(*b)
-    t = ca ** db * cb ** da
-    a, b = [x // ca for x in a], [x // cb for x in b]
-    s = 1
-    g = h = 1
-    while db > 0:
-        delta = da - db
-        if da % 2 and db % 2:
-            s = -s
-        _, r, d = divide(a, 1, b, 1)
-        if not r:
-            return 0
-        m, div = b[-1] ** (delta + 1) // d, g * h ** delta
-        a, b = b, [x * m // div for x in r]
-        da, db = db, len(b) - 1
-        g = a[-1]
-        if delta:
-            h = g ** delta // h ** (delta - 1)
-    return s * t * (b[0] ** da // h ** (da - 1))
+from .polynomials import PadicPolynomial, convolve, divide, resultant, root_norm
 
 
 def _lattice_w(coords, p: int, e: int) -> int:
@@ -164,11 +120,11 @@ class LocalField:
     :class:`padicforms.polynomials.PadicPolynomial`, so polynomials over
     K add, scale, differentiate, shift and evaluate as over Q_p (all that
     ``hensel_lift`` needs); their products and divisions raise
-    PreconditionFailed.  e * f = deg q always holds; the
-    uniformizer element has valuation 1/e and the irreducibility evidence
-    records which criterion fired.
+    PreconditionFailed.  e * f = deg q always holds, and the
+    uniformizer element has valuation 1/e.
 
-    Construction certifies q and keeps it as integers, the one modulus
+    Construction certifies q through ``newton.polygon_irreducible`` and
+    keeps it as integers, the one modulus
     every product and image is reduced by.  The lattice
     structures (the uniformizer element, the integral basis and the
     inverse of its coordinate matrix) and, over Q_2, the square-class
@@ -183,39 +139,13 @@ class LocalField:
     def __init__(self, minimal_poly: PadicPolynomial, context: PadicContext | None = None):
         if context is None:
             context = minimal_poly.field.context
-        if minimal_poly.field.is_extension:
-            raise PreconditionFailed("towers of extensions are not supported")
-        if minimal_poly.field.context != context:
-            raise PreconditionFailed("context mismatch")
-        if not minimal_poly.is_monic() or minimal_poly.degree < 2:
-            raise PreconditionFailed("minimal polynomial must be monic of degree >= 2")
+        # the residue field is F_p[x]/(residue_modulus), x the residue of beta (see _integral_basis); F_p at None
+        self.slope, self.residue_modulus = polygon_irreducible(minimal_poly, context)
         self.base_context = context
         self.minimal_poly = minimal_poly
         self.degree = minimal_poly.degree
-
-        polygon = newton_polygon(minimal_poly)
-        if len(polygon.edges) != 1:
-            raise NotIrreducible("minimal polynomial has several Newton slopes")
-        edge = polygon.single_edge()
-        self.slope = edge.slope
-        d = edge.slope.denominator
-        # F_p[x]/(residue_modulus) is the residue field, x the residue of beta
-        # (see _integral_basis); None when f = 1 and it is F_p itself
-        self.residue_modulus = None
-        if d == self.degree:
-            self.irreducibility_evidence = "eisenstein-type: slope denominator equals degree"
-        else:
-            cbar = self.residue_modulus = reduce_one_edge(minimal_poly)
-            if d * cbar.degree != self.degree or not finite_field_irreducible(cbar):
-                raise NotIrreducible(
-                    "irreducibility not certified by the polygon criteria"
-                )
-            self.irreducibility_evidence = (
-                f"reduction {cbar.to_text()} irreducible over F_{context.p}"
-                f" with matching degree"
-            )
-        self.ramification_index = d
-        self.residue_degree = self.degree // d
+        self.ramification_index = self.slope.denominator
+        self.residue_degree = self.degree // self.ramification_index
         self._unit_tags = {}  # quadratic character -> square-class unit tag (odd p)
 
         n = self.degree
@@ -238,6 +168,8 @@ class LocalField:
             return self.embed(x)
         if isinstance(x, tuple):
             return self.element(x)
+        if isinstance(x, PadicPolynomial):  # a remainder at the place q, as quadform.at_place reads it
+            return self.from_poly(x)
         raise TypeError(f"cannot coerce {type(x).__name__} into {self!r}")
 
     def inv(self, x):
@@ -379,19 +311,8 @@ class LocalField:
 
     @functools.cached_property
     def uniformizer_elt(self) -> "LocalFieldElement":
-        """An element of valuation 1/e."""
-        e = self.ramification_index
-        if e == 1:
-            return self.embed(self.base_context.uniformizer)
-        k = (-self.slope).numerator  # v(alpha) = k/e in lowest terms
-        # x*k + y*e = 1 gives v(alpha^x * pi^y) = 1/e; x is the inverse of k mod e in (-e/2, e/2]
-        x = pow(k, -1, e)
-        if 2 * x > e:
-            x -= e
-        y = (1 - k * x) // e
-        alpha = self.gen()
-        out = alpha ** x if x >= 0 else alpha.inverse() ** (-x)
-        return out * self.base_context.uniformizer ** y
+        """An element of valuation 1/e: alpha^x pi^y, ``newton.uniformizer_remainder``."""
+        return self.from_poly(uniformizer_remainder(self.minimal_poly, self.slope))
 
     @functools.cached_property
     def _eps(self) -> "LocalFieldElement":
@@ -578,12 +499,7 @@ class LocalFieldElement:
         With q = Q / D and r = N / den for integer polynomials Q and N,
         Res(q, r) = Res(Q, N) / (D^(deg N) den^n).
         """
-        field = self.field
-        q = field.minimal_poly
-        m = len(_trim(self.num)) - 1
-        if m < 0:
-            return Fraction(0)
-        return Fraction(_resultant(q.num, self.num), q.den ** m * self.den ** field.degree)
+        return root_norm(self.field.minimal_poly, self.num, self.den)
 
     @property
     def valuation(self):
@@ -681,7 +597,7 @@ def _character(field: LocalField, digits) -> int:
     p = field.base_context.p
     if field.residue_modulus is None:
         return legendre_int(digits[0], p)
-    return legendre_int(_resultant(field.residue_modulus.coeffs, digits), p)
+    return legendre_int(resultant(field.residue_modulus.coeffs, digits), p)
 
 
 def _residue_character(x: LocalFieldElement, w: int) -> int:

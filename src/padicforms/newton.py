@@ -15,10 +15,10 @@ For a monic one-edge polynomial of slope m with denominator d, the
 coefficients sitting on the edge reduce to a polynomial over the residue
 field in the variable ubar (the image of pi^(m d) t^d).  Irreducibility
 of the reduction with matching degree certifies irreducibility of the
-polynomial itself, as does d = deg (the Eisenstein-type case).  The
-construction of :class:`padicforms.extensions.LocalField` is the one place
-that applies these two criteria; everything in this package that needs an
-irreducible polynomial goes through it or through rational linear factors.
+polynomial itself, as does d = deg (the Eisenstein-type case).
+:func:`polygon_irreducible` is the one place that applies these two
+criteria (for residue fields and ``LocalField`` alike); everything that needs
+an irreducible polynomial goes through it or through rational linear factors.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import padicforms
 from .errors import (
     BadDecomposition,
     ConditionFailed,
+    NotIrreducible,
     NotOneEdge,
     PrecisionExhausted,
     PreconditionFailed,
@@ -538,6 +539,43 @@ def reduce_one_edge(f: PadicPolynomial) -> FiniteFieldPoly:
     edge = newton_polygon(f).single_edge()
     # pi^(-v(f(0))) f lies in the graded ring of the slope, with its edge on the grading line
     return graded_reduction(f * f.field.context.uniformizer ** int(-edge.v0), edge.slope)
+
+
+def polygon_irreducible(q: PadicPolynomial, ctx) -> tuple:
+    """(slope, residue modulus) of a monic q of degree >= 2 over ctx, certified irreducible, or NotIrreducible.
+
+    One edge, of slope denominator d = deg q (no residue modulus), or q's reduction cbar
+    irreducible over F_p with d deg cbar = deg q (cbar is the modulus).
+    """
+    if q.field.is_extension:
+        raise PreconditionFailed("towers of extensions are not supported")
+    if q.field.context != ctx:
+        raise PreconditionFailed("context mismatch")
+    if not q.is_monic() or q.degree < 2:
+        raise PreconditionFailed("minimal polynomial must be monic of degree >= 2")
+    polygon = newton_polygon(q)
+    if len(polygon.edges) != 1:
+        raise NotIrreducible("minimal polynomial has several Newton slopes")
+    slope = polygon.edges[0].slope
+    if slope.denominator == q.degree:
+        return slope, None
+    cbar = reduce_one_edge(q)
+    if slope.denominator * cbar.degree != q.degree or not finite_field_irreducible(cbar):
+        raise NotIrreducible("irreducibility not certified by the polygon criteria")
+    return slope, cbar
+
+
+def uniformizer_remainder(q: PadicPolynomial, slope: Fraction) -> PadicPolynomial:
+    """alpha^x pi^y modulo the certified q of this slope, of valuation 1/e: v(alpha) = -slope = k/e, x k + y e = 1.
+
+    x = 1/k mod e is taken in (-e/2, e/2], and alpha^(-1) = -(q(t) - q(0)) / (t q(0)).
+    """
+    ctx, e, k = q.field, slope.denominator, (-slope).numerator
+    x = pow(k, -1, e)
+    if 2 * x > e:
+        x -= e
+    base = PadicPolynomial.x(ctx) if x >= 0 else (q - q[0]).shift(-1) * (-1 / q[0])
+    return base ** abs(x) % q * ctx.uniformizer ** ((1 - k * x) // e)
 
 
 def graded_reduction(f: PadicPolynomial, slope: Fraction) -> FiniteFieldPoly:

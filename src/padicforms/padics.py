@@ -201,7 +201,8 @@ class PadicContext(Immutable):
     """
 
     _fields = ("p", "precision_digits", "uniformizer")
-    __slots__ = _fields + ("minus_uniformizer",)  # -pi, the second argument of every i2 class
+    # -pi and its unit_digits, the second argument of every i2 class, and the hash, each taken once
+    __slots__ = _fields + ("minus_uniformizer", "minus_uniformizer_digits", "_hash")
 
     is_extension = False
     ramification_index = 1
@@ -219,9 +220,14 @@ class PadicContext(Immutable):
         uniformizer = Fraction(p if uniformizer is None else uniformizer)
         if vp_rational(uniformizer, p) != 1:
             raise ValueError(f"uniformizer {uniformizer} has valuation != 1")
-        self._set(p, precision_digits, uniformizer, -uniformizer)
+        self._set(p, precision_digits, uniformizer, minus := -uniformizer, unit_digits(minus, p), None)
         if precision_digits < 2 * self.v4 + 4:
             raise ValueError("precision_digits below 2*v(4) + 4")
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._values))
+        return self._hash
 
     @property
     def v4(self) -> int:
@@ -284,7 +290,7 @@ class PadicContext(Immutable):
         return hilbert_symbol_qp(self.coerce(a), self.coerce(b), self)
 
 
-def _unit_digits(x: Fraction, p: int) -> tuple[int, int]:
+def unit_digits(x: Fraction, p: int) -> tuple[int, int]:
     """(v, u mod p) for x = p^v u, u mod 8 at p = 2: what squares and symbols over Q_p read."""
     v, a, b = unit_split(x.numerator, x.denominator, p)
     m = 8 if p == 2 else p
@@ -300,7 +306,7 @@ def is_square_rational(x, ctx: PadicContext) -> bool:
     """
     if x == 0:
         raise PreconditionFailed("is_square is undefined at 0")
-    v, u = _unit_digits(x, ctx.p)
+    v, u = unit_digits(x, ctx.p)
     if v % 2 != 0:
         return False
     return u == 1 if ctx.p == 2 else legendre_int(u, ctx.p) == 1
@@ -316,7 +322,7 @@ def square_class_rational(x, ctx: PadicContext) -> Fraction:
     if x == 0:
         raise PreconditionFailed("square_class is undefined at 0")
     p = ctx.p
-    v, u = _unit_digits(x, p)
+    v, u = unit_digits(x, p)
     if p != 2:
         unit_rep = 1 if legendre_int(u, p) == 1 else ctx.least_nonresidue()
     else:
@@ -334,12 +340,13 @@ def hilbert_symbol_qp(a, b, ctx: PadicContext) -> int:
     """
     if a == 0 or b == 0:
         raise PreconditionFailed("hilbert symbol needs nonzero arguments")
-    p = ctx.p
-    al, um = _unit_digits(a, p)
-    be, wm = _unit_digits(b, p)
+    return hilbert_digits(*unit_digits(a, ctx.p), *unit_digits(b, ctx.p), ctx.p)
+
+
+def hilbert_digits(al: int, um: int, be: int, wm: int, p: int) -> int:
+    """(a, b) over Q_p for a = p^al u and b = p^be w, u and w read by ``unit_digits``; i2_class shares it."""
     if p != 2:
-        s = legendre_int(-1, p) ** (al * be) * legendre_int(um, p) ** be * legendre_int(wm, p) ** al
-        return 1 if s == 1 else -1
+        return legendre_int(-1, p) ** (al * be % 2) * legendre_int(um, p) ** (be % 2) * legendre_int(wm, p) ** (al % 2)
     eps_u, eps_w = (um - 1) // 2 % 2, (wm - 1) // 2 % 2
     om_u, om_w = (um * um - 1) // 8 % 2, (wm * wm - 1) // 8 % 2
     return -1 if (eps_u * eps_w + al * om_w + be * om_u) % 2 else 1

@@ -435,6 +435,54 @@ def divide(r, d, b, db):
     return quot, r, d
 
 
+def resultant(a, b) -> int:
+    """Res(a, b) of two integer coefficient lists (constant term first), a's top nonzero and deg a > deg b.
+
+    The sub-resultant algorithm (Cohen, A Course in Computational Algebraic
+    Number Theory, algorithm 3.3.7): contents are taken out first, each
+    pseudo-remainder is divided exactly by g h^delta, and Res(A, c) =
+    c^(deg A) for a constant c ends the sequence.  The pseudo-remainder
+    lc(b)^(delta + 1) a mod b is lc(b)^(delta + 1) r / d for the remainder
+    r / d of ``divide``, exact since d divides |lc(b)|^(delta + 1).
+    """
+    b = list(b)
+    while b and not b[-1]:
+        b.pop()
+    if not b:
+        return 0
+    da, db = len(a) - 1, len(b) - 1
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    t = ca ** db * cb ** da
+    if ca != 1:
+        a = [x // ca for x in a]
+    if cb != 1:
+        b = [x // cb for x in b]
+    s = 1
+    g = h = 1
+    while db > 0:
+        delta = da - db
+        if da & db & 1:
+            s = -s
+        _, r, d = divide(a, 1, b, 1)
+        if not r:
+            return 0
+        m, div = b[-1] ** (delta + 1) // d, g * h ** delta
+        a, b = b, [x * m // div for x in r]
+        da, db = db, len(b) - 1
+        g = a[-1]
+        if delta:
+            h = g ** delta // h ** (delta - 1)
+    return s * t * (b[0] ** da // h ** (da - 1))
+
+
+def root_norm(q: PadicPolynomial, num, den: int) -> Fraction:
+    """N(r(alpha)) = Res(q, r) for monic q = Q / D and r = num / den below deg q: Res(Q, num) / (D^deg r den^deg q)."""
+    m = len(num) - 1
+    while m >= 0 and not num[m]:
+        m -= 1
+    return Fraction(resultant(q.num, num), q.den ** m * den ** q.degree) if m >= 0 else Fraction(0)
+
+
 class RationalFunction:
     """A quotient of polynomials over Q_p, kept as an exact pair.
 

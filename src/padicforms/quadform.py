@@ -9,10 +9,12 @@ to one squareness test.
 
 Over the rational function field K(t), a form is analysed through its
 second residue forms at monic irreducible polynomials.  Every polynomial
-is read at a place q through :func:`at_place`: the residue field
-K[t]/(q), the order v_q(f) and the image of f / q^v there, so no general
-factorization is needed; the places to visit are enumerated from the
-known factors carried by the form's entries.
+is read at a place q through :func:`at_place`: the residue field K[t]/(q)
+(a :class:`Place`, remainders read through the norm Res(q, r) alone, at
+degree 2 or more), the order v_q(f) and the image of f / q^v there, so no
+general factorization is needed; the places to visit are enumerated from
+the known factors carried by the form's entries.  Only second residue
+forms and the square criterion build a ``LocalField`` (:func:`local_field`).
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from typing import NamedTuple
 
 import padicforms
 
-from .errors import PreconditionFailed
-from .padics import Immutable, PadicContext, hilbert_symbol_qp
-from .polynomials import PadicPolynomial
+from .errors import FactorizationUncertified, NotIrreducible, PreconditionFailed
+from .padics import INFINITY, Immutable, PadicContext, hilbert_digits, unit_digits, vp_rational
+from .polynomials import PadicPolynomial, divide, root_norm
 
-# recently used residue fields kept by residue_field; a construction or a
-# verdict touches a handful of moduli at a time
+# recently used places kept by residue_field; a construction or a verdict
+# touches a handful of moduli at a time
 _FIELD_CACHE_SIZE = 32
 
 
@@ -114,11 +116,14 @@ def i2_class(u, field) -> int:
 
     Equals the Hilbert symbol (u, -pi); +1 iff <1, pi, -u, -pi u> is
     isotropic.  Multiplying u by powers of pi does not change the value.
-    ``field`` is a field handle; a PadicContext is Q_p's.  Since -pi lies
-    in Q_p, the symbol is the norm projection (N(u), -pi)_{Q_p}.
+    ``field`` is a field handle or a :class:`Place`.  Since -pi lies in Q_p,
+    the symbol is the norm projection (N(u), -pi)_{Q_p}.
     """
     ctx = field.context
-    return hilbert_symbol_qp(field.norm(u), ctx.minus_uniformizer, ctx)
+    n = field.norm(u)
+    if not n:
+        raise PreconditionFailed("hilbert symbol needs nonzero arguments")
+    return hilbert_digits(*unit_digits(n, ctx.p), *ctx.minus_uniformizer_digits, ctx.p)
 
 
 # ---------------------------------------------------------------------------
@@ -157,27 +162,77 @@ class ResidueSplit(NamedTuple):
     residue_field: object
 
 
-def residue_field(q: PadicPolynomial, ctx: PadicContext):
-    """K[t]/(q) for a monic irreducible q: Q_p itself when q is linear.
+class Place:
+    """K[t]/(q) for a certified monic irreducible q of degree >= 2; an element is its remainder r by q.
 
-    A linear modulus gives the context itself, Q_p's handle, and takes none
-    of the cache's slots.  A modulus of degree 2 or more is certified
-    irreducible by the LocalField construction, which raises NotIrreducible
-    when it cannot; only such a modulus loads ``padicforms.extensions``.
-    This is the one place that builds K[t]/(q).  ``_local_field`` memoises
-    the field on (q, ctx), so every symbol, residue test and factor
-    certificate on a modulus shares one certified field; q's own field is
-    part of its key, so the tower and context checks run for every new
-    pair, and a failed certification is not cached.
+    ``norm`` is N(r(alpha)) = Res(q, r), over the integers, and ``valuation`` v_p(N) / deg q.
     """
-    if q.degree == 1:
-        return ctx
-    return _local_field(q, ctx)
+
+    def __init__(self, q: PadicPolynomial, ctx: PadicContext):
+        self.slope, self.residue_modulus = padicforms.newton.polygon_irreducible(q, ctx)
+        self.modulus, self.context = q, ctx
+        self.ramification_index = self.slope.denominator
+        self.residue_degree = q.degree // self.ramification_index
+
+    @property
+    def evidence(self) -> str:
+        cbar = self.residue_modulus
+        return ("eisenstein-type: slope denominator equals degree" if cbar is None else
+                f"reduction {cbar.to_text()} irreducible over F_{self.context.p} with matching degree")
+
+    @functools.cached_property
+    def uniformizer(self) -> PadicPolynomial:
+        return padicforms.newton.uniformizer_remainder(self.modulus, self.slope)
+
+    def from_poly(self, f: PadicPolynomial) -> PadicPolynomial:
+        """The remainder of f by q: one ``divide``, none when f is already below deg q."""
+        q = self.modulus
+        if f.degree < q.degree:
+            return f
+        _, r, d = divide(f.num, f.den, q.num, q.den)
+        return PadicPolynomial.from_integers(r, d, self.context)
+
+    is_zero = staticmethod(PadicPolynomial.is_zero)
+
+    def norm(self, x: PadicPolynomial) -> Fraction:
+        x = self.from_poly(x)
+        return root_norm(self.modulus, x.num, x.den)
+
+    def valuation(self, x: PadicPolynomial):
+        v = vp_rational(self.norm(x), self.context.p)
+        return v if v is INFINITY else Fraction(v, self.modulus.degree)
+
+
+def residue_field(q: PadicPolynomial, ctx: PadicContext):
+    """K[t]/(q) for a monic irreducible q: Q_p itself (no cache slot) when q is linear, else q's :class:`Place`.
+
+    ``_place`` memoises the place on (q, ctx), so every symbol, residue test
+    and factor certificate on a modulus shares one certification, and a
+    failed one (NotIrreducible, or a tower or context mismatch) is not cached.
+    """
+    return ctx if q.degree == 1 else _place(q, ctx)
+
+
+_place = functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)(Place)
 
 
 @functools.lru_cache(maxsize=_FIELD_CACHE_SIZE)
-def _local_field(q: PadicPolynomial, ctx: PadicContext):
-    return padicforms.extensions.LocalField(q, ctx)
+def local_field(q: PadicPolynomial, ctx: PadicContext):
+    """K[t]/(q) with K's own arithmetic, for its squares: Q_p for a linear q, else a LocalField."""
+    return ctx if q.degree == 1 else padicforms.extensions.LocalField(q, ctx)
+
+
+def certify_factor(f: PadicPolynomial) -> str:
+    """Irreducibility evidence for a monic factor, from its place's certification, or FactorizationUncertified."""
+    if f.degree == 1:
+        return "linear"
+    try:
+        place = residue_field(f.monic(), f.field.context)
+    except NotIrreducible:
+        raise FactorizationUncertified(f"cannot certify irreducibility of {f.to_text()}") from None
+    cbar = place.residue_modulus
+    return (f"one edge of slope {place.slope} with denominator = degree" if cbar is None else
+            f"one edge of slope {place.slope}; reduction {cbar.to_text()} irreducible with matching degree")
 
 
 def at_place(f: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext):
@@ -186,8 +241,8 @@ def at_place(f: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext):
     ``field`` is residue_field(q, ctx), v = v_q(f) and u, never zero, the
     image of f / q^v in it.  q must be monic of degree >= 1 and f nonzero.
     The image is read first, as the value at the root when q is linear
-    and through ``LocalField.from_poly`` otherwise, and f is divided by q
-    only while it vanishes.
+    and as the remainder by q (``Place.from_poly``) otherwise, and f is
+    divided by q only while it vanishes.
     """
     if not q.is_monic() or q.degree < 1:
         raise PreconditionFailed("place must be a monic polynomial of degree >= 1")
@@ -211,7 +266,8 @@ def second_residue(form: FunctionFieldForm, q: PadicPolynomial) -> ResidueSplit:
     first + <q> second matches the input up to squares of K(t).
     """
     # read through at_place so that q is checked for a form with no entries too
-    field, _, _ = at_place(PadicPolynomial.one(form.context), q, form.context)
+    at_place(PadicPolynomial.one(form.context), q, form.context)
+    field = local_field(q, form.context)
     first, second = [], []
     for entry in form.entries:
         _, v, value = at_place(entry, q, form.context)

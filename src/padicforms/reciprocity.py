@@ -4,8 +4,8 @@ For q monic irreducible with root alpha and p coprime to q, the symbol
 <p/q> is the class of <1,pi><1,-p(alpha)> in I^2(K(alpha)) = Z/2,
 written multiplicatively as +-1.  It is computed through the norm
 projection (p(alpha), -pi)_{K(alpha)} = (N(p(alpha)), -pi)_{Q_p}, with
-the norm the exact resultant Res(q, p), and is invariant under
-multiplying p by powers of pi.
+the norm the exact resultant Res(q, p mod q) at q's ``quadform.Place``,
+and is invariant under multiplying p by powers of pi.
 
 The laws checked here: multiplicativity <pr/q> = <p/q><r/q>; the
 constant rule <c/q> = <c/t>^deg q; and the reciprocity law
@@ -23,19 +23,19 @@ from .errors import NotCoprime, NotIrreducible, PadicFormsError, PreconditionFai
 from .padics import PadicContext
 from .parsing import LAWS
 from .polynomials import PadicPolynomial
-from .quadform import at_place, i2_class, residue_field
+from .quadform import at_place, i2_class, local_field, residue_field
 
 
 def certify_modulus(q: PadicPolynomial, ctx: PadicContext):
     """Return (residue_field, evidence) for a monic irreducible modulus.
 
     Degree 1 is trivially irreducible and its residue field is Q_p;
-    otherwise the local field construction certifies irreducibility by the
-    polygon criteria and raises NotIrreducible when it cannot.
+    otherwise q's place certifies irreducibility by the polygon criteria
+    and raises NotIrreducible when it cannot.
     """
     _require_monic(q)
     field = residue_field(q, ctx)
-    return field, "linear" if q.degree == 1 else field.irreducibility_evidence
+    return field, "linear" if q.degree == 1 else field.evidence
 
 
 def _require_monic(q: PadicPolynomial) -> None:
@@ -44,7 +44,7 @@ def _require_monic(q: PadicPolynomial) -> None:
 
 
 def _value_at_root(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext):
-    """(K(alpha), p(alpha)) at a root alpha of the modulus q, through ``at_place``.
+    """(the place q, p(alpha)) at a root alpha of the modulus q, through ``at_place``.
 
     NotCoprime when q divides p, p = 0 included; NotIrreducible when q is
     not monic or its irreducibility cannot be certified.
@@ -75,8 +75,9 @@ def explicit_square_criterion(p: PadicPolynomial, q: PadicPolynomial, ctx: Padic
     """
     if ctx.p == 2:
         raise PreconditionFailed("the square criterion applies to odd residue characteristic")
-    field, value = _value_at_root(p, q, ctx)
-    e = field.ramification_index
+    _, value = _value_at_root(p, q, ctx)
+    field = local_field(q, ctx)
+    e, value = field.ramification_index, field.coerce(value)
     w = int(field.valuation(value) * e)
     xi = value ** e * field.coerce((-ctx.uniformizer) ** (-w) * Fraction(-1) ** (e * w))
     return 1 if field.is_square(xi) else -1

@@ -35,9 +35,11 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, "dataclasses" in sys.modules, *sorted(name for name in sys.modules if name.startswith("padicforms.")))
 """
 
-# subcommand -> (argv after it, exit code, the submodules it loads); the cli module itself
-# runs as __main__.  slopes and squareclass load no module of the construction, and no command
-# whose fields are all Q_p loads extensions
+# row -> (argv after its subcommand, exit code, the submodules it loads); a row is named by its
+# subcommand, then what sets it apart from that subcommand's other rows, and the cli module
+# itself runs as __main__.  slopes and squareclass load no module of the construction, no command
+# whose fields are all Q_p loads extensions, and neither do the symbols, the laws or construct-s
+# over moduli of degree 2 and more, which read their places through remainders and resultants
 LOADS = {
     "newton": (["--prime", "3", "t^2+3*t+9", "--json"], 0,
                "certificates errors newton padics parsing polynomials"),
@@ -46,21 +48,27 @@ LOADS = {
     "squareclass": (["--prime", "3", "12", "--json"], 0, "certificates errors padics parsing polynomials"),
     "hilbert": (["--prime", "2", "2", "5", "--json"], 0, "certificates errors oracles padics parsing polynomials"),
     "symbol": (["--prime", "3", "t - 1", "t - 3", "--json"], 0,
-               "certificates construct errors newton padics parsing polynomials quadform reciprocity"),
+               "certificates errors padics parsing polynomials quadform reciprocity"),
+    "symbol over a cubic": (["--prime", "2", "--json", "--", "t^3 + t + 5", "t^2 + t + 1"], 0,
+                            "certificates errors newton padics parsing polynomials quadform reciprocity"),
     "check-mult": (["--prime", "3", "t - 1", "t + 5", "t - 3", "--json"], 0,
                    "certificates errors padics parsing polynomials quadform reciprocity"),
+    "check-mult over a quadratic": (["--prime", "3", "--json", "--", "t + 1", "t^2 + 2", "t^2 + 1"], 0,
+                                    "certificates errors newton padics parsing polynomials quadform reciprocity"),
     "check-recip": (["--prime", "3", "t - 1", "t - 3", "--json"], 0,
                     "certificates errors padics parsing polynomials quadform reciprocity"),
     "isotropy": (["--prime", "3", "1,-2,-3,6", "--json"], 1,
                  "certificates errors oracles padics parsing polynomials quadform"),
     "construct-s": (["--prime", "3", "--gamma", "2", "t^2 - 3", "--json"], 0,
-                    "certificates construct errors extensions newton padics parsing polynomials quadform reciprocity"),
+                    "certificates construct errors newton padics parsing polynomials quadform reciprocity"),
+    "construct-s at p = 5": (["--prime", "5", "--gamma", "2", "--json", "--", "t^2 + 5*t + 10"], 0,
+                             "certificates construct errors newton padics parsing polynomials quadform reciprocity"),
     "predicate": (["--prime", "3", "--gamma", "2", "1/t", "--json"], 1,
                   "certificates errors h10 newton padics parsing polynomials quadform"),
     "elliptic-point": (["--prime", "3", "3", "--digits", "40", "--json"], 0,
                        "certificates errors extensions h10 newton padics parsing polynomials"),
     "corpus": (["--prime", "2", "--cases", "5", "check-recip", "--json"], 0,
-               "certificates errors extensions newton padics parsing polynomials quadform reciprocity"),
+               "certificates errors newton padics parsing polynomials quadform reciprocity"),
     "verify": ([str(ROOT / "tests" / "golden" / "slopes.json")], 0,
                "certificates errors newton padics parsing polynomials"),
 }
@@ -102,19 +110,22 @@ def _run(*args):
 
 
 def test_each_command_loads_only_the_modules_it_runs():
-    """One fresh interpreter per subcommand, all started before any is read."""
-    procs = {command: _run("-c", CHILD, command, *argv) for command, (argv, _, _) in LOADS.items()}
+    """One fresh interpreter per row, all started before any is read."""
+    procs = {row: _run("-c", CHILD, row.split()[0], *argv) for row, (argv, _, _) in LOADS.items()}
     bare = _run("-c", "import sys, padicforms; print(*sorted(n for n in sys.modules if n.startswith('padicforms')))")
-    got = {command: proc.communicate()[0].split() for command, proc in procs.items()}
+    got = {row: proc.communicate()[0].split() for row, proc in procs.items()}
     assert bare.communicate()[0].split() == ["padicforms"]  # __init__ itself needs no submodule
     # only the modules holding a DATACLASSES class import dataclasses
-    want = {command: [str(code), str(bool(DATACLASSES.keys() & modules.split())),
-                      *(f"padicforms.{m}" for m in modules.split())]
-            for command, (_, code, modules) in LOADS.items()}
+    want = {row: [str(code), str(bool(DATACLASSES.keys() & modules.split())),
+                  *(f"padicforms.{m}" for m in modules.split())]
+            for row, (_, code, modules) in LOADS.items()}
     assert got == want
     qp_only = ("newton", "slopes", "squareclass", "hilbert", "isotropy", "predicate")
     assert {got[command][1] for command in qp_only} == {"False"}
     assert not [command for command in qp_only if "padicforms.extensions" in got[command]]
+    places = ("symbol over a cubic", "check-mult over a quadratic", "construct-s", "construct-s at p = 5")
+    assert not [row for row in places if "padicforms.extensions" in got[row]]
+    assert "padicforms.construct" not in got["symbol over a cubic"]
     construction = {"construct", "h10", "quadform", "reciprocity", "extensions"}
     assert not construction & {*LOADS["slopes"][2].split(), *LOADS["squareclass"][2].split()}
 

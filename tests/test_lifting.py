@@ -27,7 +27,7 @@ from padicforms import (
 from padicforms.certificates import assertion, rat_str
 from padicforms.extensions import LocalFieldElement
 from padicforms.newton import _output_precision, min_coefficient_valuation
-from padicforms.quadform import residue_field
+from padicforms.quadform import local_field
 
 from conftest import poly
 
@@ -75,7 +75,7 @@ def test_hensel_root_canonical_over_qp(p):
 def test_hensel_root_canonical_over_extensions(p, minimal):
     rng = random.Random(f"hensel-ext-{p}-{minimal}")
     ctx = PadicContext(p, precision_digits=200)
-    K = residue_field(poly(minimal, ctx), ctx)
+    K = local_field(poly(minimal, ctx), ctx)
     pi = K.uniformizer_elt
     for _ in range(3):
         a = K.embed(rng.randint(-5, 5)) + pi * rng.randint(-5, 5)
@@ -111,7 +111,7 @@ def test_hensel_root_canonical_when_the_derivative_is_not_a_unit(p, coeffs, a, v
 def test_hensel_root_canonical_when_the_derivative_has_fractional_valuation(p, minimal, step, v):
     rng = random.Random(f"hensel-ramified-{p}-{minimal}")
     ctx = PadicContext(p, precision_digits=200)
-    K = residue_field(poly(minimal, ctx), ctx)
+    K = local_field(poly(minimal, ctx), ctx)
     h = K.uniformizer_elt if step == "pi" else K.gen()
     for _ in range(2):
         a = K.embed(rng.randint(0, 5)) + h * rng.randint(-5, 5)
@@ -124,7 +124,7 @@ def test_hensel_root_canonical_when_the_derivative_has_fractional_valuation(p, m
 def test_hensel_lift_from_a_root():
     """A starting point that is already a root is reported cut to digits + 1, with infinite slack."""
     ctx = PadicContext(3, precision_digits=200)
-    K = residue_field(poly([1, 0, 1], ctx), ctx)
+    K = local_field(poly([1, 0, 1], ctx), ctx)
     i = K.gen()
     for f, a in [(poly([14, -9, 1], ctx), Fraction(2)),  # (x - 2)(x - 7)
                  (PadicPolynomial([K.embed(2) * i, -(i + 2), K.one], K), i)]:  # (x - i)(x - 2)
@@ -160,7 +160,7 @@ def test_one_inverse_per_hensel_lift(monkeypatch):
     for p, minimal in [(3, [1, 0, 1]), (2, [-2, 0, 1])]:
         rng = random.Random(f"one-inverse-{p}")
         ctx = PadicContext(p, precision_digits=1024)
-        K = residue_field(poly(minimal, ctx), ctx)
+        K = local_field(poly(minimal, ctx), ctx)
         pi = K.uniformizer_elt
         K.lattice_coordinates(K.one)  # the field's lattice structures, built once
         for _ in range(3):
@@ -176,7 +176,7 @@ def test_hensel_root_with_non_integral_alpha_coordinates(monkeypatch, capsys):
     """Over Q_3(alpha), alpha = 3 sqrt 2, the root sqrt 2 = alpha/3 of x^2 - 2 is
     integral but its alpha-coordinates are not: a typed error, exit 2 from the CLI."""
     ctx = PadicContext(3)
-    K = residue_field(poly([-18, 0, 1], ctx), ctx)
+    K = local_field(poly([-18, 0, 1], ctx), ctx)
     f = PadicPolynomial([K.embed(-2), K.zero, K.one], K)
     a = K.element([3, Fraction(1, 3)])
     message = "alpha-coordinates are not p-integral"
@@ -199,7 +199,7 @@ DEEP_FIELDS = [(3, [-27, 0, 1]), (2, [-4, 0, 0, 1])]
 def test_hensel_root_canonical_over_deep_integral_bases(p, minimal):
     rng = random.Random(f"hensel-deep-{p}-{minimal}")
     ctx = PadicContext(p, precision_digits=200)
-    K = residue_field(poly(minimal, ctx), ctx)
+    K = local_field(poly(minimal, ctx), ctx)
     alpha = K.gen()
     units = [k for k in range(1, 2 * p + 1) if k % p]
     for j in range(3):

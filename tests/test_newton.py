@@ -148,8 +148,8 @@ def test_root_valuations_match_slopes(c3):
 
 
 def test_reduction_irreducibility(c3):
-    """LocalField certifies its modulus by the two polygon criteria, or refuses it."""
-    assert "eisenstein" in LocalField(poly([-3, 0, 1], c3)).irreducibility_evidence
+    """The two polygon criteria certify a modulus, naming the one that fired, or LocalField refuses it."""
+    assert newton.polygon_irreducible(poly([-3, 0, 1], c3), c3) == (Fraction(-1, 2), None)  # eisenstein-type
     with pytest.raises(NotIrreducible):
         LocalField(poly([-1, 0, 1], c3))  # splits
     for a_exp in (1, 2, 5):

@@ -15,11 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from padicforms import PadicContext, oracles
-from padicforms.certificates import verify_certificate
+from padicforms import PadicContext, legendre_symbol, oracles
+from padicforms.certificates import context_from_block, verify_certificate
 from padicforms.cli import main
 from padicforms.errors import ConditionFailed
 from padicforms.oracles import checked_witness, conclusive_exponent, hilbert_by_search, isotropic_by_search
+from padicforms.parsing import parse_poly
+from padicforms.quadform import local_field, residue_field
+from padicforms.reciprocity import random_certified_irreducible, random_coprime_poly
 
 _SPEC = importlib.util.spec_from_file_location(
     "perfbench_checks", Path(__file__).resolve().parent.parent / "perfbench" / "checks.py")
@@ -27,6 +30,7 @@ checks = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(checks)
 
 PRIMES = (2, 3, 5, 7)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def random_entry(rng, p):
@@ -154,6 +158,61 @@ def test_qp_t_commands_against_checks(capsys, p):
         for f, slope in zip(factors, slopes):
             assert checks.newton_slopes(checks.parse_poly_text(f["poly"]), p) == [slope], (p, text, f)
         assert sum(f["degree"] for f in factors) == len(coeffs) - 1, (p, text)
+
+
+def symbol_by_checks(p_coeffs, q_coeffs, pi, p) -> int:
+    """<p/q> by checks.py alone: p mod q, its norm from Q_p[t]/(q) as a determinant, then (N, -pi) by search."""
+    return checks.hilbert_search(checks.knorm(checks.pmod(p_coeffs, q_coeffs), q_coeffs), -pi, p)
+
+
+def test_golden_symbols_against_checks():
+    """Every legendre and symbol-condition assertion of the goldens, by the library and by checks.py."""
+    seen = 0
+    for path in sorted(GOLDEN.glob("*.json")):
+        doc = json.loads(path.read_text())
+        ctx = context_from_block(doc["context"])
+        for a in doc["assertions"]:
+            if a["kind"] == "legendre":
+                pairs = [(a["p"], a["q"], a["value"])]
+            elif a["kind"] == "symbol-condition":
+                pairs = [(a["p"], a["q"], a["lhs"])] + ([(a["p2"], a["q2"], a["rhs"])] if "p2" in a else [])
+            else:
+                continue
+            for p_text, q_text, recorded in pairs:
+                want = symbol_by_checks(checks.parse_poly_text(p_text), checks.parse_poly_text(q_text),
+                                        ctx.uniformizer, ctx.p)
+                got = legendre_symbol(parse_poly(p_text, ctx), parse_poly(q_text, ctx), ctx)
+                assert got == recorded == want, (path.name, p_text, q_text)
+                seen += 1
+    assert seen == 48  # 4 legendre assertions and 36 symbol conditions, 8 of them with a <p2/q2>
+
+
+# a uniformizer other than p for each prime, of valuation 1
+UNIFORMIZERS = {2: Fraction(-6, 5), 3: Fraction(6, 5), 5: Fraction(-10, 3), 7: Fraction(21, 2)}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_seeded_symbols_against_checks(p):
+    """60 seeded pairs per prime, half at a uniformizer other than p, over moduli of degree 1-4.
+
+    At each modulus of degree 2 or more the place's valuation, v_p(N) / deg q,
+    is also checked against the LocalField's, read off integral-basis
+    coordinates, on the symbol's numerator times a power of p.
+    """
+    rng = random.Random(3320 + p)
+    degrees = set()
+    for ctx in (PadicContext(p), PadicContext(p, uniformizer=UNIFORMIZERS[p])):
+        for _ in range(30):
+            q = random_certified_irreducible(rng, ctx)
+            num = random_coprime_poly(rng, ctx, q)
+            degrees.add(q.degree)
+            want = symbol_by_checks(list(num.coeffs), list(q.coeffs), ctx.uniformizer, p)
+            assert legendre_symbol(num, q, ctx) == want, (ctx, num.to_text(), q.to_text())
+            if q.degree > 1:
+                x = num * Fraction(p) ** rng.randint(-2, 3)
+                place, field = residue_field(q, ctx), local_field(q, ctx)
+                assert place.valuation(x) == field.valuation(field.from_poly(x)), (ctx, x.to_text(), q.to_text())
+    assert degrees == {1, 2, 3, 4}
 
 
 def solutions(witness, p):

@@ -62,6 +62,18 @@ def test_context_is_an_immutable_value():
     assert copy.deepcopy(ctx) == ctx and pickle.loads(pickle.dumps(ctx)) == ctx
 
 
+def test_context_hash_is_taken_once_and_follows_equality():
+    """Contexts built two ways for the default uniformizer are one value; another uniformizer is another."""
+    for p in (2, 3, 5, 7):
+        default, spelled = PadicContext(p), PadicContext(p, uniformizer=p)
+        custom = PadicContext(p, uniformizer=Fraction(p * (p + 1)))
+        assert default == spelled and hash(default) == hash(spelled)
+        assert custom != default and hash(custom) != hash(default)
+        assert hash(pickle.loads(pickle.dumps(custom))) == hash(custom)
+        assert default.minus_uniformizer_digits == (1, -1 % (8 if p == 2 else p))
+        assert custom.minus_uniformizer_digits == (1, -(p + 1) % (8 if p == 2 else p))
+
+
 def _vp_by_division(n, p):
     """The reference valuation: strip one p per division."""
     n, v = abs(n), 0

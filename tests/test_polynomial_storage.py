@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from padicforms import PadicContext, PadicPolynomial
 from padicforms.parsing import parse_poly
-from padicforms.quadform import _local_field, residue_field
+from padicforms.quadform import _place, residue_field
 
 PRIMES = (2, 3, 5, 101)
 CONTEXTS = {p: PadicContext(p) for p in PRIMES}
@@ -165,6 +165,6 @@ def test_residue_field_cache_hit_for_a_modulus_built_two_ways():
         built = t * t - p
         assert parsed is not built and parsed == built and hash(parsed) == hash(built)
         field = residue_field(parsed, ctx)
-        hits = _local_field.cache_info().hits
+        hits = _place.cache_info().hits
         assert residue_field(built, ctx) is field
-        assert _local_field.cache_info().hits == hits + 1
+        assert _place.cache_info().hits == hits + 1

@@ -16,7 +16,7 @@ from padicforms import (
     legendre_symbol,
     run_law_corpus,
 )
-from padicforms.quadform import DiagonalForm, isotropic_over_local, residue_field
+from padicforms.quadform import DiagonalForm, isotropic_over_local, local_field, residue_field
 from padicforms.reciprocity import (
     _value_at_root,
     certify_modulus,
@@ -33,8 +33,9 @@ def symbol_via_isotropy(p, q, ctx) -> int:
     <p/q> = +1 iff <1, pi, -p(alpha), -pi p(alpha)> is isotropic over
     K(alpha); a representation cross-check against i2_class.
     """
-    field, u = _value_at_root(p, q, ctx)
-    pi = field.coerce(ctx.uniformizer)
+    _, u = _value_at_root(p, q, ctx)
+    field = local_field(q, ctx)
+    u, pi = field.coerce(u), field.coerce(ctx.uniformizer)
     form = DiagonalForm.make([field.one, pi, -u, -(u * pi)], field)
     return 1 if isotropic_over_local(form) else -1
 
