@@ -7,8 +7,8 @@ its places through ``quadform.Place`` instead).  Elements are integer coefficien
 vectors in powers of alpha over one positive denominator, in lowest terms,
 and every kernel (products, inverses, norms, lattice coordinates,
 valuations, residues and truncations) runs on those integers.  Products
-(``polynomials.convolve``), images f(alpha) and the resultant's
-pseudo-remainders are all reduced modulo q by ``polynomials.divide``.
+(``polynomials.convolve``) and images f(alpha) are reduced modulo q by
+``polynomials.pseudo_remainder``, which builds no quotient.
 Norms are exact resultants Res(q, r) for
 x = r(alpha), by ``polynomials.resultant``'s sub-resultants over Z, and valuations are read off the
 coordinates in an integral basis, normalized so that the base
@@ -77,7 +77,7 @@ from .padics import (
     square_class_rational,
     vp_int,
 )
-from .polynomials import PadicPolynomial, convolve, divide, resultant, root_norm
+from .polynomials import PadicPolynomial, convolve, pseudo_remainder, resultant, root_norm
 
 
 def _lattice_w(coords, p: int, e: int) -> int:
@@ -304,8 +304,9 @@ class LocalField:
     def _reduce(self, nums, den) -> "LocalFieldElement":
         """The element (sum_k nums[k] alpha^k) / den: the remainder of the integer list nums by q."""
         q = self.minimal_poly
-        _, r, d = divide(nums, den, q.num, q.den)
-        return LocalFieldElement(self, r + [0] * (self.degree - len(r)), d)
+        r = pseudo_remainder(nums, q.num)  # over lc(q.num)^k = q.den^k, k = len(nums) - deg q or 0
+        den *= q.den ** max(0, len(nums) - self.degree)
+        return LocalFieldElement(self, r + [0] * (self.degree - len(r)), den)
 
     # -- structure ------------------------------------------------------
 

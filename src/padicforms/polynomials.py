@@ -11,10 +11,12 @@ extension.  Both define ``context``, ``is_extension``, ``ramification_index``,
 
 A polynomial over Q_p is one integer numerator vector over one positive
 denominator (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6),
-and every Q_p kernel runs on those integers; products and division go
-through :func:`convolve` and :func:`divide`, the one integer product and
-the one integer division in the package, which the extension and
-finite-field kernels call too.  Over an extension the same storage holds
+and every Q_p kernel runs on those integers.  Products go through
+:func:`convolve`, the one integer product in the package, which the
+extension and finite-field kernels call too; ``divmod`` and ``//`` go
+through :func:`divide`, and every remainder whose quotient nobody reads
+(``%`` and so ``gcd``, the resultant's steps, a place's remainders,
+LocalField reductions) through :func:`pseudo_remainder`.  Over an extension the same storage holds
 K elements over the denominator 1: sums, scalar products, derivatives,
 evaluation and shifts use K's arithmetic, while products, division and
 gcd (and so powers and the squarefree machinery) raise PreconditionFailed.
@@ -212,13 +214,17 @@ class PadicPolynomial:
                 base = base * base
         return PadicPolynomial.one(self.field) if out is None else out
 
-    def __divmod__(self, other):
+    def _divisor(self, other) -> "PadicPolynomial":
         other = self._check(other)
-        field = self.field
-        if field.is_extension:
+        if self.field.is_extension:
             raise PreconditionFailed("polynomial division implemented over Q_p coefficients")
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        return other
+
+    def __divmod__(self, other):
+        other = self._divisor(other)
+        field = self.field
         b, db = other.num, other.den
         quot, r, d = divide(self.num, self.den, b, db)
         # q_k = top db / (den lc(b)), and each den divides d
@@ -231,7 +237,13 @@ class PadicPolynomial:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        """The remainder by other: a ``pseudo_remainder`` of the numerators, over den lc(B)^k, with no quotient."""
+        b = self._divisor(other).num
+        k = len(self.num) - len(b) + 1
+        if k <= 0:
+            return self
+        r, s = pseudo_remainder(self.num, b), b[-1] ** k
+        return PadicPolynomial.from_integers(r if s > 0 else [-c for c in r], self.den * abs(s), self.field)
 
     def __eq__(self, other):
         if not isinstance(other, PadicPolynomial):
@@ -411,9 +423,9 @@ def divide(r, d, b, db):
     Returns (quot, rem, d'): R / d = (sum_k q_k t^k)(B / db) + rem / d', rem
     trimmed, d' > 0 when d > 0.  Each q_k is recorded as (top, den), the
     top coefficient and the denominator it was read at, with
-    q_k = top db / (den lc(B)); a caller that drops the quotient pays no
-    big-integer work for it.  R is rescaled only when lc(B) does not
-    divide its top, so d' / d divides |lc(B)|^(deg R - deg B + 1).
+    q_k = top db / (den lc(B)).  R is rescaled only when lc(B) does not
+    divide its top, so d' / d divides |lc(B)|^(deg R - deg B + 1).  A
+    caller that needs only the remainder calls :func:`pseudo_remainder`.
     """
     r, lc, body = list(r), b[-1], b[:-1]
     n = len(body)
@@ -435,15 +447,46 @@ def divide(r, d, b, db):
     return quot, r, d
 
 
+def pseudo_remainder(r, b) -> list:
+    """The pseudo-remainder rem of integer lists R by B (B's top nonzero); no quotient is built.
+
+    lc(B)^k R = Q B + rem with Q integral, rem trimmed and k = deg R - deg B + 1;
+    when deg R < deg B, k = 0 and rem is R as a list (Cohen, A Course in
+    Computational Algebraic Number Theory, algorithm 3.1.2).  R is scaled by
+    lc(B)^k once, up front; Q is then an integer list, so each quotient
+    coefficient is an exact division of R's top by lc(B), and none at all
+    when lc(B) = 1.
+    """
+    n = len(b) - 1
+    k = len(r) - n
+    if k <= 0:
+        return list(r)
+    lc = b[-1]
+    if lc == 1:
+        r = list(r)
+    else:
+        s = lc ** k
+        r = [c * s for c in r]
+    for i in range(k - 1, -1, -1):
+        m = r.pop()  # the top, which (m / lc) t^i B cancels
+        if m:
+            if lc != 1:
+                m //= lc
+            for j in range(n):
+                r[i + j] -= m * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 def resultant(a, b) -> int:
     """Res(a, b) of two integer coefficient lists (constant term first), a's top nonzero and deg a > deg b.
 
     The sub-resultant algorithm (Cohen, A Course in Computational Algebraic
     Number Theory, algorithm 3.3.7): contents are taken out first, each
-    pseudo-remainder is divided exactly by g h^delta, and Res(A, c) =
-    c^(deg A) for a constant c ends the sequence.  The pseudo-remainder
-    lc(b)^(delta + 1) a mod b is lc(b)^(delta + 1) r / d for the remainder
-    r / d of ``divide``, exact since d divides |lc(b)|^(delta + 1).
+    :func:`pseudo_remainder` lc(b)^(delta + 1) a mod b is divided exactly
+    by g h^delta, and Res(A, c) = c^(deg A) for a constant c ends the
+    sequence.
     """
     b = list(b)
     while b and not b[-1]:
@@ -463,11 +506,11 @@ def resultant(a, b) -> int:
         delta = da - db
         if da & db & 1:
             s = -s
-        _, r, d = divide(a, 1, b, 1)
+        r = pseudo_remainder(a, b)
         if not r:
             return 0
-        m, div = b[-1] ** (delta + 1) // d, g * h ** delta
-        a, b = b, [x * m // div for x in r]
+        div = g * h ** delta
+        a, b = b, (r if div == 1 else [x // div for x in r])
         da, db = db, len(b) - 1
         g = a[-1]
         if delta:

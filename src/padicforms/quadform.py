@@ -27,7 +27,7 @@ import padicforms
 
 from .errors import FactorizationUncertified, NotIrreducible, PreconditionFailed
 from .padics import INFINITY, Immutable, PadicContext, hilbert_digits, unit_digits, vp_rational
-from .polynomials import PadicPolynomial, divide, root_norm
+from .polynomials import PadicPolynomial, root_norm
 
 # recently used places kept by residue_field; a construction or a verdict
 # touches a handful of moduli at a time
@@ -185,12 +185,8 @@ class Place:
         return padicforms.newton.uniformizer_remainder(self.modulus, self.slope)
 
     def from_poly(self, f: PadicPolynomial) -> PadicPolynomial:
-        """The remainder of f by q: one ``divide``, none when f is already below deg q."""
-        q = self.modulus
-        if f.degree < q.degree:
-            return f
-        _, r, d = divide(f.num, f.den, q.num, q.den)
-        return PadicPolynomial.from_integers(r, d, self.context)
+        """The remainder f % q, a pseudo-remainder that builds no quotient; f itself when below deg q."""
+        return f % self.modulus
 
     is_zero = staticmethod(PadicPolynomial.is_zero)
 

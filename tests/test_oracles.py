@@ -3,7 +3,10 @@
 ``checks.py`` is the benchmark's independent arithmetic: it imports nothing
 from padicforms, decides the Hilbert symbol by its own residue search,
 4-dimensional isotropy through the quaternion norm form, and Newton slopes
-by its own lower hull.  It is loaded by
+by its own lower hull.  A symbol <p/q> is (N, -pi)_{Q_p} for the norm N of
+p mod q, which checks.py computes as a remainder, a determinant and a
+residue search; goldens' symbols, law values and gamma-valid assertions go
+that way.  It is loaded by
 path, so the test needs no package layout under ``perfbench/``.
 """
 
@@ -213,6 +216,67 @@ def test_seeded_symbols_against_checks(p):
                 place, field = residue_field(q, ctx), local_field(q, ctx)
                 assert place.valuation(x) == field.valuation(field.from_poly(x)), (ctx, x.to_text(), q.to_text())
     assert degrees == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_seeded_symbols_of_degree_5_to_8_against_checks(p):
+    """20 seeded pairs per prime over certified moduli of degree 5-8, half at a uniformizer other than p.
+
+    The numerators reach degree 10, so the remainder by q is taken before the norm.
+    """
+    rng = random.Random(3450 + p)
+    degrees, values = set(), set()
+    for ctx in (PadicContext(p), PadicContext(p, uniformizer=UNIFORMIZERS[p])):
+        for _ in range(10):
+            q = random_certified_irreducible(rng, ctx, max_deg=8)
+            while q.degree < 5:
+                q = random_certified_irreducible(rng, ctx, max_deg=8)
+            num = random_coprime_poly(rng, ctx, q, max_deg=10)
+            want = symbol_by_checks(list(num.coeffs), list(q.coeffs), ctx.uniformizer, p)
+            assert legendre_symbol(num, q, ctx) == want, (ctx, num.to_text(), q.to_text())
+            degrees.add(q.degree)
+            values.add(want)
+    assert len(degrees) >= 3 and values == {1, -1}
+
+
+def law_by_checks(law, inputs, ctx):
+    """A law assertion's values and verdict, every symbol in them by checks.py alone."""
+    f = {name: checks.parse_poly_text(text) for name, text in inputs.items()}
+
+    def symbol(num, q):
+        return symbol_by_checks(num, q, ctx.uniformizer, ctx.p)
+
+    if law == "multiplicativity":
+        values = {"lhs": symbol(checks.pmul(f["p"], f["r"]), f["q"]),
+                  "p_over_q": symbol(f["p"], f["q"]), "r_over_q": symbol(f["r"], f["q"])}
+        return values, values["lhs"] == values["p_over_q"] * values["r_over_q"]
+    exponent = (len(f["p"]) - 1) * (len(f["q"]) - 1)
+    values = {"p_over_q": symbol(f["p"], f["q"]), "q_over_p": symbol(f["q"], f["p"]),
+              "minus_one_over_t": symbol([Fraction(-1)], [Fraction(0), Fraction(1)]), "exponent": exponent}
+    return values, values["p_over_q"] == values["minus_one_over_t"] ** exponent * values["q_over_p"]
+
+
+def test_golden_laws_and_gamma_against_checks():
+    """Every law and gamma-valid assertion of the goldens, by checks.py alone.
+
+    A law's recorded values and verdict are recomputed symbol by symbol; gamma-valid
+    states (gamma, -pi)_{Q_p} = -1, decided by checks.py's residue search.
+    """
+    seen = {"law": 0, "gamma-valid": 0}
+    for path in sorted(GOLDEN.glob("*.json")):
+        doc = json.loads(path.read_text())
+        ctx = context_from_block(doc["context"])
+        for a in doc["assertions"]:
+            if a["kind"] == "law":
+                values, holds = law_by_checks(a["law"], a["inputs"], ctx)
+                assert a["values"] == values and a["holds"] == holds, path.name
+            elif a["kind"] == "gamma-valid":
+                gamma = checks.parse_rational(a["gamma"])
+                assert checks.hilbert_search(gamma, -ctx.uniformizer, ctx.p) == -1, path.name
+            else:
+                continue
+            seen[a["kind"]] += 1
+    assert seen == {"law": 3, "gamma-valid": 1}
 
 
 def solutions(witness, p):

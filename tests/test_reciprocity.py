@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from padicforms import (
     NotCoprime,
     NotIrreducible,
+    PadicContext,
     check_multiplicativity,
     check_reciprocity,
     constant_symbol_check,
@@ -167,8 +169,6 @@ def test_representation_consistency(contexts):
 
 def test_laws_hold_for_alternate_uniformizer(c3):
     """The symbol depends on pi, but every law holds for any choice."""
-    from padicforms import PadicContext
-
     alt = PadicContext(3, uniformizer=Fraction(6))
     for law in ("check-mult", "constant", "pi-invariance", "check-recip"):
         s = run_law_corpus(alt, law, 15, seed=3)
@@ -241,3 +241,28 @@ def test_linear_moduli_leave_the_field_cache_alone(c3):
     for r in range(40):
         legendre_symbol(poly([1, 0, 1], c3), poly([-3 * r - 1, 1], c3), c3)
     assert residue_field(poly([1, 0, 1], c3), c3) is field
+
+
+def test_cliff_symbol_degree_16():
+    """Symbols over a degree-16 Eisenstein-type modulus with degree-31 numerators of 7-digit coefficients.
+
+    At p = 10007 and at p = 2; every other numerator's constant term is a
+    multiple of p, so both values occur.  The value is (N, -pi)_{Q_p} for
+    N = Res(q, num) by sympy.  CI runs this under a time limit
+    (``pytest tests/test_reciprocity.py -k cliff``).
+    """
+    t = sympy.Symbol("t")
+    for p in (10007, 2):
+        ctx = PadicContext(p)
+        rng = random.Random(16 + p)
+        q = [p * rng.choice([c for c in range(-9, 10) if c % p])] + [p * rng.randint(-3, 3) for _ in range(15)] + [1]
+        values = []
+        for k in range(8):
+            num = [rng.choice((1, -1)) * rng.randint(10**6, 10**7 - 1) for _ in range(32)]
+            if k % 2:
+                num[0] = p * rng.randint(10**6 // p + 1, (10**7 - 1) // p)
+            got = legendre_symbol(poly(num, ctx), poly(q, ctx), ctx)
+            norm = sympy.resultant(sympy.Poly(q[::-1], t), sympy.Poly(num[::-1], t))
+            assert got == hilbert_symbol_qp(Fraction(int(norm)), -ctx.uniformizer, ctx), (p, num)
+            values.append(got)
+        assert set(values) == {1, -1}, p
