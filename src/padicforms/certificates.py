@@ -26,7 +26,7 @@ from fractions import Fraction
 import padicforms
 
 from .errors import ConditionFailed, NotCoprime, OddVertex, PadicFormsError, PreconditionFailed
-from .padics import PadicContext, hilbert_symbol_qp, square_class_rational, vp_int
+from .padics import PadicContext, above_digits, hilbert_symbol_qp, square_class_rational, vp_int
 from .parsing import check_exponent, parse_poly, parse_rational_function
 from .polynomials import PadicPolynomial, RationalFunction
 
@@ -176,9 +176,10 @@ def _slope_factorization(ctx, poly, unit, digits, factors):
         edge = rat_str(padicforms.newton.newton_polygon(factor).single_edge().slope)
         if edge != slope:
             raise ConditionFailed(f"factor {text} has slope {edge}, not {slope!r}")
-    residual = padicforms.newton.min_coefficient_valuation(product - _parse(poly, ctx))
-    if not residual > digits:
-        raise ConditionFailed(f"product residual valuation {residual} is not above {digits}")
+    residual = product - _parse(poly, ctx)
+    if not above_digits(residual.num, residual.den, ctx.p, digits):
+        v = padicforms.newton.min_coefficient_valuation(residual)
+        raise ConditionFailed(f"product residual valuation {v} is not above {digits}")
     return {}
 
 
@@ -186,7 +187,8 @@ def _hensel(ctx, poly, start, root, digits):
     """root is a root of poly to more than digits digits, in the Hensel ball around start."""
     _digits(digits)
     f, x, a = _parse(poly, ctx), parse_rat(root), parse_rat(start)
-    if not ctx.vp(f.evaluate(x)) > digits:
+    value = f.evaluate(x)
+    if not above_digits((value.numerator,), value.denominator, ctx.p, digits):
         raise ConditionFailed("residual valuation at the recorded root is not above the digit target")
     dstart = f.derivative().evaluate(a)
     if dstart != 0 and f.evaluate(a) != 0:

@@ -42,7 +42,7 @@ from .errors import (
     SlopeCollision,
     ZeroEndpoint,
 )
-from .padics import INFINITY, int_mod_pk, vp_int
+from .padics import INFINITY, above_digits, int_mod_pk, vp_int
 from .polynomials import PadicPolynomial, convolve
 
 _IRREDUCIBLE_CACHE_SIZE = 1024  # Ben-Or verdicts kept by finite_field_irreducible
@@ -308,7 +308,9 @@ def slope_factorization(f: PadicPolynomial, digits: int) -> SlopeFactorization:
     slope, each with a one-edge polygon; the product agrees with f to
     coefficient valuations above ``digits``.  Each split is lifted once,
     at the precision its loss bound asks; PrecisionExhausted means a lift
-    stalled or the product residual missed ``digits``.
+    stalled or the product residual missed ``digits``.  The residual is
+    checked by one divisibility test per coefficient (``padics.above_digits``);
+    ``residual_valuation`` reads its exact valuation.
     """
     if digits < 0:
         raise PreconditionFailed(f"digit target {digits} is negative")
@@ -324,7 +326,8 @@ def slope_factorization(f: PadicPolynomial, digits: int) -> SlopeFactorization:
         SlopeFactor(p, s, p.degree, s.denominator) for p, s in zip(parts, polygon.slopes)
     )
     result = SlopeFactorization(unit, factors, digits)
-    if result.residual_valuation(f) <= digits:
+    residual = result.product(f.field) - f
+    if not above_digits(residual.num, residual.den, f.field.p, digits):
         raise PrecisionExhausted("slope factorization residual below digit target")
     return result
 

@@ -92,6 +92,24 @@ def vp_rational(x, p: int):
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
+def above_digits(num, den: int, p: int, digits: int) -> bool:
+    """Has every num[k] / den p-adic valuation above ``digits`` (>= 0)?  Zero numerators pass.
+
+    One divisibility test per numerator, by p^(digits + 1 + v_p(den)), in
+    place of a valuation each.  When that power exceeds every numerator it
+    is not built: a nonzero numerator fails, so a huge digit target costs
+    nothing.
+    """
+    bits = max(map(int.bit_length, num), default=0)
+    if not bits:
+        return True
+    k = digits + 1 + vp_int(den, p)
+    if k * (p.bit_length() - 1) >= bits:
+        return False
+    m = p ** k
+    return all(c % m == 0 for c in num)
+
+
 def legendre_int(a: int, p: int) -> int:
     """Legendre symbol (a|p) for odd p, in {-1, 0, 1}."""
     a %= p

@@ -270,20 +270,16 @@ class PadicPolynomial:
     def evaluate(self, point):
         """Horner evaluation; the point may live in a larger field, whose arithmetic coerces the coefficients.
 
-        Over Q_p at a rational u / w the homogenized Horner sum
-        sum_k num[k] u^k w^(deg - k) runs on integers, over den w^deg.
+        Over Q_p at a rational u / w it is :func:`horner` on the numerators,
+        over den w^deg.
         """
         if self.field.is_extension or not isinstance(point, (int, Fraction)):
             acc = getattr(point, "field", self.field).zero
             for c in reversed(self.coeffs):
                 acc = acc * point + c
             return acc
-        u, w = point.numerator, point.denominator
-        acc, wk = 0, 1
-        for c in reversed(self.num):
-            acc = acc * u + c * wk
-            wk *= w
-        return Fraction(acc, self.den * w ** max(self.degree, 0))
+        w = point.denominator
+        return Fraction(horner(self.num, point.numerator, w), self.den * w ** max(self.degree, 0))
 
     def shift(self, k: int) -> "PadicPolynomial":
         """Multiply by t^k (k >= 0), or divide exactly by t^-k."""
@@ -415,6 +411,15 @@ def convolve(a, b) -> list:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def horner(num, u: int, w: int) -> int:
+    """The homogenized Horner sum sum_k num[k] u^k w^(deg - k) of an integer list: w^deg times its value at u / w."""
+    acc, wk = 0, 1
+    for c in reversed(num):
+        acc = acc * u + c * wk
+        wk *= w
+    return acc
 
 
 def divide(r, d, b, db):

@@ -27,7 +27,7 @@ import padicforms
 
 from .errors import FactorizationUncertified, NotIrreducible, PreconditionFailed
 from .padics import INFINITY, Immutable, PadicContext, hilbert_digits, unit_digits, vp_rational
-from .polynomials import PadicPolynomial, root_norm
+from .polynomials import PadicPolynomial, horner, root_norm
 
 # recently used places kept by residue_field; a construction or a verdict
 # touches a handful of moduli at a time
@@ -235,23 +235,34 @@ def at_place(f: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext):
     """(field, v, u): f read at the place q.
 
     ``field`` is residue_field(q, ctx), v = v_q(f) and u, never zero, the
-    image of f / q^v in it.  q must be monic of degree >= 1 and f nonzero.
-    The image is read first, as the value at the root when q is linear
-    and as the remainder by q (``Place.from_poly``) otherwise, and f is
-    divided by q only while it vanishes.
+    image of f / q^v in it.  q must be monic of degree >= 1 and f nonzero;
+    q is checked here once, and :func:`_read_at_place` reads it.
     """
-    if not q.is_monic() or q.degree < 1:
+    if len(q.num) < 2 or not q.is_monic():
         raise PreconditionFailed("place must be a monic polynomial of degree >= 1")
-    field = residue_field(q, ctx)
+    return _read_at_place(f, q, ctx)
+
+
+def _read_at_place(f: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext):
+    """``at_place`` for a q already checked monic of degree >= 1.
+
+    At a linear q = t - a / b the field is Q_p and the image is the integer
+    Horner sum of f's numerators at a / b (``polynomials.horner``), made a
+    Fraction only once it is nonzero; at degree 2 or more it is the remainder
+    by q (``Place.from_poly``).  f is divided by q only while the image vanishes.
+    """
+    field = ctx if len(q.num) == 2 else _place(q, ctx)
     if f.is_zero():
         raise PreconditionFailed("the zero polynomial has no order at a place")
-    root = Fraction(-q.num[0], q.den) if q.degree == 1 else None
     v = 0
-    while True:
-        u = field.from_poly(f) if root is None else f.evaluate(root)
-        if not field.is_zero(u):
-            return field, v, u
+    if field is ctx:
+        a, b = -q.num[0], q.den
+        while not (acc := horner(f.num, a, b)):
+            f, v = f // q, v + 1
+        return field, v, Fraction(acc, f.den * b ** (len(f.num) - 1))
+    while (u := field.from_poly(f)).is_zero():
         f, v = f // q, v + 1
+    return field, v, u
 
 
 def second_residue(form: FunctionFieldForm, q: PadicPolynomial) -> ResidueSplit:

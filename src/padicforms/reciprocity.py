@@ -23,7 +23,7 @@ from .errors import NotCoprime, NotIrreducible, PadicFormsError, PreconditionFai
 from .padics import PadicContext
 from .parsing import LAWS
 from .polynomials import PadicPolynomial
-from .quadform import at_place, i2_class, local_field, residue_field
+from .quadform import _read_at_place, i2_class, local_field, residue_field
 
 
 def certify_modulus(q: PadicPolynomial, ctx: PadicContext):
@@ -39,20 +39,21 @@ def certify_modulus(q: PadicPolynomial, ctx: PadicContext):
 
 
 def _require_monic(q: PadicPolynomial) -> None:
-    if not q.is_monic() or q.degree < 1:
+    if len(q.num) < 2 or not q.is_monic():
         raise NotIrreducible("modulus must be monic of degree >= 1")
 
 
 def _value_at_root(p: PadicPolynomial, q: PadicPolynomial, ctx: PadicContext):
-    """(the place q, p(alpha)) at a root alpha of the modulus q, through ``at_place``.
+    """(the place q, p(alpha)) at a root alpha of the modulus q.
 
     NotCoprime when q divides p, p = 0 included; NotIrreducible when q is
-    not monic or its irreducibility cannot be certified.
+    not monic or its irreducibility cannot be certified.  q is checked here,
+    once, and read by ``quadform._read_at_place``, which does not check it again.
     """
     if p.is_zero():
         raise NotCoprime("p vanishes modulo q")
     _require_monic(q)
-    field, v, value = at_place(p, q, ctx)
+    field, v, value = _read_at_place(p, q, ctx)
     if v:
         raise NotCoprime("p vanishes modulo q")
     return field, value

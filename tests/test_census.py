@@ -90,6 +90,8 @@ UNREACHED = {
     "newton.FiniteFieldPoly.__floordiv__": _OPERATORS,
     "newton.FiniteFieldPoly.__hash__": _OPERATORS,
     "newton.FiniteFieldPoly.__repr__": _OPERATORS,
+    "newton.SlopeFactorization.residual_valuation": ("public API: the exact residual valuation, used by tests;"
+                                                     " slope_factorization tests its residual by divisibility"),
     "newton.square_class_at_root_one_edge": "public API: the one-edge square-class evaluation, used by tests",
     "padics.Immutable.__delattr__": _IMMUTABLE,
     "padics.Immutable.__hash__": _IMMUTABLE,

@@ -250,6 +250,27 @@ def test_verify_rejects_garbage(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 1
 
 
+
+@pytest.mark.parametrize("golden, value, message", [
+    ("slopes", 36472996377170786394, "product residual valuation {k} is not above 40"),
+    ("elliptic-point", 2302754088926430621, "residual valuation at the recorded root is not above the digit target"),
+])
+@pytest.mark.parametrize("k", [39, 40, 41])
+def test_verify_holds_the_residual_above_the_digit_target(tmp_path, capsys, golden, value, message, k):
+    """A golden's factor or root moved by 3^k, everywhere the document spells it, leaves a residual of valuation k.
+
+    verify refuses it at k <= digits = 40, printing the exact residual valuation for a
+    slope factorization, and accepts it at k = 41.
+    """
+    path = tmp_path / "cert.json"
+    path.write_text((GOLDEN / f"{golden}.json").read_text().replace(str(value), str(value + 3 ** k)))
+    code = main(["verify", str(path)])
+    err = capsys.readouterr().err
+    if k > 40:
+        assert code == 0, err
+    else:
+        assert code == 1 and message.format(k=k) in err, err
+
 _CONTEXT = {"prime": 3, "uniformizer": "3/1", "precision": 64}
 
 

@@ -139,6 +139,24 @@ def test_slope_factorization_checks_its_residual(c3, monkeypatch):
     assert calls == [2, 1]  # f split once, then its left part
 
 
+
+@pytest.mark.parametrize("k, accepted", [(39, False), (40, False), (41, True)])
+def test_slope_factorization_residual_at_the_digit_target(c3, monkeypatch, k, accepted):
+    """A factor moved by 3^k leaves a residual of valuation k: refused at k <= digits = 40, kept at 41."""
+    split_all = newton._split_all
+
+    def moved(fm, n):
+        first, *rest = split_all(fm, n)
+        return [first + poly([3 ** k], c3)] + rest
+
+    monkeypatch.setattr(newton, "_split_all", moved)
+    f = poly([27, -12, 1], c3)
+    if accepted:
+        assert slope_factorization(f, 40).residual_valuation(f) == k
+    else:
+        with pytest.raises(PrecisionExhausted, match="residual"):
+            slope_factorization(f, 40)
+
 def test_root_valuations_match_slopes(c3):
     # (t-1)(t-3)(t-9): roots of valuation 0, 1, 2
     f = poly([-27, 39, -13, 1], c3)

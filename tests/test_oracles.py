@@ -18,13 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from padicforms import PadicContext, legendre_symbol, oracles
+from padicforms import NotCoprime, PadicContext, PadicPolynomial, legendre_symbol, oracles
 from padicforms.certificates import context_from_block, verify_certificate
 from padicforms.cli import main
 from padicforms.errors import ConditionFailed
 from padicforms.oracles import checked_witness, conclusive_exponent, hilbert_by_search, isotropic_by_search
 from padicforms.parsing import parse_poly
-from padicforms.quadform import local_field, residue_field
+from padicforms.quadform import at_place, i2_class, local_field, residue_field
 from padicforms.reciprocity import random_certified_irreducible, random_coprime_poly
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -215,6 +215,25 @@ def test_seeded_symbols_against_checks(p):
                 x = num * Fraction(p) ** rng.randint(-2, 3)
                 place, field = residue_field(q, ctx), local_field(q, ctx)
                 assert place.valuation(x) == field.valuation(field.from_poly(x)), (ctx, x.to_text(), q.to_text())
+        # linear places t - a / b, with p prime to b and p | b, numerators over p-power denominators,
+        # read at f = q^k g: v_q(f) = k and the image is g(a / b), by checks.peval, then hilbert_search
+        for b in (rng.choice([c for c in range(2, 40) if c % p]), p * rng.randint(1, 9), p ** 3):
+            root = Fraction(rng.choice([c for c in range(-60, 61) if c % p]), b)
+            q = PadicPolynomial.from_rationals([-root, 1], ctx)
+            for k in (0, 0, 1, 2):
+                g = [Fraction(rng.randint(-60, 60), p ** rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+                while not g[-1] or not checks.peval(g, root):
+                    g[-1] += 1
+                f = q ** k * PadicPolynomial.from_rationals(g, ctx)
+                value = checks.peval(g, root)
+                want = checks.hilbert_search(value, -ctx.uniformizer, p)
+                field, v, u = at_place(f, q, ctx)
+                assert (field, v, u, i2_class(u, field)) == (ctx, k, value, want), (ctx, f.to_text(), q.to_text())
+                if k:
+                    with pytest.raises(NotCoprime):
+                        legendre_symbol(f, q, ctx)
+                else:
+                    assert legendre_symbol(f, q, ctx) == want == symbol_by_checks(g, list(q.coeffs), ctx.uniformizer, p)
     assert degrees == {1, 2, 3, 4}
 
 

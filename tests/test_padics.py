@@ -20,7 +20,7 @@ from padicforms import (
     square_class_representatives,
 )
 from padicforms.oracles import hilbert_by_search, isotropic_by_search
-from padicforms.padics import vp_int
+from padicforms.padics import above_digits, vp_int
 
 from conftest import poly
 
@@ -97,6 +97,28 @@ def test_vp_int_against_division_loop(p):
     with pytest.raises(ValueError):
         vp_int(0, p)
 
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_above_digits_is_a_valuation_test(p):
+    """above_digits(num, den, p, d) is min_k v(num[k] / den) > d, decided by one division per numerator."""
+    u = 2 if p != 2 else 3  # a unit
+    for d in (0, 1, 5, 40):
+        assert not above_digits([u * p ** d], 1, p, d)  # v = digits
+        assert above_digits([u * p ** (d + 1)], 1, p, d)  # v = digits + 1
+        assert not above_digits([0, p ** (d + 1), u * p ** d], 1, p, d)
+        for k in (1, 3):  # a denominator carrying p^k, and a unit with it
+            assert not above_digits([u * p ** (d + k)], 7 * p ** k, p, d)
+            assert above_digits([u * p ** (d + k + 1), 0, -(p ** (d + k + 2))], 7 * p ** k, p, d)
+    for zero in ((), (0,), [0, 0]):  # a zero residual passes at any target
+        assert above_digits(zero, p ** 5, p, 10 ** 12)
+    assert not above_digits([p ** 50], 1, p, 10 ** 12)  # p^(10^12) is never built
+    rng = random.Random(f"above-{p}")
+    for _ in range(200):
+        num = [rng.choice([0, rng.randint(-10 ** 6, 10 ** 6) * p ** rng.randint(0, 30)]) for _ in range(4)]
+        den, d = rng.randint(1, 50) * p ** rng.randint(0, 10), rng.randint(0, 30)
+        want = all(vp_int(c, p) - vp_int(den, p) > d for c in num if c)
+        assert above_digits(num, den, p, d) == want, (num, den, d)
 
 def test_valuation_examples(c3):
     assert c3.vp(Fraction(9, 2)) == 2

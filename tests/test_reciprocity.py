@@ -10,6 +10,8 @@ from padicforms import (
     NotCoprime,
     NotIrreducible,
     PadicContext,
+    PadicFormsError,
+    PreconditionFailed,
     check_multiplicativity,
     check_reciprocity,
     constant_symbol_check,
@@ -18,7 +20,8 @@ from padicforms import (
     legendre_symbol,
     run_law_corpus,
 )
-from padicforms.quadform import DiagonalForm, isotropic_over_local, local_field, residue_field
+from padicforms.parsing import parse_poly
+from padicforms.quadform import DiagonalForm, at_place, isotropic_over_local, local_field, residue_field
 from padicforms.reciprocity import (
     _value_at_root,
     certify_modulus,
@@ -91,6 +94,62 @@ def test_symbol_error_types_agree(c3):
         for modulus in (poly([-6, 2], c3), poly([2, 0, 2], c3)):  # not monic
             with pytest.raises(NotIrreducible):
                 symbol(poly([1, 1], c3), modulus, c3)
+
+
+_MONIC = (NotIrreducible, "modulus must be monic of degree >= 1")
+_COPRIME = (NotCoprime, "p vanishes modulo q")
+_UNCERTIFIED = (NotIrreducible, "irreducibility not certified by the polygon criteria")
+_PLACE = (PreconditionFailed, "place must be a monic polynomial of degree >= 1")
+# over Q_3: a non-monic q, constant q, p = 0, and p = 0 mod q for a linear and a quadratic q;
+# where two checks could fire, the first in today's order is the one pinned
+_ERROR_PINS = [
+    ("legendre", "t + 1", "2*t - 2", _MONIC),
+    ("legendre", "t + 1", "1", _MONIC),
+    ("legendre", "t + 1", "2", _MONIC),
+    ("legendre", "0", "t - 3", _COPRIME),
+    ("legendre", "0", "2*t - 2", _COPRIME),  # p = 0 before the modulus
+    ("legendre", "0", "1", _COPRIME),
+    ("legendre", "2*t - 6", "t - 3", _COPRIME),
+    ("legendre", "2*t^3 + 2*t^2 + 2*t + 2", "t^2 + 1", _COPRIME),
+    ("legendre", "t + 1", "t^2 - 1", _UNCERTIFIED),
+    ("mult", "t + 1", "2*t - 2", _MONIC),
+    ("mult", "t + 1", "1", _MONIC),
+    ("mult", "0", "2*t - 2", _COPRIME),
+    ("mult", "2*t - 6", "t - 3", _COPRIME),
+    ("mult", "2*t^3 + 2*t^2 + 2*t + 2", "t^2 + 1", _COPRIME),
+    ("recip", "t - 3", "2*t - 2", _MONIC),
+    ("recip", "2*t - 2", "t - 3", _MONIC),  # <q/p> is read last
+    ("recip", "t - 3", "1", _MONIC),
+    ("recip", "0", "t - 3", _COPRIME),
+    ("recip", "2*t - 6", "t - 3", _COPRIME),
+    ("recip", "2*t^3 + 2*t^2 + 2*t + 2", "t^2 + 1", _COPRIME),
+    ("recip", "2*t - 2", "2*t - 2", (PreconditionFailed, "reciprocity needs distinct irreducibles")),
+    ("recip", "t^2 + 1", "t^2 - 1", _UNCERTIFIED),
+    ("constant", "2", "2*t - 2", _MONIC),
+    ("constant", "2", "1", _MONIC),
+    ("constant", "0", "2*t - 2", (PreconditionFailed, "constant must be nonzero")),
+    ("constant", "2", "t^2 - 1", _UNCERTIFIED),
+    ("at_place", "t + 1", "2*t - 2", _PLACE),
+    ("at_place", "t + 1", "1", _PLACE),
+    ("at_place", "0", "2*t - 2", _PLACE),  # the place before f
+    ("at_place", "0", "t - 3", (PreconditionFailed, "the zero polynomial has no order at a place")),
+    ("at_place", "0", "t^2 - 1", _UNCERTIFIED),  # the place's certification before f
+]
+
+
+@pytest.mark.parametrize("call, p, q, error", _ERROR_PINS, ids=[f"{c}({p}|{q})" for c, p, q, _ in _ERROR_PINS])
+def test_symbol_error_pins(c3, call, p, q, error):
+    """The exception type and message of the symbol, its laws and at_place on malformed inputs."""
+    p, q = parse_poly(p, c3), parse_poly(q, c3)
+    run = {"legendre": lambda: legendre_symbol(p, q, c3),
+           "mult": lambda: check_multiplicativity(p, poly([1, 1], c3), q, c3),
+           "recip": lambda: check_reciprocity(p, q, c3),
+           "constant": lambda: constant_symbol_check(p.constant_coefficient(), q, c3),
+           "at_place": lambda: at_place(p, q, c3)}[call]
+    kind, message = error
+    with pytest.raises(PadicFormsError) as caught:
+        run()
+    assert (type(caught.value), str(caught.value)) == (kind, message)
 
 
 def test_multiplicativity_examples(c3):
